@@ -20,19 +20,15 @@ conservative fallback exponent flagged as such.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Callable
 
 import numpy as np
 
-from steplpd.kernels import complex_gamma
-from steplpd.kernels.special import reciprocal_gamma
 from steplpd.phase import PhaseGeometry, RegimeError, stationary_points
-from steplpd.pcmodel import PhiMode, local_phase_phi
+from steplpd.pcmodel import pc_coefficients, power_bases
 from steplpd.rhfactors import DeltaFunction, SaddleExponents, build_delta, saddle_exponents
-
-_SQRT2PI = np.sqrt(2.0 * np.pi)
 
 
 class Branch(Enum):
@@ -105,66 +101,40 @@ def _wants_L(im_v: float) -> bool:
 # ---------------------------------------------------------------------------
 
 def coefficients_HLN(data, geometry: PhaseGeometry, exponents: SaddleExponents,
-                     delta: DeltaFunction, c0: complex,
-                     t_free_base: bool = True,
-                     t: float = 1.0) -> tuple[tuple, tuple, tuple]:
-    """(H1..H3, L1..L3, N1..N3) with the printed power-factor bases.
+                     delta: DeltaFunction, c0: complex) -> tuple[tuple, tuple, tuple]:
+    """(H1..H3, L1..L3, N1..N3) from the local models' 1/tau coefficients.
 
-    With t_free_base (the default) the 4(...) bases are t-free and the
-    explicit t-powers are carried by the assembled terms; the alternative
-    multiplies each base by the supplied t.  H-coefficients conjugate the
-    data (they serve the mirrored ray).  v = 0 collapses a coefficient to 0
-    through the Gamma pole.
+    L_s = -beta_s / sqrt(c_s^+) and N_s = -c0^2 gamma_c,s / (lam_s^2 sqrt(c_s^+)),
+    each times its power factor on the t-free bases of ``power_bases`` (the
+    assembled terms carry the t-powers).  The middle saddle's model is the
+    conjugate reflection, so its L and N read the conjugated data.  H serves
+    the mirrored ray: it is the beta of r2 in place of r1, with the
+    conjugation flipped.  v = 0 collapses a coefficient to 0 through the
+    Gamma pole.
     """
-    lam1, lam2, lam3 = geometry.lambdas
     c1, c2, c3 = geometry.curvatures
-    c2p = -c2
+    roots = np.sqrt((c1, -c2, c3))
+    B1, B2a, B2b = power_bases(geometry)
     v1, v2, v3 = exponents.v
-    tt = t if not t_free_base else 1.0
-    B1 = c2p / (4.0 * tt * c1 * c3)
-    B3 = c2p / (4.0 * tt * c3 * c1)
-    B2a = 1.0 / (4.0 * tt * c3)
-    B2b = c2p / c1
-    eip, eim = np.exp(1j * np.pi / 4.0), np.exp(-1j * np.pi / 4.0)
+    cj = np.conj
+    base_L = (B1 ** (1j * v1), B2a ** (-1j * v3) * B2b ** (-1j * v2), B1 ** (1j * v3))
+    base_N = (B1 ** (-1j * v1), B2a ** (-1j * v1) * B2b ** (1j * v2), B1 ** (-1j * v3))
+    base_H = (B1 ** (1j * cj(v1)), B2a ** (-1j * cj(v3)) * B2b ** (-1j * cj(v2)),
+              B1 ** (1j * cj(v3)))
 
-    r1 = [data.r1(lam) for lam in (lam1, lam2, lam3)]
-    r2 = [data.r2(lam) for lam in (lam1, lam2, lam3)]
-
-    def epv(v):
-        return np.exp(-np.pi * v / 2.0)
-
-    def frac(rg: complex, denom: complex) -> complex:
-        # Gamma-pole zeros win over vanishing reflection denominators
-        return 0.0 + 0.0j if rg == 0 else rg / denom
-
-    L1 = _SQRT2PI * epv(v1) * eip \
-        * frac(reciprocal_gamma(-1j * v1), np.sqrt(c1) * r1[0]) * B1 ** (1j * v1)
-    L2 = _SQRT2PI * epv(np.conj(v2)) * eim \
-        * frac(reciprocal_gamma(1j * np.conj(v2)), np.sqrt(c2p) * np.conj(r1[1])) \
-        * B2a ** (-1j * v3) * B2b ** (-1j * v2)
-    L3 = _SQRT2PI * epv(v3) * eip \
-        * frac(reciprocal_gamma(-1j * v3), np.sqrt(c3) * r1[2]) * B3 ** (1j * v3)
-
-    N1 = c0**2 * _SQRT2PI * epv(v1) * eim \
-        * frac(reciprocal_gamma(1j * v1), np.sqrt(c1) * r2[0] * lam1**2) * B1 ** (-1j * v1)
-    N2 = c0**2 * _SQRT2PI * epv(np.conj(v2)) * eip \
-        * frac(reciprocal_gamma(-1j * np.conj(v2)), np.sqrt(c2p) * np.conj(r2[1]) * lam2**2) \
-        * B2a ** (-1j * v1) * B2b ** (1j * v2)
-    N3 = c0**2 * _SQRT2PI * epv(v3) * eim \
-        * frac(reciprocal_gamma(1j * v3), np.sqrt(c3) * r2[2] * lam3**2) * B3 ** (-1j * v3)
-
-    # H's: the conjugated structure of the mirrored-ray reconstruction
-    H1 = _SQRT2PI * epv(np.conj(v1)) * eip \
-        * frac(reciprocal_gamma(-1j * np.conj(v1)), np.sqrt(c1) * np.conj(r2[0])) \
-        * B1 ** (1j * np.conj(v1))
-    H2 = _SQRT2PI * epv(v2) * eim \
-        * frac(reciprocal_gamma(1j * v2), np.sqrt(c2p) * r2[1]) \
-        * B2a ** (-1j * np.conj(v3)) * B2b ** (-1j * np.conj(v2))
-    H3 = _SQRT2PI * epv(np.conj(v3)) * eip \
-        * frac(reciprocal_gamma(-1j * np.conj(v3)), np.sqrt(c3) * np.conj(r2[2])) \
-        * B3 ** (1j * np.conj(v3))
-
-    return (H1, H2, H3), (L1, L2, L3), (N1, N2, N3)
+    H, L, N = [], [], []
+    for k, lam in enumerate(geometry.lambdas):
+        s = k + 1
+        r1, r2, v = data.r1(lam), data.r2(lam), exponents.v[k]
+        if s == 2:
+            ray, mirror = (cj(r1), cj(r2), cj(v)), (r2, r1, v)
+        else:
+            ray, mirror = (r1, r2, v), (cj(r2), cj(r1), cj(v))
+        beta, gamc = pc_coefficients(s, *ray)
+        L.append(-beta / roots[k] * base_L[k])
+        N.append(-c0**2 * gamc / (lam**2 * roots[k]) * base_N[k])
+        H.append(-pc_coefficients(s, *mirror)[0] / roots[k] * base_H[k])
+    return tuple(H), tuple(L), tuple(N)
 
 
 # ---------------------------------------------------------------------------
@@ -268,8 +238,7 @@ class _Term:
         return self.coef * t ** self.exponent * np.exp(1j * self.rate * t)
 
 
-def _positive_ray_machinery(data, mu: float, gamma: float,
-                            phi_mode: PhiMode = PhiMode.TAYLOR_CONSISTENT):
+def _positive_ray_machinery(data, mu: float, gamma: float):
     from steplpd.phase import Regime
 
     geometry = stationary_points(mu, gamma)
@@ -282,15 +251,14 @@ def _positive_ray_machinery(data, mu: float, gamma: float,
 
 
 def q_asymptotic(x: float, t: float, data,
-                 phi_mode: PhiMode = PhiMode.TAYLOR_CONSISTENT,
-                 t_free_base: bool = True,
                  _cache: dict | None = None) -> AsymptoticResult:
     """Leading-order q(x, t) along the ray mu = x/t.
 
     For x > 0 the ray must satisfy eps < mu < sqrt(1/27 gamma) - eps (and
-    mirrored for x < 0).  chi_s and phi_s enter at the saddle (tau = 0); in
-    the Taylor-consistent mode phi_s(0) = i t theta(lam_s), carried as the
-    oscillation rate of the term.
+    mirrored for x < 0).  chi_s and phi_s enter at the saddle (tau = 0), where
+    the Taylor-consistent phase is phi_s(0) = i t theta(lam_s), carried as
+    the oscillation rate of the term.  ``_cache`` maps |mu| to the ray's
+    factors and coefficients.
     """
     if t <= 0:
         raise ValueError("t must be positive")
@@ -300,15 +268,13 @@ def q_asymptotic(x: float, t: float, data,
         raise RegimeError("the ray mu = 0 is excluded")
 
     m = abs(mu)
-    key = (m, phi_mode, t_free_base)
-    if _cache is not None and key in _cache:
-        geometry, delta, exps, c0, H, L, N = _cache[key]
+    if _cache is not None and m in _cache:
+        geometry, delta, exps, c0, H, L, N = _cache[m]
     else:
-        geometry, delta, exps, c0 = _positive_ray_machinery(data, m, gamma, phi_mode)
-        H, L, N = coefficients_HLN(data, geometry, exps, delta, c0,
-                                   t_free_base=t_free_base, t=t)
+        geometry, delta, exps, c0 = _positive_ray_machinery(data, m, gamma)
+        H, L, N = coefficients_HLN(data, geometry, exps, delta, c0)
         if _cache is not None:
-            _cache[key] = (geometry, delta, exps, c0, H, L, N)
+            _cache[m] = (geometry, delta, exps, c0, H, L, N)
 
     v = exps.v
     im = [float(np.imag(vv)) for vv in v]

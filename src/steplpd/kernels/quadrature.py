@@ -19,7 +19,7 @@ non-integer powers are principal (cut along the negative real axis), and
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -41,7 +41,6 @@ class QuadratureSpec:
     abs_tol: float = 1e-10
     rel_tol: float = 1e-9
     max_depth: int = 30
-    tail_cutoff: float = 1e8
 
     def __post_init__(self):
         if self.abs_tol <= 0 or self.rel_tol <= 0:
@@ -55,22 +54,15 @@ DEFAULT_SPEC = QuadratureSpec()
 
 @dataclass(frozen=True)
 class ContourInterval:
-    """Oriented real interval; +-inf endpoints allowed.
-
-    Semi-infinite intervals should carry ``decay_hint``, a rate scale used to
-    place the split point between the core region and the transformed tail.
-    """
+    """Oriented real interval; +-inf endpoints allowed."""
 
     lower: float
     upper: float
     left_to_right: bool = True
-    decay_hint: float | None = None
 
     def __post_init__(self):
         if not self.lower < self.upper:
             raise ValueError(f"need lower < upper, got [{self.lower}, {self.upper}]")
-        if (np.isinf(self.lower) or np.isinf(self.upper)) and self.decay_hint is None:
-            object.__setattr__(self, "decay_hint", 1.0)
 
     @property
     def finite(self) -> bool:

@@ -31,8 +31,8 @@ from enum import Enum
 
 import numpy as np
 
-from steplpd.kernels import complex_gamma, parabolic_cylinder_D
-from steplpd.kernels.special import reciprocal_gamma
+from steplpd.kernels import complex_gamma
+from steplpd.kernels.special import parabolic_cylinder_D_scaled, reciprocal_gamma
 from steplpd.phase import PhaseGeometry
 from steplpd.rhfactors import SaddleExponents
 
@@ -53,16 +53,6 @@ class LocalModelData:
     r1r: complex
     r2r: complex
     chi: complex = 0.0 + 0.0j
-    curvature: float = 1.0
-    phi_mode: PhiMode = PhiMode.TAYLOR_CONSISTENT
-
-    @property
-    def beta(self) -> complex:
-        return pc_coefficients(self.s, self.r1r, self.r2r, self.v)[0]
-
-    @property
-    def gamma_coef(self) -> complex:
-        return pc_coefficients(self.s, self.r1r, self.r2r, self.v)[1]
 
 
 def model_order(r1r: complex, r2r: complex) -> complex:
@@ -71,16 +61,14 @@ def model_order(r1r: complex, r2r: complex) -> complex:
 
 
 def local_model_data(s: int, exponents: SaddleExponents,
-                     data, geometry: PhaseGeometry,
-                     phi_mode: PhiMode = PhiMode.TAYLOR_CONSISTENT) -> LocalModelData:
+                     data, geometry: PhaseGeometry) -> LocalModelData:
     """Assemble a saddle's model data from scattering data and exponents."""
     from steplpd.rhfactors import regularized_reflections
 
     lam = geometry.lam(s)
     r1r, r2r = regularized_reflections(data, lam)
     return LocalModelData(s=s, v=exponents.v[s - 1], r1r=r1r, r2r=r2r,
-                          chi=exponents.chi0(s), curvature=geometry.curvature(s),
-                          phi_mode=phi_mode)
+                          chi=exponents.chi0(s))
 
 
 # ---------------------------------------------------------------------------
@@ -138,30 +126,34 @@ def local_phase_phi(s: int, geometry: PhaseGeometry, t: float, tau: complex,
             - 4.0 * gam * lam**4 + 0.5 * lam**2)
 
 
-def lambda_conjugator(s: int, exponents: SaddleExponents, geometry: PhaseGeometry,
-                      t: float, tau: complex,
-                      mode: PhiMode = PhiMode.TAYLOR_CONSISTENT,
-                      t_free_base: bool = False) -> complex:
-    """Scalar exponent eta_s with Lambda_s = exp(eta_s sigma3).
+def power_bases(geometry: PhaseGeometry) -> tuple[float, float, float]:
+    """The t-free power-factor bases (B1, B2a, B2b).
 
-    eta_s = chi_s + phi_s(tau) + (i/2) * (power-factor logarithms); with
-    t_free_base the 4t(...) bases lose their t (the split used by the
-    leading-order coefficients, which carry the t-powers explicitly).
+    B1 = c2+/(4 c1 c3) serves both outer saddles, B2a = 1/(4 c3) and
+    B2b = c2+/c1 the middle one, with c2+ = -c2 = 1 - 48 gamma lam2^2 > 0.
+    The printed 4t(...) bases are B1/t and B2a/t; B2b carries no t.
     """
-    v1, v2, v3 = exponents.v
     c1, c2, c3 = geometry.curvatures
     c2p = -c2
-    tt = 1.0 if t_free_base else t
+    return c2p / (4.0 * c1 * c3), 1.0 / (4.0 * c3), c2p / c1
+
+
+def lambda_conjugator(s: int, exponents: SaddleExponents, geometry: PhaseGeometry,
+                      t: float, tau: complex) -> complex:
+    """Scalar exponent eta_s with Lambda_s = exp(eta_s sigma3).
+
+    eta_s = chi_s + phi_s(tau) + (i/2) * (power-factor logarithms), with the
+    Taylor-consistent phi_s and the printed 4t(...) bases.
+    """
+    v1, v2, v3 = exponents.v
+    B1, B2a, B2b = power_bases(geometry)
     xi = scaling_map(s, geometry, t, tau)
     chi = exponents.chi(s, xi) if abs(tau) > 1e-12 else exponents.chi0(s)
-    phi = local_phase_phi(s, geometry, t, tau, mode)
-    if s == 1:
-        power = 0.5j * v1 * np.log(c2p / (4.0 * tt * c1 * c3))
+    phi = local_phase_phi(s, geometry, t, tau)
+    if s in (1, 3):
+        power = 0.5j * (v1 if s == 1 else v3) * np.log(B1 / t)
     elif s == 2:
-        power = (-0.5j * v3 * np.log(1.0 / (4.0 * tt * c3))
-                 - 0.5j * v2 * np.log(c2p / c1))
-    elif s == 3:
-        power = 0.5j * v3 * np.log(c2p / (4.0 * tt * c3 * c1))
+        power = -0.5j * v3 * np.log(B2a / t) - 0.5j * v2 * np.log(B2b)
     else:
         raise ValueError("saddle index must be 1, 2 or 3")
     return chi + phi + power
@@ -197,41 +189,6 @@ def pc_coefficients(s: int, r1r: complex, r2r: complex,
     return beta, gam
 
 
-def _m_entries_s13(v: complex, r1r: complex, r2r: complex,
-                   tau: complex, upper: bool) -> np.ndarray:
-    """The entire solution m(tau) of dm/dtau = (-(i/2) tau sigma3 + B) m.
-
-    ``upper`` selects the branch recessive in the upper half-plane.  The
-    off-diagonal coefficients are written pole-free through Gamma(1 -+ i v),
-    so v -> 0 collapses them smoothly.
-    """
-    tau = complex(tau)
-    iv = 1j * v
-    e = np.exp
-    # i v / beta and i v / gamma_c without the Gamma poles:
-    iv_over_beta = r1r * complex_gamma(1.0 - iv) * e(np.pi * v / 2.0) \
-        * e(-1j * np.pi / 4.0) / _SQRT2PI
-    iv_over_gamc = -r2r * complex_gamma(1.0 + iv) * e(np.pi * v / 2.0) \
-        * e(1j * np.pi / 4.0) / _SQRT2PI
-    if upper:
-        z13, z24 = tau * e(-3j * np.pi / 4.0), tau * e(-1j * np.pi / 4.0)
-        m11 = e(-3.0 * np.pi * v / 4.0) * parabolic_cylinder_D(iv, z13)
-        m21 = iv_over_beta * e(-3.0 * np.pi * (v + 1j) / 4.0) \
-            * parabolic_cylinder_D(iv - 1.0, z13)
-        m12 = iv_over_gamc * e(np.pi * (v - 1j) / 4.0) \
-            * parabolic_cylinder_D(-iv - 1.0, z24)
-        m22 = e(np.pi * v / 4.0) * parabolic_cylinder_D(-iv, z24)
-    else:
-        z13, z24 = tau * e(1j * np.pi / 4.0), tau * e(3j * np.pi / 4.0)
-        m11 = e(np.pi * v / 4.0) * parabolic_cylinder_D(iv, z13)
-        m21 = iv_over_beta * e(np.pi * (v + 1j) / 4.0) \
-            * parabolic_cylinder_D(iv - 1.0, z13)
-        m12 = iv_over_gamc * e(-3.0 * np.pi * (v - 1j) / 4.0) \
-            * parabolic_cylinder_D(-iv - 1.0, z24)
-        m22 = e(-3.0 * np.pi * v / 4.0) * parabolic_cylinder_D(-iv, z24)
-    return np.array([[m11, m12], [m21, m22]], dtype=complex)
-
-
 def _sector_factor_s13(r1r: complex, r2r: complex, tau: complex) -> np.ndarray:
     """Piecewise unwinding factor P of mhat = m P tau^{-iv sigma3} e^{i tau^2 sigma3/4}."""
     opq = 1.0 + r1r * r2r
@@ -250,15 +207,20 @@ def _sector_factor_s13(r1r: complex, r2r: complex, tau: complex) -> np.ndarray:
 
 
 def m_matrix(s: int, model: LocalModelData, tau: complex) -> np.ndarray:
-    """The constant-jump Weber solution m at the given saddle."""
+    """The constant-jump Weber solution m at the given saddle.
+
+    ``tau`` in the closed upper half-plane selects the branch recessive
+    there, the open lower half-plane the other one.
+    """
     tau = complex(tau)
-    if s in (1, 3):
-        return _m_entries_s13(model.v, model.r1r, model.r2r, tau,
-                              upper=tau.imag >= 0)
-    inner = _m_entries_s13(np.conj(model.v), np.conj(model.r1r),
-                           np.conj(model.r2r), -np.conj(tau),
-                           upper=(-np.conj(tau)).imag >= 0)
-    return np.conj(inner)
+    if s == 2:
+        inner = LocalModelData(s=1, v=np.conj(model.v), r1r=np.conj(model.r1r),
+                               r2r=np.conj(model.r2r))
+        return np.conj(m_matrix(1, inner, -np.conj(tau)))
+    col1s, col2s = _scaled_columns(model.v, model.r1r, model.r2r, tau,
+                                   upper=tau.imag >= 0)
+    grow = np.exp(1j * tau**2 / 4.0)
+    return np.column_stack((col1s / grow, col2s * grow))
 
 
 def _scaled_columns(v: complex, r1r: complex, r2r: complex, tau: complex,
@@ -268,8 +230,7 @@ def _scaled_columns(v: complex, r1r: complex, r2r: complex, tau: complex,
     The growth of m's columns sits entirely in e^{-+ i tau^2/4}; multiplying
     it away leaves the polynomially bounded combinations e^{z^2/4} D_a(z).
     """
-    from steplpd.kernels.special import parabolic_cylinder_D_scaled as Ds
-
+    Ds = parabolic_cylinder_D_scaled
     tau = complex(tau)
     iv = 1j * v
     e = np.exp
@@ -368,8 +329,7 @@ def pc_jump_matrix(s: int, model: LocalModelData, tau: complex) -> np.ndarray:
 
 
 def xi_leading(s: int, model: LocalModelData, exponents: SaddleExponents,
-               geometry: PhaseGeometry, t: float,
-               mode: PhiMode = PhiMode.TAYLOR_CONSISTENT) -> np.ndarray:
+               geometry: PhaseGeometry, t: float) -> np.ndarray:
     """The leading circle-residue matrix Xi_s (off-diagonal).
 
     Xi_s = -(i / 2 sqrt(c_s^+)) [[0, beta e^{2[chi+phi]} F^{i v}],
@@ -380,7 +340,7 @@ def xi_leading(s: int, model: LocalModelData, exponents: SaddleExponents,
     v1, v2, v3 = exponents.v
     c1, c2, c3 = geometry.curvatures
     c2p = -c2
-    chi_phi = model.chi + local_phase_phi(s, geometry, t, 0.0, mode)
+    chi_phi = model.chi + local_phase_phi(s, geometry, t, 0.0)
     e_plus = np.exp(2.0 * chi_phi)
     e_minus = np.exp(-2.0 * chi_phi)
     if s == 1:
@@ -405,7 +365,6 @@ def xi_leading(s: int, model: LocalModelData, exponents: SaddleExponents,
 
 
 def xi_leading_r(s: int, model: LocalModelData, exponents: SaddleExponents,
-                 geometry: PhaseGeometry, t: float,
-                 mode: PhiMode = PhiMode.TAYLOR_CONSISTENT) -> np.ndarray:
+                 geometry: PhaseGeometry, t: float) -> np.ndarray:
     """Xi_s^r = -Xi_s / sqrt(t), the form entering the defect-vector algebra."""
-    return -xi_leading(s, model, exponents, geometry, t, mode) / np.sqrt(t)
+    return -xi_leading(s, model, exponents, geometry, t) / np.sqrt(t)

@@ -168,13 +168,13 @@ def build_delta(data, geometry: PhaseGeometry,
     if geometry.mu > 0:
         # lam3 < 0 < lam2 < lam1: absorb on (-inf, lam3) u (lam2, lam1)
         clog = _ContinuousLog(w, -span, lam1 + 1.0, anchor="left")
-        intervals = (ContourInterval(-np.inf, lam3, decay_hint=1.0 + abs(lam3)),
+        intervals = (ContourInterval(-np.inf, lam3),
                      ContourInterval(lam2, lam1))
     else:
         # mirrored ray: lam1 < lam2 < 0 < lam3, contour (lam1, lam2) u (lam3, inf)
         clog = _ContinuousLog(w, lam1 - 1.0, span, anchor="right")
         intervals = (ContourInterval(lam1, lam2),
-                     ContourInterval(lam3, np.inf, decay_hint=1.0 + abs(lam3)))
+                     ContourInterval(lam3, np.inf))
     return DeltaFunction(geometry=geometry, rho=clog,
                          intervals=intervals, spec=spec)
 
@@ -185,12 +185,11 @@ def build_delta(data, geometry: PhaseGeometry,
 
 @dataclass
 class SaddleExponents:
-    """v(lam_s), accumulated argument, and the regular parts chi_s."""
+    """v(lam_s) and the regular parts chi_s."""
 
     geometry: PhaseGeometry
     delta: DeltaFunction
     v: tuple[complex, complex, complex]
-    delta_arg: tuple[float, float, float]
     chi_at_saddle: tuple[complex, complex, complex]
     _chi_x: Callable[[complex, int], complex] = None
 
@@ -229,8 +228,6 @@ def saddle_exponents(data, geometry: PhaseGeometry,
     lam1, lam2, lam3 = geometry.lambdas
     rho = delta.rho
     v1, v2, v3 = (delta.v(s) for s in (1, 2, 3))
-    darg = tuple(float(-_TWO_PI * np.imag(delta.v(s)) / 1.0) for s in (1, 2, 3))
-    # Delta(lam_s) = -2 pi Im v(lam_s)
 
     # 4th-order stencil: large enough step that FD noise stays ~1e-12,
     # small enough that the h^4 truncation is far below the quad tolerance
@@ -301,7 +298,7 @@ def saddle_exponents(data, geometry: PhaseGeometry,
 
     chi0 = tuple(chi_x(geometry.lam(s), s, +1) for s in (1, 2, 3))
     return SaddleExponents(geometry=geometry, delta=delta, v=(v1, v2, v3),
-                           delta_arg=darg, chi_at_saddle=chi0, _chi_x=chi_x)
+                           chi_at_saddle=chi0, _chi_x=chi_x)
 
 
 # ---------------------------------------------------------------------------

@@ -526,7 +526,7 @@ def locate_xi1(data: ScatteringData, spec: QuadratureSpec = _XI1_SPEC,
         classify_case(data)
 
     A = data.A
-    line = ContourInterval(-np.inf, np.inf, decay_hint=1.0)
+    line = ContourInterval(-np.inf, np.inf)
 
     def one_minus_bb(th: float) -> complex:
         return 1.0 - data.b(th) * np.conj(data.b(-th))

@@ -9,9 +9,16 @@ The evolution equation (focusing nonlocal coupling r(x,t) = -conj(q(-x,t))):
 The mirrored argument makes the x -> -x reflection part of the state, so the
 integrator works on grids symmetric about 0 (x_k = -x_{N-k}) and reads the
 nonlocal terms off the reversed array.  Spatial derivatives are 6th-order
-centered; the stiff linear part -(i/2) d2 - i gamma d4 is advanced by
-Crank-Nicolson on a banded system, the nonlocal nonlinearity by RK4 inside
-Strang splitting, with step-doubling error control on the composite step.
+centered.  The stiff linear part -(i/2) d2 - i gamma d4, with the clamped
+edge cells as a constant forcing, is advanced exactly in the eigenbasis of
+the interior finite-difference operator (one dense symmetric
+eigendecomposition per grid).  The nonlocal nonlinearity enters by
+integrating-factor RK4 (Lawson): every stage is evaluated in the frame
+rotated by that exact linear flow.  Modes whose rotation per step nears a
+multiple of pi are resonant for the sampled scheme, so the high-dispersion
+band of the deviation from the initial state is contracted every step.  The
+default step is set by the stability of the explicit nonlinear terms, and a
+periodic step-doubling check halves it if the local error grows too large.
 
 Boundaries are clamped to the constant far fields (0 on the left, the initial
 right-edge value on the right): the mirrored coupling pairs the q ~ A tail

@@ -71,6 +71,25 @@ class TestCoefficients:
         oracle = data.r1(lam1) / np.conj(data.r2(lam1))
         assert abs(H[0] / L[0] - oracle) < 1e-12
 
+    def test_pinned_pure_step_values(self, machinery):
+        # the nine coefficients at mu = 0.5, recorded from the earlier
+        # hand-unrolled formulas
+        data, geom, delta, exps, c0 = machinery
+        got = coefficients_HLN(data, geom, exps, delta, c0)
+        want = (
+            (0.1719682241538228 + 0.09124928083565353j,
+             0.17351067495696182 - 0.039834668110287325j,
+             -0.10990647595498336 - 0.0704691967912199j),
+            (-0.3022122330493636 - 0.16035897946369726j,
+             -2.7309375285652306 + 0.6269700126940772j,
+             0.165224815011492 + 0.1059378885790743j),
+            (-0.1009460771218414 - 0.10746879459337023j,
+             0.818913429572019 - 2.4928980763927777j,
+             0.048774978503548116 + 0.044035760525862076j),
+        )
+        for g, w in zip(np.ravel(got), np.ravel(want)):
+            assert abs(g - w) < 1e-13 * abs(w)
+
 
 class TestErrorOrder:
     def test_all_zero_is_log_row(self):
@@ -294,3 +313,24 @@ class TestQAsymptotic:
         P12e, P21e = bp_elements(u, v)
         assert abs(P12l - P12e) < 1e-7
         assert abs(P21l - P21e) < 1e-7
+
+    @pytest.mark.parametrize("targets", [None, (0.05j, -0.03j, 0.08j)],
+                             ids=["pure-step", "synthetic"])
+    def test_bp_chain_reproduces_outer_n_terms(self, machinery, targets):
+        # the local model -> Xi^r -> BP route gives q's N-term at saddles 1
+        # and 3: -2 xi1 * (i c0^2 / xi1) Xi^r_s[1,0] / (lam_s (lam_s - i xi1))
+        if targets is None:
+            data = machinery[0]
+        else:
+            data = synthetic_from_v_targets(A, GAMMA, 0.5, targets)
+        t, cache = 100.0, {}
+        res = q_asymptotic(0.5 * t, t, data, _cache=cache)
+        assert res.branch is Branch.X_POS_I2      # terms run N1, L1, N2, L2, N3, L3
+        geom, _, exps, c0 = cache[0.5][:4]
+        xi1 = data.xi1
+        for s in (1, 3):
+            lam = geom.lam(s)
+            xr = xi_leading_r(s, local_model_data(s, exps, data, geom), exps, geom, t)
+            chain = -2.0 * xi1 * (1j * c0**2 / xi1) * xr[1, 0] / (lam * (lam - 1j * xi1))
+            n_term = res.leading_terms[2 * (s - 1)].at(t)
+            assert abs(chain - n_term) < 1e-12 * abs(n_term), s

@@ -80,18 +80,29 @@ class TestSubcommands:
         assert len(rows) == 2
         assert rows[0][header.index("branch")].startswith("x>0")
 
-    def test_asymptote_paper_mode(self, tmp_path):
-        code, text = run_cli(["asymptote", "--A", "2", "--mu", "0.5",
-                              "--t", "100", "--mode", "paper"], tmp_path)
-        assert code == 0
-        meta, _, rows = parse_csv(text)
-        assert meta["phi_mode"] == "paper"
-        assert len(rows) == 1
+    def test_asymptote_mode_flag_removed(self, tmp_path):
+        # the phase mode is not a CLI option: the Taylor-consistent phase is
+        # the only one the asymptotics use
+        code = main(["--out", str(tmp_path / "out.csv"), "asymptote", "--A", "2",
+                     "--mu", "0.5", "--t", "100", "--mode", "paper"])
+        assert code == 1
+        assert not (tmp_path / "out.csv").exists()
 
     def test_validate(self, capsys):
         assert main(["validate", "--A", "2.0"]) == 0
         outp = capsys.readouterr().out
         assert "PASS" in outp and "FAIL" not in outp
+
+    def test_validate_rough_estimate_failure(self, monkeypatch, capsys):
+        # a background that differs from q_rough in the last bit fails the check
+        import steplpd.cli as cli
+
+        rough = cli.q_rough
+        monkeypatch.setattr(cli, "q_rough",
+                            lambda *a, **k: rough(*a, **k) * (1.0 + 2.0**-52))
+        assert main(["validate", "--A", "2.0"]) == 2
+        failed = [ln for ln in capsys.readouterr().out.splitlines() if "FAIL" in ln]
+        assert len(failed) == 1 and failed[0].startswith("rough-estimate consistency")
 
     def test_simulate(self, tmp_path):
         code, text = run_cli(["simulate", "--A", "1.0", "--h", "0.1", "--L", "6",

@@ -27,7 +27,7 @@ class TestIntegrate:
 
     def test_gaussian(self):
         val = integrate(lambda x: np.exp(-x * x) + 0j,
-                        ContourInterval(-np.inf, np.inf, decay_hint=1.0))
+                        ContourInterval(-np.inf, np.inf))
         assert abs(val - np.sqrt(np.pi)) < 1e-10
 
     def test_full_period_oscillation(self):
@@ -66,12 +66,12 @@ class TestPrincipalValue:
         # ln((th^2 + 1)/(th^2 + 1))/th with the step-height combination A = 2
         A = 2.0
         f = lambda th: np.log((th * th + A * A / 4) / (th * th + 1)) / th
-        val = pv_integrate(f, 0.0, ContourInterval(-np.inf, np.inf, decay_hint=1.0))
+        val = pv_integrate(f, 0.0, ContourInterval(-np.inf, np.inf))
         assert abs(val) < 1e-9
 
     def test_even_over_odd_nontrivial_height(self):
         f = lambda th: np.log((th * th + 0.25) / (th * th + 1)) / th
-        val = pv_integrate(f, 0.0, ContourInterval(-np.inf, np.inf, decay_hint=1.0))
+        val = pv_integrate(f, 0.0, ContourInterval(-np.inf, np.inf))
         assert abs(val) < 1e-9
 
     def test_boundary_singularity_rejected(self):

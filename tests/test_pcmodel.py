@@ -151,12 +151,12 @@ class TestWeberSolution:
                 assert abs(res) < 1e-6 * scale, (i, j, tau)
 
     def test_wronskian_identities(self, model1):
-        # the solutions recessive above/below recombine to -r1r and -r2r
-        from steplpd.pcmodel import _m_entries_s13
-
+        # the solutions recessive above/below recombine to -r1r and -r2r;
+        # a 1e-300 offset below the axis selects the lower branch at the
+        # same point (it vanishes in every product)
         tau = 1.234
-        mu_ = _m_entries_s13(model1.v, P, Q, tau, upper=True)
-        md_ = _m_entries_s13(model1.v, P, Q, tau, upper=False)
+        mu_ = m_matrix(1, model1, tau)
+        md_ = m_matrix(1, model1, complex(tau, -1e-300))
         w1 = md_[0, 0] * mu_[1, 0] - mu_[0, 0] * md_[1, 0]
         w2 = md_[1, 1] * mu_[0, 1] - mu_[1, 1] * md_[0, 1]
         assert abs(w1 - (-P)) < 1e-12
