@@ -12,34 +12,17 @@ import sys
 import numpy as np
 
 from steplpd.asymptotics import q_asymptotic
-from steplpd.phase import stationary_points
-from steplpd.scattering import SyntheticReflectionData
+from steplpd.scattering import synthetic_from_v_targets
 
 
-def build_data(A, gamma, mu, targets, width=0.35):
-    geom = stationary_points(mu, gamma)
-    lams = np.array(geom.lambdas)
-    G = np.exp(-((lams[:, None] - lams[None, :]) / width) ** 2)
-    coef = np.linalg.solve(G, np.asarray(targets, dtype=complex))
-
-    def g(z):
-        return np.sum(coef * np.exp(-((np.real(z) - lams) / width) ** 2))
-
-    def r2(z):
-        zr = np.real(z)
-        return (0.1 + 3.0 * np.exp(-((zr - lams[0]) / width) ** 2)
-                + 1.2 * np.exp(-((zr - lams[1]) / width) ** 2)
-                + 0.6 * np.exp(-((zr - lams[2]) / width) ** 2))
-
-    def r1(z):
-        return (np.exp(-2 * np.pi * g(z)) - 1.0) / r2(z)
-
-    return SyntheticReflectionData(A=A, gamma=gamma, r1=r1, r2=r2, xi1=A / 2)
+# r2 = 0.1 + Gaussians of heights 3.0, 1.2, 0.6 at lam1, lam2, lam3
+R2_PROFILE = (0.1, 3.0, 1.2, 0.6)
 
 
 def run(mu: float, im_v: tuple[float, float, float]) -> int:
     A, gamma = 2.0, 1.0 / 27.0
-    data = build_data(A, gamma, mu, tuple(1j * v for v in im_v))
+    data = synthetic_from_v_targets(A, gamma, mu, tuple(1j * v for v in im_v),
+                                    r2=R2_PROFILE)
     res = q_asymptotic(mu * 100.0, 100.0, data)
     print(f"branch: {res.branch.value}")
     print("terms (Re exponent, |coef|):")

@@ -20,6 +20,7 @@ conservative fallback exponent flagged as such.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable
@@ -67,8 +68,8 @@ class AsymptoticResult:
     background: complex
     error_order: tuple[OrderDescriptor, OrderDescriptor]
     value_at: Callable[[float, float], complex]
-    geometry: PhaseGeometry = None
-    v: tuple = ()
+    geometry: PhaseGeometry
+    v: tuple
 
     def value(self, x: float, t: float) -> complex:
         return self.value_at(x, t)
@@ -101,7 +102,7 @@ def _wants_L(im_v: float) -> bool:
 # ---------------------------------------------------------------------------
 
 def coefficients_HLN(data, geometry: PhaseGeometry, exponents: SaddleExponents,
-                     delta: DeltaFunction, c0: complex) -> tuple[tuple, tuple, tuple]:
+                     c0: complex) -> tuple[tuple, tuple, tuple]:
     """(H1..H3, L1..L3, N1..N3) from the local models' 1/tau coefficients.
 
     L_s = -beta_s / sqrt(c_s^+) and N_s = -c0^2 gamma_c,s / (lam_s^2 sqrt(c_s^+)),
@@ -141,12 +142,53 @@ def coefficients_HLN(data, geometry: PhaseGeometry, exponents: SaddleExponents,
 # error-order case tables
 # ---------------------------------------------------------------------------
 
-def _sgn_checks(iv, pattern) -> bool:
-    """pattern entries: '>', '<', '>=', '<=', '0' applied to Im v(lam_j)."""
-    ops = {">": lambda x: x > 0, "<": lambda x: x < 0,
-           ">=": lambda x: x >= 0, "<=": lambda x: x <= 0,
-           "0": lambda x: x == 0}
-    return all(ops[p](x) for p, x in zip(pattern, iv))
+_SIGN = {">": operator.gt, "<": operator.lt, ">=": operator.ge, "<=": operator.le}
+
+# Rows in the printed order: (pattern, saddles, rule).  A pattern is a sign
+# test of 0 against each Im v(lam_j), or "log<=" / "log>=": some Im v_j = 0
+# and (-1)^l Im v_l obeys the sign at every other l.  The row's exponent is
+# -1 + 2 max |Im v_s| over its saddles (-1 with none); a log row adds ln t.
+_R1_ROWS = (
+    (("<", ">", "<"), (), "alternating-good"),
+    ("log<=", (), "vanishing Im v"),
+    ((">", ">=", "<="), (1,), "saddle-1 excess"),
+    (("<=", "<", "<="), (2,), "saddle-2 excess"),
+    (("<=", ">=", ">"), (3,), "saddle-3 excess"),
+    ((">", "<", "<="), (1, 2), "saddles 1,2 excess"),
+    (("<=", "<", ">"), (2, 3), "saddles 2,3 excess"),
+    ((">", ">=", ">"), (1, 3), "saddles 1,3 excess"),
+    ((">", "<", ">"), (1, 2, 3), "alternating-bad"),
+)
+_R2_ROWS = (
+    (("<", ">", "<"), (1, 2, 3), "alternating-good"),
+    (("<", ">", ">="), (1, 2), "saddles 1,2 excess"),
+    ((">=", ">", "<"), (2, 3), "saddles 2,3 excess"),
+    (("<", "<=", "<"), (1, 3), "saddles 1,3 excess"),
+    (("<", "<=", ">="), (1,), "saddle-1 excess"),
+    ((">=", ">", ">="), (2,), "saddle-2 excess"),
+    ((">=", "<=", "<"), (3,), "saddle-3 excess"),
+    ("log>=", (), "vanishing Im v"),
+    ((">", "<", ">"), (), "alternating-bad"),
+)
+
+
+def _matches(pattern, iv) -> bool:
+    if isinstance(pattern, str):
+        sign = _SIGN[pattern[3:]]
+        alt = (-iv[0], iv[1], -iv[2])   # (-1)^j Im v_j for j = 1, 2, 3
+        return any(iv[j] == 0.0 and all(sign(alt[l], 0.0) for l in range(3) if l != j)
+                   for j in range(3))
+    return all(_SIGN[p](x, 0.0) for p, x in zip(pattern, iv))
+
+
+def _table_order(rows, iv) -> OrderDescriptor:
+    a = [abs(x) for x in iv]
+    for pattern, saddles, rule in rows:
+        if _matches(pattern, iv):
+            exponent = -1.0 + 2.0 * max(a[s - 1] for s in saddles) if saddles else -1.0
+            return OrderDescriptor(exponent, log_factor=isinstance(pattern, str),
+                                   rule=rule)
+    return OrderDescriptor(-1.0 + 2.0 * max(a), covered=False, rule="table gap")
 
 
 def error_order(v1: complex, v2: complex, v3: complex) -> tuple[OrderDescriptor, OrderDescriptor]:
@@ -158,68 +200,9 @@ def error_order(v1: complex, v2: complex, v3: complex) -> tuple[OrderDescriptor,
     tables return a conservative -1 + 2*max|Im v| bound flagged as a gap.
     """
     iv = [float(np.imag(v)) for v in (v1, v2, v3)]
-    for v in (v1, v2, v3):
-        if not abs(np.imag(v)) < 0.5:
-            raise ValueError("|Im v| must stay below 1/2")
-    a1, a2, a3 = (abs(x) for x in iv)
-    amax = max(a1, a2, a3)
-
-    def log_row(sign: str) -> bool:
-        # some Im v_j = 0 and every other index l has (-1)^l Im v_l (sign) 0
-        alt = [-iv[0], iv[1], -iv[2]]   # (-1)^j Im v_j for j = 1, 2, 3
-        for j in range(3):
-            if iv[j] == 0.0:
-                others = [alt[l] for l in range(3) if l != j]
-                if sign == "<=" and all(o <= 0 for o in others):
-                    return True
-                if sign == ">=" and all(o >= 0 for o in others):
-                    return True
-        return False
-
-    r1 = None
-    if _sgn_checks(iv, ("<", ">", "<")):
-        r1 = OrderDescriptor(-1.0, rule="alternating-good")
-    elif log_row("<="):
-        r1 = OrderDescriptor(-1.0, log_factor=True, rule="vanishing Im v")
-    elif _sgn_checks(iv, (">", ">=", "<=")):
-        r1 = OrderDescriptor(-1.0 + 2.0 * a1, rule="saddle-1 excess")
-    elif _sgn_checks(iv, ("<=", "<", "<=")):
-        r1 = OrderDescriptor(-1.0 + 2.0 * a2, rule="saddle-2 excess")
-    elif _sgn_checks(iv, ("<=", ">=", ">")):
-        r1 = OrderDescriptor(-1.0 + 2.0 * a3, rule="saddle-3 excess")
-    elif _sgn_checks(iv, (">", "<", "<=")):
-        r1 = OrderDescriptor(-1.0 + 2.0 * max(a1, a2), rule="saddles 1,2 excess")
-    elif _sgn_checks(iv, ("<=", "<", ">")):
-        r1 = OrderDescriptor(-1.0 + 2.0 * max(a2, a3), rule="saddles 2,3 excess")
-    elif _sgn_checks(iv, (">", ">=", ">")):
-        r1 = OrderDescriptor(-1.0 + 2.0 * max(a1, a3), rule="saddles 1,3 excess")
-    elif _sgn_checks(iv, (">", "<", ">")):
-        r1 = OrderDescriptor(-1.0 + 2.0 * amax, rule="alternating-bad")
-    if r1 is None:
-        r1 = OrderDescriptor(-1.0 + 2.0 * amax, covered=False, rule="table gap")
-
-    r2 = None
-    if _sgn_checks(iv, ("<", ">", "<")):
-        r2 = OrderDescriptor(-1.0 + 2.0 * amax, rule="alternating-good")
-    elif _sgn_checks(iv, ("<", ">", ">=")):
-        r2 = OrderDescriptor(-1.0 + 2.0 * max(a1, a2), rule="saddles 1,2 excess")
-    elif _sgn_checks(iv, (">=", ">", "<")):
-        r2 = OrderDescriptor(-1.0 + 2.0 * max(a2, a3), rule="saddles 2,3 excess")
-    elif _sgn_checks(iv, ("<", "<=", "<")):
-        r2 = OrderDescriptor(-1.0 + 2.0 * max(a1, a3), rule="saddles 1,3 excess")
-    elif _sgn_checks(iv, ("<", "<=", ">=")):
-        r2 = OrderDescriptor(-1.0 + 2.0 * a1, rule="saddle-1 excess")
-    elif _sgn_checks(iv, (">=", ">", ">=")):
-        r2 = OrderDescriptor(-1.0 + 2.0 * a2, rule="saddle-2 excess")
-    elif _sgn_checks(iv, (">=", "<=", "<")):
-        r2 = OrderDescriptor(-1.0 + 2.0 * a3, rule="saddle-3 excess")
-    elif log_row(">="):
-        r2 = OrderDescriptor(-1.0, log_factor=True, rule="vanishing Im v")
-    elif _sgn_checks(iv, (">", "<", ">")):
-        r2 = OrderDescriptor(-1.0, rule="alternating-bad")
-    if r2 is None:
-        r2 = OrderDescriptor(-1.0 + 2.0 * amax, covered=False, rule="table gap")
-    return r1, r2
+    if not all(abs(x) < 0.5 for x in iv):
+        raise ValueError("|Im v| must stay below 1/2")
+    return _table_order(_R1_ROWS, iv), _table_order(_R2_ROWS, iv)
 
 
 # ---------------------------------------------------------------------------
@@ -272,7 +255,7 @@ def q_asymptotic(x: float, t: float, data,
         geometry, delta, exps, c0, H, L, N = _cache[m]
     else:
         geometry, delta, exps, c0 = _positive_ray_machinery(data, m, gamma)
-        H, L, N = coefficients_HLN(data, geometry, exps, delta, c0)
+        H, L, N = coefficients_HLN(data, geometry, exps, c0)
         if _cache is not None:
             _cache[m] = (geometry, delta, exps, c0, H, L, N)
 

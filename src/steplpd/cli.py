@@ -14,11 +14,6 @@ import json
 import sys
 import numpy as np
 
-try:
-    import jsonschema
-except ImportError:      # pragma: no cover - mirror always has it
-    jsonschema = None
-
 from steplpd.asymptotics import q_asymptotic, q_rough, q_soliton
 from steplpd.pcmodel import (
     LocalModelData,
@@ -38,28 +33,6 @@ from steplpd.scattering import (
     scattering_matrix,
 )
 from steplpd.simulate import FieldGrid, SolitonField, evolve, pde_residual
-
-PROFILE_SCHEMA = {
-    "type": "object",
-    "required": ["A", "gamma"],
-    "properties": {
-        "A": {"type": "number", "exclusiveMinimum": 0},
-        "gamma": {"type": "number", "exclusiveMinimum": 0},
-        "support": {"type": "number", "minimum": 0},
-        "perturbation": {
-            "type": "object",
-            "required": ["kind"],
-            "properties": {
-                "kind": {"enum": ["none", "gaussian-bump", "table"]},
-                "amplitude": {"type": ["number", "array"]},
-                "center": {"type": "number"},
-                "width": {"type": "number", "exclusiveMinimum": 0},
-                "x": {"type": "array"},
-                "values": {"type": "array"},
-            },
-        },
-    },
-}
 
 
 def _fmt(x) -> str:
@@ -84,11 +57,7 @@ def write_csv(path, header: list[str], rows, meta: dict):
 
 def load_profile(args) -> InitialProfile:
     if getattr(args, "config", None):
-        with open(args.config) as fh:
-            doc = json.load(fh)
-        if jsonschema is not None:
-            jsonschema.validate(doc, PROFILE_SCHEMA)
-        return InitialProfile.from_dict(doc)
+        return InitialProfile.from_json(args.config)
     return InitialProfile.pure_step(args.A, args.gamma)
 
 

@@ -7,7 +7,9 @@ from typing import Callable
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from steplpd.kernels.quadrature import DEFAULT_SPEC, QuadratureSpec
+# local error tolerances: the Jost and f1/f2 sweeps' accuracy
+_RTOL = 1e-12
+_ATOL = 1e-13
 
 
 class StiffnessError(RuntimeError):
@@ -16,11 +18,10 @@ class StiffnessError(RuntimeError):
 
 def ode_integrate(rhs: Callable[[float, np.ndarray], np.ndarray],
                   y0: np.ndarray,
-                  span: tuple[float, float],
-                  spec: QuadratureSpec = DEFAULT_SPEC) -> np.ndarray:
+                  span: tuple[float, float]) -> np.ndarray:
     """Integrate Y' = rhs(x, Y) for a complex matrix (or vector) Y over span.
 
-    Dormand-Prince 8(5,3) with local error controlled by spec tolerances.
+    Dormand-Prince 8(5,3) at relative tolerance 1e-12 and absolute 1e-13.
     Returns Y at span[1] with the shape of y0.
     """
     y0 = np.asarray(y0, dtype=complex)
@@ -30,8 +31,7 @@ def ode_integrate(rhs: Callable[[float, np.ndarray], np.ndarray],
         return rhs(x, y.reshape(shape)).reshape(-1)
 
     sol = solve_ivp(flat_rhs, span, y0.reshape(-1), method="DOP853",
-                    rtol=max(spec.rel_tol, 1e-13), atol=spec.abs_tol,
-                    dense_output=False)
+                    rtol=_RTOL, atol=_ATOL, dense_output=False)
     if not sol.success:
         raise StiffnessError(f"ODE integration failed: {sol.message}")
     return sol.y[:, -1].reshape(shape)

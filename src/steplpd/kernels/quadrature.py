@@ -36,54 +36,44 @@ class IntegrationError(Exception):
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Tolerances and refinement limits for the quadrature kernels."""
+    """Tolerances for the quadrature kernels."""
 
     abs_tol: float = 1e-10
     rel_tol: float = 1e-9
-    max_depth: int = 30
 
     def __post_init__(self):
         if self.abs_tol <= 0 or self.rel_tol <= 0:
             raise ValueError("tolerances must be positive")
-        if self.max_depth < 1:
-            raise ValueError("max_depth must be >= 1")
 
 
 DEFAULT_SPEC = QuadratureSpec()
 
+# QUADPACK subinterval limit of every call
+_QUAD_LIMIT = 1500
+
 
 @dataclass(frozen=True)
 class ContourInterval:
-    """Oriented real interval; +-inf endpoints allowed."""
+    """Real interval traversed left to right; +-inf endpoints allowed."""
 
     lower: float
     upper: float
-    left_to_right: bool = True
 
     def __post_init__(self):
         if not self.lower < self.upper:
             raise ValueError(f"need lower < upper, got [{self.lower}, {self.upper}]")
 
-    @property
-    def finite(self) -> bool:
-        return np.isfinite(self.lower) and np.isfinite(self.upper)
-
-    def contains(self, x: float, strict: bool = True) -> bool:
-        if strict:
-            return self.lower < x < self.upper
-        return self.lower <= x <= self.upper
+    def contains(self, x: float) -> bool:
+        """x lies strictly inside."""
+        return self.lower < x < self.upper
 
 
 def _quad_complex(f: Callable[[float], complex], a: float, b: float,
-                  spec: QuadratureSpec, weight=None, wvar=None,
-                  points=None) -> complex:
+                  spec: QuadratureSpec, weight=None, wvar=None) -> complex:
     """QUADPACK on real and imaginary parts, with error accounting."""
-    kw = dict(epsabs=spec.abs_tol, epsrel=spec.rel_tol,
-              limit=50 * spec.max_depth)
+    kw = dict(epsabs=spec.abs_tol, epsrel=spec.rel_tol, limit=_QUAD_LIMIT)
     if weight is not None:
         kw.update(weight=weight, wvar=wvar)
-    elif points is not None and np.isfinite(a) and np.isfinite(b):
-        kw.update(points=points)
     re, re_err = _si.quad(lambda x: f(x).real, a, b, **kw)
     im, im_err = _si.quad(lambda x: f(x).imag, a, b, **kw)
     val = complex(re, im)
@@ -98,10 +88,7 @@ def integrate(f: Callable[[float], complex], interval: ContourInterval,
               spec: QuadratureSpec = DEFAULT_SPEC) -> complex:
     """Integrate a complex-valued function over a (possibly infinite) interval."""
     with np.errstate(all="ignore"):
-        val = _quad_complex(f, interval.lower, interval.upper, spec)
-    if not interval.left_to_right:
-        val = -val
-    return val
+        return _quad_complex(f, interval.lower, interval.upper, spec)
 
 
 def pv_integrate(f: Callable[[float], complex], singularity: float,
@@ -114,7 +101,7 @@ def pv_integrate(f: Callable[[float], complex], singularity: float,
     smooth there; the remainder is plain adaptive quadrature.
     """
     c = float(singularity)
-    if not interval.contains(c, strict=True):
+    if not interval.contains(c):
         raise ValueError(f"singularity {c} not strictly inside "
                          f"[{interval.lower}, {interval.upper}]")
 
@@ -137,8 +124,6 @@ def pv_integrate(f: Callable[[float], complex], singularity: float,
             val += _quad_complex(f, lo, c - w, spec)
         if c + w < hi:
             val += _quad_complex(f, c + w, hi, spec)
-    if not interval.left_to_right:
-        val = -val
     return val
 
 
@@ -158,7 +143,7 @@ def cauchy_transform(density: Callable[[float], complex],
     on_contour = None
     if xi.imag == 0.0:
         for iv in intervals:
-            if iv.contains(xi.real, strict=True):
+            if iv.contains(xi.real):
                 on_contour = iv
                 break
 

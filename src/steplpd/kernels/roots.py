@@ -24,12 +24,15 @@ def _polish(x: float, c3: float, c1: float, c0: float) -> float:
     return x
 
 
-def cubic_real_roots(c3: float, c1: float, c0: float,
-                     rel_tol: float = 1e-9) -> list[tuple[float, int]]:
+# |discriminant| at or below this times its natural scale is a multiple root
+_MULTIPLE_ROOT_REL = 1e-9
+
+
+def cubic_real_roots(c3: float, c1: float, c0: float) -> list[tuple[float, int]]:
     """All real roots, ascending, as (root, multiplicity) pairs.
 
     The discriminant of c3*x**3 + c1*x + c0 is -4*c3*c1**3 - 27*c3**2*c0**2;
-    |disc| below rel_tol times its natural scale triggers the multiple-root
+    |disc| below 1e-9 times its natural scale triggers the multiple-root
     branch.
     """
     if c3 == 0.0:
@@ -42,7 +45,7 @@ def cubic_real_roots(c3: float, c1: float, c0: float,
         # c1 = c0 = 0: triple root at the origin
         return [(0.0, 3)]
 
-    if abs(disc) <= rel_tol * disc_scale:
+    if abs(disc) <= _MULTIPLE_ROOT_REL * disc_scale:
         if c1 == 0.0:
             return [(0.0, 3)]
         r = -3.0 * c0 / (2.0 * c1)

@@ -32,6 +32,12 @@ class RegimeError(ValueError):
     """mu outside the admissible three-saddle band (or inside a guard band)."""
 
 
+# half-width of the refused bands around mu = 0 and mu = +-sqrt(1/(27 gamma))
+_EDGE_GUARD = 1e-3
+# |Re(i theta)| at or below this counts as zero
+_RE_PHI_DEAD_BAND = 1e-12
+
+
 def phase_theta(xi: complex, mu: float, gamma: float, order: int = 0) -> complex:
     """theta(xi, mu) or its xi-derivative of the given order (0..4)."""
     xi = complex(xi)
@@ -90,7 +96,7 @@ class PhaseGeometry:
         return float(np.sqrt(1.0 / (27.0 * self.gamma)))
 
 
-def stationary_points(mu: float, gamma: float, eps_guard: float = 1e-3,
+def stationary_points(mu: float, gamma: float,
                       allow_edge: bool = False) -> PhaseGeometry:
     """Solve theta'(xi) = 0 and label the roots.
 
@@ -98,14 +104,14 @@ def stationary_points(mu: float, gamma: float, eps_guard: float = 1e-3,
     branch-sensitivity of the closed-form radicals, which are kept around
     only as a test oracle): for mu > 0, lam1 = largest, lam2 = middle,
     lam3 = smallest; mu < 0 is handled by the exact mirror
-    lam_j(mu) = -lam_j(-mu).  Construction rejects mu within eps_guard of 0
+    lam_j(mu) = -lam_j(-mu).  Construction rejects mu within 1e-3 of 0
     or of +-sqrt(1/(27*gamma)) unless allow_edge is set.
     """
     if gamma <= 0:
         raise ValueError("gamma must be positive")
     mu_max = float(np.sqrt(1.0 / (27.0 * gamma)))
     if not allow_edge:
-        if abs(mu) < eps_guard or abs(abs(mu) - mu_max) < eps_guard:
+        if abs(mu) < _EDGE_GUARD or abs(abs(mu) - mu_max) < _EDGE_GUARD:
             raise RegimeError(
                 f"mu = {mu:g} within the guard band around 0 or +-{mu_max:g}")
 
@@ -152,10 +158,9 @@ def cardano_roots(mu: float, gamma: float) -> tuple[complex, complex, complex]:
     return lam1, lam2, lam3
 
 
-def sign_of_re_phi(xi: complex, geometry: PhaseGeometry,
-                   zero_band: float = 1e-12) -> int:
+def sign_of_re_phi(xi: complex, geometry: PhaseGeometry) -> int:
     """Sign of Re(i*theta(xi, mu)) in {-1, 0, +1}, with a dead band at zero."""
     re = (1j * geometry.theta(xi)).real
-    if abs(re) <= zero_band:
+    if abs(re) <= _RE_PHI_DEAD_BAND:
         return 0
     return 1 if re > 0 else -1

@@ -43,10 +43,14 @@ class BranchError(RuntimeError):
     """1 + r1 r2 vanishes on the integration contour."""
 
 
-_DELTA_SPEC = QuadratureSpec(abs_tol=1e-11, rel_tol=1e-10, max_depth=30)
+_DELTA_SPEC = QuadratureSpec(abs_tol=1e-11, rel_tol=1e-10)
 # the chi kernels carry finite-difference noise of rho'; their quadrature
 # cannot certify much below ~1e-8 absolute
-_CHI_SPEC = QuadratureSpec(abs_tol=5e-9, rel_tol=1e-8, max_depth=30)
+_CHI_SPEC = QuadratureSpec(abs_tol=5e-9, rel_tol=1e-8)
+# points of the grid on which the winding of arg(1 + r1 r2) is accumulated
+_WINDING_NODES = 6000
+# delta is refused this close to a saddle, where it is endpoint-singular
+_ENDPOINT_GUARD = 1e-8
 
 
 # ---------------------------------------------------------------------------
@@ -61,9 +65,9 @@ class _ContinuousLog:
     """
 
     def __init__(self, w: Callable[[float], complex], x_lo: float, x_hi: float,
-                 anchor: str = "left", n_grid: int = 6000):
+                 anchor: str = "left"):
         self.w = w
-        grid = np.linspace(x_lo, x_hi, n_grid)
+        grid = np.linspace(x_lo, x_hi, _WINDING_NODES)
         vals = np.array([w(float(x)) for x in grid])
         if np.any(np.abs(vals) < 1e-14):
             raise BranchError("1 + r1 r2 vanishes on the sampling grid")
@@ -114,14 +118,11 @@ class DeltaFunction:
     geometry: PhaseGeometry
     rho: Callable[[float], complex]
     intervals: tuple[ContourInterval, ContourInterval]
-    spec: QuadratureSpec = _DELTA_SPEC
-    endpoint_guard: float = 1e-8
-    v_values: tuple[complex, complex, complex] = field(default=None)
+    v_values: tuple[complex, complex, complex] = field(init=False)
 
     def __post_init__(self):
-        if self.v_values is None:
-            lam = self.geometry.lambdas
-            self.v_values = tuple(-self.rho(lam[s]) / _TWO_PI for s in range(3))
+        lam = self.geometry.lambdas
+        self.v_values = tuple(-self.rho(lam[s]) / _TWO_PI for s in range(3))
 
     def v(self, s: int) -> complex:
         """v(lam_s) = -(1/2pi) ln|1+r1r2| - (i/2pi) * accumulated arg."""
@@ -129,11 +130,11 @@ class DeltaFunction:
 
     def log_delta(self, xi: complex, side: int | None = None) -> complex:
         for lam in self.geometry.lambdas:
-            if abs(complex(xi) - lam) < self.endpoint_guard:
+            if abs(complex(xi) - lam) < _ENDPOINT_GUARD:
                 raise ValueError(
-                    f"delta is endpoint-singular: |xi - {lam:g}| < {self.endpoint_guard}")
+                    f"delta is endpoint-singular: |xi - {lam:g}| < {_ENDPOINT_GUARD}")
         return cauchy_transform(self.rho, list(self.intervals), xi,
-                                self.spec, side=side)
+                                _DELTA_SPEC, side=side)
 
     def eval(self, xi: complex, side: int | None = None) -> complex:
         return np.exp(self.log_delta(xi, side=side))
@@ -149,8 +150,7 @@ class DeltaFunction:
         return self.eval(1j * float(xi1))
 
 
-def build_delta(data, geometry: PhaseGeometry,
-                spec: QuadratureSpec = _DELTA_SPEC) -> DeltaFunction:
+def build_delta(data, geometry: PhaseGeometry) -> DeltaFunction:
     """Construct the delta evaluator for three-saddle geometry.
 
     ``data`` needs callables r1, r2 on the real line (ScatteringData or any
@@ -175,8 +175,7 @@ def build_delta(data, geometry: PhaseGeometry,
         clog = _ContinuousLog(w, lam1 - 1.0, span, anchor="right")
         intervals = (ContourInterval(lam1, lam2),
                      ContourInterval(lam3, np.inf))
-    return DeltaFunction(geometry=geometry, rho=clog,
-                         intervals=intervals, spec=spec)
+    return DeltaFunction(geometry=geometry, rho=clog, intervals=intervals)
 
 
 # ---------------------------------------------------------------------------
@@ -191,7 +190,7 @@ class SaddleExponents:
     delta: DeltaFunction
     v: tuple[complex, complex, complex]
     chi_at_saddle: tuple[complex, complex, complex]
-    _chi_x: Callable[[complex, int], complex] = None
+    _chi_x: Callable[[complex, int, int], complex]
 
     def chi(self, s: int, xi: complex, side: int = +1) -> complex:
         return self._chi_x(xi, s, side)
@@ -217,14 +216,13 @@ class SaddleExponents:
 
 
 def saddle_exponents(data, geometry: PhaseGeometry,
-                     delta: DeltaFunction | None = None,
-                     spec: QuadratureSpec = _DELTA_SPEC) -> SaddleExponents:
+                     delta: DeltaFunction | None = None) -> SaddleExponents:
     """v(lam_l) and the chi_s regular parts via the integration-by-parts form."""
     if geometry.mu < 0:
         raise ValueError("saddle exponents are built on positive rays; the "
                          "x<0 asymptotics use the mirrored geometry at -mu")
     if delta is None:
-        delta = build_delta(data, geometry, spec)
+        delta = build_delta(data, geometry)
     lam1, lam2, lam3 = geometry.lambdas
     rho = delta.rho
     v1, v2, v3 = (delta.v(s) for s in (1, 2, 3))
@@ -435,8 +433,7 @@ class ResidueConstants:
     delta_at_pole: complex
 
 
-def residue_constants(data, delta: DeltaFunction, x: float | None = None,
-                      t: float | None = None) -> ResidueConstants:
+def residue_constants(data, delta: DeltaFunction) -> ResidueConstants:
     """Build c1(.,.) and c0 from the located pole and the delta evaluator.
 
     c1(x,t) = kappa/(a1'(i xi1) delta(i xi1)^2) * exp(-2 xi1 x + 2 i xi1^2 t

@@ -24,7 +24,7 @@ built on F1, F2 in case 2 (a2(0) = 0).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from typing import Callable
@@ -37,7 +37,6 @@ from steplpd.kernels import (
     ode_integrate,
     pv_integrate,
 )
-from steplpd.kernels.quadrature import DEFAULT_SPEC
 
 SIGMA1 = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA3 = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
@@ -169,8 +168,17 @@ class InitialProfile:
 
     @classmethod
     def from_json(cls, path: str) -> "InitialProfile":
+        """Load a profile document validated against config_schema.json."""
+        # imported here so that ``import steplpd`` does not pay for them
+        from importlib import resources
+
+        import jsonschema
+
         with open(path) as fh:
-            return cls.from_dict(json.load(fh))
+            doc = json.load(fh)
+        schema = resources.files("steplpd").joinpath("config_schema.json")
+        jsonschema.validate(doc, json.loads(schema.read_text()))
+        return cls.from_dict(doc)
 
 
 def normalization_matrices(A: float, xi: complex) -> tuple[np.ndarray, np.ndarray]:
@@ -187,12 +195,8 @@ def normalization_matrices(A: float, xi: complex) -> tuple[np.ndarray, np.ndarra
 # Jost solutions
 # ---------------------------------------------------------------------------
 
-_JOST_SPEC = QuadratureSpec(abs_tol=1e-13, rel_tol=1e-12, max_depth=30)
-
-
 def _propagate_column(profile: InitialProfile, xi: complex, col: np.ndarray,
-                      x_from: float, scale_sign: int,
-                      spec: QuadratureSpec) -> np.ndarray:
+                      x_from: float, scale_sign: int) -> np.ndarray:
     """Integrate one Jost column from x_from to 0 in scaled variables.
 
     scale_sign=+1 propagates y = phi_col * exp(+i*xi*x) (exp(-i*xi*x)-type
@@ -210,11 +214,10 @@ def _propagate_column(profile: InitialProfile, xi: complex, col: np.ndarray,
                       [q[1, 0], s + 1j * xi]], dtype=complex)
         return m @ y
 
-    return ode_integrate(rhs, col, (x_from, 0.0), spec)
+    return ode_integrate(rhs, col, (x_from, 0.0))
 
 
-def jost_at_origin(profile: InitialProfile, xi: complex,
-                   spec: QuadratureSpec = _JOST_SPEC) -> tuple[np.ndarray, np.ndarray]:
+def jost_at_origin(profile: InitialProfile, xi: complex) -> tuple[np.ndarray, np.ndarray]:
     """(phi_-(0,0,xi), phi_+(0,0,xi)) by exact seeding outside the support.
 
     For the pure step the seeds already live at x = 0 and no integration
@@ -228,23 +231,22 @@ def jost_at_origin(profile: InitialProfile, xi: complex,
     x_right = +(ell + margin)
 
     # phi_-: columns (exp(-i xi x), exp(+i xi x)) types seeded at x_left
-    m1 = _propagate_column(profile, xi, L_minus[:, 0].copy(), x_left, +1, spec)
-    m2 = _propagate_column(profile, xi, L_minus[:, 1].copy(), x_left, -1, spec)
+    m1 = _propagate_column(profile, xi, L_minus[:, 0].copy(), x_left, +1)
+    m2 = _propagate_column(profile, xi, L_minus[:, 1].copy(), x_left, -1)
     phi_minus = np.column_stack([m1, m2])
 
-    p1 = _propagate_column(profile, xi, L_plus[:, 0].copy(), x_right, +1, spec)
-    p2 = _propagate_column(profile, xi, L_plus[:, 1].copy(), x_right, -1, spec)
+    p1 = _propagate_column(profile, xi, L_plus[:, 0].copy(), x_right, +1)
+    p2 = _propagate_column(profile, xi, L_plus[:, 1].copy(), x_right, -1)
     phi_plus = np.column_stack([p1, p2])
     return phi_minus, phi_plus
 
 
-def scattering_matrix(profile: InitialProfile, xi: complex,
-                      spec: QuadratureSpec = _JOST_SPEC) -> np.ndarray:
+def scattering_matrix(profile: InitialProfile, xi: complex) -> np.ndarray:
     """S(xi) = phi_+(0,0,xi)^(-1) phi_-(0,0,xi) for real nonzero xi."""
     xi = complex(xi)
     if xi == 0:
         raise SingularNormalizationError("S(0) undefined: L+- singular")
-    phi_minus, phi_plus = jost_at_origin(profile, xi, spec)
+    phi_minus, phi_plus = jost_at_origin(profile, xi)
     return np.linalg.solve(phi_plus, phi_minus)
 
 
@@ -255,6 +257,11 @@ def _wronskian(u: np.ndarray, v: np.ndarray) -> complex:
 # ---------------------------------------------------------------------------
 # scattering data
 # ---------------------------------------------------------------------------
+
+# step of the a1'(i xi1) central difference, relative to xi1
+_A1DOT_H_REL = 1e-5
+# |a2(0)| above this times (1 + A) is case 1
+_CASE_THRESHOLD_REL = 1e-6
 
 @dataclass
 class ScatteringData:
@@ -277,8 +284,6 @@ class ScatteringData:
     a11: complex | None = None
     a2dot0: complex | None = None
     kappa: complex = 1.0 + 0.0j
-    profile: InitialProfile | None = None
-    label: str = "generic"
 
     def __post_init__(self):
         if abs(abs(self.kappa) - 1.0) > 1e-12:
@@ -299,11 +304,11 @@ class ScatteringData:
     def one_plus_r1r2(self, xi: complex) -> complex:
         return 1.0 + self.r1(xi) * self.r2(xi)
 
-    def a1dot_at_pole(self, h_rel: float = 1e-5) -> complex:
+    def a1dot_at_pole(self) -> complex:
         """da1/dxi at i*xi1 by a central difference along the imaginary axis."""
         if self.xi1 is None:
             raise ValueError("xi1 not located yet")
-        h = h_rel * self.xi1
+        h = _A1DOT_H_REL * self.xi1
         up = self.a1(1j * (self.xi1 + h))
         dn = self.a1(1j * (self.xi1 - h))
         return (up - dn) / (2j * h)
@@ -311,7 +316,7 @@ class ScatteringData:
     # constructors ---------------------------------------------------------
 
     @classmethod
-    def pure_step(cls, A: float, gamma: float, kappa: complex = 1.0) -> "ScatteringData":
+    def pure_step(cls, A: float, gamma: float) -> "ScatteringData":
         """Closed forms: a1 = 1 + A^2/(4 xi^2), a2 = 1, b = iA/(2 xi)."""
         def a1(xi):
             return 1.0 + A * A / (4.0 * complex(xi) ** 2)
@@ -323,8 +328,7 @@ class ScatteringData:
             return 1j * A / (2.0 * complex(xi))
 
         return cls(A=A, gamma=gamma, a1=a1, a2=a2, b=b, case_tag=CaseTag.CASE1,
-                   xi1=A / 2.0, kappa=kappa,
-                   profile=InitialProfile.pure_step(A, gamma), label="pure-step")
+                   xi1=A / 2.0)
 
     @classmethod
     def reflectionless(cls, A: float, gamma: float,
@@ -343,16 +347,15 @@ class ScatteringData:
 
         return cls(A=A, gamma=gamma, a1=a1, a2=a2, b=b, case_tag=CaseTag.CASE2,
                    xi1=A / 2.0, a11=-0.5j * A, a2dot0=2j / A,
-                   kappa=np.exp(1j * alpha), label="reflectionless")
+                   kappa=np.exp(1j * alpha))
 
     @classmethod
-    def from_profile(cls, profile: InitialProfile, analyze: bool = True,
-                     kappa: complex = 1.0) -> "ScatteringData":
+    def from_profile(cls, profile: InitialProfile,
+                     analyze: bool = True) -> "ScatteringData":
         """Numerical scattering data; a1/a2 continue off the axis by the
         Wronskian representations, every evaluation one ODE sweep per column."""
         if profile.is_pure_step:
-            data = cls.pure_step(profile.A, profile.gamma, kappa=kappa)
-            return data
+            return cls.pure_step(profile.A, profile.gamma)
 
         @lru_cache(maxsize=50_000)
         def smatrix(xi: complex) -> tuple:
@@ -377,9 +380,9 @@ class ScatteringData:
             if xi == 0:
                 # seeds of the two clean columns are finite at xi = 0
                 pm1 = _propagate_column(profile, 0.0, np.array([1.0, 0.0 + 0.0j]),
-                                        profile.support + 1e-8, +1, _JOST_SPEC)
+                                        profile.support + 1e-8, +1)
                 pm2 = _propagate_column(profile, 0.0, np.array([0.0 + 0.0j, 1.0]),
-                                        -(profile.support + 1e-8), -1, _JOST_SPEC)
+                                        -(profile.support + 1e-8), -1)
                 return _wronskian(pm1, pm2)
             if xi.imag == 0.0:
                 return smatrix(xi)[3]
@@ -397,21 +400,24 @@ class ScatteringData:
             phi_p = np.array(j[4:]).reshape(2, 2)
             return _wronskian(phi_p[:, 0], phi_m[:, 0])
 
-        data = cls(A=profile.A, gamma=profile.gamma, a1=a1, a2=a2, b=b,
-                   kappa=kappa, profile=profile, label="profile")
+        data = cls(A=profile.A, gamma=profile.gamma, a1=a1, a2=a2, b=b)
         if analyze:
             data.case_tag = classify_case(data)
             data.xi1 = locate_xi1(data)
         return data
 
-def soliton_profile(A: float, gamma: float, alpha: float = 0.0,
-                    cutoff: float = 40.0) -> InitialProfile:
+
+# A times the half-width where soliton_profile cuts the exponential tails
+_SOLITON_CUTOFF = 40.0
+
+
+def soliton_profile(A: float, gamma: float, alpha: float = 0.0) -> InitialProfile:
     """Initial profile of the exact one-soliton at t = 0 (for f1/f2 tests).
 
     Exponential tails are cut where they reach ~1e-17 of the step; alpha must
     stay away from 0 mod 2*pi or the profile has a pole at the origin.
     """
-    ell = cutoff / A
+    ell = _SOLITON_CUTOFF / A
 
     def pert(x: float) -> complex:
         if abs(x) > ell:
@@ -436,7 +442,6 @@ class SyntheticReflectionData:
     r2: Callable[[complex], complex]
     xi1: float | None = None
     kappa: complex = 1.0 + 0.0j
-    label: str = "synthetic"
 
     def one_plus_r1r2(self, xi: complex) -> complex:
         return 1.0 + self.r1(xi) * self.r2(xi)
@@ -445,13 +450,15 @@ class SyntheticReflectionData:
 def synthetic_from_v_targets(A: float, gamma: float, mu: float,
                              v_targets: tuple[complex, complex, complex],
                              width: float = 0.35,
-                             r2_const: complex = 0.9) -> SyntheticReflectionData:
+                             r2: complex | tuple[float, float, float, float] = 0.9
+                             ) -> SyntheticReflectionData:
     """Reflection data whose saddle exponents hit prescribed v(lam_s).
 
     Writes 1 + r1 r2 = exp(-2 pi g) with g a sum of Gaussians centered at the
     saddles of the ray mu; the 3x3 cross-talk system is solved exactly so
-    v(lam_s) = v_targets[s-1].  r2 is a nonvanishing constant and r1 carries
-    the profile.
+    v(lam_s) = v_targets[s-1].  r2 is a nonvanishing constant, or the
+    coefficients (c, w1, w2, w3) of c + sum_s w_s exp(-((xi - lam_s)/width)^2);
+    r1 carries the rest of the product.
     """
     from steplpd.phase import stationary_points
 
@@ -463,14 +470,24 @@ def synthetic_from_v_targets(A: float, gamma: float, mu: float,
     def g(z: complex) -> complex:
         return np.sum(coef * np.exp(-((complex(z).real - lams) / width) ** 2))
 
-    def r1(z: complex) -> complex:
-        return (np.exp(-2.0 * np.pi * g(z)) - 1.0) / r2_const
+    if np.ndim(r2) == 0:
+        def r2_of(z: complex) -> complex:
+            return r2
+    else:
+        floor, *weights = r2
 
-    def r2(z: complex) -> complex:
-        return r2_const
+        def r2_of(z: complex) -> complex:
+            zr = complex(z).real
+            val = floor
+            for w, lam in zip(weights, lams):
+                val = val + w * np.exp(-((zr - lam) / width) ** 2)
+            return val
+
+    def r1(z: complex) -> complex:
+        return (np.exp(-2.0 * np.pi * g(z)) - 1.0) / r2_of(z)
 
     # a nominal discrete eigenvalue so the BP-regularized quantities exist
-    return SyntheticReflectionData(A=A, gamma=gamma, r1=r1, r2=r2, xi1=A / 2.0)
+    return SyntheticReflectionData(A=A, gamma=gamma, r1=r1, r2=r2_of, xi1=A / 2.0)
 
 
 def reflection_coefficients(data: ScatteringData, xi: float) -> tuple[complex, complex]:
@@ -484,10 +501,10 @@ def reflection_coefficients(data: ScatteringData, xi: float) -> tuple[complex, c
     return data.b_mirror(xi) / a1v, data.b(xi) / a2v
 
 
-def classify_case(data: ScatteringData, threshold_rel: float = 1e-6) -> CaseTag:
-    """Case 1 iff |a2(0)| exceeds threshold_rel*(1+A); otherwise case 2,
+def classify_case(data: ScatteringData) -> CaseTag:
+    """Case 1 iff |a2(0)| exceeds 1e-6*(1+A); otherwise case 2,
     provided a2'(0) and lim xi*a1(xi) are healthy (else degenerate)."""
-    thr = threshold_rel * (1.0 + data.A)
+    thr = _CASE_THRESHOLD_REL * (1.0 + data.A)
     a20 = data.a2(0.0)
     if abs(a20) > thr:
         data.case_tag = CaseTag.CASE1
@@ -507,11 +524,12 @@ def classify_case(data: ScatteringData, threshold_rel: float = 1e-6) -> CaseTag:
     return CaseTag.CASE2
 
 
-_XI1_SPEC = QuadratureSpec(abs_tol=1e-11, rel_tol=1e-10, max_depth=30)
+_XI1_SPEC = QuadratureSpec(abs_tol=1e-11, rel_tol=1e-10)
+# |a1(i xi1)| above this (relative to a1 just off the zero) refutes xi1
+_XI1_CHECK_TOL = 1e-6
 
 
-def locate_xi1(data: ScatteringData, spec: QuadratureSpec = _XI1_SPEC,
-               check_tol: float = 1e-6) -> float:
+def locate_xi1(data: ScatteringData) -> float:
     """The positive xi1 with a1(i*xi1) = 0, from the trace formulas.
 
     Case 1:  xi1 = (A/2) exp{ -(1/2 pi i) pv int ln[ th^2/(th^2+1) *
@@ -536,7 +554,7 @@ def locate_xi1(data: ScatteringData, spec: QuadratureSpec = _XI1_SPEC,
             w = (th * th / (th * th + 1.0)) * one_minus_bb(th)
             return np.log(w) / th
 
-        pv = pv_integrate(integrand, 0.0, line, spec)
+        pv = pv_integrate(integrand, 0.0, line, _XI1_SPEC)
         xi1 = (A / 2.0) * np.exp(-pv / (2j * np.pi))
     else:
         b0 = data.b(0.0)
@@ -550,7 +568,7 @@ def locate_xi1(data: ScatteringData, spec: QuadratureSpec = _XI1_SPEC,
             def integrand2(th: float) -> complex:
                 return np.log(one_minus_bb(th)) / th
 
-            F1 = np.exp(pv_integrate(integrand2, 0.0, line, spec) / (2j * np.pi))
+            F1 = np.exp(pv_integrate(integrand2, 0.0, line, _XI1_SPEC) / (2j * np.pi))
         xi1 = A * (np.sqrt(np.real(b0) ** 2 + F2**2) - np.real(b0)) / (2.0 * F1 * F2)
 
     if abs(np.imag(xi1)) > 1e-8 * (1.0 + abs(xi1)):
@@ -560,7 +578,7 @@ def locate_xi1(data: ScatteringData, spec: QuadratureSpec = _XI1_SPEC,
         raise InconsistentDataError(f"xi1 must be positive, got {xi1}")
 
     scale = max(abs(data.a1(1j * xi1 * (1.0 + 1e-3))), 1e-6)
-    if abs(data.a1(1j * xi1)) > check_tol * max(1.0, scale):
+    if abs(data.a1(1j * xi1)) > _XI1_CHECK_TOL * max(1.0, scale):
         raise InconsistentDataError(
             f"a1(i*xi1) = {data.a1(1j * xi1):.3e} does not vanish at xi1 = {xi1:.8g}")
     data.xi1 = xi1
@@ -571,8 +589,7 @@ def locate_xi1(data: ScatteringData, spec: QuadratureSpec = _XI1_SPEC,
 # auxiliary functions f1, f2 (xi -> 0 structure of the eigenfunctions)
 # ---------------------------------------------------------------------------
 
-def auxiliary_f(profile: InitialProfile, x: float,
-                spec: QuadratureSpec = _JOST_SPEC) -> tuple[complex, complex]:
+def auxiliary_f(profile: InitialProfile, x: float) -> tuple[complex, complex]:
     """(f1(x), f2(x)) at t = 0 from the coupled Volterra system
 
         f1' = q0(x) f2,    f2' = -conj(q0(-x)) f1,
@@ -594,5 +611,5 @@ def auxiliary_f(profile: InitialProfile, x: float,
         return np.array([profile.q0(y_x) * y[1],
                          -np.conj(profile.q0(-y_x)) * y[0]], dtype=complex)
 
-    out = ode_integrate(rhs, seed, (x_start, x), spec)
+    out = ode_integrate(rhs, seed, (x_start, x))
     return complex(out[0]), complex(out[1])

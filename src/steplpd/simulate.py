@@ -112,16 +112,20 @@ class SolitonField:
         return A * w * E / (1.0 - E) ** 2
 
 
+# accuracy order of pde_residual's centered difference stencils
+_FD_ACCURACY = 8
+
+
 def pde_residual(q: Callable[[float, float], complex], x: float, t: float,
                  gamma: float, hx: float = 0.03, ht: float = 0.02,
-                 accuracy: int = 8, analytic: bool = False) -> complex:
+                 analytic: bool = False) -> complex:
     """Left side of the evolution equation at (x, t).
 
     ``q`` is a callable field; with analytic=True it must expose dx(x,t,k)
     and dt(x,t) (the SolitonField does) and differencing is skipped.
-    Otherwise derivatives come from centered stencils of the given accuracy;
-    the default steps balance the h^8 truncation against the 1/h^4 roundoff
-    of the fourth derivative.
+    Otherwise derivatives come from 8th-order centered stencils; the default
+    steps balance the h^8 truncation against the 1/h^4 roundoff of the
+    fourth derivative.
     """
     if analytic:
         qv = q(x, t)
@@ -131,9 +135,9 @@ def pde_residual(q: Callable[[float, float], complex], x: float, t: float,
         rm1 = np.conj(q.dx(-x, t, 1))
         rm2 = -np.conj(q.dx(-x, t, 2))
     else:
-        w1, h1 = _central_weights(1, accuracy)
-        w2, _ = _central_weights(2, accuracy)
-        w4, h4 = _central_weights(4, accuracy)
+        w1, h1 = _central_weights(1, _FD_ACCURACY)
+        w2, _ = _central_weights(2, _FD_ACCURACY)
+        w4, h4 = _central_weights(4, _FD_ACCURACY)
         line4 = np.array([q(x + k * hx, t) for k in range(-h4, h4 + 1)])
         mirror4 = np.array([q(-x + k * hx, t) for k in range(-h4, h4 + 1)])
         pad = h4 - h1
@@ -143,7 +147,7 @@ def pde_residual(q: Callable[[float, float], complex], x: float, t: float,
         q1 = np.dot(w1, line1) / hx
         q2 = np.dot(w2, line1) / hx**2
         q4 = np.dot(w4, line4) / hx**4
-        wt, htn = _central_weights(1, accuracy)
+        wt, htn = _central_weights(1, _FD_ACCURACY)
         qt = np.dot(wt, [q(x, t + k * ht) for k in range(-htn, htn + 1)]) / ht
         rm0 = -np.conj(mirror4[h4])
         rm1 = np.conj(np.dot(w1, mirror1) / hx)
@@ -157,6 +161,10 @@ def pde_residual(q: Callable[[float, float], complex], x: float, t: float,
 # ---------------------------------------------------------------------------
 # method-of-lines integrator
 # ---------------------------------------------------------------------------
+
+# width of smoothed_step's tanh ramp, in cells
+_RAMP_CELLS = 10
+
 
 @dataclass
 class FieldGrid:
@@ -178,22 +186,19 @@ class FieldGrid:
 
     @classmethod
     def from_function(cls, f: Callable[[float], complex], half_width: float,
-                      h: float, time: float = 0.0) -> "FieldGrid":
+                      h: float) -> "FieldGrid":
+        """Samples of f at t = 0."""
         n = int(round(half_width / h))
         x = np.arange(-n, n + 1) * h
         vals = np.array([f(float(xx)) for xx in x], dtype=complex)
-        return cls(x=x, values=vals, h=h, time=time)
+        return cls(x=x, values=vals, h=h)
 
     @classmethod
-    def smoothed_step(cls, A: float, half_width: float, h: float,
-                      ramp_cells: int = 10) -> "FieldGrid":
-        """Pure step pre-smoothed by a tanh ramp of width ramp_cells*h."""
-        w = ramp_cells * h
+    def smoothed_step(cls, A: float, half_width: float, h: float) -> "FieldGrid":
+        """Pure step pre-smoothed by a tanh ramp of width _RAMP_CELLS*h."""
+        w = _RAMP_CELLS * h
         return cls.from_function(lambda x: 0.5 * A * (1.0 + np.tanh(x / w)),
                                  half_width, h)
-
-    def mirror_conj(self) -> np.ndarray:
-        return -np.conj(self.values[::-1])
 
 
 _D2_6 = np.array([1 / 90, -3 / 20, 3 / 2, -49 / 18, 3 / 2, -3 / 20, 1 / 90])
@@ -303,30 +308,10 @@ class _LinearPropagator:
                         (ph - 1.0) / np.where(small, 1.0, z))
         return ph, dt * phi1 * (-1j * self.force)
 
-    def apply(self, q: np.ndarray, dt: float, affine: bool = True) -> np.ndarray:
-        """q(t + dt) of the (affine) linear system, exactly.
-
-        affine=False propagates a tangent vector (no clamp forcing).
-        """
-        u = self.to_modes(q[_FROZEN:-_FROZEN])
-        ph, kick = self.phases(dt)
-        u = ph * u + kick if affine else ph * u
-        out = q.copy()
-        out[_FROZEN:-_FROZEN] = self.to_grid(u)
-        return out
-
-    def filter(self, q: np.ndarray, q_ref: np.ndarray) -> np.ndarray:
-        """Contract the high-dispersion band of q - q_ref."""
-        dev = (q - q_ref)[_FROZEN:-_FROZEN]
-        u = self.to_modes(dev)
-        out = q.copy()
-        out[_FROZEN:-_FROZEN] = q_ref[_FROZEN:-_FROZEN] + self.to_grid(self.damp * u)
-        return out
-
 
 def _lawson_step(q: np.ndarray, dt: float, h: float, gamma: float,
                  left: complex, right: complex, lin: _LinearPropagator,
-                 u_ref: np.ndarray | None = None) -> np.ndarray:
+                 u_ref: np.ndarray) -> np.ndarray:
     """Integrating-factor RK4 (Lawson): exact linear flow wraps every stage.
 
     Splitting the bare nonlinearity off the dispersion entirely is unstable
@@ -357,8 +342,8 @@ def _lawson_step(q: np.ndarray, dt: float, h: float, gamma: float,
     k3 = N_modes(grid_of(u_half + 0.5 * dt * k2))
     k4 = N_modes(grid_of(u_full + dt * (ph_h * k3)))
     u_new = u_full + (dt / 6.0) * (ph_h * ph_h * k1 + 2.0 * ph_h * (k2 + k3) + k4)
-    if u_ref is not None:   # contract the top dispersion band, free in modes
-        u_new = u_ref + lin.damp * (u_new - u_ref)
+    # contract the top dispersion band of the deviation from u_ref, free in modes
+    u_new = u_ref + lin.damp * (u_new - u_ref)
     return grid_of(u_new)
 
 
@@ -375,18 +360,22 @@ def stable_dt(grid: FieldGrid, gamma: float) -> float:
     return 1.2 / scale
 
 
+# evolve's step-doubling error check: its tolerance and period in steps
+_LOCAL_TOL = 1e-4
+_CHECK_EVERY = 64
+
+
 def evolve(grid: FieldGrid, t_end: float, gamma: float,
-           dt: float | None = None, local_tol: float = 1e-4,
-           check_every: int = 64) -> FieldGrid:
+           dt: float | None = None) -> FieldGrid:
     """Advance the grid to t_end (forward or backward in time).
 
     Integrating-factor RK4 at the stability-limited step, with the top of
     the dispersion spectrum contracted every step (those modes carry no
     physical content for smooth data but sit at RK4's stability edge).  A
-    step-doubling error check every check_every steps halves dt if the local
-    error per step exceeds local_tol * (dt + max|q|); the 4th-order
-    truncation sits orders below that in normal operation, so the check is a
-    safety valve against under-resolved data, not a tuner.
+    step-doubling error check every 64 steps halves dt if the local error
+    per step exceeds 1e-4 * (dt + max|q|); the 4th-order truncation sits
+    orders below that in normal operation, so the check is a safety valve
+    against under-resolved data, not a tuner.
     """
     q = grid.values.astype(complex).copy()
     n = len(q)
@@ -416,11 +405,11 @@ def evolve(grid: FieldGrid, t_end: float, gamma: float,
             raise BlowUpError(f"solution lost finiteness at t = {t:.6g}")
         if np.abs(q_new).max() > 50.0 * (1.0 + abs(right)):
             raise BlowUpError(f"solution blowing up at t = {t:.6g}")
-        if steps % check_every == 0:
+        if steps % _CHECK_EVERY == 0:
             qa = _lawson_step(q, 0.5 * dt, grid.h, gamma, left, right, lin, u_ref)
             qb = _lawson_step(qa, 0.5 * dt, grid.h, gamma, left, right, lin, u_ref)
             err = float(np.abs(q_new - qb).max()) / 3.0
-            tol = local_tol * (abs(dt) + amp)
+            tol = _LOCAL_TOL * (abs(dt) + amp)
             if err > tol:
                 dt *= 0.5
                 if abs(dt) < 1e-12:

@@ -38,12 +38,12 @@ class TestCoefficients:
         geom = stationary_points(0.5, GAMMA)
         delta = build_delta(data, geom)
         exps = saddle_exponents(data, geom, delta)
-        H, L, N = coefficients_HLN(data, geom, exps, delta, A / 2j)
+        H, L, N = coefficients_HLN(data, geom, exps, A / 2j)
         assert all(abs(c) < 1e-12 for c in H + L + N)
 
     def test_nonzero_for_step(self, machinery):
         data, geom, delta, exps, c0 = machinery
-        H, L, N = coefficients_HLN(data, geom, exps, delta, c0)
+        H, L, N = coefficients_HLN(data, geom, exps, c0)
         assert all(abs(c) > 1e-6 for c in H + L + N)
 
     def test_n_over_l_modulus_structure(self, machinery):
@@ -52,7 +52,7 @@ class TestCoefficients:
         from steplpd.kernels import complex_gamma
 
         data, geom, delta, exps, c0 = machinery
-        H, L, N = coefficients_HLN(data, geom, exps, delta, c0)
+        H, L, N = coefficients_HLN(data, geom, exps, c0)
         v1 = exps.v[0]
         lam1 = geom.lam1
         c1, c2, c3 = geom.curvatures
@@ -66,7 +66,7 @@ class TestCoefficients:
     def test_h_uses_conjugated_data(self, machinery):
         # pure step has real v, so H1/L1 collapses to r1(lam1)/conj(r2(lam1))
         data, geom, delta, exps, c0 = machinery
-        H, L, N = coefficients_HLN(data, geom, exps, delta, c0)
+        H, L, N = coefficients_HLN(data, geom, exps, c0)
         lam1 = geom.lam1
         oracle = data.r1(lam1) / np.conj(data.r2(lam1))
         assert abs(H[0] / L[0] - oracle) < 1e-12
@@ -75,7 +75,7 @@ class TestCoefficients:
         # the nine coefficients at mu = 0.5, recorded from the earlier
         # hand-unrolled formulas
         data, geom, delta, exps, c0 = machinery
-        got = coefficients_HLN(data, geom, exps, delta, c0)
+        got = coefficients_HLN(data, geom, exps, c0)
         want = (
             (0.1719682241538228 + 0.09124928083565353j,
              0.17351067495696182 - 0.039834668110287325j,
@@ -91,7 +91,54 @@ class TestCoefficients:
             assert abs(g - w) < 1e-13 * abs(w)
 
 
+# error_order on every Im v sign pattern in {-0.2, 0, 0.2}^3 plus unequal
+# magnitudes, recorded from the earlier if-chain implementation:
+# (Im v, R1 (exponent, log_factor, covered, rule), R2 likewise)
+ERROR_ORDER_PINNED = (
+    ((-0.2, -0.2, -0.2), (-0.6, False, True, 'saddle-2 excess'), (-0.6, False, True, 'saddles 1,3 excess')),
+    ((-0.2, -0.2, 0.0), (-0.6, False, True, 'saddle-2 excess'), (-0.6, False, True, 'saddle-1 excess')),
+    ((-0.2, -0.2, 0.2), (-0.6, False, True, 'saddles 2,3 excess'), (-0.6, False, True, 'saddle-1 excess')),
+    ((-0.2, 0.0, -0.2), (-0.6, False, False, 'table gap'), (-0.6, False, True, 'saddles 1,3 excess')),
+    ((-0.2, 0.0, 0.0), (-0.6, False, False, 'table gap'), (-0.6, False, True, 'saddle-1 excess')),
+    ((-0.2, 0.0, 0.2), (-0.6, False, True, 'saddle-3 excess'), (-0.6, False, True, 'saddle-1 excess')),
+    ((-0.2, 0.2, -0.2), (-1.0, False, True, 'alternating-good'), (-0.6, False, True, 'alternating-good')),
+    ((-0.2, 0.2, 0.0), (-0.6, False, False, 'table gap'), (-0.6, False, True, 'saddles 1,2 excess')),
+    ((-0.2, 0.2, 0.2), (-0.6, False, True, 'saddle-3 excess'), (-0.6, False, True, 'saddles 1,2 excess')),
+    ((0.0, -0.2, -0.2), (-0.6, False, True, 'saddle-2 excess'), (-0.6, False, True, 'saddle-3 excess')),
+    ((0.0, -0.2, 0.0), (-1.0, True, True, 'vanishing Im v'), (-0.6, False, False, 'table gap')),
+    ((0.0, -0.2, 0.2), (-1.0, True, True, 'vanishing Im v'), (-0.6, False, False, 'table gap')),
+    ((0.0, 0.0, -0.2), (-0.6, False, False, 'table gap'), (-0.6, False, True, 'saddle-3 excess')),
+    ((0.0, 0.0, 0.0), (-1.0, True, True, 'vanishing Im v'), (-1.0, True, True, 'vanishing Im v')),
+    ((0.0, 0.0, 0.2), (-1.0, True, True, 'vanishing Im v'), (-0.6, False, False, 'table gap')),
+    ((0.0, 0.2, -0.2), (-0.6, False, False, 'table gap'), (-0.6, False, True, 'saddles 2,3 excess')),
+    ((0.0, 0.2, 0.0), (-0.6, False, False, 'table gap'), (-0.6, False, True, 'saddle-2 excess')),
+    ((0.0, 0.2, 0.2), (-0.6, False, True, 'saddle-3 excess'), (-0.6, False, True, 'saddle-2 excess')),
+    ((0.2, -0.2, -0.2), (-0.6, False, True, 'saddles 1,2 excess'), (-0.6, False, True, 'saddle-3 excess')),
+    ((0.2, -0.2, 0.0), (-1.0, True, True, 'vanishing Im v'), (-0.6, False, False, 'table gap')),
+    ((0.2, -0.2, 0.2), (-0.6, False, True, 'alternating-bad'), (-1.0, False, True, 'alternating-bad')),
+    ((0.2, 0.0, -0.2), (-0.6, False, True, 'saddle-1 excess'), (-0.6, False, True, 'saddle-3 excess')),
+    ((0.2, 0.0, 0.0), (-1.0, True, True, 'vanishing Im v'), (-0.6, False, False, 'table gap')),
+    ((0.2, 0.0, 0.2), (-1.0, True, True, 'vanishing Im v'), (-0.6, False, False, 'table gap')),
+    ((0.2, 0.2, -0.2), (-0.6, False, True, 'saddle-1 excess'), (-0.6, False, True, 'saddles 2,3 excess')),
+    ((0.2, 0.2, 0.0), (-0.6, False, True, 'saddle-1 excess'), (-0.6, False, True, 'saddle-2 excess')),
+    ((0.2, 0.2, 0.2), (-0.6, False, True, 'saddles 1,3 excess'), (-0.6, False, True, 'saddle-2 excess')),
+    ((-0.1, 0.3, -0.25), (-1.0, False, True, 'alternating-good'), (-0.4, False, True, 'alternating-good')),
+    ((0.3, -0.1, 0.05), (-0.4, False, True, 'alternating-bad'), (-1.0, False, True, 'alternating-bad')),
+    ((0.1, 0.0, -0.4), (-0.8, False, True, 'saddle-1 excess'), (-0.19999999999999996, False, True, 'saddle-3 excess')),
+    ((-0.35, -0.05, 0.15), (-0.7, False, True, 'saddles 2,3 excess'), (-0.30000000000000004, False, True, 'saddle-1 excess')),
+    ((0.45, 0.2, 0.1), (-0.09999999999999998, False, True, 'saddles 1,3 excess'), (-0.6, False, True, 'saddle-2 excess')),
+    ((-0.1, -0.3, -0.2), (-0.4, False, True, 'saddle-2 excess'), (-0.6, False, True, 'saddles 1,3 excess')),
+)
+
+
 class TestErrorOrder:
+    @pytest.mark.parametrize("im_v, want1, want2", ERROR_ORDER_PINNED,
+                             ids=[str(c[0]) for c in ERROR_ORDER_PINNED])
+    def test_pinned_table(self, im_v, want1, want2):
+        got = error_order(*(1j * x for x in im_v))
+        for g, w in zip(got, (want1, want2)):
+            assert (g.exponent, g.log_factor, g.covered, g.rule) == w
+
     def test_all_zero_is_log_row(self):
         r1, r2 = error_order(0.0, 0.0, 0.0)
         assert r1.exponent == -1.0 and r1.log_factor
@@ -266,26 +313,8 @@ class TestQAsymptotic:
 
     def test_decay_slope_quick(self):
         # coarse version of the acceptance power-law check
-        targets = (0.1j, -0.05j, 0.08j)
-        geom = stationary_points(0.5, GAMMA)
-        lams = np.array(geom.lambdas)
-        width = 0.35
-        G = np.exp(-((lams[:, None] - lams[None, :]) / width) ** 2)
-        coef = np.linalg.solve(G, np.asarray(targets))
-
-        def g(z):
-            return np.sum(coef * np.exp(-((np.real(z) - lams) / width) ** 2))
-
-        def r2(z):
-            zr = np.real(z)
-            return (0.1 + 3.0 * np.exp(-((zr - lams[0]) / width) ** 2)
-                    + 1.2 * np.exp(-((zr - lams[1]) / width) ** 2)
-                    + 0.6 * np.exp(-((zr - lams[2]) / width) ** 2))
-
-        def r1(z):
-            return (np.exp(-2 * np.pi * g(z)) - 1.0) / r2(z)
-
-        data = SyntheticReflectionData(A=A, gamma=GAMMA, r1=r1, r2=r2, xi1=A / 2)
+        data = synthetic_from_v_targets(A, GAMMA, 0.5, (0.1j, -0.05j, 0.08j),
+                                        r2=(0.1, 3.0, 1.2, 0.6))
         res = q_asymptotic(0.5 * 100.0, 100.0, data)
         ts = np.logspace(2, 6, 25)
         vals = np.array([abs(res.value(0.5 * t, t) - res.background) for t in ts])

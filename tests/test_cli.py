@@ -24,6 +24,22 @@ def _coerce(tok):
         return tok
 
 
+# data rows of `asymptote --A 2 --mu 0.3 0.5 0.8 --t 100 1000 10000`, so a
+# refactor shows its output unchanged: re_q, im_q and abs_q at 1e-13
+# relative, the rest exactly
+ASYMPTOTE_GOLDEN = (
+    (30, 100, 1.3793111047493138, 1.7453161463045863, 2.2245510949933842, "x>0:I2", -1),
+    (300, 1000, 0.37598614307522205, 1.9316472608090967, 1.9678990624460055, "x>0:I2", -1),
+    (3000, 10000, 0.64571626537555316, 1.8860467914455208, 1.9935200011267746, "x>0:I2", -1),
+    (50, 100, 1.6478227764793658, 1.1757763279951676, 2.0242949083959991, "x>0:I2", -1),
+    (500, 1000, 1.5289747986339084, 1.267082448710884, 1.985764806488616, "x>0:I2", -1),
+    (5000, 10000, 1.5555222565776656, 1.2476115969925088, 1.9940371580436187, "x>0:I2", -1),
+    (80, 100, 1.8607670702910184, 0.62961061948810748, 1.9643990485773553, "x>0:I2", -1),
+    (800, 1000, 1.9256349382668145, 0.49952850700236179, 1.9893714195146786, "x>0:I2", -1),
+    (8000, 10000, 1.9350921015737657, 0.48596016680298593, 1.9951788705006774, "x>0:I2", -1),
+)
+
+
 def parse_csv(text):
     lines = text.strip().splitlines()
     meta = json.loads(lines[0][2:])
@@ -79,6 +95,18 @@ class TestSubcommands:
         meta, header, rows = parse_csv(text)
         assert len(rows) == 2
         assert rows[0][header.index("branch")].startswith("x>0")
+
+    def test_asymptote_golden(self, tmp_path):
+        code, text = run_cli(["asymptote", "--A", "2", "--mu", "0.3", "0.5", "0.8",
+                              "--t", "100", "1000", "10000"], tmp_path)
+        assert code == 0
+        _, header, rows = parse_csv(text)
+        assert header == ["x", "t", "re_q", "im_q", "abs_q", "branch", "error_exponent"]
+        assert len(rows) == len(ASYMPTOTE_GOLDEN)
+        for got, want in zip(rows, ASYMPTOTE_GOLDEN):
+            assert got[:2] == list(want[:2]) and got[5:] == list(want[5:])
+            for g, w in zip(got[2:5], want[2:5]):
+                assert abs(g - w) <= 1e-13 * abs(w), (got, want)
 
     def test_asymptote_mode_flag_removed(self, tmp_path):
         # the phase mode is not a CLI option: the Taylor-consistent phase is
@@ -145,6 +173,22 @@ class TestConfig:
     def test_bad_schema(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"A": -2.0, "gamma": 0.1}))
+        assert main(["--out", str(tmp_path / "x.csv"), "scatter",
+                     "--config", str(cfg)]) == 1
+
+    def test_table_x_must_be_numbers(self, tmp_path):
+        # the schema's x.items rule: a string node is refused, not coerced
+        import jsonschema
+
+        from steplpd.scattering import InitialProfile
+
+        doc = {"A": 1.0, "gamma": 1.0 / 27.0,
+               "perturbation": {"kind": "table", "x": [-1.0, "0.0", 1.0],
+                                "values": [0.0, 0.1, 0.0]}}
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        with pytest.raises(jsonschema.ValidationError):
+            InitialProfile.from_json(str(cfg))
         assert main(["--out", str(tmp_path / "x.csv"), "scatter",
                      "--config", str(cfg)]) == 1
 

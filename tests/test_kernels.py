@@ -34,10 +34,6 @@ class TestIntegrate:
         val = integrate(lambda x: np.exp(1j * x), ContourInterval(0, 2 * np.pi))
         assert abs(val) < 1e-10
 
-    def test_orientation_flip(self):
-        iv = ContourInterval(0, 1, left_to_right=False)
-        assert abs(integrate(lambda x: 1.0 + 0j, iv) + 1.0) < 1e-12
-
     @settings(max_examples=25, deadline=None)
     @given(st.floats(-3, 3), st.floats(-3, 3))
     def test_linearity(self, a, b):

@@ -107,11 +107,6 @@ class TestFieldGrid:
         assert len(g.x) == 9
         assert g.x[0] == -2.0 and g.x[-1] == 2.0
 
-    def test_mirror_conj(self):
-        g = FieldGrid.from_function(lambda x: complex(x, 1.0), 1.0, 0.5)
-        m = g.mirror_conj()
-        assert m[1] == -np.conj(g.values[-2])
-
     def test_smoothed_step(self):
         g = FieldGrid.smoothed_step(2.0, 10.0, 0.05)
         assert abs(g.values[0]) < 1e-12
