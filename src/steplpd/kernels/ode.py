@@ -1,4 +1,8 @@
-"""Adaptive matrix ODE integration (complex-valued, non-stiff)."""
+"""Adaptive matrix ODE integration (complex-valued, non-stiff).
+
+It solves the f1/f2 system of ``scattering.auxiliary_f``, and the tests
+build their DOP853 reference for the Magnus Jost sweep on it.
+"""
 
 from __future__ import annotations
 
@@ -7,7 +11,7 @@ from typing import Callable
 import numpy as np
 from scipy.integrate import solve_ivp
 
-# local error tolerances: the Jost and f1/f2 sweeps' accuracy
+# local error tolerances: the f1/f2 solve's accuracy and the reference's
 _RTOL = 1e-12
 _ATOL = 1e-13
 

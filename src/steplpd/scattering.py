@@ -12,8 +12,16 @@ solutions are therefore seeded exactly,
 
     phi_-+(x) = L_-+(xi) exp(-i*xi*sigma3*x)   for -+x >= ell,
 
-and carried to x = 0 by ODE integration; the scattering matrix is
+and carried to x = 0 by a transfer-matrix sweep; the scattering matrix is
 S = phi_+(0)^(-1) phi_-(0) with entries a1, b, -conj(b(-conj(xi))), a2.
+
+Q(x) does not depend on xi, so each half-line's transfer matrix is a
+product of 4th-order Magnus cell exponentials (Iserles & Norsett, Phil.
+Trans. R. Soc. A 357, 1999; Blanes, Casas, Oteo & Ros, Phys. Rep. 470,
+2009), each in closed form for a traceless 2x2 matrix.  The profile samples
+Q once, at two Gauss points per cell; the sweep is vectorised over cells
+and xi.  Cells are at most _MAGNUS_H wide, with edges at 0, at +-support
+and at the kinks of a table profile.
 
 The discrete eigenvalue i*xi1 (zero of a1 in the upper half-plane) follows
 from the trace formulas: a principal-value log integral of
@@ -26,8 +34,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
-from typing import Callable
+from functools import cached_property, lru_cache
+from typing import Callable, ClassVar
 
 import numpy as np
 
@@ -67,18 +75,29 @@ def _zero(x: float) -> complex:
     return 0.0 + 0.0j
 
 
+# distances past -+support at which the perturbation must vanish
+_SUPPORT_PROBES = np.linspace(0.0, 4.0, 81)[1:]
+# widest cell of the Magnus sweep (see _transfer)
+_MAGNUS_H = 1.25e-3
+_GAUSS_OFFSET = 0.5 / np.sqrt(3.0)      # Gauss points at midpoint -+ this * h
+_MAGNUS_C = np.sqrt(3.0) / 12.0         # weight of the commutator in Omega
+
+
 @dataclass(frozen=True)
 class InitialProfile:
     """Step of height A plus a compactly supported perturbation.
 
     q0(x) = perturbation(x) for x < 0 and A + perturbation(x) for x > 0;
     the perturbation must vanish (numerically) outside [-support, support].
+    kinks lists the x where the perturbation's derivative jumps (the nodes
+    of a table profile); the Magnus sweep puts cell edges there.
     """
 
     A: float
     gamma: float
     perturbation: Callable[[float], complex] = _zero
     support: float = 0.0
+    kinks: tuple[float, ...] = ()
 
     def __post_init__(self):
         if self.A <= 0:
@@ -87,9 +106,9 @@ class InitialProfile:
             raise ValueError("gamma must be positive")
         if self.support < 0:
             raise ValueError("support must be >= 0")
-        for xp in (self.support + 0.5, self.support + 2.0):
-            if abs(self.perturbation(xp)) > 1e-10 * (1 + self.A) or \
-               abs(self.perturbation(-xp)) > 1e-10 * (1 + self.A):
+        tol = 1e-10 * (1 + self.A)
+        for xp in self.support + _SUPPORT_PROBES:
+            if abs(self.perturbation(xp)) > tol or abs(self.perturbation(-xp)) > tol:
                 raise ValueError("perturbation does not vanish outside its support")
 
     @property
@@ -102,9 +121,28 @@ class InitialProfile:
             return complex(base)
         return base + self.perturbation(x)
 
-    def lax_q(self, x: float) -> np.ndarray:
-        return np.array([[0.0, self.q0(x)],
-                         [-np.conj(self.q0(-x)), 0.0]], dtype=complex)
+    @cached_property
+    def _magnus_cells(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Cells of [0, support] and q0 at their Gauss points, on both sides.
+
+        Returns the widths h (n,), q0 at the points x (n, 2) of [0, support]
+        and q0 at their mirrors -x, every array ordered from the outer end
+        inwards (cells from +-support towards 0, points from |x| large to
+        small), the order in which both half-line sweeps meet them.  Cell
+        edges sit at 0, at support and at every |kink| in between; no cell
+        is wider than _MAGNUS_H.
+        """
+        ell = self.support
+        edges = np.unique([0.0, ell, *(abs(k) for k in self.kinks if abs(k) < ell)])
+        per_gap = np.ceil(np.diff(edges) / _MAGNUS_H).astype(int)
+        z = np.concatenate([np.linspace(lo, hi, n + 1)[:-1]
+                            for lo, hi, n in zip(edges[:-1], edges[1:], per_gap)] + [[ell]])
+        h = np.diff(z)[::-1]
+        mid = 0.5 * (z[1:] + z[:-1])[::-1]
+        x = mid[:, None] + np.outer(h, [_GAUSS_OFFSET, -_GAUSS_OFFSET])
+        right = np.array([self.q0(v) for v in x.ravel()]).reshape(x.shape)
+        left = np.array([self.q0(-v) for v in x.ravel()]).reshape(x.shape)
+        return h, right, left
 
     # -- construction from the JSON document used by the CLI ---------------
 
@@ -142,7 +180,8 @@ class InitialProfile:
             im = np.interp(x, xs, vals.imag)
             return complex(re, im)
 
-        return cls(A=A, gamma=gamma, perturbation=interp, support=support)
+        return cls(A=A, gamma=gamma, perturbation=interp, support=support,
+                   kinks=tuple(float(x) for x in xs))
 
     @classmethod
     def from_dict(cls, doc: dict) -> "InitialProfile":
@@ -195,50 +234,70 @@ def normalization_matrices(A: float, xi: complex) -> tuple[np.ndarray, np.ndarra
 # Jost solutions
 # ---------------------------------------------------------------------------
 
-def _propagate_column(profile: InitialProfile, xi: complex, col: np.ndarray,
-                      x_from: float, scale_sign: int) -> np.ndarray:
-    """Integrate one Jost column from x_from to 0 in scaled variables.
+def _ordered_product(E: np.ndarray) -> np.ndarray:
+    """E_(n-1) ... E_1 E_0 for matrices E[:, :, j] (shape (2, 2, n, ...)),
+    multiplied in pairwise levels."""
+    while E.shape[2] > 1:
+        n = E.shape[2]
+        later, earlier = E[:, :, 1::2], E[:, :, 0:n - 1:2]
+        pairs = (later[:, :, None] * earlier[None]).sum(axis=1)
+        E = np.concatenate([pairs, E[:, :, n - 1:]], axis=2) if n % 2 else pairs
+    return E[:, :, 0]
 
-    scale_sign=+1 propagates y = phi_col * exp(+i*xi*x) (exp(-i*xi*x)-type
-    columns); scale_sign=-1 the other type.  Scaling keeps the seeds O(1)
-    and removes the oscillatory stiffness of the free evolution.
+
+def _half_line_transfer(h: np.ndarray, up: np.ndarray, lo: np.ndarray,
+                        xi: np.ndarray) -> np.ndarray:
+    """Transfer matrices (len(xi), 2, 2) of phi_x = (-i xi sigma3 + Q) phi.
+
+    Cell j has signed width h[j] and Q = [[0, up], [lo, 0]] at its two Gauss
+    points, in the order the sweep meets them.  Each cell contributes the
+    4th-order Magnus exponential exp(Omega) with Omega = h/2 (A1 + A2) +
+    sqrt(3)/12 h^2 [A2, A1]; Omega is traceless, so exp(Omega) =
+    cosh(s) I + sinh(s)/s Omega with s^2 = -det Omega.
     """
-    if x_from == 0.0:
-        return col.astype(complex)
+    a = -1j * xi[None, :]
+    hh = h[:, None]
+    c = (_MAGNUS_C * h * h)[:, None]
+    q1, q2, p1, p2 = up[:, :1], up[:, 1:], lo[:, :1], lo[:, 1:]
+    w11 = a * hh + c * (q2 * p1 - q1 * p2)
+    w12 = 0.5 * hh * (q1 + q2) + 2.0 * c * a * (q1 - q2)
+    w21 = 0.5 * hh * (p1 + p2) + 2.0 * c * a * (p2 - p1)
+    s2 = w11 * w11 + w12 * w21
+    root = np.sqrt(s2)
+    small = np.abs(s2) < 1e-8
+    sinhc = np.where(small, 1.0 + s2 / 6.0 + s2 * s2 / 120.0,
+                     np.sinh(root) / np.where(small, 1.0, root))
+    ch = np.cosh(root)
+    E = np.array([[ch + sinhc * w11, sinhc * w12], [sinhc * w21, ch - sinhc * w11]])
+    return np.moveaxis(_ordered_product(E), -1, 0)
 
-    s = 1j * xi * scale_sign
 
-    def rhs(x: float, y: np.ndarray) -> np.ndarray:
-        q = profile.lax_q(x)
-        m = np.array([[s - 1j * xi, q[0, 1]],
-                      [q[1, 0], s + 1j * xi]], dtype=complex)
-        return m @ y
+def _transfer(profile: InitialProfile, xi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(T_-, T_+): phi(0) = T_-+ phi(-+support) for every xi of the array.
 
-    return ode_integrate(rhs, col, (x_from, 0.0))
+    Q(x) does not depend on xi: the profile samples it once (its
+    _magnus_cells), and each half-line is one vectorised Magnus sweep.
+    """
+    h, right, left = profile._magnus_cells
+    return (_half_line_transfer(h, left, -np.conj(right), xi),
+            _half_line_transfer(-h, right, -np.conj(left), xi))
 
 
 def jost_at_origin(profile: InitialProfile, xi: complex) -> tuple[np.ndarray, np.ndarray]:
     """(phi_-(0,0,xi), phi_+(0,0,xi)) by exact seeding outside the support.
 
-    For the pure step the seeds already live at x = 0 and no integration
-    happens; S then reproduces the closed form exactly.
+    phi_-+ equals L_-+ exp(-i xi sigma3 x) at x = -+support, and the Magnus
+    transfer matrix of its half-line carries it to 0.  For the pure step the
+    seeds already live at x = 0 and no sweep runs; S then reproduces the
+    closed form exactly.
     """
     xi = complex(xi)
     L_minus, L_plus = normalization_matrices(profile.A, xi)
-    ell = profile.support
-    margin = 0.0 if ell == 0.0 else 1e-8 * (1.0 + ell)
-    x_left = -(ell + margin)
-    x_right = +(ell + margin)
-
-    # phi_-: columns (exp(-i xi x), exp(+i xi x)) types seeded at x_left
-    m1 = _propagate_column(profile, xi, L_minus[:, 0].copy(), x_left, +1)
-    m2 = _propagate_column(profile, xi, L_minus[:, 1].copy(), x_left, -1)
-    phi_minus = np.column_stack([m1, m2])
-
-    p1 = _propagate_column(profile, xi, L_plus[:, 0].copy(), x_right, +1)
-    p2 = _propagate_column(profile, xi, L_plus[:, 1].copy(), x_right, -1)
-    phi_plus = np.column_stack([p1, p2])
-    return phi_minus, phi_plus
+    if profile.is_pure_step:
+        return L_minus, L_plus
+    T_minus, T_plus = _transfer(profile, np.array([xi]))
+    phase = np.exp(1j * xi * profile.support * np.array([1.0, -1.0]))
+    return T_minus[0] @ (L_minus * phase), T_plus[0] @ (L_plus / phase)
 
 
 def scattering_matrix(profile: InitialProfile, xi: complex) -> np.ndarray:
@@ -353,7 +412,8 @@ class ScatteringData:
     def from_profile(cls, profile: InitialProfile,
                      analyze: bool = True) -> "ScatteringData":
         """Numerical scattering data; a1/a2 continue off the axis by the
-        Wronskian representations, every evaluation one ODE sweep per column."""
+        Wronskian representations.  Every evaluation is one Magnus sweep of
+        each half-line (see jost_at_origin), cached per xi."""
         if profile.is_pure_step:
             return cls.pure_step(profile.A, profile.gamma)
 
@@ -378,12 +438,10 @@ class ScatteringData:
         def a2(xi):
             xi = complex(xi)
             if xi == 0:
-                # seeds of the two clean columns are finite at xi = 0
-                pm1 = _propagate_column(profile, 0.0, np.array([1.0, 0.0 + 0.0j]),
-                                        profile.support + 1e-8, +1)
-                pm2 = _propagate_column(profile, 0.0, np.array([0.0 + 0.0j, 1.0]),
-                                        -(profile.support + 1e-8), -1)
-                return _wronskian(pm1, pm2)
+                # the clean columns, phi_+ 1 and phi_- 2, have the finite
+                # seeds e1 and e2 at xi = 0
+                T_minus, T_plus = _transfer(profile, np.zeros(1))
+                return _wronskian(T_plus[0][:, 0], T_minus[0][:, 1])
             if xi.imag == 0.0:
                 return smatrix(xi)[3]
             j = jost(xi)
@@ -433,7 +491,8 @@ class SyntheticReflectionData:
     """Minimal reflection-data stand-in for factor/asymptotics experiments.
 
     Carries just the surface the delta/exponent machinery consumes: r1, r2
-    callables on the line plus step height and dispersion parameters.
+    callables on the line plus step height and dispersion parameters.  The
+    norming constant kappa is 1.
     """
 
     A: float
@@ -441,15 +500,18 @@ class SyntheticReflectionData:
     r1: Callable[[complex], complex]
     r2: Callable[[complex], complex]
     xi1: float | None = None
-    kappa: complex = 1.0 + 0.0j
+    kappa: ClassVar[complex] = 1.0 + 0.0j
 
     def one_plus_r1r2(self, xi: complex) -> complex:
         return 1.0 + self.r1(xi) * self.r2(xi)
 
 
+# width of the Gaussians synthetic_from_v_targets centres at the saddles
+_SYNTHETIC_WIDTH = 0.35
+
+
 def synthetic_from_v_targets(A: float, gamma: float, mu: float,
                              v_targets: tuple[complex, complex, complex],
-                             width: float = 0.35,
                              r2: complex | tuple[float, float, float, float] = 0.9
                              ) -> SyntheticReflectionData:
     """Reflection data whose saddle exponents hit prescribed v(lam_s).
@@ -457,18 +519,19 @@ def synthetic_from_v_targets(A: float, gamma: float, mu: float,
     Writes 1 + r1 r2 = exp(-2 pi g) with g a sum of Gaussians centered at the
     saddles of the ray mu; the 3x3 cross-talk system is solved exactly so
     v(lam_s) = v_targets[s-1].  r2 is a nonvanishing constant, or the
-    coefficients (c, w1, w2, w3) of c + sum_s w_s exp(-((xi - lam_s)/width)^2);
-    r1 carries the rest of the product.
+    coefficients (c, w1, w2, w3) of c + sum_s w_s exp(-((xi - lam_s)/w)^2)
+    with the Gaussians' width w = _SYNTHETIC_WIDTH; r1 carries the rest of
+    the product.
     """
     from steplpd.phase import stationary_points
 
     geometry = stationary_points(mu, gamma)
     lams = np.array(geometry.lambdas)
-    G = np.exp(-((lams[:, None] - lams[None, :]) / width) ** 2)
+    G = np.exp(-((lams[:, None] - lams[None, :]) / _SYNTHETIC_WIDTH) ** 2)
     coef = np.linalg.solve(G, np.asarray(v_targets, dtype=complex))
 
     def g(z: complex) -> complex:
-        return np.sum(coef * np.exp(-((complex(z).real - lams) / width) ** 2))
+        return np.sum(coef * np.exp(-((complex(z).real - lams) / _SYNTHETIC_WIDTH) ** 2))
 
     if np.ndim(r2) == 0:
         def r2_of(z: complex) -> complex:
@@ -480,7 +543,7 @@ def synthetic_from_v_targets(A: float, gamma: float, mu: float,
             zr = complex(z).real
             val = floor
             for w, lam in zip(weights, lams):
-                val = val + w * np.exp(-((zr - lam) / width) ** 2)
+                val = val + w * np.exp(-((zr - lam) / _SYNTHETIC_WIDTH) ** 2)
             return val
 
     def r1(z: complex) -> complex:

@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from steplpd import scattering
+from steplpd.kernels import ode_integrate
 from steplpd.scattering import (
     CaseTag,
     DegeneracyError,
@@ -16,6 +18,7 @@ from steplpd.scattering import (
     classify_case,
     jost_at_origin,
     locate_xi1,
+    normalization_matrices,
     reflection_coefficients,
     scattering_matrix,
     soliton_profile,
@@ -33,6 +36,80 @@ def pure_step_S(A: float, xi: float) -> np.ndarray:
 @pytest.fixture(scope="module")
 def bump_profile():
     return InitialProfile.gaussian_bump(2.0, GAMMA, 0.3 + 0.2j, 0.4, 0.5)
+
+
+# ---------------------------------------------------------------------------
+# DOP853 reference for the Magnus sweep
+# ---------------------------------------------------------------------------
+
+def _wronskian(u, v):
+    return u[0] * v[1] - u[1] * v[0]
+
+
+def dop853_column(profile, xi, col, x_from, sign):
+    """One Jost column carried from x_from to 0 by DOP853.
+
+    It integrates y = phi_col exp(sign i xi x), whose seed is the column of
+    L-+ itself, and restarts at every kink of Q (0, the mirrored table
+    nodes), where the adaptive integrator would otherwise lose accuracy.
+    """
+    xi = complex(xi)
+    shift = 1j * xi * sign
+
+    def rhs(x, y):
+        q, p = profile.q0(x), -np.conj(profile.q0(-x))
+        return np.array([(shift - 1j * xi) * y[0] + q * y[1],
+                         p * y[0] + (shift + 1j * xi) * y[1]])
+
+    inner = [abs(k) for k in profile.kinks if 0 < abs(k) < profile.support]
+    stops = np.sign(x_from) * np.array(sorted({abs(x_from), 0.0, *inner}, reverse=True))
+    y = np.asarray(col, dtype=complex)
+    for a, b in zip(stops[:-1], stops[1:]):
+        y = ode_integrate(rhs, y, (a, b))
+    return y
+
+
+def dop853_jost(profile, xi):
+    L_minus, L_plus = normalization_matrices(profile.A, complex(xi))
+    ell = profile.support
+    phi_minus = np.column_stack([dop853_column(profile, xi, L_minus[:, 0], -ell, +1),
+                                 dop853_column(profile, xi, L_minus[:, 1], -ell, -1)])
+    phi_plus = np.column_stack([dop853_column(profile, xi, L_plus[:, 0], ell, +1),
+                                dop853_column(profile, xi, L_plus[:, 1], ell, -1)])
+    return phi_minus, phi_plus
+
+
+def dop853_S(profile, xi):
+    phi_minus, phi_plus = dop853_jost(profile, xi)
+    return np.linalg.solve(phi_plus, phi_minus)
+
+
+def dop853_b(profile, xi):
+    """b = S_12 = W(phi_- 2, phi_+ 2): two columns instead of four."""
+    L_minus, L_plus = normalization_matrices(profile.A, complex(xi))
+    ell = profile.support
+    return _wronskian(dop853_column(profile, xi, L_minus[:, 1], -ell, -1),
+                      dop853_column(profile, xi, L_plus[:, 1], ell, -1))
+
+
+def rel_err(got, want):
+    """Entrywise error, relative where |want| exceeds 1."""
+    return float(np.max(np.abs(got - want) / np.maximum(1.0, np.abs(want))))
+
+
+def oracle_profiles():
+    return {"bump-1": InitialProfile.gaussian_bump(2.0, GAMMA, 0.3 + 0.2j, 0.4, 0.5),
+            "bump-2": InitialProfile.gaussian_bump(1.0, GAMMA, 0.1, 0.2, 0.3),
+            "bump-3": InitialProfile.gaussian_bump(1.5, GAMMA, -0.25 + 0.1j, -0.35, 0.45),
+            "soliton": soliton_profile(2.0, GAMMA, np.pi / 3),
+            "table": InitialProfile.from_table(1.2, GAMMA, [-1.0, -0.3, 0.2, 0.7],
+                                               [0.0, 0.3 + 0.1j, -0.2j, 0.0])}
+
+
+# the baseline bump of the ROADMAP (A = 1, amplitude 0.1, center 0.2,
+# width 0.3) and its xi1 as the DOP853 Jost path computed it
+BASELINE_BUMP = dict(A=1.0, gamma=GAMMA, amplitude=0.1, center=0.2, width=0.3)
+BASELINE_XI1 = 0.5218505723827234
 
 
 class TestJost:
@@ -274,3 +351,102 @@ class TestProfileJSON:
         with pytest.raises(ValueError):
             InitialProfile.from_dict({"A": 1, "gamma": 1,
                                       "perturbation": {"kind": "sine"}})
+
+
+class TestMagnusSweep:
+    @pytest.mark.parametrize("name", ["bump-1", "bump-2", "bump-3", "soliton", "table"])
+    def test_against_dop853(self, name):
+        prof = oracle_profiles()[name]
+        data = ScatteringData.from_profile(prof, analyze=False)
+        worst = 0.0
+        for xi in (0.05, 0.3, 1.0, 5.0, 50.0):
+            for sign in (1, -1):
+                worst = max(worst, rel_err(scattering_matrix(prof, sign * xi),
+                                           dop853_S(prof, sign * xi)))
+        a20 = _wronskian(dop853_column(prof, 0.0, [1.0, 0.0], prof.support, +1),
+                         dop853_column(prof, 0.0, [0.0, 1.0], -prof.support, -1))
+        worst = max(worst, rel_err(data.a2(0.0), a20))
+        for eta in (0.3, 0.5, 1.0):
+            phi_minus, phi_plus = dop853_jost(prof, 1j * eta)
+            a1 = _wronskian(phi_minus[:, 0], phi_plus[:, 1])
+            worst = max(worst, rel_err(data.a1(1j * eta), a1))
+        assert worst < 1e-10
+
+    def test_fourth_order(self, monkeypatch):
+        # halving the cell width cuts the error by about 16
+        for name, xi in (("bump-1", 1.0), ("bump-1", 5.0), ("table", 5.0)):
+            want = dop853_S(oracle_profiles()[name], xi)
+            errs = []
+            for h in (0.04, 0.02, 0.01):
+                # a fresh profile: each samples its cells once
+                monkeypatch.setattr(scattering, "_MAGNUS_H", h)
+                errs.append(np.abs(scattering_matrix(oracle_profiles()[name], xi) - want).max())
+            assert errs[0] / errs[1] > 12 and errs[1] / errs[2] > 12, (name, xi, errs)
+
+    def test_array_sweep_matches_scalar_calls(self, bump_profile):
+        xis = np.array([-2.0, -0.4, 0.3, 1.1 + 0.2j, 0.7j, 3.0])
+        T_minus, T_plus = scattering._transfer(bump_profile, xis)
+        for k, xi in enumerate(xis):
+            one_minus, one_plus = scattering._transfer(bump_profile, xis[k:k + 1])
+            assert np.array_equal(T_minus[k], one_minus[0])
+            assert np.array_equal(T_plus[k], one_plus[0])
+
+    def test_cell_edges_at_table_nodes(self):
+        prof = oracle_profiles()["table"]
+        h = prof._magnus_cells[0]
+        edges = np.concatenate([[0.0], np.cumsum(h[::-1])])
+        for node in (0.2, 0.3, 0.7, 1.0):
+            assert np.abs(edges - node).min() < 1e-14
+        assert h.max() < scattering._MAGNUS_H * (1 + 1e-12)
+
+    @settings(max_examples=25, deadline=None)
+    @given(A=st.floats(1.0, 2.0), amp=st.floats(0.05, 0.3),
+           arg=st.floats(0.0, 2 * np.pi), center=st.floats(-0.4, 0.4),
+           width=st.floats(0.3, 0.5), xi=st.floats(0.15, 5.0))
+    def test_determinant_and_symmetries(self, A, amp, arg, center, width, xi):
+        # criterion 2's identities over the benchmark's bump ranges
+        prof = InitialProfile.gaussian_bump(A, GAMMA, amp * np.exp(1j * arg), center, width)
+        S, Sm = scattering_matrix(prof, xi), scattering_matrix(prof, -xi)
+        assert abs(np.linalg.det(S) - 1.0) < 1e-10
+        assert abs(np.linalg.det(Sm) - 1.0) < 1e-10
+        assert abs(S[0, 0] - np.conj(Sm[0, 0])) < 1e-8
+        assert abs(S[1, 1] - np.conj(Sm[1, 1])) < 1e-8
+        assert abs(S[1, 0] + np.conj(Sm[0, 1])) < 1e-8
+        assert np.abs(SIGMA1 @ np.conj(np.linalg.inv(Sm)) @ SIGMA1 - S).max() < 1e-8
+
+
+class TestBaselineBump:
+    def test_xi1_end_to_end(self):
+        prof = InitialProfile.gaussian_bump(**BASELINE_BUMP)
+        data = ScatteringData.from_profile(prof, analyze=False)
+        assert classify_case(data) is CaseTag.CASE1
+        thetas = []
+        b = data.b
+
+        def recording_b(xi):
+            thetas.append(abs(complex(xi)))
+            return b(xi)
+
+        data.b = recording_b
+        xi1 = locate_xi1(data)   # raises unless |a1(i xi1)| vanishes
+        assert abs(xi1 - BASELINE_XI1) < 1e-8
+        # the trace integrand's 1 - b(th) conj(b(-th)) at the largest
+        # th QUADPACK asked for, where |b| is smallest
+        th = max(thetas)
+        b_plus, b_minus = dop853_b(prof, th), dop853_b(prof, -th)
+        assert abs(b(th) - b_plus) < 1e-11 and abs(b(-th) - b_minus) < 1e-11
+        got = 1.0 - b(th) * np.conj(b(-th))
+        assert abs(got - (1.0 - b_plus * np.conj(b_minus))) < 1e-12
+
+
+class TestSupportCheck:
+    def test_leak_past_support_rejected(self):
+        # a narrow bump centred 0.2 past the declared support: zero at the
+        # 4 points support +- 0.5, +-2 that an older check probed
+        def leaky(x):
+            return 0.1 * np.exp(-((x - 1.2) / 0.03) ** 2)
+
+        assert abs(leaky(1.5)) < 1e-40 and abs(leaky(3.0)) < 1e-40
+        with pytest.raises(ValueError, match="vanish outside its support"):
+            InitialProfile(A=1.0, gamma=GAMMA, perturbation=leaky, support=1.0)
+        InitialProfile(A=1.0, gamma=GAMMA, perturbation=leaky, support=1.5)
