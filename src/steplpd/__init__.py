@@ -64,7 +64,6 @@ from steplpd.scattering import (
     classify_case,
     jost_at_origin,
     locate_xi1,
-    reflection_coefficients,
     scattering_matrix,
     soliton_profile,
     synthetic_from_v_targets,
@@ -87,7 +86,6 @@ __all__ = [
     "residue_constants", "saddle_exponents",
     "CaseTag", "InitialProfile", "ScatteringData", "SyntheticReflectionData",
     "auxiliary_f", "classify_case", "jost_at_origin", "locate_xi1",
-    "reflection_coefficients", "scattering_matrix", "soliton_profile",
-    "synthetic_from_v_targets",
+    "scattering_matrix", "soliton_profile", "synthetic_from_v_targets",
     "FieldGrid", "SolitonField", "evolve", "pde_residual",
 ]

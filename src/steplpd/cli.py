@@ -25,7 +25,6 @@ from steplpd.pcmodel import (
 from steplpd.phase import sign_of_re_phi, stationary_points
 from steplpd.rhfactors import build_delta, saddle_exponents
 from steplpd.scattering import (
-    CaseTag,
     InitialProfile,
     ScatteringData,
     classify_case,
@@ -64,11 +63,7 @@ def load_profile(args) -> InitialProfile:
 def _scattering_data(args) -> ScatteringData:
     profile = load_profile(args)
     data = ScatteringData.from_profile(profile, analyze=False)
-    case = getattr(args, "case", "auto")
-    if case == "auto":
-        classify_case(data)
-    else:
-        data.case_tag = CaseTag.CASE1 if case == "1" else CaseTag.CASE2
+    classify_case(data)
     locate_xi1(data)
     return data
 
@@ -280,7 +275,6 @@ def _add_profile_args(p):
     p.add_argument("--config", help="profile JSON document")
     p.add_argument("--A", type=float, default=2.0)
     p.add_argument("--gamma", type=float, default=1.0 / 27.0)
-    p.add_argument("--case", choices=["auto", "1", "2"], default="auto")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -12,8 +12,13 @@ solutions are therefore seeded exactly,
 
     phi_-+(x) = L_-+(xi) exp(-i*xi*sigma3*x)   for -+x >= ell,
 
-and carried to x = 0 by a transfer-matrix sweep; the scattering matrix is
-S = phi_+(0)^(-1) phi_-(0) with entries a1, b, -conj(b(-conj(xi))), a2.
+and carried to x = 0 by a transfer-matrix sweep.  The scattering matrix
+S = phi_+(0)^(-1) phi_-(0) has the Wronskians of the Jost columns as its
+entries (det phi_+ = 1),
+
+    a1 = W(phi_-1, phi_+2),  b = W(phi_-2, phi_+2),  a2 = W(phi_+1, phi_-2),
+
+the one formula for S at every nonzero xi, on the real axis and off it.
 
 Q(x) does not depend on xi, so each half-line's transfer matrix is a
 product of 4th-order Magnus cell exponentials (Iserles & Norsett, Phil.
@@ -22,6 +27,11 @@ Trans. R. Soc. A 357, 1999; Blanes, Casas, Oteo & Ros, Phys. Rep. 470,
 Q once, at two Gauss points per cell; the sweep is vectorised over cells
 and xi.  Cells are at most _MAGNUS_H wide, with edges at 0, at +-support
 and at the kinks of a table profile.
+
+L-+ blow up at xi = 0, but the clean columns phi_+1 = T_+ e1 and
+phi_-2 = T_- e2 (T the transfer matrices) stay finite there: one sweep at
+xi = 0 gives a2(0), and the case-2 value of b(0), where the pole of
+b = W(T_- e2, T_+ e2) - (A/2i xi) a2(xi) exp(2i xi ell) cancels.
 
 The discrete eigenvalue i*xi1 (zero of a1 in the upper half-plane) follows
 from the trace formulas: a principal-value log integral of
@@ -300,17 +310,17 @@ def jost_at_origin(profile: InitialProfile, xi: complex) -> tuple[np.ndarray, np
     return T_minus[0] @ (L_minus * phase), T_plus[0] @ (L_plus / phase)
 
 
-def scattering_matrix(profile: InitialProfile, xi: complex) -> np.ndarray:
-    """S(xi) = phi_+(0,0,xi)^(-1) phi_-(0,0,xi) for real nonzero xi."""
-    xi = complex(xi)
-    if xi == 0:
-        raise SingularNormalizationError("S(0) undefined: L+- singular")
-    phi_minus, phi_plus = jost_at_origin(profile, xi)
-    return np.linalg.solve(phi_plus, phi_minus)
-
-
 def _wronskian(u: np.ndarray, v: np.ndarray) -> complex:
     return u[0] * v[1] - u[1] * v[0]
+
+
+def scattering_matrix(profile: InitialProfile, xi: complex) -> np.ndarray:
+    """S(xi) = phi_+(0,0,xi)^(-1) phi_-(0,0,xi) for nonzero xi, real or
+    complex, as the Wronskians of the Jost columns (det phi_+ = 1)."""
+    phi_minus, phi_plus = jost_at_origin(profile, xi)
+    (m1, m2), (p1, p2) = phi_minus.T, phi_plus.T
+    return np.array([[_wronskian(m1, p2), _wronskian(m2, p2)],
+                     [_wronskian(p1, m1), _wronskian(p1, m2)]])
 
 
 # ---------------------------------------------------------------------------
@@ -411,54 +421,43 @@ class ScatteringData:
     @classmethod
     def from_profile(cls, profile: InitialProfile,
                      analyze: bool = True) -> "ScatteringData":
-        """Numerical scattering data; a1/a2 continue off the axis by the
-        Wronskian representations.  Every evaluation is one Magnus sweep of
-        each half-line (see jost_at_origin), cached per xi."""
+        """Numerical scattering data: a1, a2 and b read the entries of the
+        Wronskian S (scattering_matrix), on the axis and off it, cached per xi.
+
+        At xi = 0 one sweep gives the clean columns T_+ e1 and T_- e2 and
+        with them a2(0).  b(0) is finite only in case 2: with a2(0) = 0 the
+        pole of b = W(T_- e2, T_+ e2) - (A/2i xi) a2(xi) exp(2i xi ell)
+        cancels and b(0) = W(T_- e2, T_+ e2) - (A/2i) a2'(0); when |a2(0)|
+        exceeds classify_case's threshold, b(0) raises.  a1(0) raises.
+        """
         if profile.is_pure_step:
             return cls.pure_step(profile.A, profile.gamma)
+        A = profile.A
 
         @lru_cache(maxsize=50_000)
-        def smatrix(xi: complex) -> tuple:
-            return tuple(scattering_matrix(profile, xi).reshape(-1))
+        def s_entries(xi: complex) -> tuple:
+            return tuple(scattering_matrix(profile, xi).ravel())
 
-        @lru_cache(maxsize=50_000)
-        def jost(xi: complex) -> tuple:
-            pm, pp = jost_at_origin(profile, xi)
-            return tuple(pm.reshape(-1)) + tuple(pp.reshape(-1))
+        T_minus, T_plus = (T[0] for T in _transfer(profile, np.zeros(1)))
+        a2_zero = _wronskian(T_plus[:, 0], T_minus[:, 1])
+        w_zero = _wronskian(T_minus[:, 1], T_plus[:, 1])
 
         def a1(xi):
-            xi = complex(xi)
-            if xi.imag == 0.0:
-                return smatrix(xi)[0]
-            j = jost(xi)
-            phi_m = np.array(j[:4]).reshape(2, 2)
-            phi_p = np.array(j[4:]).reshape(2, 2)
-            return _wronskian(phi_m[:, 0], phi_p[:, 1])
+            return s_entries(complex(xi))[0]
 
         def a2(xi):
             xi = complex(xi)
-            if xi == 0:
-                # the clean columns, phi_+ 1 and phi_- 2, have the finite
-                # seeds e1 and e2 at xi = 0
-                T_minus, T_plus = _transfer(profile, np.zeros(1))
-                return _wronskian(T_plus[0][:, 0], T_minus[0][:, 1])
-            if xi.imag == 0.0:
-                return smatrix(xi)[3]
-            j = jost(xi)
-            phi_m = np.array(j[:4]).reshape(2, 2)
-            phi_p = np.array(j[4:]).reshape(2, 2)
-            return _wronskian(phi_p[:, 0], phi_m[:, 1])
+            return a2_zero if xi == 0 else s_entries(xi)[3]
 
         def b(xi):
             xi = complex(xi)
-            if xi.imag == 0.0 and xi != 0:
-                return smatrix(xi)[1]
-            j = jost(xi)
-            phi_m = np.array(j[:4]).reshape(2, 2)
-            phi_p = np.array(j[4:]).reshape(2, 2)
-            return _wronskian(phi_p[:, 0], phi_m[:, 0])
+            if xi != 0:
+                return s_entries(xi)[1]
+            if abs(a2_zero) > _CASE_THRESHOLD_REL * (1.0 + A):
+                raise SingularNormalizationError("b has a pole at 0: a2(0) != 0")
+            return w_zero - A / 2j * _a2dot0(a2, A)
 
-        data = cls(A=profile.A, gamma=profile.gamma, a1=a1, a2=a2, b=b)
+        data = cls(A=A, gamma=profile.gamma, a1=a1, a2=a2, b=b)
         if analyze:
             data.case_tag = classify_case(data)
             data.xi1 = locate_xi1(data)
@@ -553,15 +552,10 @@ def synthetic_from_v_targets(A: float, gamma: float, mu: float,
     return SyntheticReflectionData(A=A, gamma=gamma, r1=r1, r2=r2_of, xi1=A / 2.0)
 
 
-def reflection_coefficients(data: ScatteringData, xi: float) -> tuple[complex, complex]:
-    """(r1, r2) at real nonzero xi; denominator zeros raise."""
-    xi = complex(xi)
-    if xi == 0:
-        raise ZeroDivisionError("reflection coefficients undefined at xi = 0")
-    a1v, a2v = data.a1(xi), data.a2(xi)
-    if a1v == 0 or a2v == 0:
-        raise ZeroDivisionError("a1 or a2 vanishes at this xi")
-    return data.b_mirror(xi) / a1v, data.b(xi) / a2v
+def _a2dot0(a2: Callable[[complex], complex], A: float) -> complex:
+    """a2'(0) by a central difference (shared by classify_case and b(0))."""
+    h = 1e-5 * (1.0 + A)
+    return (a2(h) - a2(-h)) / (2.0 * h)
 
 
 def classify_case(data: ScatteringData) -> CaseTag:
@@ -573,8 +567,7 @@ def classify_case(data: ScatteringData) -> CaseTag:
         data.case_tag = CaseTag.CASE1
         return CaseTag.CASE1
 
-    h = 1e-5 * (1.0 + data.A)
-    a2dot0 = (data.a2(h) - data.a2(-h)) / (2.0 * h)
+    a2dot0 = _a2dot0(data.a2, data.A)
     if abs(a2dot0) <= thr:
         raise DegeneracyError("both a2(0) and a2'(0) vanish: unsupported data")
     b0 = data.b(0.0)
@@ -625,13 +618,11 @@ def locate_xi1(data: ScatteringData) -> float:
         if mod2 >= 1.0:
             raise InconsistentDataError("case 2 requires |b(0)| < 1")
         F2 = np.exp(0.5 * np.log(1.0 - mod2))
-        if all(data.b(th) == 0 for th in (0.37, -1.91, 5.3)):
-            F1 = 1.0 + 0.0j   # b == 0: the log integrand vanishes identically
-        else:
-            def integrand2(th: float) -> complex:
-                return np.log(one_minus_bb(th)) / th
 
-            F1 = np.exp(pv_integrate(integrand2, 0.0, line, _XI1_SPEC) / (2j * np.pi))
+        def integrand2(th: float) -> complex:
+            return np.log(one_minus_bb(th)) / th
+
+        F1 = np.exp(pv_integrate(integrand2, 0.0, line, _XI1_SPEC) / (2j * np.pi))
         xi1 = A * (np.sqrt(np.real(b0) ** 2 + F2**2) - np.real(b0)) / (2.0 * F1 * F2)
 
     if abs(np.imag(xi1)) > 1e-8 * (1.0 + abs(xi1)):

@@ -116,6 +116,13 @@ class TestSubcommands:
         assert code == 1
         assert not (tmp_path / "out.csv").exists()
 
+    def test_case_flag_removed(self, tmp_path):
+        # the case split is computed from a2(0), never set
+        for case in ("auto", "1", "2"):
+            code = main(["--out", str(tmp_path / "out.csv"), "scatter", "--case", case])
+            assert code == 1
+            assert not (tmp_path / "out.csv").exists()
+
     def test_validate(self, capsys):
         assert main(["validate", "--A", "2.0"]) == 0
         outp = capsys.readouterr().out

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from steplpd import scattering
-from steplpd.kernels import ode_integrate
+from steplpd.kernels import ode, ode_integrate
 from steplpd.scattering import (
     CaseTag,
     DegeneracyError,
@@ -19,7 +19,6 @@ from steplpd.scattering import (
     jost_at_origin,
     locate_xi1,
     normalization_matrices,
-    reflection_coefficients,
     scattering_matrix,
     soliton_profile,
 )
@@ -179,7 +178,7 @@ class TestScatteringData:
     def test_pure_step_reflections(self):
         d = ScatteringData.pure_step(2.0, GAMMA)
         xi = 0.8
-        r1, r2 = reflection_coefficients(d, xi)
+        r1, r2 = d.r1(xi), d.r2(xi)
         A = 2.0
         assert abs(1 + r1 * r2 - 4 * xi**2 / (4 * xi**2 + A**2)) < 1e-13
         assert abs(1 + r1 * r2 - 1.0 / (d.a1(xi) * d.a2(xi))) < 1e-13
@@ -187,15 +186,15 @@ class TestScatteringData:
     def test_reflection_symmetry(self):
         d = ScatteringData.pure_step(1.3, GAMMA)
         for xi in (0.3, 1.7):
-            r1p, r2p = reflection_coefficients(d, xi)
-            r1m, r2m = reflection_coefficients(d, -xi)
+            r1p, r2p = d.r1(xi), d.r2(xi)
+            r1m, r2m = d.r1(-xi), d.r2(-xi)
             assert abs(r1p - np.conj(r1m)) < 1e-12
             assert abs(r2p - np.conj(r2m)) < 1e-12
 
     def test_reflectionless(self):
         d = ScatteringData.reflectionless(1.0, GAMMA, 0.4)
         assert d.b(0.9) == 0
-        r1, r2 = reflection_coefficients(d, 0.9)
+        r1, r2 = d.r1(0.9), d.r2(0.9)
         assert r1 == 0 and r2 == 0
 
     def test_profile_data_matches_smatrix(self, bump_profile):
@@ -256,6 +255,24 @@ class TestCaseClassification:
         assert d.a11 == pytest.approx(-1j, abs=1e-6)
         assert d.a2dot0 == pytest.approx(1j, abs=1e-6)
         assert d.a11 * d.a2dot0 == pytest.approx(1.0, abs=1e-6)
+
+    def test_soliton_profile_case2(self):
+        # a2(0) = 0 on the exact soliton's profile: the pole of b at 0
+        # cancels, and the data matches the reflectionless closed forms
+        A = 2.0
+        d = ScatteringData.from_profile(soliton_profile(A, GAMMA, np.pi / 3),
+                                        analyze=False)
+        assert classify_case(d) is CaseTag.CASE2
+        assert abs(d.a2dot0 - 2j / A) < 1e-8
+        assert abs(d.a11 + 0.5j * A) < 1e-8
+        assert abs(d.b(0.0)) < 1e-8
+        assert abs(locate_xi1(d) - A / 2) < 1e-8
+
+    def test_case1_b_has_pole_at_zero(self, bump_profile):
+        d = ScatteringData.from_profile(bump_profile, analyze=False)
+        assert classify_case(d) is CaseTag.CASE1
+        with pytest.raises(SingularNormalizationError):
+            d.b(0.0)
 
     def test_threshold_logic(self):
         d = ScatteringData(A=1.0, gamma=GAMMA,
@@ -355,7 +372,7 @@ class TestProfileJSON:
 
 class TestMagnusSweep:
     @pytest.mark.parametrize("name", ["bump-1", "bump-2", "bump-3", "soliton", "table"])
-    def test_against_dop853(self, name):
+    def test_against_dop853(self, name, monkeypatch):
         prof = oracle_profiles()[name]
         data = ScatteringData.from_profile(prof, analyze=False)
         worst = 0.0
@@ -370,6 +387,15 @@ class TestMagnusSweep:
             phi_minus, phi_plus = dop853_jost(prof, 1j * eta)
             a1 = _wronskian(phi_minus[:, 0], phi_plus[:, 1])
             worst = max(worst, rel_err(data.a1(1j * eta), a1))
+        # off the axis b = S_12 and S_21 come from columns whose small
+        # component grows like exp(2 |Im xi| |x|) across the support, which
+        # turns the reference's absolute tolerance of 1e-13 into a drift of
+        # 5e-9 on the soliton profile (support 20) at 0.5i
+        monkeypatch.setattr(ode, "_ATOL", 1e-22)
+        for xi in (0.9 + 0.2j, -0.9 + 0.2j, 0.5j):
+            want, S = dop853_S(prof, xi), scattering_matrix(prof, xi)
+            worst = max(worst, rel_err(data.b(xi), want[0, 1]),
+                        rel_err(S[0, 1], want[0, 1]), rel_err(S[1, 0], want[1, 0]))
         assert worst < 1e-10
 
     def test_fourth_order(self, monkeypatch):
@@ -427,6 +453,8 @@ class TestBaselineBump:
             thetas.append(abs(complex(xi)))
             return b(xi)
 
+        # the same entry of S on the axis and just off it
+        assert abs(b(0.9 + 1e-300j) - b(0.9)) < 1e-12
         data.b = recording_b
         xi1 = locate_xi1(data)   # raises unless |a1(i xi1)| vanishes
         assert abs(xi1 - BASELINE_XI1) < 1e-8
