@@ -3,9 +3,10 @@
 from steplpd.kernels.quadrature import (
     ContourInterval,
     IntegrationError,
+    IntervalRule,
     QuadratureSpec,
-    cauchy_transform,
-    integrate,
+    gauss_legendre,
+    interval_rule,
     pv_integrate,
 )
 from steplpd.kernels.special import (
@@ -20,9 +21,10 @@ from steplpd.kernels.ode import StiffnessError, ode_integrate
 __all__ = [
     "ContourInterval",
     "IntegrationError",
+    "IntervalRule",
     "QuadratureSpec",
-    "cauchy_transform",
-    "integrate",
+    "gauss_legendre",
+    "interval_rule",
     "pv_integrate",
     "GammaPoleError",
     "complex_gamma",

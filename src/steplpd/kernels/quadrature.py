@@ -1,20 +1,20 @@
-"""Adaptive quadrature for complex-valued integrands on real contours.
+"""Quadrature on real contours.
 
-Three entry points:
-
-* :func:`integrate` -- plain adaptive integration, finite or semi-infinite
-  intervals, complex integrands.
-* :func:`pv_integrate` -- symmetric-excision principal value across a simple
-  pole located strictly inside the interval.
-* :func:`cauchy_transform` -- (1/2*pi*i) * int density(z)/(z - xi) dz over a
-  union of intervals, with Plemelj boundary values (PV part +- half of the
-  density) when xi sits on the contour and a side flag is supplied.
-
-The heavy lifting is delegated to QUADPACK (scipy.integrate.quad), applied
-separately to real and imaginary parts; the principal-value window uses the
-built-in Cauchy weight.  Branch conventions throughout the package: ln and
-non-integer powers are principal (cut along the negative real axis), and
-(xi - lam)**(i*v) inherits the cut along (-inf, lam].
+:func:`interval_rule` maps the n Gauss-Legendre nodes s_k of
+:func:`gauss_legendre` onto one interval: affinely onto a finite [a, b], by
+z = b - (1+s)/(1-s) onto (-inf, b] and z = a + (1+s)/(1-s) onto [a, inf).
+With W_k = w_k |z'(s_k)| an integral is the sum of W_k f(z_k), and
+:meth:`IntervalRule.cauchy` gives (1/2 pi i) int f(z)/(z - xi) dz from f's
+node values: far from the interval the plain sum; near it or on it the sum
+of (f - c g)/(z - xi) plus the closed-form transform of c g, where c is f's
+node interpolant (barycentric in s) at xi's preimage and g(xi) = 1.  g = 1
+on [a, b] (transform c ln((b - xi)/(a - xi))) and g = (p - xi)/(p - z) on a
+half-line, p = b + 1 or a - 1 (transform c Log(xi - b) or -c Log(a - xi)).
+For real xi inside the interval the closed form's +-i pi gives the Plemelj
+value from the side ``side`` = +-1.  QUADPACK (scipy.integrate.quad) is
+left in :func:`pv_integrate` only, for the xi1 trace formula's principal
+value.  Branches throughout the package: ln and non-integer powers are
+principal, and (xi - lam)**(i*v) inherits the cut along (-inf, lam].
 """
 
 from __future__ import annotations
@@ -68,6 +68,100 @@ class ContourInterval:
         return self.lower < x < self.upper
 
 
+# below this Bernstein radius of xi's preimage the Cauchy sum subtracts; above
+# it the plain sum's error is about _SUBTRACT_RADIUS**(-2n), 1e-22 at n = 64
+_SUBTRACT_RADIUS = 1.5
+
+_GAUSS_LEGENDRE: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+
+
+def gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Ascending nodes, weights and barycentric weights (-1)^k sqrt((1 - s_k^2) w_k)
+    (Wang & Xiang, 2012) of the n-point Gauss-Legendre rule on (-1, 1)."""
+    if n not in _GAUSS_LEGENDRE:
+        s, w = np.polynomial.legendre.leggauss(n)
+        arrays = (s, w, (-1.0) ** np.arange(n) * np.sqrt((1.0 - s * s) * w))
+        for a in arrays:   # shared by every rule on n nodes
+            a.setflags(write=False)
+        _GAUSS_LEGENDRE[n] = arrays
+    return _GAUSS_LEGENDRE[n]
+
+
+@dataclass(frozen=True)
+class IntervalRule:
+    """Gauss-Legendre nodes z_k on one contour interval, with weights W_k."""
+
+    interval: ContourInterval
+    s: np.ndarray        # nodes on (-1, 1)
+    z: np.ndarray        # their images on the interval
+    W: np.ndarray        # w_k |z'(s_k)|
+    dzds: np.ndarray     # z'(s_k)
+    bary: np.ndarray     # barycentric weights of the s_k
+
+    def integrate(self, values: np.ndarray) -> complex:
+        """int_I f dz from f's node values."""
+        return complex(np.dot(self.W, values))
+
+    def cauchy(self, values: np.ndarray, xi: complex, side: int | None = None) -> complex:
+        """(1/2 pi i) int_I f(z)/(z - xi) dz from f's node values.
+
+        For real xi strictly inside the interval a side flag is required:
+        +1 for the boundary value from above, -1 from below.
+        """
+        xi = complex(xi)
+        a, b = self.interval.lower, self.interval.upper
+        on = xi.imag == 0.0 and self.interval.contains(xi.real)
+        if on and side not in (+1, -1):
+            raise ValueError("xi lies on the contour: side flag (+1/-1) required")
+        if xi in (a, b):
+            raise ValueError(f"xi = {xi.real:g} is an endpoint of the contour")
+        # preimage s(xi), the subtrahend g and the argument of its transform
+        if np.isfinite(a) and np.isfinite(b):
+            s_xi = (2.0 * xi - a - b) / (b - a)
+            g, dg, arg = 1.0, 0.0, (b - xi) / (a - xi)
+        else:
+            if np.isfinite(b):
+                u, p, arg = b - xi, b + 1.0, xi - b
+            else:
+                u, p, arg = xi - a, a - 1.0, 1.0 / (a - xi)
+            s_xi = (u - 1.0) / (u + 1.0) if u != -1.0 else np.inf
+            g, dg = (p - xi) / (p - self.z), 1.0 / (p - xi)
+        dz = self.z - xi
+        if not abs(s_xi + np.sqrt(s_xi - 1.0) * np.sqrt(s_xi + 1.0)) < _SUBTRACT_RADIUS:
+            return complex(np.dot(self.W, values / dz)) / (2j * np.pi)
+        d = s_xi - self.s
+        if np.any(d == 0):
+            c = complex(values[np.argmin(abs(d))])
+        else:
+            c = complex(np.dot(self.bary / d, values) / np.sum(self.bary / d))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            kernel = (values - c * g) / dz
+        for j in np.flatnonzero(dz == 0):
+            # xi is node j: the summand's limit (f - c g)'(z_j), f' from the interpolant
+            k = np.arange(len(self.s)) != j
+            dp = np.sum(self.bary[k] / self.bary[j] * (values[k] - values[j])
+                        / (self.s[j] - self.s[k]))
+            kernel[j] = dp / self.dzds[j] - c * dg
+        transform = np.log(abs(arg)) + 1j * np.pi * side if on else np.log(arg)
+        return (complex(np.dot(self.W, kernel)) + c * transform) / (2j * np.pi)
+
+
+def interval_rule(interval: ContourInterval, n: int) -> IntervalRule:
+    """n Gauss-Legendre nodes mapped onto the interval."""
+    s, w, bary = gauss_legendre(n)
+    a, b = interval.lower, interval.upper
+    if np.isfinite(a) and np.isfinite(b):
+        z, dzds = 0.5 * (a + b) + 0.5 * (b - a) * s, np.full(n, 0.5 * (b - a))
+    elif np.isfinite(a) or np.isfinite(b):
+        sign = 1.0 if np.isfinite(a) else -1.0
+        z = (a if np.isfinite(a) else b) + sign * (1.0 + s) / (1.0 - s)
+        dzds = sign * 2.0 / (1.0 - s) ** 2
+    else:
+        raise ValueError("split the real line into two half-lines")
+    return IntervalRule(interval=interval, s=s, z=z, W=w * np.abs(dzds), dzds=dzds,
+                        bary=bary)
+
+
 def _quad_complex(f: Callable[[float], complex], a: float, b: float,
                   spec: QuadratureSpec, weight=None, wvar=None) -> complex:
     """QUADPACK on real and imaginary parts, with error accounting."""
@@ -82,13 +176,6 @@ def _quad_complex(f: Callable[[float], complex], a: float, b: float,
         raise IntegrationError(
             f"quadrature error estimate {err:.3e} exceeds tolerance", estimate=val)
     return val
-
-
-def integrate(f: Callable[[float], complex], interval: ContourInterval,
-              spec: QuadratureSpec = DEFAULT_SPEC) -> complex:
-    """Integrate a complex-valued function over a (possibly infinite) interval."""
-    with np.errstate(all="ignore"):
-        return _quad_complex(f, interval.lower, interval.upper, spec)
 
 
 def pv_integrate(f: Callable[[float], complex], singularity: float,
@@ -125,42 +212,3 @@ def pv_integrate(f: Callable[[float], complex], singularity: float,
         if c + w < hi:
             val += _quad_complex(f, c + w, hi, spec)
     return val
-
-
-def cauchy_transform(density: Callable[[float], complex],
-                     intervals: list[ContourInterval] | tuple[ContourInterval, ...],
-                     xi: complex,
-                     spec: QuadratureSpec = DEFAULT_SPEC,
-                     side: int | None = None) -> complex:
-    """(1/2*pi*i) * sum_I int_I density(z)/(z - xi) dz.
-
-    For xi strictly off the closure of the contour the kernel is smooth.  For
-    real xi inside one of the intervals a side flag is required: +1 for the
-    boundary value from above (+i0), -1 from below; the result is then the
-    Plemelj combination PV-part + side * density(xi)/2.
-    """
-    xi = complex(xi)
-    on_contour = None
-    if xi.imag == 0.0:
-        for iv in intervals:
-            if iv.contains(xi.real):
-                on_contour = iv
-                break
-
-    total = 0.0 + 0.0j
-    if on_contour is None:
-        for iv in intervals:
-            total += _quad_complex(lambda z: density(z) / (z - xi),
-                                   iv.lower, iv.upper, spec)
-        return total / (2j * np.pi)
-
-    if side not in (+1, -1):
-        raise ValueError("xi lies on the contour: side flag (+1/-1) required")
-    c = xi.real
-    for iv in intervals:
-        if iv is on_contour:
-            total += pv_integrate(lambda z: density(z) / (z - c), c, iv, spec)
-        else:
-            total += _quad_complex(lambda z: density(z) / (z - c),
-                                   iv.lower, iv.upper, spec)
-    return total / (2j * np.pi) + side * density(c) / 2.0

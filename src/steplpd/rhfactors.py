@@ -6,13 +6,9 @@ by the scalar function
     delta(xi) = exp{ (1/2 pi i) (int_{-inf}^{lam3} + int_{lam2}^{lam1})
                      rho(z)/(z - xi) dz },     rho = ln(1 + r1 r2),
 
-holomorphic off Sigma = (-inf, lam3] u [lam2, lam1], with boundary ratio
-delta+/delta- = 1 + r1 r2 on Sigma and delta -> 1 at infinity.  The branch of
-rho is the continuous one: arg(1 + r1 r2) is accumulated along the real line
-from -inf (winding stays in (-pi, pi) by hypothesis, else the construction
-refuses).
-
-Integration by parts gives the exact product representation
+holomorphic off Sigma = (-inf, lam3] u [lam2, lam1] (mirrored for mu < 0),
+with boundary ratio delta+/delta- = 1 + r1 r2 on Sigma and delta -> 1 at
+infinity.  Integration by parts gives the exact product representation
 
     ln delta = i v1 ln(xi-lam1) - i v2 ln(xi-lam2) + i v3 ln(xi-lam3) + X(xi),
     X(xi) = -(1/2 pi i) int_Sigma ln(xi - z) rho'(z) dz,
@@ -20,6 +16,21 @@ Integration by parts gives the exact product representation
 with v_l = -rho(lam_l)/(2 pi).  The per-saddle regular parts chi_s are read
 off by re-anchoring all three powers at one saddle; chi_s is continuous at
 lam_s and enters the local models and the leading-order coefficients there.
+
+Everything is a weighted sum over one sample of rho per ray, on n and on 2n
+Gauss-Legendre nodes per interval (``kernels.interval_rule``).  1 + r1 r2 is
+evaluated once: at those nodes, the saddles, and n nodes each on the gap
+and on a unit stretch past the finite interval, which carry the winding.
+arg(1 + r1 r2) is unwrapped along the sorted points from the decaying end,
+with midpoints sampled where neighbours differ by more than pi/2; data
+vanishing at a sample, not within 0.5 of arg 0 at that end, or winding out
+of (-pi, pi) is refused.  ln delta is ``IntervalRule.cauchy``'s sum.  At
+its saddle chi_s needs no rho': integrated by parts again, the kernel at an
+end lam* is (rho(z) - rho(lam*))/(lam* - z), and on (-inf, lam3]
+rho(lam3)/(1 + lam3 - z) is subtracted, whose log term int_0^inf ln u/(1+u)^2
+du is 0.  Off it, chi_s is ln delta less the powers.  ln delta(0) and
+chi_s(lam_s) come from both levels; the 2n values are used, the n/2n gaps
+kept as convergence estimates, and a gap above 1e-10 raises IntegrationError.
 """
 
 from __future__ import annotations
@@ -29,7 +40,7 @@ from typing import Callable
 
 import numpy as np
 
-from steplpd.kernels import ContourInterval, QuadratureSpec, cauchy_transform, integrate
+from steplpd.kernels import ContourInterval, IntegrationError, IntervalRule, interval_rule
 from steplpd.phase import PhaseGeometry, Regime
 
 _TWO_PI = 2.0 * np.pi
@@ -43,60 +54,48 @@ class BranchError(RuntimeError):
     """1 + r1 r2 vanishes on the integration contour."""
 
 
-_DELTA_SPEC = QuadratureSpec(abs_tol=1e-11, rel_tol=1e-10)
-# the chi kernels carry finite-difference noise of rho'; their quadrature
-# cannot certify much below ~1e-8 absolute
-_CHI_SPEC = QuadratureSpec(abs_tol=5e-9, rel_tol=1e-8)
-# points of the grid on which the winding of arg(1 + r1 r2) is accumulated
-_WINDING_NODES = 6000
+# Gauss-Legendre nodes per contour interval; the factors are also computed
+# on twice as many, and those values are the ones returned
+_NODES = 64
+# largest n/2n change of ln delta(0) and of each chi_s(lam_s) accepted
+_CONVERGENCE_TOL = 1e-10
+# rounds of midpoint sampling between neighbours whose args differ by > pi/2
+_MAX_BISECTIONS = 40
 # delta is refused this close to a saddle, where it is endpoint-singular
 _ENDPOINT_GUARD = 1e-8
 
 
-# ---------------------------------------------------------------------------
-# winding bookkeeping
-# ---------------------------------------------------------------------------
-
-class _ContinuousLog:
-    """ln(1 + r1 r2) with the argument unwrapped along the line.
-
-    The winding is anchored where the data decays (arg -> 0): at -inf for the
-    positive-mu contour, at +inf for the mirrored one.
-    """
-
-    def __init__(self, w: Callable[[float], complex], x_lo: float, x_hi: float,
-                 anchor: str = "left"):
-        self.w = w
-        grid = np.linspace(x_lo, x_hi, _WINDING_NODES)
-        vals = np.array([w(float(x)) for x in grid])
+def _continuous_log(w: Callable[[float], complex], points: np.ndarray,
+                    anchor_left: bool) -> np.ndarray:
+    """ln w at the points, arg w unwrapped along the line from the decaying
+    end: the leftmost point for positive mu, the rightmost for the mirror."""
+    order = np.argsort(points)
+    x = points[order]
+    vals = np.array([w(float(p)) for p in x], dtype=complex)
+    given = np.ones(len(x), dtype=bool)
+    for _ in range(_MAX_BISECTIONS):
         if np.any(np.abs(vals) < 1e-14):
             raise BranchError("1 + r1 r2 vanishes on the sampling grid")
-        raw = np.angle(vals)
-        unwrapped = np.unwrap(raw)
-        k = 0 if anchor == "left" else -1
-        unwrapped -= unwrapped[k] - raw[k]   # principal value at the decaying end
-        if abs(raw[k]) > 0.5:
-            raise AssumptionViolation("arg(1 + r1 r2) does not settle near 0 at the anchor")
-        if np.max(np.abs(unwrapped)) >= np.pi:
-            raise AssumptionViolation(
-                "accumulated arg(1 + r1 r2) leaves (-pi, pi); refusing to continue")
-        self.grid = grid
-        self.offsets = np.round((unwrapped - raw) / _TWO_PI).astype(int)
-
-    def winding(self, x: float) -> int:
-        if x <= self.grid[0]:
-            return int(self.offsets[0])
-        if x >= self.grid[-1]:
-            return int(self.offsets[-1])
-        idx = int(np.searchsorted(self.grid, x))
-        idx = min(idx, len(self.offsets) - 1)
-        return int(self.offsets[idx])
-
-    def __call__(self, x: float) -> complex:
-        val = self.w(x)
-        if val == 0:
-            raise BranchError(f"1 + r1 r2 vanishes at {x}")
-        return np.log(val) + 2j * np.pi * self.winding(x)
+        steps = np.angle(vals[1:] / vals[:-1])
+        wide = np.flatnonzero(np.abs(steps) > 0.5 * np.pi) + 1
+        if not wide.size:
+            break
+        mids = 0.5 * (x[wide - 1] + x[wide])
+        x, given = np.insert(x, wide, mids), np.insert(given, wide, False)
+        vals = np.insert(vals, wide, [w(float(p)) for p in mids])
+    else:
+        raise BranchError(f"arg(1 + r1 r2) jumps near {x[wide[0]]:.17g}")
+    k = 0 if anchor_left else -1
+    if abs(np.angle(vals[k])) > 0.5:
+        raise AssumptionViolation("arg(1 + r1 r2) does not settle near 0 at the anchor")
+    arg = np.concatenate(([0.0], np.cumsum(steps)))
+    arg += np.angle(vals[k]) - arg[k]
+    if np.max(np.abs(arg)) >= np.pi:
+        raise AssumptionViolation(
+            "accumulated arg(1 + r1 r2) leaves (-pi, pi); refusing to continue")
+    out = np.empty(len(points), dtype=complex)
+    out[order] = (np.log(np.abs(vals)) + 1j * arg)[given]
+    return out
 
 
 def _log_side(z: complex, side: int = +1) -> complex:
@@ -111,18 +110,30 @@ def _log_side(z: complex, side: int = +1) -> complex:
 # delta
 # ---------------------------------------------------------------------------
 
+def _cauchy_sum(level, xi: complex, side: int | None) -> complex:
+    """ln delta from one node level: (rule, rho at its nodes) per interval."""
+    return sum(rule.cauchy(rho, xi, side) for rule, rho in level)
+
+
 @dataclass
 class DeltaFunction:
-    """Evaluator of delta(xi, mu) over the two-interval contour."""
+    """Evaluator of delta(xi, mu) over the two-interval contour.
+
+    ``levels`` pairs each interval's rule with rho at its nodes, on n and
+    on 2n nodes (the 2n level evaluates delta); ``rho_saddles`` is rho(lam_s).
+    """
 
     geometry: PhaseGeometry
-    rho: Callable[[float], complex]
-    intervals: tuple[ContourInterval, ContourInterval]
+    levels: tuple[tuple[tuple[IntervalRule, np.ndarray], ...], ...]
+    rho_saddles: tuple[complex, complex, complex]
     v_values: tuple[complex, complex, complex] = field(init=False)
+    # |ln delta(0)| on n nodes minus on 2n nodes per interval
+    convergence: float = field(init=False)
 
     def __post_init__(self):
-        lam = self.geometry.lambdas
-        self.v_values = tuple(-self.rho(lam[s]) / _TWO_PI for s in range(3))
+        self.v_values = tuple(-r / _TWO_PI for r in self.rho_saddles)
+        coarse, fine = (_cauchy_sum(level, 0.0, None) for level in self.levels)
+        self.convergence = abs(coarse - fine)
 
     def v(self, s: int) -> complex:
         """v(lam_s) = -(1/2pi) ln|1+r1r2| - (i/2pi) * accumulated arg."""
@@ -133,8 +144,7 @@ class DeltaFunction:
             if abs(complex(xi) - lam) < _ENDPOINT_GUARD:
                 raise ValueError(
                     f"delta is endpoint-singular: |xi - {lam:g}| < {_ENDPOINT_GUARD}")
-        return cauchy_transform(self.rho, list(self.intervals), xi,
-                                _DELTA_SPEC, side=side)
+        return _cauchy_sum(self.levels[-1], xi, side)
 
     def eval(self, xi: complex, side: int | None = None) -> complex:
         return np.exp(self.log_delta(xi, side=side))
@@ -154,46 +164,107 @@ def build_delta(data, geometry: PhaseGeometry) -> DeltaFunction:
     """Construct the delta evaluator for three-saddle geometry.
 
     ``data`` needs callables r1, r2 on the real line (ScatteringData or any
-    synthetic stand-in); the continuous-branch log of 1 + r1 r2 is sampled and
-    its winding frozen at build time.
+    synthetic stand-in); the continuous-branch log of 1 + r1 r2 is sampled
+    once, on the nodes.
     """
     if geometry.regime is not Regime.THREE_REAL:
         raise ValueError("delta needs the three-stationary-point regime")
-    lam1, lam2, lam3 = geometry.lam1, geometry.lam2, geometry.lam3
+    lam1, lam2, lam3 = geometry.lambdas
 
     def w(z: float) -> complex:
         return 1.0 + data.r1(z) * data.r2(z)
 
-    span = 8.0 * (abs(lam1) + abs(lam3)) + 50.0
     if geometry.mu > 0:
         # lam3 < 0 < lam2 < lam1: absorb on (-inf, lam3) u (lam2, lam1)
-        clog = _ContinuousLog(w, -span, lam1 + 1.0, anchor="left")
-        intervals = (ContourInterval(-np.inf, lam3),
-                     ContourInterval(lam2, lam1))
+        contour = (ContourInterval(-np.inf, lam3), ContourInterval(lam2, lam1))
+        winding_only = (ContourInterval(lam3, lam2), ContourInterval(lam1, lam1 + 1.0))
     else:
         # mirrored ray: lam1 < lam2 < 0 < lam3, contour (lam1, lam2) u (lam3, inf)
-        clog = _ContinuousLog(w, lam1 - 1.0, span, anchor="right")
-        intervals = (ContourInterval(lam1, lam2),
-                     ContourInterval(lam3, np.inf))
-    return DeltaFunction(geometry=geometry, rho=clog, intervals=intervals)
+        contour = (ContourInterval(lam1, lam2), ContourInterval(lam3, np.inf))
+        winding_only = (ContourInterval(lam1 - 1.0, lam1), ContourInterval(lam2, lam3))
+    rules = [interval_rule(iv, n) for n in (_NODES, 2 * _NODES) for iv in contour]
+    points = [r.z for r in rules] + [np.array(geometry.lambdas)]
+    rho = np.split(_continuous_log(w, np.concatenate(
+        points + [interval_rule(iv, _NODES).z for iv in winding_only]),
+        anchor_left=geometry.mu > 0), np.cumsum([len(z) for z in points]))
+    levels = (tuple(zip(rules[:2], rho[:2])), tuple(zip(rules[2:4], rho[2:4])))
+    delta = DeltaFunction(geometry=geometry, levels=levels, rho_saddles=tuple(rho[4]))
+    if delta.convergence > _CONVERGENCE_TOL:
+        raise IntegrationError(
+            f"build_delta: ln delta(0) changes by {delta.convergence:.1e} from "
+            f"{_NODES} to {2 * _NODES} nodes per interval")
+    return delta
 
 
 # ---------------------------------------------------------------------------
 # saddle exponents: v and the regular parts chi_s
 # ---------------------------------------------------------------------------
 
+def _power_coefficients(s: int, v) -> np.ndarray:
+    """Coefficients of i ln(xi - lam_j), j = 1, 2, 3, in the saddle-s powers."""
+    v1, v2, v3 = v
+    if s not in (1, 2, 3):
+        raise ValueError("saddle index must be 1, 2 or 3")
+    return np.array({1: (v1, -v1, v1), 2: (v2, -v2, v3), 3: (v3, -v3, v3)}[s])
+
+
+def _log_rho_prime(rule: IntervalRule, rho: np.ndarray, xi: float,
+                   rho_lo: complex, rho_hi: complex) -> complex:
+    """int_I ln(xi - z) rho'(z) dz for real xi off I or at a finite end of I,
+    integrated by parts; rho_lo, rho_hi are rho at the ends (rho_lo unused on
+    (-inf, b]) and ln(xi - z) is read from above where xi < z."""
+    a, b = rule.interval.lower, rule.interval.upper
+    finite = np.isfinite(a)
+    if xi == b:
+        h = 1.0 if finite else 1.0 / (1.0 + b - rule.z)
+        out = rule.integrate((rho - rho_hi * h) / (b - rule.z))
+        return out - _log_side(xi - a) * (rho_lo - rho_hi) if finite else out
+    if xi == a:
+        return (rule.integrate((rho - rho_lo) / (a - rule.z))
+                + _log_side(a - b) * (rho_hi - rho_lo))
+    out = _log_side(xi - b) * rho_hi - 2j * np.pi * rule.cauchy(rho, xi)
+    return out - _log_side(xi - a) * rho_lo if finite else out
+
+
+def _chi_at_saddles(level, geometry: PhaseGeometry,
+                    rho_saddles, v) -> tuple[complex, ...]:
+    """chi_s(lam_s), s = 1, 2, 3, from one node level (positive mu).
+
+    chi_s = X + (powers of ln delta - saddle-s powers), whose ln(xi - lam_s)
+    coefficient is 0: that log is left out at lam_s.
+    """
+    at = dict(zip(geometry.lambdas, rho_saddles))
+    whole = np.array(v) * (1, -1, 1)
+    out = []
+    for s, lam in enumerate(geometry.lambdas, start=1):
+        X = -sum(_log_rho_prime(rule, r, lam, at.get(rule.interval.lower, 0.0),
+                                at[rule.interval.upper])
+                 for rule, r in level) / (2j * np.pi)
+        logs = [0.0 if other == lam else _log_side(lam - other) for other in geometry.lambdas]
+        out.append(X + 1j * np.dot(whole - _power_coefficients(s, v), logs))
+    return tuple(out)
+
+
 @dataclass
 class SaddleExponents:
-    """v(lam_s) and the regular parts chi_s."""
+    """v(lam_s) and the regular parts chi_s; ``chi_error`` holds
+    |chi_s(lam_s)| on n nodes minus on 2n nodes per interval."""
 
     geometry: PhaseGeometry
     delta: DeltaFunction
     v: tuple[complex, complex, complex]
     chi_at_saddle: tuple[complex, complex, complex]
-    _chi_x: Callable[[complex, int, int], complex]
+    chi_error: tuple[float, float, float]
+
+    def _powers(self, s: int, xi: complex, side: int) -> complex:
+        logs = [_log_side(complex(xi) - lam, side) for lam in self.geometry.lambdas]
+        return 1j * np.dot(_power_coefficients(s, self.v), logs)
 
     def chi(self, s: int, xi: complex, side: int = +1) -> complex:
-        return self._chi_x(xi, s, side)
+        """chi_s(xi): ln delta less the saddle-s powers (chi0 at lam_s)."""
+        if complex(xi) == self.geometry.lam(s):
+            return self.chi0(s)
+        return _cauchy_sum(self.delta.levels[-1], xi, side) - self._powers(s, xi, side)
 
     def chi0(self, s: int) -> complex:
         """chi_s evaluated at its own saddle (the constant of the local model)."""
@@ -201,102 +272,27 @@ class SaddleExponents:
 
     def product_form(self, s: int, xi: complex, side: int = +1) -> complex:
         """delta(xi) rebuilt from the saddle-s product representation."""
-        lam1, lam2, lam3 = self.geometry.lambdas
-        v1, v2, v3 = self.v
-        L = lambda lam: _log_side(complex(xi) - lam, side)
-        if s == 1:
-            powers = 1j * v1 * (L(lam1) - L(lam2) + L(lam3))
-        elif s == 2:
-            powers = 1j * v3 * L(lam3) - 1j * v2 * (L(lam2) - L(lam1))
-        elif s == 3:
-            powers = 1j * v3 * (L(lam3) - L(lam2) + L(lam1))
-        else:
-            raise ValueError("saddle index must be 1, 2 or 3")
-        return np.exp(powers + self.chi(s, xi, side))
+        return np.exp(self._powers(s, xi, side) + self.chi(s, xi, side))
 
 
 def saddle_exponents(data, geometry: PhaseGeometry,
                      delta: DeltaFunction | None = None) -> SaddleExponents:
-    """v(lam_l) and the chi_s regular parts via the integration-by-parts form."""
+    """v(lam_l) and chi_s(lam_s) from the node sample of rho."""
     if geometry.mu < 0:
         raise ValueError("saddle exponents are built on positive rays; the "
                          "x<0 asymptotics use the mirrored geometry at -mu")
     if delta is None:
         delta = build_delta(data, geometry)
-    lam1, lam2, lam3 = geometry.lambdas
-    rho = delta.rho
-    v1, v2, v3 = (delta.v(s) for s in (1, 2, 3))
-
-    # 4th-order stencil: large enough step that FD noise stays ~1e-12,
-    # small enough that the h^4 truncation is far below the quad tolerance
-    # and that the stencil never reaches the r-singularity at the origin
-    h = min(1e-4 * max(1.0, abs(lam1 - lam3)), 0.1 * abs(lam2), 0.1 * abs(lam3))
-
-    def rho_prime(z: float) -> complex:
-        return (rho(z - 2 * h) - 8.0 * rho(z - h) + 8.0 * rho(z + h)
-                - rho(z + 2 * h)) / (12.0 * h)
-
-    intervals = delta.intervals
-
-    def _piece(xi: complex, iv: ContourInterval, side: int) -> complex:
-        """int_I ln(xi - z) rho'(z) dz, regularized when xi hits an endpoint.
-
-        Near a matching endpoint lam* the log factor is integrable but slow
-        for the quadrature; a second integration by parts against the anchor
-        rho(lam*) trades it for the bounded kernel (rho - rho(lam*))/(xi - z).
-        """
-        a, b = iv.lower, iv.upper
-        near_b = np.isfinite(b) and abs(xi - b) < 1e-3
-        near_a = np.isfinite(a) and abs(xi - a) < 1e-3
-        if not (near_a or near_b):
-            return integrate(lambda z: _log_side(xi - z, side) * rho_prime(z),
-                             iv, _CHI_SPEC)
-        lam_star = b if near_b else a
-        cut = 0.5 * min(1.0, (b - a) if np.isfinite(b - a) else 1.0)
-        lo = lam_star - cut if near_b else lam_star
-        hi = lam_star if near_b else lam_star + cut
-        rho_star = rho(lam_star)
-
-        def kernel(z: float) -> complex:
-            dz = complex(xi) - z
-            if abs(dz) < 1e-13:
-                return -rho_prime(z)
-            return (rho(z) - rho_star) / dz
-
-        inner = integrate(kernel, ContourInterval(lo, hi), _CHI_SPEC)
-        if near_b:
-            inner -= _log_side(xi - lo, side) * (rho(lo) - rho_star)
-            outer_iv = ContourInterval(a, lo) if a < lo else None
-        else:
-            inner += _log_side(xi - hi, side) * (rho(hi) - rho_star)
-            outer_iv = ContourInterval(hi, b) if hi < b else None
-        if outer_iv is not None:
-            inner += integrate(lambda z: _log_side(xi - z, side) * rho_prime(z),
-                               outer_iv, _CHI_SPEC)
-        return inner
-
-    def X(xi: complex, side: int = +1) -> complex:
-        xi = complex(xi)
-        total = 0.0 + 0.0j
-        for iv in intervals:
-            total += _piece(xi, iv, side)
-        return -total / (2j * np.pi)
-
-    def chi_x(xi: complex, s: int, side: int = +1) -> complex:
-        L = lambda lam: _log_side(complex(xi) - lam, side)
-        if s == 1:
-            extra = 1j * (v1 - v2) * L(lam2) + 1j * (v3 - v1) * L(lam3)
-        elif s == 2:
-            extra = 1j * (v1 - v2) * L(lam1)
-        elif s == 3:
-            extra = 1j * (v1 - v3) * L(lam1) + 1j * (v3 - v2) * L(lam2)
-        else:
-            raise ValueError("saddle index must be 1, 2 or 3")
-        return extra + X(xi, side)
-
-    chi0 = tuple(chi_x(geometry.lam(s), s, +1) for s in (1, 2, 3))
-    return SaddleExponents(geometry=geometry, delta=delta, v=(v1, v2, v3),
-                           chi_at_saddle=chi0, _chi_x=chi_x)
+    coarse, fine = (_chi_at_saddles(level, geometry, delta.rho_saddles, delta.v_values)
+                    for level in delta.levels)
+    errors = tuple(abs(c - f) for c, f in zip(coarse, fine))
+    for s, err in enumerate(errors, start=1):
+        if err > _CONVERGENCE_TOL:
+            raise IntegrationError(
+                f"saddle_exponents: chi_{s}(lam_{s}) changes by {err:.1e} from "
+                f"{_NODES} to {2 * _NODES} nodes per interval")
+    return SaddleExponents(geometry=geometry, delta=delta, v=delta.v_values,
+                           chi_at_saddle=fine, chi_error=errors)
 
 
 # ---------------------------------------------------------------------------

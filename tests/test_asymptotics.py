@@ -363,3 +363,26 @@ class TestQAsymptotic:
             chain = -2.0 * xi1 * (1j * c0**2 / xi1) * xr[1, 0] / (lam * (lam - 1j * xi1))
             n_term = res.leading_terms[2 * (s - 1)].at(t)
             assert abs(chain - n_term) < 1e-12 * abs(n_term), s
+
+
+class TestFormerIntegrationFailures:
+    """Rays on which the QUADPACK chi route raised IntegrationError."""
+
+    @staticmethod
+    def _golden_step_ray(k: int) -> tuple[float, int]:
+        # pure-step ray k of the benchmark's golden-ratio mu sequence over
+        # (0.1, 0.9) mu_max; rays alternate four on x > 0, four on x < 0
+        mu_max = np.sqrt(1.0 / (27.0 * GAMMA))
+        u = (k * (5 ** 0.5 - 1) / 2) % 1.0
+        return mu_max * (0.1 + (0.9 - 0.1) * u), 1 if k % 8 < 4 else -1
+
+    @pytest.mark.parametrize("A_step, ray", [
+        (1.8889706235148884, (0.22594616255258781, 1)),
+        (2.0, 101), (2.0, 119), (2.0, 369), (2.0, 399)])
+    def test_finite_q(self, A_step, ray):
+        mu, sign = ray if isinstance(ray, tuple) else self._golden_step_ray(ray)
+        data = ScatteringData.pure_step(A_step, GAMMA)
+        locate_xi1(data)
+        res = q_asymptotic(sign * mu * 100.0, 100.0, data)
+        values = [res.value(sign * mu * t, t) for t in (100.0, 1e3, 1e4)]
+        assert all(np.isfinite(v) for v in values)

@@ -26,17 +26,19 @@ def _coerce(tok):
 
 # data rows of `asymptote --A 2 --mu 0.3 0.5 0.8 --t 100 1000 10000`, so a
 # refactor shows its output unchanged: re_q, im_q and abs_q at 1e-13
-# relative, the rest exactly
+# relative, the rest exactly.  Recorded from the Gauss-node chi_s; the same
+# rows with chi_s(lam_s) from the 30-digit reference of
+# test_rhfactors::TestPureStepReference agree within 2.2e-14 relative.
 ASYMPTOTE_GOLDEN = (
-    (30, 100, 1.3793111047493138, 1.7453161463045863, 2.2245510949933842, "x>0:I2", -1),
-    (300, 1000, 0.37598614307522205, 1.9316472608090967, 1.9678990624460055, "x>0:I2", -1),
-    (3000, 10000, 0.64571626537555316, 1.8860467914455208, 1.9935200011267746, "x>0:I2", -1),
-    (50, 100, 1.6478227764793658, 1.1757763279951676, 2.0242949083959991, "x>0:I2", -1),
-    (500, 1000, 1.5289747986339084, 1.267082448710884, 1.985764806488616, "x>0:I2", -1),
-    (5000, 10000, 1.5555222565776656, 1.2476115969925088, 1.9940371580436187, "x>0:I2", -1),
-    (80, 100, 1.8607670702910184, 0.62961061948810748, 1.9643990485773553, "x>0:I2", -1),
-    (800, 1000, 1.9256349382668145, 0.49952850700236179, 1.9893714195146786, "x>0:I2", -1),
-    (8000, 10000, 1.9350921015737657, 0.48596016680298593, 1.9951788705006774, "x>0:I2", -1),
+    (30, 100, 1.3793111069934887, 1.7453161459915416, 2.2245510961392574, "x>0:I2", -1),
+    (300, 1000, 0.3759861434784269, 1.9316472606953383, 1.967899062411379, "x>0:I2", -1),
+    (3000, 10000, 0.64571626564060824, 1.8860467913872407, 1.9935200011574898, "x>0:I2", -1),
+    (50, 100, 1.6478227775124175, 1.1757763270664818, 2.0242949086975162, "x>0:I2", -1),
+    (500, 1000, 1.5289747983473896, 1.2670824489570451, 1.985764806425077, "x>0:I2", -1),
+    (5000, 10000, 1.5555222566159081, 1.2476115969565784, 1.9940371580509706, "x>0:I2", -1),
+    (80, 100, 1.8607670701941352, 0.62961061975435406, 1.964399048570918, "x>0:I2", -1),
+    (800, 1000, 1.9256349383168925, 0.4995285069203339, 1.9893714195425549, "x>0:I2", -1),
+    (8000, 10000, 1.9350921015770794, 0.48596016680528609, 1.9951788705044518, "x>0:I2", -1),
 )
 
 

@@ -1,17 +1,16 @@
-"""Quadrature, special functions, cubic roots and the ODE kernel."""
+"""Node rules and principal values, special functions, cubic roots and the ODE kernel."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from steplpd.kernels import (
     ContourInterval,
     QuadratureSpec,
-    cauchy_transform,
     complex_gamma,
     cubic_real_roots,
     erfc_complex,
-    integrate,
+    interval_rule,
     ode_integrate,
     parabolic_cylinder_D,
     pv_integrate,
@@ -19,34 +18,44 @@ from steplpd.kernels import (
 from steplpd.kernels.special import GammaPoleError, reciprocal_gamma
 
 SPEC = QuadratureSpec()
+# nodes of the Gauss-Legendre rules under test
+N = 64
 
 
 class TestIntegrate:
+    """The Gauss-Legendre node rule on finite intervals and half-lines."""
+
     def test_constant(self):
-        assert abs(integrate(lambda x: 1.0 + 0j, ContourInterval(0, 1)) - 1.0) < 1e-12
+        rule = interval_rule(ContourInterval(0, 1), N)
+        assert abs(rule.integrate(np.ones(N)) - 1.0) < 1e-12
 
     def test_gaussian(self):
-        val = integrate(lambda x: np.exp(-x * x) + 0j,
-                        ContourInterval(-np.inf, np.inf))
+        val = sum(rule.integrate(np.exp(-rule.z ** 2) + 0j)
+                  for rule in (interval_rule(ContourInterval(-np.inf, 0.0), N),
+                               interval_rule(ContourInterval(0.0, np.inf), N)))
         assert abs(val - np.sqrt(np.pi)) < 1e-10
 
     def test_full_period_oscillation(self):
-        val = integrate(lambda x: np.exp(1j * x), ContourInterval(0, 2 * np.pi))
-        assert abs(val) < 1e-10
+        rule = interval_rule(ContourInterval(0, 2 * np.pi), N)
+        assert abs(rule.integrate(np.exp(1j * rule.z))) < 1e-10
 
     @settings(max_examples=25, deadline=None)
     @given(st.floats(-3, 3), st.floats(-3, 3))
     def test_linearity(self, a, b):
-        f = lambda x: np.exp(-x * x) + 0j
-        g = lambda x: np.cos(x) * np.exp(-abs(x) / 2) + 0j
-        iv = ContourInterval(-4.0, 4.0)
-        lhs = integrate(lambda x: a * f(x) + b * g(x), iv)
-        rhs = a * integrate(f, iv) + b * integrate(g, iv)
+        rule = interval_rule(ContourInterval(-4.0, 4.0), N)
+        f = np.exp(-rule.z ** 2) + 0j
+        g = np.cos(rule.z) * np.exp(-abs(rule.z) / 2) + 0j
+        lhs = rule.integrate(a * f + b * g)
+        rhs = a * rule.integrate(f) + b * rule.integrate(g)
         assert abs(lhs - rhs) < 1e-8 * (1 + abs(a) + abs(b))
 
     def test_bad_interval(self):
         with pytest.raises(ValueError):
             ContourInterval(2.0, 1.0)
+
+    def test_whole_line_refused(self):
+        with pytest.raises(ValueError):
+            interval_rule(ContourInterval(-np.inf, np.inf), N)
 
 
 class TestPrincipalValue:
@@ -75,30 +84,85 @@ class TestPrincipalValue:
             pv_integrate(lambda x: 1.0 / x, 0.0, ContourInterval(0.0, 1.0))
 
 
+def _exp_cauchy(xi: complex, side: int = +1) -> complex:
+    """(1/2 pi i) int_0^1 e^z/(z - xi) dz: mpmath on the entire part
+    (e^z - e^xi)/(z - xi), plus e^xi ln((1 - xi)/(-xi)) in closed form."""
+    import mpmath as mp
+
+    with mp.workdps(30):
+        x = mp.mpc(xi)
+        smooth = mp.quad(lambda z: (mp.exp(z) - mp.exp(x)) / (z - x), [0, 1])
+        if xi.imag == 0.0:
+            log = mp.log((1 - x.real) / x.real) + 1j * mp.pi * side
+        else:
+            log = mp.log((1 - x) / (-x))
+        return complex((smooth + mp.exp(x) * log) / (2j * mp.pi))
+
+
 class TestCauchyTransform:
+    """IntervalRule.cauchy: plain sums far off, subtraction near and on."""
+
     def test_zero_density(self):
+        rule = interval_rule(ContourInterval(0, 1), N)
         for xi in (2.0 + 0j, -1j, 0.5 + 0.5j):
-            assert cauchy_transform(lambda z: 0.0 + 0j, [ContourInterval(0, 1)],
-                                    xi) == 0
+            assert rule.cauchy(np.zeros(N, dtype=complex), xi) == 0
 
     def test_unit_density_closed_form(self):
         # (1/2 pi i) int_0^1 dz/(z - 2) = -ln 2/(2 pi i); oracle from the
         # antiderivative ln(z - xi)
-        val = cauchy_transform(lambda z: 1.0 + 0j, [ContourInterval(0, 1)], 2.0 + 0j)
+        val = interval_rule(ContourInterval(0, 1), N).cauchy(np.ones(N), 2.0 + 0j)
         assert abs(val - (-np.log(2.0) / (2j * np.pi))) < 1e-12
 
     @settings(max_examples=20, deadline=None)
     @given(st.floats(0.15, 0.85), st.floats(-2, 2), st.floats(-2, 2))
+    @example(0.5, 1.0, -1.0)
     def test_plemelj_jump(self, x0, c1, c2):
+        rule = interval_rule(ContourInterval(0, 1), N)
         density = lambda z: np.exp(c1 * z) + 1j * c2 * z * z
-        iv = [ContourInterval(0, 1)]
-        up = cauchy_transform(density, iv, x0, side=+1)
-        dn = cauchy_transform(density, iv, x0, side=-1)
+        up = rule.cauchy(density(rule.z), x0, side=+1)
+        dn = rule.cauchy(density(rule.z), x0, side=-1)
         assert abs((up - dn) - density(x0)) < 1e-9 * (1 + abs(density(x0)))
 
     def test_side_flag_required(self):
         with pytest.raises(ValueError):
-            cauchy_transform(lambda z: 1.0 + 0j, [ContourInterval(0, 1)], 0.5)
+            interval_rule(ContourInterval(0, 1), N).cauchy(np.ones(N), 0.5)
+
+    def test_near_contour(self):
+        # 1e-6 off the interval, and on it from either side
+        rule = interval_rule(ContourInterval(0, 1), N)
+        for xi, side in ((0.5 + 1e-6j, None), (0.5 - 1e-6j, None), (0.3, +1), (0.3, -1)):
+            val = rule.cauchy(np.exp(rule.z), xi, side)
+            assert abs(val - _exp_cauchy(complex(xi), side or 1)) < 1e-12, xi
+
+    def test_xi_at_a_node(self):
+        # the summand at a node hit by xi is the interpolant's derivative
+        rule = interval_rule(ContourInterval(0, 1), N)
+        xi = float(rule.z[N // 3])
+        for side in (+1, -1):
+            val = rule.cauchy(np.exp(rule.z), xi, side)
+            assert abs(val - _exp_cauchy(complex(xi), side)) < 1e-12
+
+    def test_half_line(self):
+        # density 1/(1 + z^2) on (-inf, -1] and on its mirror [1, inf)
+        import mpmath as mp
+
+        for iv, x0 in ((ContourInterval(-np.inf, -1.0), -2.0),
+                       (ContourInterval(1.0, np.inf), 2.0)):
+            rule = interval_rule(iv, N)
+            f = 1.0 / (1.0 + rule.z ** 2)
+            for xi in (0.3 + 0.4j, x0 + 1e-6j, 1e3 + 0j, -1e3 + 0j):
+                if iv.contains(xi.real) and xi.imag == 0.0:
+                    continue
+                with mp.workdps(30):
+                    want = complex(mp.quad(lambda z: 1 / ((1 + z * z) * (z - mp.mpc(xi))),
+                                           [iv.lower, x0, iv.upper]) / (2j * mp.pi))
+                assert abs(rule.cauchy(f, xi) - want) < 1e-12, (iv, xi)
+            up, dn = rule.cauchy(f, x0, +1), rule.cauchy(f, x0, -1)
+            assert abs((up - dn) - 1.0 / (1.0 + x0 * x0)) < 1e-12
+
+    def test_endpoint_refused(self):
+        with pytest.raises(ValueError):
+            interval_rule(ContourInterval(0, 1), N).cauchy(np.ones(N), 1.0)
 
 
 class TestComplexGamma:

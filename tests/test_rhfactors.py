@@ -102,6 +102,18 @@ class TestDelta:
         with pytest.raises(AssumptionViolation):
             build_delta(bad, geom)
 
+    def test_winding_refined_between_samples(self):
+        # arg w = 3 sin(24 z) exp(-z^2) turns by up to 3.3 rad between these
+        # samples, so a plain unwrap slips by 2 pi; midpoint sampling does not
+        from steplpd.rhfactors import _continuous_log
+
+        phase = lambda z: 3.0 * np.sin(24.0 * z) * np.exp(-z * z)
+        x = np.linspace(4.0, -4.0, 161)
+        assert np.abs(np.unwrap(phase(x)) - phase(x)).max() > 6.0
+        for anchor_left in (True, False):
+            rho = _continuous_log(lambda z: np.exp(1j * phase(z)), x, anchor_left)
+            assert np.abs(rho - 1j * phase(x)).max() < 1e-12
+
 
 class TestSaddleExponents:
     def test_im_v_zero_for_pure_step(self, exponents):
@@ -137,6 +149,122 @@ class TestSaddleExponents:
         geom_m = stationary_points(-0.5, GAMMA)
         with pytest.raises(ValueError):
             saddle_exponents(step_data, geom_m)
+
+
+class TestPureStepReference:
+    """ln delta(0), v and chi_s(lam_s) against mpmath at 30 digits.
+
+    The reference integrates the definitions on the closed form
+    rho = ln(4 xi^2/(4 xi^2 + A^2)): the Cauchy integral at 0 and
+    X(lam_s) = -(1/2 pi i) int ln(lam_s - z) rho'(z) dz with the exact rho',
+    no integration by parts.
+    """
+
+    @staticmethod
+    def reference(geometry):
+        import mpmath as mp
+
+        with mp.workdps(30):
+            lam = [mp.mpf(x) for x in geometry.lambdas]
+            a2 = mp.mpf(A) ** 2
+            rho = lambda z: mp.log(4 * z * z / (4 * z * z + a2))
+            drho = lambda z: 2 / z - 8 * z / (4 * z * z + a2)
+            L = lambda x: mp.log(-x) + 1j * mp.pi if x < 0 else mp.log(x)
+            sigma = ([-mp.inf, lam[2]], [lam[1], lam[0]])
+            log_delta0 = sum(mp.quad(lambda z: rho(z) / z, iv) for iv in sigma) / (2j * mp.pi)
+            v1, v2, v3 = v = [-rho(x) / (2 * mp.pi) for x in lam]
+            chi = []
+            for s in (1, 2, 3):
+                ls = lam[s - 1]
+                X = -sum(mp.quad(lambda z: L(ls - z) * drho(z), iv)
+                         for iv in sigma) / (2j * mp.pi)
+                re_anchor = {
+                    1: 1j * (v1 - v2) * L(ls - lam[1]) + 1j * (v3 - v1) * L(ls - lam[2]),
+                    2: 1j * (v1 - v2) * L(ls - lam[0]),
+                    3: 1j * (v1 - v3) * L(ls - lam[0]) + 1j * (v3 - v2) * L(ls - lam[1])}
+                chi.append(X + re_anchor[s])
+            return complex(log_delta0), [complex(x) for x in v], [complex(x) for x in chi]
+
+    @pytest.mark.parametrize("mu", (0.3, 0.5, 0.8))
+    def test_against_mpmath(self, step_data, mu):
+        geom = stationary_points(mu, GAMMA)
+        exps = saddle_exponents(step_data, geom)
+        log_delta0, v, chi = self.reference(geom)
+        assert abs(np.log(exps.delta.at_zero()) - log_delta0) < 1e-13
+        for s in (1, 2, 3):
+            assert abs(exps.v[s - 1] - v[s - 1]) < 1e-13
+            assert abs(exps.chi0(s) - chi[s - 1]) < 1e-13, (s, exps.chi0(s) - chi[s - 1])
+
+
+class TestNodeConvergence:
+    def test_estimates_on_result(self, delta, exponents):
+        assert 0 <= delta.convergence < 1e-10
+        assert len(exponents.chi_error) == 3 and max(exponents.chi_error) < 1e-10
+
+    def test_unconverged_sample_raises(self, step_data, monkeypatch):
+        # a tolerance no sum can meet makes both stages fail, by name
+        from steplpd import rhfactors
+        from steplpd.kernels.quadrature import IntegrationError
+
+        geom = stationary_points(0.4, GAMMA)
+        delta = build_delta(step_data, geom)
+        monkeypatch.setattr(rhfactors, "_CONVERGENCE_TOL", -1.0)
+        with pytest.raises(IntegrationError, match="build_delta"):
+            build_delta(step_data, geom)
+        with pytest.raises(IntegrationError, match="saddle_exponents"):
+            saddle_exponents(step_data, geom, delta)
+
+
+BUMP = {"A": 1.0, "gamma": GAMMA,
+        "perturbation": {"kind": "gaussian-bump", "amplitude": 0.1,
+                         "center": 0.2, "width": 0.3}}
+
+
+class TestPerturbedProfile:
+    """The Baseline bump (case 1) through delta, chi_s and `asymptote`."""
+
+    @pytest.fixture(scope="class")
+    def bump(self):
+        from steplpd.scattering import InitialProfile, classify_case
+
+        profile = InitialProfile.gaussian_bump(BUMP["A"], GAMMA, 0.1, 0.2, 0.3)
+        data = ScatteringData.from_profile(profile, analyze=False)
+        classify_case(data)
+        locate_xi1(data)
+        geom = stationary_points(0.3, GAMMA)
+        exps = saddle_exponents(data, geom)
+        return data, geom, exps
+
+    def test_delta_suite(self, bump):
+        # criterion 5's checks and tolerances on perturbed data
+        data, geom, exps = bump
+        delta = exps.delta
+        for xi0 in (0.5 * (geom.lam2 + geom.lam1), geom.lam3 - 1.0):
+            ratio = delta.eval(xi0, side=+1) / delta.eval(xi0, side=-1)
+            assert abs(ratio - data.one_plus_r1r2(xi0)) < 1e-6
+        for s in (1, 2, 3):
+            for xi in (0.9 + 0.4j, -2.0 + 0.15j, 2.4 - 0.3j, 0.0, 3.5):
+                assert abs(exps.product_form(s, xi) - delta.eval(xi)) < 1e-5
+            assert abs(exps.chi(s, geom.lam(s) + 1e-7j) - exps.chi0(s)) < 1e-5
+
+    def test_node_convergence(self, bump):
+        _, _, exps = bump
+        assert exps.delta.convergence < 1e-10
+        assert max(exps.chi_error) < 1e-10
+
+    def test_asymptote_cli(self, tmp_path):
+        import json
+
+        from steplpd.cli import main
+
+        cfg = tmp_path / "bump.json"
+        cfg.write_text(json.dumps(BUMP))
+        out = tmp_path / "out.csv"
+        assert main(["--out", str(out), "asymptote", "--config", str(cfg),
+                     "--mu", "0.3", "--t", "100", "1000"]) == 0
+        rows = [ln.split(",") for ln in out.read_text().splitlines()[2:]]
+        assert len(rows) == 2
+        assert all(np.isfinite(float(tok)) for row in rows for tok in row[:5])
 
 
 class TestJumpMatrices:
