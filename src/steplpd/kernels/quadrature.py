@@ -3,7 +3,11 @@
 :func:`interval_rule` maps the n Gauss-Legendre nodes s_k of
 :func:`gauss_legendre` onto one interval: affinely onto a finite [a, b], by
 z = b - (1+s)/(1-s) onto (-inf, b] and z = a + (1+s)/(1-s) onto [a, inf).
-With W_k = w_k |z'(s_k)| an integral is the sum of W_k f(z_k), and
+A finite interval of one sign is mapped geometrically instead,
+z = a (b/a)^((1+s)/2): the nodes cluster toward the end nearer 0, where the
+package's densities are singular (r ~ 1/xi), and a ln z singularity at 0
+becomes linear in s.  With
+W_k = w_k |z'(s_k)| an integral is the sum of W_k f(z_k), and
 :meth:`IntervalRule.cauchy` gives (1/2 pi i) int f(z)/(z - xi) dz from f's
 node values: far from the interval the plain sum; near it or on it the sum
 of (f - c g)/(z - xi) plus the closed-form transform of c g, where c is f's
@@ -20,6 +24,7 @@ principal, and (xi - lam)**(i*v) inherits the cut along (-inf, lam].
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -72,19 +77,16 @@ class ContourInterval:
 # it the plain sum's error is about _SUBTRACT_RADIUS**(-2n), 1e-22 at n = 64
 _SUBTRACT_RADIUS = 1.5
 
-_GAUSS_LEGENDRE: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
 
-
+@lru_cache(maxsize=None)
 def gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Ascending nodes, weights and barycentric weights (-1)^k sqrt((1 - s_k^2) w_k)
     (Wang & Xiang, 2012) of the n-point Gauss-Legendre rule on (-1, 1)."""
-    if n not in _GAUSS_LEGENDRE:
-        s, w = np.polynomial.legendre.leggauss(n)
-        arrays = (s, w, (-1.0) ** np.arange(n) * np.sqrt((1.0 - s * s) * w))
-        for a in arrays:   # shared by every rule on n nodes
-            a.setflags(write=False)
-        _GAUSS_LEGENDRE[n] = arrays
-    return _GAUSS_LEGENDRE[n]
+    s, w = np.polynomial.legendre.leggauss(n)
+    arrays = (s, w, (-1.0) ** np.arange(n) * np.sqrt((1.0 - s * s) * w))
+    for a in arrays:   # shared by every rule on n nodes
+        a.setflags(write=False)
+    return arrays
 
 
 @dataclass(frozen=True)
@@ -95,8 +97,8 @@ class IntervalRule:
     s: np.ndarray        # nodes on (-1, 1)
     z: np.ndarray        # their images on the interval
     W: np.ndarray        # w_k |z'(s_k)|
-    dzds: np.ndarray     # z'(s_k)
     bary: np.ndarray     # barycentric weights of the s_k
+    geometric: bool      # ln|z|, not z, is affine in s
 
     def integrate(self, values: np.ndarray) -> complex:
         """int_I f dz from f's node values."""
@@ -106,51 +108,49 @@ class IntervalRule:
         """(1/2 pi i) int_I f(z)/(z - xi) dz from f's node values.
 
         For real xi strictly inside the interval a side flag is required:
-        +1 for the boundary value from above, -1 from below.
+        +1 for the boundary value from above, -1 from below.  xi at an end
+        or at a node is refused.
         """
         xi = complex(xi)
         a, b = self.interval.lower, self.interval.upper
         on = xi.imag == 0.0 and self.interval.contains(xi.real)
         if on and side not in (+1, -1):
             raise ValueError("xi lies on the contour: side flag (+1/-1) required")
-        if xi in (a, b):
-            raise ValueError(f"xi = {xi.real:g} is an endpoint of the contour")
+        dz = self.z - xi
+        if xi in (a, b) or not np.all(dz):
+            raise ValueError(f"xi = {xi.real:.17g} is an end or a node of the rule")
         # preimage s(xi), the subtrahend g and the argument of its transform
         if np.isfinite(a) and np.isfinite(b):
-            s_xi = (2.0 * xi - a - b) / (b - a)
-            g, dg, arg = 1.0, 0.0, (b - xi) / (a - xi)
+            if self.geometric:
+                s_xi = 2.0 * np.log(xi / a) / np.log(b / a) - 1.0 if xi != 0 else np.inf
+            else:
+                s_xi = (2.0 * xi - a - b) / (b - a)
+            g, arg = 1.0, (b - xi) / (a - xi)
         else:
             if np.isfinite(b):
                 u, p, arg = b - xi, b + 1.0, xi - b
             else:
                 u, p, arg = xi - a, a - 1.0, 1.0 / (a - xi)
             s_xi = (u - 1.0) / (u + 1.0) if u != -1.0 else np.inf
-            g, dg = (p - xi) / (p - self.z), 1.0 / (p - xi)
-        dz = self.z - xi
+            g = (p - xi) / (p - self.z)
         if not abs(s_xi + np.sqrt(s_xi - 1.0) * np.sqrt(s_xi + 1.0)) < _SUBTRACT_RADIUS:
             return complex(np.dot(self.W, values / dz)) / (2j * np.pi)
-        d = s_xi - self.s
-        if np.any(d == 0):
-            c = complex(values[np.argmin(abs(d))])
-        else:
-            c = complex(np.dot(self.bary / d, values) / np.sum(self.bary / d))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            kernel = (values - c * g) / dz
-        for j in np.flatnonzero(dz == 0):
-            # xi is node j: the summand's limit (f - c g)'(z_j), f' from the interpolant
-            k = np.arange(len(self.s)) != j
-            dp = np.sum(self.bary[k] / self.bary[j] * (values[k] - values[j])
-                        / (self.s[j] - self.s[k]))
-            kernel[j] = dp / self.dzds[j] - c * dg
+        c = complex(np.dot(self.bary / (s_xi - self.s), values)
+                    / np.sum(self.bary / (s_xi - self.s)))
         transform = np.log(abs(arg)) + 1j * np.pi * side if on else np.log(arg)
-        return (complex(np.dot(self.W, kernel)) + c * transform) / (2j * np.pi)
+        return (complex(np.dot(self.W, (values - c * g) / dz)) + c * transform) / (2j * np.pi)
 
 
 def interval_rule(interval: ContourInterval, n: int) -> IntervalRule:
-    """n Gauss-Legendre nodes mapped onto the interval."""
+    """n Gauss-Legendre nodes mapped onto the interval, evenly in ln|z| when
+    it is finite and of one sign."""
     s, w, bary = gauss_legendre(n)
     a, b = interval.lower, interval.upper
-    if np.isfinite(a) and np.isfinite(b):
+    geometric = bool(np.isfinite(a * b) and a * b > 0)
+    if geometric:
+        z = a * (b / a) ** (0.5 * (1.0 + s))
+        dzds = 0.5 * np.log(b / a) * z
+    elif np.isfinite(a) and np.isfinite(b):
         z, dzds = 0.5 * (a + b) + 0.5 * (b - a) * s, np.full(n, 0.5 * (b - a))
     elif np.isfinite(a) or np.isfinite(b):
         sign = 1.0 if np.isfinite(a) else -1.0
@@ -158,8 +158,8 @@ def interval_rule(interval: ContourInterval, n: int) -> IntervalRule:
         dzds = sign * 2.0 / (1.0 - s) ** 2
     else:
         raise ValueError("split the real line into two half-lines")
-    return IntervalRule(interval=interval, s=s, z=z, W=w * np.abs(dzds), dzds=dzds,
-                        bary=bary)
+    return IntervalRule(interval=interval, s=s, z=z, W=w * np.abs(dzds), bary=bary,
+                        geometric=geometric)
 
 
 def _quad_complex(f: Callable[[float], complex], a: float, b: float,

@@ -18,19 +18,22 @@ off by re-anchoring all three powers at one saddle; chi_s is continuous at
 lam_s and enters the local models and the leading-order coefficients there.
 
 Everything is a weighted sum over one sample of rho per ray, on n and on 2n
-Gauss-Legendre nodes per interval (``kernels.interval_rule``).  1 + r1 r2 is
-evaluated once: at those nodes, the saddles, and n nodes each on the gap
-and on a unit stretch past the finite interval, which carry the winding.
-arg(1 + r1 r2) is unwrapped along the sorted points from the decaying end,
-with midpoints sampled where neighbours differ by more than pi/2; data
-vanishing at a sample, not within 0.5 of arg 0 at that end, or winding out
-of (-pi, pi) is refused.  ln delta is ``IntervalRule.cauchy``'s sum.  At
-its saddle chi_s needs no rho': integrated by parts again, the kernel at an
-end lam* is (rho(z) - rho(lam*))/(lam* - z), and on (-inf, lam3]
-rho(lam3)/(1 + lam3 - z) is subtracted, whose log term int_0^inf ln u/(1+u)^2
-du is 0.  Off it, chi_s is ln delta less the powers.  ln delta(0) and
-chi_s(lam_s) come from both levels; the 2n values are used, the n/2n gaps
-kept as convergence estimates, and a gap above 1e-10 raises IntegrationError.
+Gauss-Legendre nodes per interval (``kernels.interval_rule``): the nodes lie
+geometrically on the finite interval, whose end nearer 0 sits about mu/2
+from rho's log singularity at the origin, and as z = lam3 - (1+s)/(1-s) on
+the half-line.  1 + r1 r2 is evaluated once: at those nodes, the saddles,
+and n nodes each on the gap and on a unit stretch past the finite interval,
+which carry the winding.  arg(1 + r1 r2) is unwrapped along the sorted
+points from the decaying end, with midpoints sampled where neighbours differ
+by more than pi/2; data vanishing at a sample, not within 0.5 of arg 0 at
+that end, or winding out of (-pi, pi) is refused.  ln delta is
+``IntervalRule.cauchy``'s sum.  chi_s needs no rho': X is integrated by
+parts, to boundary logs plus the Cauchy sum off the ends, and at an end lam*
+to the kernel (rho(z) - rho(lam*))/(lam* - z), with rho(lam3)/(1 + lam3 - z)
+subtracted on (-inf, lam3], whose log term int_0^inf ln u/(1+u)^2 du is 0.
+ln delta(0) and chi_s(lam_s) come from both levels; the 2n values are used,
+the n/2n gaps kept as convergence estimates, and a gap above 1e-10 raises
+IntegrationError.
 """
 
 from __future__ import annotations
@@ -208,11 +211,12 @@ def _power_coefficients(s: int, v) -> np.ndarray:
     return np.array({1: (v1, -v1, v1), 2: (v2, -v2, v3), 3: (v3, -v3, v3)}[s])
 
 
-def _log_rho_prime(rule: IntervalRule, rho: np.ndarray, xi: float,
-                   rho_lo: complex, rho_hi: complex) -> complex:
-    """int_I ln(xi - z) rho'(z) dz for real xi off I or at a finite end of I,
-    integrated by parts; rho_lo, rho_hi are rho at the ends (rho_lo unused on
-    (-inf, b]) and ln(xi - z) is read from above where xi < z."""
+def _log_rho_prime(rule: IntervalRule, rho: np.ndarray, xi: complex,
+                   rho_lo: complex, rho_hi: complex, side: int) -> complex:
+    """int_I ln(xi - z) rho'(z) dz integrated by parts; rho_lo, rho_hi are rho
+    at the ends (rho_lo unused on (-inf, b]) and ln(xi - z) is read from the
+    side ``side`` where xi - z < 0.  At a finite end lam* the kernel is
+    (rho(z) - rho(lam*))/(lam* - z); elsewhere the Cauchy sum."""
     a, b = rule.interval.lower, rule.interval.upper
     finite = np.isfinite(a)
     if xi == b:
@@ -221,28 +225,22 @@ def _log_rho_prime(rule: IntervalRule, rho: np.ndarray, xi: float,
         return out - _log_side(xi - a) * (rho_lo - rho_hi) if finite else out
     if xi == a:
         return (rule.integrate((rho - rho_lo) / (a - rule.z))
-                + _log_side(a - b) * (rho_hi - rho_lo))
-    out = _log_side(xi - b) * rho_hi - 2j * np.pi * rule.cauchy(rho, xi)
-    return out - _log_side(xi - a) * rho_lo if finite else out
+                + _log_side(a - b, side) * (rho_hi - rho_lo))
+    out = _log_side(xi - b, side) * rho_hi - 2j * np.pi * rule.cauchy(rho, xi, side)
+    return out - _log_side(xi - a, side) * rho_lo if finite else out
 
 
-def _chi_at_saddles(level, geometry: PhaseGeometry,
-                    rho_saddles, v) -> tuple[complex, ...]:
-    """chi_s(lam_s), s = 1, 2, 3, from one node level (positive mu).
-
-    chi_s = X + (powers of ln delta - saddle-s powers), whose ln(xi - lam_s)
-    coefficient is 0: that log is left out at lam_s.
-    """
-    at = dict(zip(geometry.lambdas, rho_saddles))
-    whole = np.array(v) * (1, -1, 1)
-    out = []
-    for s, lam in enumerate(geometry.lambdas, start=1):
-        X = -sum(_log_rho_prime(rule, r, lam, at.get(rule.interval.lower, 0.0),
-                                at[rule.interval.upper])
-                 for rule, r in level) / (2j * np.pi)
-        logs = [0.0 if other == lam else _log_side(lam - other) for other in geometry.lambdas]
-        out.append(X + 1j * np.dot(whole - _power_coefficients(s, v), logs))
-    return tuple(out)
+def _chi(delta: DeltaFunction, level, s: int, xi: complex, side: int) -> complex:
+    """chi_s(xi) from one node level (positive mu): X(xi) by parts plus the
+    powers of ln delta less the saddle-s powers, whose ln(xi - lam_s)
+    coefficient is 0, so that log is left out and lam_s itself allowed."""
+    lambdas, v = delta.geometry.lambdas, delta.v_values
+    at = dict(zip(lambdas, delta.rho_saddles))
+    X = -sum(_log_rho_prime(rule, r, xi, at.get(rule.interval.lower, 0.0),
+                            at[rule.interval.upper], side)
+             for rule, r in level) / (2j * np.pi)
+    logs = [0.0 if j == s - 1 else _log_side(xi - lam, side) for j, lam in enumerate(lambdas)]
+    return X + 1j * np.dot(np.array(v) * (1, -1, 1) - _power_coefficients(s, v), logs)
 
 
 @dataclass
@@ -261,10 +259,10 @@ class SaddleExponents:
         return 1j * np.dot(_power_coefficients(s, self.v), logs)
 
     def chi(self, s: int, xi: complex, side: int = +1) -> complex:
-        """chi_s(xi): ln delta less the saddle-s powers (chi0 at lam_s)."""
+        """chi_s(xi), the regular part of the saddle-s product form (chi0 at lam_s)."""
         if complex(xi) == self.geometry.lam(s):
             return self.chi0(s)
-        return _cauchy_sum(self.delta.levels[-1], xi, side) - self._powers(s, xi, side)
+        return _chi(self.delta, self.delta.levels[-1], s, complex(xi), side)
 
     def chi0(self, s: int) -> complex:
         """chi_s evaluated at its own saddle (the constant of the local model)."""
@@ -283,7 +281,7 @@ def saddle_exponents(data, geometry: PhaseGeometry,
                          "x<0 asymptotics use the mirrored geometry at -mu")
     if delta is None:
         delta = build_delta(data, geometry)
-    coarse, fine = (_chi_at_saddles(level, geometry, delta.rho_saddles, delta.v_values)
+    coarse, fine = (tuple(_chi(delta, level, s, geometry.lam(s), +1) for s in (1, 2, 3))
                     for level in delta.levels)
     errors = tuple(abs(c - f) for c, f in zip(coarse, fine))
     for s, err in enumerate(errors, start=1):

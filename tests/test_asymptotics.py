@@ -386,3 +386,17 @@ class TestFormerIntegrationFailures:
         res = q_asymptotic(sign * mu * 100.0, 100.0, data)
         values = [res.value(sign * mu * t, t) for t in (100.0, 1e3, 1e4)]
         assert all(np.isfinite(v) for v in values)
+
+
+class TestSmallMu:
+    """Pure-step rays near mu = 0, where lam2 ~ mu/2 lies next to rho's log
+    singularity at the origin; the x < 0 rays take the mirrored contour."""
+
+    @pytest.mark.parametrize("mu", (0.003, 0.01, 0.02))
+    def test_finite_q(self, mu):
+        data = ScatteringData.pure_step(2.0, GAMMA)
+        locate_xi1(data)
+        for sign in (1, -1):
+            res = q_asymptotic(sign * mu * 100.0, 100.0, data)
+            values = [res.value(sign * mu * t, t) for t in (100.0, 1e3, 1e4)]
+            assert all(np.isfinite(v) for v in values)

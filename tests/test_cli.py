@@ -28,17 +28,17 @@ def _coerce(tok):
 # refactor shows its output unchanged: re_q, im_q and abs_q at 1e-13
 # relative, the rest exactly.  Recorded from the Gauss-node chi_s; the same
 # rows with chi_s(lam_s) from the 30-digit reference of
-# test_rhfactors::TestPureStepReference agree within 2.2e-14 relative.
+# test_rhfactors::TestPureStepReference agree within 1.6e-14 relative.
 ASYMPTOTE_GOLDEN = (
-    (30, 100, 1.3793111069934887, 1.7453161459915416, 2.2245510961392574, "x>0:I2", -1),
-    (300, 1000, 0.3759861434784269, 1.9316472606953383, 1.967899062411379, "x>0:I2", -1),
-    (3000, 10000, 0.64571626564060824, 1.8860467913872407, 1.9935200011574898, "x>0:I2", -1),
-    (50, 100, 1.6478227775124175, 1.1757763270664818, 2.0242949086975162, "x>0:I2", -1),
-    (500, 1000, 1.5289747983473896, 1.2670824489570451, 1.985764806425077, "x>0:I2", -1),
-    (5000, 10000, 1.5555222566159081, 1.2476115969565784, 1.9940371580509706, "x>0:I2", -1),
-    (80, 100, 1.8607670701941352, 0.62961061975435406, 1.964399048570918, "x>0:I2", -1),
-    (800, 1000, 1.9256349383168925, 0.4995285069203339, 1.9893714195425549, "x>0:I2", -1),
-    (8000, 10000, 1.9350921015770794, 0.48596016680528609, 1.9951788705044518, "x>0:I2", -1),
+    (30, 100, 1.379311106993542, 1.7453161459915134, 2.224551096139268, "x>0:I2", -1),
+    (300, 1000, 0.3759861434784657, 1.9316472606953308, 1.967899062411379, "x>0:I2", -1),
+    (3000, 10000, 0.6457162656406451, 1.8860467913872285, 1.9935200011574903, "x>0:I2", -1),
+    (50, 100, 1.6478227775124212, 1.1757763270664758, 2.0242949086975157, "x>0:I2", -1),
+    (500, 1000, 1.5289747983473965, 1.2670824489570374, 1.9857648064250772, "x>0:I2", -1),
+    (5000, 10000, 1.5555222566159141, 1.247611596956571, 1.9940371580509706, "x>0:I2", -1),
+    (80, 100, 1.860767070194136, 0.6296106197543525, 1.964399048570918, "x>0:I2", -1),
+    (800, 1000, 1.9256349383168925, 0.49952850692033285, 1.9893714195425547, "x>0:I2", -1),
+    (8000, 10000, 1.93509210157708, 0.4859601668052849, 1.9951788705044518, "x>0:I2", -1),
 )
 
 

@@ -134,13 +134,36 @@ class TestCauchyTransform:
             val = rule.cauchy(np.exp(rule.z), xi, side)
             assert abs(val - _exp_cauchy(complex(xi), side or 1)) < 1e-12, xi
 
-    def test_xi_at_a_node(self):
-        # the summand at a node hit by xi is the interpolant's derivative
+    def test_node_refused(self):
         rule = interval_rule(ContourInterval(0, 1), N)
-        xi = float(rule.z[N // 3])
         for side in (+1, -1):
-            val = rule.cauchy(np.exp(rule.z), xi, side)
-            assert abs(val - _exp_cauchy(complex(xi), side)) < 1e-12
+            with pytest.raises(ValueError, match="node"):
+                rule.cauchy(np.exp(rule.z), float(rule.z[N // 3]), side)
+
+    def test_geometric(self):
+        # density ln z^2, log-singular at 0, on [1e-3, 1] and on its mirror,
+        # where the nodes are spaced evenly in ln|z|: at 0, near the end
+        # nearer 0 and on the contour from either side
+        import mpmath as mp
+
+        for a, b, x0 in ((1e-3, 1.0, 2e-3), (-1.0, -1e-3, -2e-3)):
+            rule = interval_rule(ContourInterval(a, b), N)
+            assert rule.geometric
+            f = np.log(rule.z ** 2) + 0j
+            with mp.workdps(30):
+                F = lambda z: mp.log(z * z)
+                assert abs(rule.integrate(f) - complex(mp.quad(F, [a, x0, b]))) < 1e-12
+                at_zero = mp.quad(lambda z: F(z) / z, [a, x0, b]) / (2j * mp.pi)
+                assert abs(rule.cauchy(f, 0.0) - complex(at_zero)) < 1e-12
+                for xi, side in ((x0 + 1e-6j, None), (x0 - 1e-6j, None), (x0, +1), (x0, -1)):
+                    x = mp.mpc(xi)
+                    smooth = mp.quad(lambda z: (F(z) - F(x)) / (z - x), [a, x0, b])
+                    if side is None:
+                        log = mp.log((b - x) / (a - x))
+                    else:
+                        log = mp.log(abs((b - x0) / (a - x0))) + 1j * mp.pi * side
+                    want = complex((smooth + F(x) * log) / (2j * mp.pi))
+                    assert abs(rule.cauchy(f, xi, side) - want) < 1e-12, (a, xi, side)
 
     def test_half_line(self):
         # density 1/(1 + z^2) on (-inf, -1] and on its mirror [1, inf)

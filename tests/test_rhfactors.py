@@ -170,7 +170,10 @@ class TestPureStepReference:
             rho = lambda z: mp.log(4 * z * z / (4 * z * z + a2))
             drho = lambda z: 2 / z - 8 * z / (4 * z * z + a2)
             L = lambda x: mp.log(-x) + 1j * mp.pi if x < 0 else mp.log(x)
-            sigma = ([-mp.inf, lam[2]], [lam[1], lam[0]])
+            # (lam2, lam1) split geometrically: its end lam2 ~ mu/2 is near
+            # rho's log singularity at 0 on the rays with small mu
+            sigma = ([-mp.inf, lam[2]],
+                     [lam[1] * (lam[0] / lam[1]) ** (mp.mpf(k) / 8) for k in range(9)])
             log_delta0 = sum(mp.quad(lambda z: rho(z) / z, iv) for iv in sigma) / (2j * mp.pi)
             v1, v2, v3 = v = [-rho(x) / (2 * mp.pi) for x in lam]
             chi = []
@@ -194,6 +197,22 @@ class TestPureStepReference:
         for s in (1, 2, 3):
             assert abs(exps.v[s - 1] - v[s - 1]) < 1e-13
             assert abs(exps.chi0(s) - chi[s - 1]) < 1e-13, (s, exps.chi0(s) - chi[s - 1])
+
+    @pytest.mark.parametrize("mu", (0.003, 0.01, 0.02))
+    def test_small_mu(self, step_data, mu):
+        # lam2 ~ mu/2 lies next to rho's log singularity at 0.  1 + r1 r2 is
+        # formed from r1 r2 ~ -1, so its samples near lam2 carry a relative
+        # rounding of about 1e-16 A^2/(4 lam2^2); chi_2 misses the reference
+        # by up to 6 times that (0.001 <= mu <= 0.05), and ten times is allowed
+        geom = stationary_points(mu, GAMMA)
+        exps = saddle_exponents(step_data, geom)
+        assert exps.delta.convergence < 1e-10 and max(exps.chi_error) < 1e-10
+        log_delta0, v, chi = self.reference(geom)
+        floor = 1e-13 + 1e-15 * A ** 2 / (4.0 * geom.lam2 ** 2)
+        assert abs(exps.delta.log_delta(0.0) - log_delta0) < floor
+        for s in (1, 2, 3):
+            assert abs(exps.v[s - 1] - v[s - 1]) < floor
+            assert abs(exps.chi0(s) - chi[s - 1]) < floor, (s, exps.chi0(s) - chi[s - 1])
 
 
 class TestNodeConvergence:
