@@ -22,12 +22,10 @@ from steplpd.asymptotics import (
 )
 from steplpd.kernels import (
     ContourInterval,
-    QuadratureSpec,
     complex_gamma,
     cubic_real_roots,
     ode_integrate,
     parabolic_cylinder_D,
-    pv_integrate,
 )
 from steplpd.pcmodel import (
     LocalModelData,
@@ -71,8 +69,8 @@ from steplpd.simulate import FieldGrid, SolitonField, evolve, pde_residual
 __all__ = [
     "AsymptoticResult", "Branch", "OrderDescriptor", "coefficients_HLN",
     "error_order", "q_asymptotic", "q_rough", "q_soliton", "reconstruct_q",
-    "ContourInterval", "QuadratureSpec", "complex_gamma", "cubic_real_roots",
-    "ode_integrate", "parabolic_cylinder_D", "pv_integrate",
+    "ContourInterval", "complex_gamma", "cubic_real_roots", "ode_integrate",
+    "parabolic_cylinder_D",
     "LocalModelData", "PhiMode", "lambda_conjugator", "local_model_data",
     "local_phase_phi", "pc_coefficients", "pc_model_matrix", "scaling_map",
     "xi_leading",

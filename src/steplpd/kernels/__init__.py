@@ -4,10 +4,8 @@ from steplpd.kernels.quadrature import (
     ContourInterval,
     IntegrationError,
     IntervalRule,
-    QuadratureSpec,
     gauss_legendre,
     interval_rule,
-    pv_integrate,
 )
 from steplpd.kernels.special import (
     GammaPoleError,
@@ -22,10 +20,8 @@ __all__ = [
     "ContourInterval",
     "IntegrationError",
     "IntervalRule",
-    "QuadratureSpec",
     "gauss_legendre",
     "interval_rule",
-    "pv_integrate",
     "GammaPoleError",
     "complex_gamma",
     "erfc_complex",

@@ -15,46 +15,32 @@ node interpolant (barycentric in s) at xi's preimage and g(xi) = 1.  g = 1
 on [a, b] (transform c ln((b - xi)/(a - xi))) and g = (p - xi)/(p - z) on a
 half-line, p = b + 1 or a - 1 (transform c Log(xi - b) or -c Log(a - xi)).
 For real xi inside the interval the closed form's +-i pi gives the Plemelj
-value from the side ``side`` = +-1.  QUADPACK (scipy.integrate.quad) is
-left in :func:`pv_integrate` only, for the xi1 trace formula's principal
-value.  Branches throughout the package: ln and non-integer powers are
-principal, and (xi - lam)**(i*v) inherits the cut along (-inf, lam].
+value from the side ``side`` = +-1.  The RH factors and the xi1 trace
+formula are such sums on _NODES and on 2 _NODES nodes, and a change above
+_CONVERGENCE_TOL between the two raises IntegrationError.  No QUADPACK call
+remains; ``_si`` (scipy.integrate) stays bound because the traced benchmark,
+perfbench/tracing.py, patches it to count quad calls.  Branches throughout
+the package: ln and non-integer powers are principal, and (xi - lam)**(i*v)
+inherits the cut along (-inf, lam].
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable
 
 import numpy as np
-from scipy import integrate as _si
+from scipy import integrate as _si  # noqa: F401 - patched by the tracer
+
+# Gauss-Legendre nodes per contour interval; every node sum is also taken on
+# twice as many, and those values are the ones returned
+_NODES = 64
+# largest n/2n change of a node sum accepted
+_CONVERGENCE_TOL = 1e-10
 
 
 class IntegrationError(Exception):
-    """Quadrature failed to converge; carries the last estimate."""
-
-    def __init__(self, message: str, estimate: complex | None = None):
-        super().__init__(message)
-        self.estimate = estimate
-
-
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Tolerances for the quadrature kernels."""
-
-    abs_tol: float = 1e-10
-    rel_tol: float = 1e-9
-
-    def __post_init__(self):
-        if self.abs_tol <= 0 or self.rel_tol <= 0:
-            raise ValueError("tolerances must be positive")
-
-
-DEFAULT_SPEC = QuadratureSpec()
-
-# QUADPACK subinterval limit of every call
-_QUAD_LIMIT = 1500
+    """A node sum changed by more than _CONVERGENCE_TOL from n to 2n nodes."""
 
 
 @dataclass(frozen=True)
@@ -161,54 +147,3 @@ def interval_rule(interval: ContourInterval, n: int) -> IntervalRule:
     return IntervalRule(interval=interval, s=s, z=z, W=w * np.abs(dzds), bary=bary,
                         geometric=geometric)
 
-
-def _quad_complex(f: Callable[[float], complex], a: float, b: float,
-                  spec: QuadratureSpec, weight=None, wvar=None) -> complex:
-    """QUADPACK on real and imaginary parts, with error accounting."""
-    kw = dict(epsabs=spec.abs_tol, epsrel=spec.rel_tol, limit=_QUAD_LIMIT)
-    if weight is not None:
-        kw.update(weight=weight, wvar=wvar)
-    re, re_err = _si.quad(lambda x: f(x).real, a, b, **kw)
-    im, im_err = _si.quad(lambda x: f(x).imag, a, b, **kw)
-    val = complex(re, im)
-    err = max(re_err, im_err)
-    if err > 10.0 * max(spec.abs_tol, spec.rel_tol * abs(val), 1e-14):
-        raise IntegrationError(
-            f"quadrature error estimate {err:.3e} exceeds tolerance", estimate=val)
-    return val
-
-
-def pv_integrate(f: Callable[[float], complex], singularity: float,
-                 interval: ContourInterval,
-                 spec: QuadratureSpec = DEFAULT_SPEC) -> complex:
-    """Principal value of int f over the interval, f having a simple pole.
-
-    The pole must lie strictly inside.  A symmetric window around the pole is
-    handled by the Cauchy-weight rule applied to g(x) = f(x)*(x - c), which is
-    smooth there; the remainder is plain adaptive quadrature.
-    """
-    c = float(singularity)
-    if not interval.contains(c):
-        raise ValueError(f"singularity {c} not strictly inside "
-                         f"[{interval.lower}, {interval.upper}]")
-
-    lo, hi = interval.lower, interval.upper
-    room = min(hi - c, c - lo)
-    w = min(room / 2.0, max(1.0, abs(c)))
-    if not np.isfinite(w):
-        w = max(1.0, abs(c))
-
-    h0 = 1e-7 * max(1.0, abs(c))
-
-    def g(x: float) -> complex:
-        if x == c:   # removable point: average out the simple pole
-            return 0.5 * (f(c + h0) * h0 - f(c - h0) * h0)
-        return f(x) * (x - c)
-
-    val = _quad_complex(g, c - w, c + w, spec, weight="cauchy", wvar=c)
-    with np.errstate(all="ignore"):
-        if lo < c - w:
-            val += _quad_complex(f, lo, c - w, spec)
-        if c + w < hi:
-            val += _quad_complex(f, c + w, hi, spec)
-    return val

@@ -44,6 +44,7 @@ from typing import Callable
 import numpy as np
 
 from steplpd.kernels import ContourInterval, IntegrationError, IntervalRule, interval_rule
+from steplpd.kernels.quadrature import _CONVERGENCE_TOL, _NODES
 from steplpd.phase import PhaseGeometry, Regime
 
 _TWO_PI = 2.0 * np.pi
@@ -57,11 +58,6 @@ class BranchError(RuntimeError):
     """1 + r1 r2 vanishes on the integration contour."""
 
 
-# Gauss-Legendre nodes per contour interval; the factors are also computed
-# on twice as many, and those values are the ones returned
-_NODES = 64
-# largest n/2n change of ln delta(0) and of each chi_s(lam_s) accepted
-_CONVERGENCE_TOL = 1e-10
 # rounds of midpoint sampling between neighbours whose args differ by > pi/2
 _MAX_BISECTIONS = 40
 # delta is refused this close to a saddle, where it is endpoint-singular
@@ -166,16 +162,13 @@ class DeltaFunction:
 def build_delta(data, geometry: PhaseGeometry) -> DeltaFunction:
     """Construct the delta evaluator for three-saddle geometry.
 
-    ``data`` needs callables r1, r2 on the real line (ScatteringData or any
-    synthetic stand-in); the continuous-branch log of 1 + r1 r2 is sampled
-    once, on the nodes.
+    ``data`` needs the callable one_plus_r1r2 on the real line
+    (ScatteringData or SyntheticReflectionData); the continuous-branch log
+    of 1 + r1 r2 is sampled once, on the nodes.
     """
     if geometry.regime is not Regime.THREE_REAL:
         raise ValueError("delta needs the three-stationary-point regime")
     lam1, lam2, lam3 = geometry.lambdas
-
-    def w(z: float) -> complex:
-        return 1.0 + data.r1(z) * data.r2(z)
 
     if geometry.mu > 0:
         # lam3 < 0 < lam2 < lam1: absorb on (-inf, lam3) u (lam2, lam1)
@@ -187,7 +180,7 @@ def build_delta(data, geometry: PhaseGeometry) -> DeltaFunction:
         winding_only = (ContourInterval(lam1 - 1.0, lam1), ContourInterval(lam2, lam3))
     rules = [interval_rule(iv, n) for n in (_NODES, 2 * _NODES) for iv in contour]
     points = [r.z for r in rules] + [np.array(geometry.lambdas)]
-    rho = np.split(_continuous_log(w, np.concatenate(
+    rho = np.split(_continuous_log(data.one_plus_r1r2, np.concatenate(
         points + [interval_rule(iv, _NODES).z for iv in winding_only]),
         anchor_left=geometry.mu > 0), np.cumsum([len(z) for z in points]))
     levels = (tuple(zip(rules[:2], rho[:2])), tuple(zip(rules[2:4], rho[2:4])))

@@ -34,9 +34,14 @@ xi = 0 gives a2(0), and the case-2 value of b(0), where the pole of
 b = W(T_- e2, T_+ e2) - (A/2i xi) a2(xi) exp(2i xi ell) cancels.
 
 The discrete eigenvalue i*xi1 (zero of a1 in the upper half-plane) follows
-from the trace formulas: a principal-value log integral of
-1 - b(th)*conj(b(-th)) in case 1 (a2(0) != 0), and the quadratic closed form
-built on F1, F2 in case 2 (a2(0) = 0).
+from the trace formulas.  Both rest on one integral,
+
+    I = (1/pi) int_0^inf Arg(1 + r1 r2)(th) / th dth,
+
+the principal value of the log integral of 1 - b(th) conj(b(-th)) =
+1/(1 + r1 r2) (det S = 1) folded onto th > 0: that function's modulus is
+even in th and its argument odd.  Case 1 (a2(0) != 0) has xi1 = (A/2) e^I;
+case 2 (a2(0) = 0) the quadratic closed form built on F1 = e^(-I) and F2.
 """
 
 from __future__ import annotations
@@ -49,12 +54,8 @@ from typing import Callable, ClassVar
 
 import numpy as np
 
-from steplpd.kernels import (
-    ContourInterval,
-    QuadratureSpec,
-    ode_integrate,
-    pv_integrate,
-)
+from steplpd.kernels import ContourInterval, IntegrationError, interval_rule, ode_integrate
+from steplpd.kernels.quadrature import _CONVERGENCE_TOL, _NODES
 
 SIGMA1 = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA3 = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
@@ -371,7 +372,9 @@ class ScatteringData:
         return self.b(xi) / self.a2(xi)
 
     def one_plus_r1r2(self, xi: complex) -> complex:
-        return 1.0 + self.r1(xi) * self.r2(xi)
+        """1/(1 - b b_mirror), equal to 1 + r1 r2 by det S = 1 without the
+        cancellation of r1 r2 ~ -1 near xi = 0, and exactly 1 where b = 0."""
+        return 1.0 / (1.0 - self.b(xi) * self.b_mirror(xi))
 
     def a1dot_at_pole(self) -> complex:
         """da1/dxi at i*xi1 by a central difference along the imaginary axis."""
@@ -580,7 +583,6 @@ def classify_case(data: ScatteringData) -> CaseTag:
     return CaseTag.CASE2
 
 
-_XI1_SPEC = QuadratureSpec(abs_tol=1e-11, rel_tol=1e-10)
 # |a1(i xi1)| above this (relative to a1 just off the zero) refutes xi1
 _XI1_CHECK_TOL = 1e-6
 
@@ -588,48 +590,40 @@ _XI1_CHECK_TOL = 1e-6
 def locate_xi1(data: ScatteringData) -> float:
     """The positive xi1 with a1(i*xi1) = 0, from the trace formulas.
 
-    Case 1:  xi1 = (A/2) exp{ -(1/2 pi i) pv int ln[ th^2/(th^2+1) *
-             (1 - b(th) conj(b(-th))) ] / th dth }.
+    Both cases use I = (1/pi) int_0^inf Arg(1 + r1 r2)(th) / th dth, the
+    folded principal value of the log integral of 1 - b(th) conj(b(-th)):
+    Case 1:  xi1 = (A/2) e^I.
     Case 2:  xi1 = A (sqrt(Re b(0)^2 + F2^2) - Re b(0)) / (2 F1 F2) with
-             F1 the exponentiated pv log integral of 1 - b conj(b(-.)) and
-             F2 = sqrt(1 - |b(0)|^2).
-
+             F1 = e^(-I) and F2 = sqrt(1 - |b(0)|^2).
+    I is a node sum on (0, inf) over one_plus_r1r2, taken on _NODES and on
+    2 _NODES nodes; a change above _CONVERGENCE_TOL raises IntegrationError.
     The value is cross-checked against a1 at i*xi1; disagreement raises.
     """
     if data.case_tag is None:
         classify_case(data)
 
+    def trace_integral(n: int) -> float:
+        rule = interval_rule(ContourInterval(0.0, np.inf), n)
+        arg = np.angle([data.one_plus_r1r2(th) for th in rule.z])
+        return rule.integrate(arg / rule.z).real / np.pi
+
+    coarse, I = trace_integral(_NODES), trace_integral(2 * _NODES)
+    if abs(coarse - I) > _CONVERGENCE_TOL:
+        raise IntegrationError(
+            f"locate_xi1: the trace integral changes by {abs(coarse - I):.1e} "
+            f"from {_NODES} to {2 * _NODES} nodes")
+
     A = data.A
-    line = ContourInterval(-np.inf, np.inf)
-
-    def one_minus_bb(th: float) -> complex:
-        return 1.0 - data.b(th) * np.conj(data.b(-th))
-
     if data.case_tag is CaseTag.CASE1:
-        def integrand(th: float) -> complex:
-            w = (th * th / (th * th + 1.0)) * one_minus_bb(th)
-            return np.log(w) / th
-
-        pv = pv_integrate(integrand, 0.0, line, _XI1_SPEC)
-        xi1 = (A / 2.0) * np.exp(-pv / (2j * np.pi))
+        xi1 = (A / 2.0) * np.exp(I)
     else:
         b0 = data.b(0.0)
         mod2 = abs(b0) ** 2
         if mod2 >= 1.0:
             raise InconsistentDataError("case 2 requires |b(0)| < 1")
-        F2 = np.exp(0.5 * np.log(1.0 - mod2))
-
-        def integrand2(th: float) -> complex:
-            return np.log(one_minus_bb(th)) / th
-
-        F1 = np.exp(pv_integrate(integrand2, 0.0, line, _XI1_SPEC) / (2j * np.pi))
+        F1, F2 = np.exp(-I), np.exp(0.5 * np.log(1.0 - mod2))
         xi1 = A * (np.sqrt(np.real(b0) ** 2 + F2**2) - np.real(b0)) / (2.0 * F1 * F2)
-
-    if abs(np.imag(xi1)) > 1e-8 * (1.0 + abs(xi1)):
-        raise InconsistentDataError(f"xi1 came out non-real: {xi1}")
-    xi1 = float(np.real(xi1))
-    if xi1 <= 0:
-        raise InconsistentDataError(f"xi1 must be positive, got {xi1}")
+    xi1 = float(xi1)
 
     scale = max(abs(data.a1(1j * xi1 * (1.0 + 1e-3))), 1e-6)
     if abs(data.a1(1j * xi1)) > _XI1_CHECK_TOL * max(1.0, scale):

@@ -1,4 +1,4 @@
-"""Node rules and principal values, special functions, cubic roots and the ODE kernel."""
+"""Node rules and Cauchy sums, special functions, cubic roots and the ODE kernel."""
 
 import numpy as np
 import pytest
@@ -6,18 +6,15 @@ from hypothesis import example, given, settings, strategies as st
 
 from steplpd.kernels import (
     ContourInterval,
-    QuadratureSpec,
     complex_gamma,
     cubic_real_roots,
     erfc_complex,
     interval_rule,
     ode_integrate,
     parabolic_cylinder_D,
-    pv_integrate,
 )
 from steplpd.kernels.special import GammaPoleError, reciprocal_gamma
 
-SPEC = QuadratureSpec()
 # nodes of the Gauss-Legendre rules under test
 N = 64
 
@@ -56,32 +53,6 @@ class TestIntegrate:
     def test_whole_line_refused(self):
         with pytest.raises(ValueError):
             interval_rule(ContourInterval(-np.inf, np.inf), N)
-
-
-class TestPrincipalValue:
-    def test_odd_integrand(self):
-        val = pv_integrate(lambda x: 1.0 / x, 0.0, ContourInterval(-1, 1))
-        assert abs(val) < 1e-10
-
-    def test_log_two(self):
-        val = pv_integrate(lambda x: 1.0 / x, 0.0, ContourInterval(-1, 2))
-        assert abs(val - np.log(2)) < 1e-10
-
-    def test_even_over_odd_infinite(self):
-        # ln((th^2 + 1)/(th^2 + 1))/th with the step-height combination A = 2
-        A = 2.0
-        f = lambda th: np.log((th * th + A * A / 4) / (th * th + 1)) / th
-        val = pv_integrate(f, 0.0, ContourInterval(-np.inf, np.inf))
-        assert abs(val) < 1e-9
-
-    def test_even_over_odd_nontrivial_height(self):
-        f = lambda th: np.log((th * th + 0.25) / (th * th + 1)) / th
-        val = pv_integrate(f, 0.0, ContourInterval(-np.inf, np.inf))
-        assert abs(val) < 1e-9
-
-    def test_boundary_singularity_rejected(self):
-        with pytest.raises(ValueError):
-            pv_integrate(lambda x: 1.0 / x, 0.0, ContourInterval(0.0, 1.0))
 
 
 def _exp_cauchy(xi: complex, side: int = +1) -> complex:

@@ -200,10 +200,9 @@ class TestPureStepReference:
 
     @pytest.mark.parametrize("mu", (0.003, 0.01, 0.02))
     def test_small_mu(self, step_data, mu):
-        # lam2 ~ mu/2 lies next to rho's log singularity at 0.  1 + r1 r2 is
-        # formed from r1 r2 ~ -1, so its samples near lam2 carry a relative
-        # rounding of about 1e-16 A^2/(4 lam2^2); chi_2 misses the reference
-        # by up to 6 times that (0.001 <= mu <= 0.05), and ten times is allowed
+        # lam2 ~ mu/2 lies next to rho's log singularity at 0.  The floor is
+        # ten times 1e-16 A^2/(4 lam2^2), the rounding near lam2 of
+        # 1 + r1 r2 formed from r1 r2 ~ -1
         geom = stationary_points(mu, GAMMA)
         exps = saddle_exponents(step_data, geom)
         assert exps.delta.convergence < 1e-10 and max(exps.chi_error) < 1e-10
@@ -213,6 +212,17 @@ class TestPureStepReference:
         for s in (1, 2, 3):
             assert abs(exps.v[s - 1] - v[s - 1]) < floor
             assert abs(exps.chi0(s) - chi[s - 1]) < floor, (s, exps.chi0(s) - chi[s - 1])
+
+    @pytest.mark.parametrize("height, mu", [(2.0, 0.0017386934673366834),
+                                            (3.0, 0.001), (3.0, 0.001492462311557789),
+                                            (3.0, 0.0022311557788944726),
+                                            (3.0, 0.0024773869346733667)])
+    def test_no_rounding_near_lam2(self, height, mu):
+        # rays whose chi_2 n/2n gap the rounding of 1 + r1 r2 near lam2 once
+        # pushed past 1e-10; sampled as 1/(1 - b b_mirror) it is not there
+        exps = saddle_exponents(ScatteringData.pure_step(height, GAMMA),
+                                stationary_points(mu, GAMMA))
+        assert exps.delta.convergence < 1e-13 and max(exps.chi_error) < 1e-13
 
 
 class TestNodeConvergence:

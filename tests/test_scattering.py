@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from steplpd import scattering
-from steplpd.kernels import ode, ode_integrate
+from steplpd.kernels import IntegrationError, ode, ode_integrate
 from steplpd.scattering import (
     CaseTag,
     DegeneracyError,
@@ -302,6 +302,26 @@ class TestXi1:
         d = ScatteringData.reflectionless(1.4, GAMMA, 0.2)
         assert locate_xi1(d) == 1.4 / 2.0   # bitwise: F1 = F2 = 1 exactly
 
+    @pytest.mark.parametrize("name, want", [("bump-1", 1.135668389424064),
+                                            ("bump-3", 0.6591712245230903),
+                                            ("baseline", 0.5218505723846655)])
+    def test_perturbed_profiles(self, name, want):
+        # want: xi1 of the adaptive principal-value quadrature that the node
+        # sum replaced; a1 vanishes there far below the 1e-6 refusal
+        prof = (InitialProfile.gaussian_bump(**BASELINE_BUMP) if name == "baseline"
+                else oracle_profiles()[name])
+        data = ScatteringData.from_profile(prof, analyze=False)
+        xi1 = locate_xi1(data)
+        assert abs(xi1 - want) < 1e-12
+        assert abs(data.a1(1j * xi1)) < 1e-12
+
+    def test_table_profile_refused(self):
+        # the table's kinks leave the trace integral only algebraic
+        # convergence in the nodes: a typed failure, not a wrong xi1
+        data = ScatteringData.from_profile(oracle_profiles()["table"], analyze=False)
+        with pytest.raises(IntegrationError, match="locate_xi1"):
+            locate_xi1(data)
+
     def test_f2_with_zero_b(self):
         # the quadratic-formula ingredient F2 = exp(ln(1 - |b(0)|^2)/2) -> 1
         d = ScatteringData.reflectionless(1.0, GAMMA)
@@ -458,8 +478,8 @@ class TestBaselineBump:
         data.b = recording_b
         xi1 = locate_xi1(data)   # raises unless |a1(i xi1)| vanishes
         assert abs(xi1 - BASELINE_XI1) < 1e-8
-        # the trace integrand's 1 - b(th) conj(b(-th)) at the largest
-        # th QUADPACK asked for, where |b| is smallest
+        # the trace integrand's 1 - b(th) conj(b(-th)) at the largest node,
+        # th ~ 1.1e4, where |b| is smallest
         th = max(thetas)
         b_plus, b_minus = dop853_b(prof, th), dop853_b(prof, -th)
         assert abs(b(th) - b_plus) < 1e-11 and abs(b(-th) - b_minus) < 1e-11
