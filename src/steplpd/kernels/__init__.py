@@ -10,7 +10,6 @@ from steplpd.kernels.quadrature import (
 from steplpd.kernels.special import (
     GammaPoleError,
     complex_gamma,
-    erfc_complex,
     parabolic_cylinder_D,
 )
 from steplpd.kernels.roots import cubic_real_roots
@@ -24,7 +23,6 @@ __all__ = [
     "interval_rule",
     "GammaPoleError",
     "complex_gamma",
-    "erfc_complex",
     "parabolic_cylinder_D",
     "cubic_real_roots",
     "StiffnessError",

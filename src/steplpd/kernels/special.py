@@ -9,18 +9,52 @@ D_a(z) is Whittaker's function: the solution of
     D'' + (a + 1/2 - z**2/4) D = 0
 
 that is recessive for large z, D_a(z) ~ z**a * exp(-z**2/4) in
-|arg z| < 3*pi/4.  No single float64 representation (power series near the
-origin, asymptotic series far out) covers the (a, z) ranges the local models
-need without catastrophic cancellation in between, so evaluation is delegated
-to mpmath's arbitrary-precision pcfd and rounded to complex128.
+|arg z| < 3*pi/4.  It is evaluated in float64 through the scaled function
+E_a(z) = exp(z**2/4) D_a(z), which solves
+
+    E'' - z E' + a E = 0,
+
+so that its Taylor coefficients at any z0 follow from
+e_{k+2} = (z0 (k+1) e_{k+1} + (k - a) e_k) / ((k+1)(k+2)).  The regions
+(DLMF 12.2, 12.9, https://dlmf.nist.gov/12):
+
+- |z| <= 2: one Maclaurin step from E(0) = 2**(a/2) sqrt(pi) / Gamma((1-a)/2)
+  and E'(0) = -2**((a+1)/2) sqrt(pi) / Gamma(-a/2); a = 0 gives E = 1 exactly.
+- |z| >= 9: DLMF 12.9.1, z**a sum (-1)**s (-a)_{2s} / (s! (2 z**2)**s), cut at
+  its smallest term.  Past the Stokes line |arg z| = pi/2 the exponentially
+  small second series of 12.9.3 is added,
+  -sqrt(2 pi) / Gamma(-a) e^{+-i pi a} e^{z**2/2} z**(-a-1)
+  * sum (a+1)_{2s} / (s! (2 z**2)**s).  The switch has to sit at pi/2, not at
+  the pi/4 where 12.9.3 formally starts: just past pi/4 the second series is
+  not small at large |z| and does not belong to D_a.
+- 2 < |z| < 9: Taylor steps of length min(0.5, 2/|z|) along the ray of z,
+  each in the direction in which the other solution e^{z**2/2} z**(-a-1) is
+  damped: inward from the value at |z| = 9 when |arg z| <= pi/4, outward
+  from the Maclaurin value at |z| = 2 otherwise.
+- |z| > 2 and |arg z| > 3*pi/4 (outside the local models' sectors): the
+  connection formula D_a(z) = e^{i s pi a} D_a(-z)
+  + sqrt(2 pi) / Gamma(-a) e^{i s pi (a+1)/2} D_{-a-1}(-i s z), s = sign Im z,
+  which maps both terms into the sectors above.  Marching outward there
+  would amplify rounding into the growing solution e^{z**2/2} z**(-a-1),
+  whose true weight 1/Gamma(-a) is small for a near 0.  E_a itself overflows
+  there beyond |z| ~ 37, and D_a with it.
+
+Against mpmath at 40 digits, at the orders i v, i v - 1, -i v, -i v - 1 with
+|Re v| <= 0.96, |Im v| <= 0.4: the scaled function is good to 2.8e-14
+relative over 1500 random points with |arg z| <= 3*pi/4, |z| <= 60, and to
+1.1e-13 over 3000 with |z| <= 12; past 3*pi/4 (2 < |z| <= 30) to 5.4e-14.
+The unscaled function on real z in [-30, 30] is good to 3.3e-14, also at
+a = 1e-8 i.
 """
 
 from __future__ import annotations
 
+import cmath
+import math
 from functools import lru_cache
 
-import mpmath as mp
 import numpy as np
+from scipy.special import rgamma as _rgamma
 
 _LANCZOS_G = 7.0
 _LANCZOS_P = (
@@ -34,8 +68,6 @@ _LANCZOS_P = (
     9.9843695780195716e-6,
     1.5056327351493116e-7,
 )
-
-_PC_DPS = 30
 
 
 class GammaPoleError(ZeroDivisionError):
@@ -66,10 +98,138 @@ def reciprocal_gamma(z: complex) -> complex:
     return 1.0 / complex_gamma(z)
 
 
-@lru_cache(maxsize=100_000)
+# ---------------------------------------------------------------------------
+# D_a(z) through E_a(z) = e^{z^2/4} D_a(z)
+# ---------------------------------------------------------------------------
+
+_SMALL_Z = 2.0          # one Maclaurin step up to here
+_LARGE_Z = 9.0          # the DLMF 12.9 series from here on
+_SERIES_TOL = 2.0 ** -56
+_SQRT2PI = math.sqrt(2.0 * math.pi)
+
+
+def _rgamma_c(z: complex) -> complex:
+    return complex(_rgamma(z))
+
+
+@lru_cache(maxsize=64)
+def _origin(a: complex) -> tuple[complex, complex]:
+    """(E_a(0), E_a'(0)).
+
+    sqrt(pi) enters as 1/rgamma(1/2) from the same routine, so that a = 0
+    gives E(0) = 1 exactly.
+    """
+    rg_half = _rgamma_c(0.5 + 0.0j)
+    e0 = 2.0 ** (a / 2.0) * _rgamma_c((1.0 - a) / 2.0) / rg_half
+    d0 = -(2.0 ** ((a + 1.0) / 2.0)) * _rgamma_c(-a / 2.0) / rg_half
+    return e0, d0
+
+
+def _taylor(a: complex, e: complex, de: complex, z0: complex,
+            h: complex) -> tuple[complex, complex]:
+    """(E_a, E_a') at z0 + h from their values at z0, h != 0; the terms
+    c_k = e_k h^k, two per pass.  z0 = 0 is the Maclaurin series."""
+    c0, c1 = e, de * h
+    s, ds = c0 + c1, c1
+    p, q = z0 * h, h * h
+    k = 0
+    while True:
+        c2 = (p * (k + 1) * c1 + (k - a) * q * c0) / ((k + 1) * (k + 2))
+        c3 = (p * (k + 2) * c2 + (k + 1 - a) * q * c1) / ((k + 2) * (k + 3))
+        s += c2 + c3
+        ds += (k + 2) * c2 + (k + 3) * c3
+        if abs(c2) + abs(c3) <= _SERIES_TOL * (abs(s) + abs(ds)):
+            return s, ds / h
+        c0, c1 = c2, c3
+        k += 2
+
+
+def _asymptotic_series(b: complex, w: complex, alpha: complex,
+                       beta: complex) -> tuple[complex, complex]:
+    """sum t_j and sum (alpha + beta j) t_j, t_j = (b)_{2j} w^j / j!,
+    cut before the first term that is not smaller than its predecessor."""
+    t, s, ds = 1.0, 1.0, alpha
+    j = 0
+    while True:
+        t_next = t * (b + 2 * j) * (b + 2 * j + 1) * w / (j + 1)
+        if abs(t_next) >= abs(t):
+            return s, ds
+        j += 1
+        s += t_next
+        ds += (alpha + beta * j) * t_next
+        if abs(t_next) <= _SERIES_TOL * abs(s):
+            return s, ds
+        t = t_next
+
+
+def _large_z(a: complex, z: complex) -> tuple[complex, complex]:
+    """(E_a(z), E_a'(z)) from DLMF 12.9.1, plus 12.9.3 past |arg z| = pi/2."""
+    w = 1.0 / (2.0 * z * z)
+    s1, d1 = _asymptotic_series(-a, -w, a, -2.0)
+    za = z ** a
+    e, de = za * s1, za * d1 / z
+    ph = cmath.phase(z)
+    if abs(ph) > math.pi / 2.0:
+        sign = 1.0 if ph > 0 else -1.0
+        c = -_SQRT2PI * _rgamma_c(-a) * cmath.exp(sign * 1j * math.pi * a) \
+            * cmath.exp(z * z / 2.0) * z ** (-a - 1.0)
+        s2, d2 = _asymptotic_series(a + 1.0, w, z - (a + 1.0) / z, -2.0 / z)
+        e += c * s2
+        de += c * d2
+    return e, de
+
+
+def _march(a: complex, e: complex, de: complex, r: float, z: complex) -> complex:
+    """E_a(z) from (E, E') at radius r on the ray of z, in Taylor steps of
+    length min(0.5, 2/|z0|)."""
+    r_end = abs(z)
+    u = z / r_end
+    outward = r_end > r
+    while r != r_end:
+        step = min(0.5, 2.0 / r)
+        r_next = r + step if outward else r - step
+        if (r_next >= r_end) if outward else (r_next <= r_end):
+            r_next = r_end
+        z0 = r * u
+        z1 = z if r_next == r_end else r_next * u
+        e, de = _taylor(a, e, de, z0, z1 - z0)
+        r = r_next
+    return e
+
+
+def _scaled_direct(a: complex, z: complex) -> complex:
+    """E_a(z) for |z| <= 2 or |arg z| <= 3 pi/4."""
+    r = abs(z)
+    if r == 0:
+        return _origin(a)[0]
+    if r <= _SMALL_Z:
+        return _taylor(a, *_origin(a), 0.0, z)[0]
+    if r >= _LARGE_Z:
+        return _large_z(a, z)[0]
+    u = z / r
+    if abs(cmath.phase(z)) <= math.pi / 4.0:
+        e, de = _large_z(a, _LARGE_Z * u)
+        return _march(a, e, de, _LARGE_Z, z)
+    e, de = _taylor(a, *_origin(a), 0.0, _SMALL_Z * u)
+    return _march(a, e, de, _SMALL_Z, z)
+
+
+def _scaled(a: complex, z: complex) -> complex:
+    """E_a(z); past |arg z| = 3 pi/4 through the connection formula
+    E_a(z) = e^{i s pi a} E_a(-z)
+             + sqrt(2 pi)/Gamma(-a) e^{i s pi (a+1)/2} e^{z^2/2} E_{-a-1}(-i s z),
+    s = sign Im z, whose two terms lie in the direct sectors."""
+    if abs(z) <= _SMALL_Z or abs(cmath.phase(z)) <= 0.75 * math.pi:
+        return _scaled_direct(a, z)
+    s = 1.0 if z.imag >= 0 else -1.0
+    c2 = _SQRT2PI * _rgamma_c(-a) * cmath.exp(s * 1j * math.pi * (a + 1.0) / 2.0)
+    return cmath.exp(s * 1j * math.pi * a) * _scaled_direct(a, -z) \
+        + c2 * cmath.exp(z * z / 2.0) * _scaled_direct(-a - 1.0, -s * 1j * z)
+
+
+@lru_cache(maxsize=1024)
 def _pcfd_cached(a: complex, z: complex) -> complex:
-    with mp.workdps(_PC_DPS):
-        return complex(mp.pcfd(mp.mpc(a), mp.mpc(z)))
+    return cmath.exp(-z * z / 4.0) * _scaled(a, z)
 
 
 def parabolic_cylinder_D(a: complex, z: complex) -> complex:
@@ -77,24 +237,11 @@ def parabolic_cylinder_D(a: complex, z: complex) -> complex:
     return _pcfd_cached(complex(a), complex(z))
 
 
-@lru_cache(maxsize=100_000)
+@lru_cache(maxsize=1024)
 def _pcfd_scaled_cached(a: complex, z: complex) -> complex:
-    with mp.workdps(_PC_DPS):
-        zz = mp.mpc(z)
-        return complex(mp.exp(zz * zz / 4) * mp.pcfd(mp.mpc(a), zz))
+    return _scaled(a, z)
 
 
 def parabolic_cylinder_D_scaled(a: complex, z: complex) -> complex:
     """e^{z^2/4} D_a(z): polynomially bounded (~ z^a) for large |z|."""
     return _pcfd_scaled_cached(complex(a), complex(z))
-
-
-@lru_cache(maxsize=10_000)
-def _erfc_cached(z: complex) -> complex:
-    with mp.workdps(_PC_DPS):
-        return complex(mp.erfc(mp.mpc(z)))
-
-
-def erfc_complex(z: complex) -> complex:
-    """Complementary error function on the complex plane (oracle use only)."""
-    return _erfc_cached(complex(z))

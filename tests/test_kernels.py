@@ -1,5 +1,9 @@
 """Node rules and Cauchy sums, special functions, cubic roots and the ODE kernel."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -8,12 +12,16 @@ from steplpd.kernels import (
     ContourInterval,
     complex_gamma,
     cubic_real_roots,
-    erfc_complex,
     interval_rule,
     ode_integrate,
     parabolic_cylinder_D,
 )
-from steplpd.kernels.special import GammaPoleError, reciprocal_gamma
+from steplpd.kernels.special import (
+    GammaPoleError,
+    _pcfd_scaled_cached,
+    parabolic_cylinder_D_scaled,
+    reciprocal_gamma,
+)
 
 # nodes of the Gauss-Legendre rules under test
 N = 64
@@ -190,6 +198,25 @@ class TestComplexGamma:
         assert reciprocal_gamma(-2.0) == 0
 
 
+# orders i v, i v - 1, -i v, -i v - 1 of the local models, for criterion 6's
+# two targets and the corners of the rays workload (|Re a| <= 1.4,
+# |Im a| <= 0.96)
+_MODEL_ORDERS = [a for v in (0.11, 0.11 + 0.2j, 0.96 + 0.4j, 0.96 - 0.4j)
+                 for a in (1j * v, 1j * v - 1.0, -1j * v, -1j * v - 1.0)]
+_PC_ANGLES = [k * np.pi / 8 for k in range(-6, 7)] + [
+    s * np.pi / 2 + d for s in (1, -1) for d in (1e-9, -1e-9)]
+
+
+def _mp_pcfd(a, z, scaled):
+    """D_a(z), or e^{z^2/4} D_a(z), from mpmath at 30 digits."""
+    import mpmath as mp
+
+    with mp.workdps(30):
+        zz = mp.mpc(complex(z))
+        d = mp.pcfd(mp.mpc(complex(a)), zz)
+        return complex(mp.exp(zz * zz / 4) * d if scaled else d)
+
+
 class TestParabolicCylinder:
     def test_order_zero_closed_form(self):
         for z in (2.0, -1.3, 0.7 + 0.4j):
@@ -197,8 +224,12 @@ class TestParabolicCylinder:
 
     def test_order_minus_one_erfc_oracle(self):
         # D_{-1}(z) = e^{z^2/4} sqrt(pi/2) erfc(z/sqrt(2))
+        import mpmath as mp
+
         for z in (0.0, 0.8, -1.1):
-            oracle = np.exp(z * z / 4) * np.sqrt(np.pi / 2) * erfc_complex(z / np.sqrt(2))
+            with mp.workdps(30):
+                erfc = complex(mp.erfc(mp.mpc(z / np.sqrt(2))))
+            oracle = np.exp(z * z / 4) * np.sqrt(np.pi / 2) * erfc
             assert abs(parabolic_cylinder_D(-1.0, z) - oracle) < 1e-11
         assert abs(parabolic_cylinder_D(-1.0, 0.0) - np.sqrt(np.pi / 2)) < 1e-12
 
@@ -226,6 +257,60 @@ class TestParabolicCylinder:
         a, z = 0.2 + 0.1j, 9.0
         lhs = parabolic_cylinder_D(a, z)
         assert abs(lhs / (z**a * np.exp(-z * z / 4)) - 1.0) < 1e-2
+
+    @pytest.mark.parametrize("a", _MODEL_ORDERS)
+    def test_scaled_against_mpmath(self, a):
+        # every region and both sides of each switch: |z| = 2 and 9, and the
+        # Stokes line arg z = +-pi/2
+        worst = 0.0
+        for r in (0.5, 2.0, 2.0 - 1e-9, 2.0 + 1e-9, 5.0, 9.0 - 1e-9, 9.0 + 1e-9,
+                  20.0, 50.0):
+            for ang in _PC_ANGLES:
+                z = r * np.exp(1j * ang)
+                want = _mp_pcfd(a, z, scaled=True)
+                got = parabolic_cylinder_D_scaled(a, z)
+                worst = max(worst, abs(got - want) / abs(want))
+        assert worst < 1e-12
+
+    @pytest.mark.parametrize("a", _MODEL_ORDERS[:4])
+    def test_scaled_past_the_stokes_line(self, a):
+        # just past arg z = pi/4 the second series of DLMF 12.9.3 is not small
+        # at this |z|, and it is not part of D_a until arg z = pi/2
+        z = 20.4 + 20.5j
+        want = _mp_pcfd(a, z, scaled=True)
+        assert abs(parabolic_cylinder_D_scaled(a, z) - want) < 1e-12 * abs(want)
+
+    @pytest.mark.parametrize("a", [0.0, 0.25j, -0.25j, 0.3 + 0.1j, 1e-8j, 0.11j - 1.0])
+    def test_unscaled_real_line_against_mpmath(self, a):
+        # on the negative axis at a = 1e-8 i the 1/Gamma(-a)-sized growing
+        # part outweighs the recessive one by 1e5 at z = -8
+        for x in np.linspace(-8.0, 8.0, 33):
+            want = _mp_pcfd(a, x, scaled=False)
+            assert abs(parabolic_cylinder_D(a, x) - want) < 1e-12 * abs(want), x
+
+    def test_order_zero_scaled_is_one(self):
+        for z in (0.0, 0.7, 2.0, 3.0 - 1.0j, -5.0 + 2.0j, 6.0j, 9.0, 20.4 + 20.5j,
+                  -30.0, 40.0 - 35.0j):
+            assert parabolic_cylinder_D_scaled(0.0, z) == 1.0, z
+
+    def test_cache_stays_small(self):
+        # a ray repeats a third of its D_a calls within the ray; a larger
+        # cache only grows with the run
+        assert _pcfd_scaled_cached.cache_info().maxsize <= 4096
+
+    def test_import_leaves_mpmath_out(self):
+        import steplpd
+
+        src = os.path.dirname(os.path.dirname(os.path.abspath(steplpd.__file__)))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p)
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, steplpd; print('mpmath' in sys.modules)"],
+            capture_output=True, text=True, timeout=120, env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
 
 
 class TestCubicRoots:
