@@ -18,7 +18,6 @@ from steplpd.asymptotics import (
     q_asymptotic,
     q_rough,
     q_soliton,
-    reconstruct_q,
 )
 from steplpd.kernels import (
     ContourInterval,
@@ -29,14 +28,12 @@ from steplpd.kernels import (
 )
 from steplpd.pcmodel import (
     LocalModelData,
-    PhiMode,
     lambda_conjugator,
     local_model_data,
     local_phase_phi,
     pc_coefficients,
     pc_model_matrix,
     scaling_map,
-    xi_leading,
 )
 from steplpd.phase import PhaseGeometry, Regime, phase_theta, sign_of_re_phi, stationary_points
 from steplpd.rhfactors import (
@@ -44,7 +41,6 @@ from steplpd.rhfactors import (
     ResidueConstants,
     SaddleExponents,
     bp_elements,
-    bp_leading,
     build_delta,
     jump_matrix,
     regularized_reflections,
@@ -68,16 +64,15 @@ from steplpd.simulate import FieldGrid, SolitonField, evolve, pde_residual
 
 __all__ = [
     "AsymptoticResult", "Branch", "OrderDescriptor", "coefficients_HLN",
-    "error_order", "q_asymptotic", "q_rough", "q_soliton", "reconstruct_q",
+    "error_order", "q_asymptotic", "q_rough", "q_soliton",
     "ContourInterval", "complex_gamma", "cubic_real_roots", "ode_integrate",
     "parabolic_cylinder_D",
-    "LocalModelData", "PhiMode", "lambda_conjugator", "local_model_data",
+    "LocalModelData", "lambda_conjugator", "local_model_data",
     "local_phase_phi", "pc_coefficients", "pc_model_matrix", "scaling_map",
-    "xi_leading",
     "PhaseGeometry", "Regime", "phase_theta", "sign_of_re_phi",
     "stationary_points",
     "DeltaFunction", "ResidueConstants", "SaddleExponents", "bp_elements",
-    "bp_leading", "build_delta", "jump_matrix", "regularized_reflections",
+    "build_delta", "jump_matrix", "regularized_reflections",
     "residue_constants", "saddle_exponents",
     "CaseTag", "InitialProfile", "ScatteringData", "SyntheticReflectionData",
     "auxiliary_f", "classify_case", "jost_at_origin", "locate_xi1",

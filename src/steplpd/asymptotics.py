@@ -28,7 +28,7 @@ from typing import Callable
 import numpy as np
 
 from steplpd.phase import PhaseGeometry, RegimeError, stationary_points
-from steplpd.pcmodel import pc_coefficients, power_bases
+from steplpd.pcmodel import log_power_factor, pc_coefficients
 from steplpd.rhfactors import DeltaFunction, SaddleExponents, build_delta, saddle_exponents
 
 
@@ -106,23 +106,16 @@ def coefficients_HLN(data, geometry: PhaseGeometry, exponents: SaddleExponents,
     """(H1..H3, L1..L3, N1..N3) from the local models' 1/tau coefficients.
 
     L_s = -beta_s / sqrt(c_s^+) and N_s = -c0^2 gamma_c,s / (lam_s^2 sqrt(c_s^+)),
-    each times its power factor on the t-free bases of ``power_bases`` (the
-    assembled terms carry the t-powers).  The middle saddle's model is the
-    conjugate reflection, so its L and N read the conjugated data.  H serves
-    the mirrored ray: it is the beta of r2 in place of r1, with the
-    conjugation flipped.  v = 0 collapses a coefficient to 0 through the
-    Gamma pole.
+    times F_s and 1/F_s, F_s = exp(2 ``log_power_factor``) at t = 1 (the
+    assembled terms carry chi_s, the phase and the t-powers).  The middle
+    saddle's model is the conjugate reflection, so its L and N read the
+    conjugated data.  H serves the mirrored ray: it is the beta of r2 in
+    place of r1, with the conjugation flipped, times conj(1/F_s).  v = 0
+    collapses a coefficient to 0 through the Gamma pole.
     """
     c1, c2, c3 = geometry.curvatures
     roots = np.sqrt((c1, -c2, c3))
-    B1, B2a, B2b = power_bases(geometry)
-    v1, v2, v3 = exponents.v
     cj = np.conj
-    base_L = (B1 ** (1j * v1), B2a ** (-1j * v3) * B2b ** (-1j * v2), B1 ** (1j * v3))
-    base_N = (B1 ** (-1j * v1), B2a ** (-1j * v1) * B2b ** (1j * v2), B1 ** (-1j * v3))
-    base_H = (B1 ** (1j * cj(v1)), B2a ** (-1j * cj(v3)) * B2b ** (-1j * cj(v2)),
-              B1 ** (1j * cj(v3)))
-
     H, L, N = [], [], []
     for k, lam in enumerate(geometry.lambdas):
         s = k + 1
@@ -131,10 +124,11 @@ def coefficients_HLN(data, geometry: PhaseGeometry, exponents: SaddleExponents,
             ray, mirror = (cj(r1), cj(r2), cj(v)), (r2, r1, v)
         else:
             ray, mirror = (r1, r2, v), (cj(r2), cj(r1), cj(v))
+        factor = np.exp(2.0 * log_power_factor(s, exponents, geometry, 1.0))
         beta, gamc = pc_coefficients(s, *ray)
-        L.append(-beta / roots[k] * base_L[k])
-        N.append(-c0**2 * gamc / (lam**2 * roots[k]) * base_N[k])
-        H.append(-pc_coefficients(s, *mirror)[0] / roots[k] * base_H[k])
+        L.append(-beta / roots[k] * factor)
+        N.append(-c0**2 * gamc / (lam**2 * roots[k]) / factor)
+        H.append(-pc_coefficients(s, *mirror)[0] / roots[k] * cj(1.0 / factor))
     return tuple(H), tuple(L), tuple(N)
 
 
@@ -330,19 +324,3 @@ def q_soliton(x: float, t: float, A: float, alpha: float, gamma: float) -> compl
         raise ZeroDivisionError(
             f"soliton pole: exponent {expo:.6g} hits 2 pi i Z at (x,t)=({x},{t})")
     return A / den
-
-
-def reconstruct_q(m12_limit: complex, m21_limit: complex, side: str,
-                  bp: tuple[complex, float] | None = None) -> complex:
-    """Potential from the large-xi limits of the (regularized) RH solution.
-
-    side "x>0": q = -2 xi1 P12 + 2i lim xi M12; side "x<0":
-    q = -2 xi1 conj(P21) - 2i conj(lim xi M21), both limits taken at (-x, t).
-    Without bp data the BP term drops (the bare reconstruction).
-    """
-    p, xi1 = (0.0 + 0.0j, 0.0) if bp is None else (complex(bp[0]), float(bp[1]))
-    if side == "x>0":
-        return -2.0 * xi1 * p + 2j * complex(m12_limit)
-    if side == "x<0":
-        return -2.0 * xi1 * np.conj(p) - 2j * np.conj(complex(m21_limit))
-    raise ValueError("side must be 'x>0' or 'x<0'")

@@ -27,7 +27,6 @@ set (the printed sources disagree among themselves in three signs).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
@@ -37,11 +36,6 @@ from steplpd.phase import PhaseGeometry
 from steplpd.rhfactors import SaddleExponents
 
 _SQRT2PI = np.sqrt(2.0 * np.pi)
-
-
-class PhiMode(Enum):
-    TAYLOR_CONSISTENT = "consistent"
-    PAPER_FAITHFUL = "paper"
 
 
 @dataclass(frozen=True)
@@ -91,72 +85,44 @@ def scaling_map(s: int, geometry: PhaseGeometry, t: float, tau: complex) -> comp
     return geometry.lam(s) + complex(tau) / _scale_factor(s, geometry, t)
 
 
-def scaling_map_inverse(s: int, geometry: PhaseGeometry, t: float, xi: complex) -> complex:
-    return (complex(xi) - geometry.lam(s)) * _scale_factor(s, geometry, t)
-
-
 def saddle_sign(s: int) -> int:
     """sigma_s: +1 at the outer saddles, -1 at the middle one."""
     return +1 if s in (1, 3) else -1
 
 
-def local_phase_phi(s: int, geometry: PhaseGeometry, t: float, tau: complex,
-                    mode: PhiMode = PhiMode.TAYLOR_CONSISTENT) -> complex:
-    """phi_s(mu, tau): the conjugation phase of the local model.
+def local_phase_phi(s: int, geometry: PhaseGeometry, t: float, tau: complex) -> complex:
+    """phi_s(mu, tau) = i t theta(xi(tau)) - sigma_s i tau^2/4: the conjugation
+    phase of the local model, from the exact quartic phase, so that
+    exp(2 i t theta) = exp(2 phi) exp(sigma_s i tau^2/2) holds identically."""
+    xi = scaling_map(s, geometry, t, complex(tau))
+    return 1j * t * geometry.theta(xi) - saddle_sign(s) * 1j * complex(tau)**2 / 4.0
 
-    TAYLOR_CONSISTENT returns i*t*theta(xi(tau)) - sigma_s*i*tau^2/4 computed
-    from the exact quartic phase, so that exp(2 i t theta) =
-    exp(2 phi) exp(sigma_s i tau^2/2) holds identically.  PAPER_FAITHFUL
-    evaluates the printed quartic-in-tau expressions verbatim (kept for
-    comparison; their tau^2/(4t .) and tau-linear terms are incompatible with
-    a stationary-point expansion).
+
+def log_power_factor(s: int, exponents: SaddleExponents, geometry: PhaseGeometry,
+                     t: float) -> complex:
+    """ln K_s - chi_s(lam_s) - sigma_s i v_s ln sqrt(4 t c_s^+), read off delta.
+
+    With xi - lam_s = tau / sqrt(4 t c_s^+), delta(xi(tau)) tends to
+    exp(chi_s(lam_s) + this) times the model's tau-power, tau^{i v_s} at
+    s = 1, 3 and (-tau)^{-i v_2} at s = 2 (``SaddleExponents.log_local_constant``).
     """
-    tau = complex(tau)
-    lam = geometry.lam(s)
-    c = geometry.curvature(s)
-    cpos = c if s in (1, 3) else -c
-    if mode is PhiMode.TAYLOR_CONSISTENT:
-        xi = scaling_map(s, geometry, t, tau)
-        return 1j * t * geometry.theta(xi) - saddle_sign(s) * 1j * tau**2 / 4.0
-    gam = geometry.gamma
-    return (-1j * gam * tau**4 / (2.0 * t * cpos**2)
-            - 4j * gam * lam * tau**3 / np.sqrt(t * cpos**3)
-            + 1j * tau**2 / (4.0 * t * cpos)
-            - 1j * (16.0 * gam * lam**2 - t) * lam * tau / np.sqrt(t * cpos)
-            - 4.0 * gam * lam**4 + 0.5 * lam**2)
-
-
-def power_bases(geometry: PhaseGeometry) -> tuple[float, float, float]:
-    """The t-free power-factor bases (B1, B2a, B2b).
-
-    B1 = c2+/(4 c1 c3) serves both outer saddles, B2a = 1/(4 c3) and
-    B2b = c2+/c1 the middle one, with c2+ = -c2 = 1 - 48 gamma lam2^2 > 0.
-    The printed 4t(...) bases are B1/t and B2a/t; B2b carries no t.
-    """
-    c1, c2, c3 = geometry.curvatures
-    c2p = -c2
-    return c2p / (4.0 * c1 * c3), 1.0 / (4.0 * c3), c2p / c1
+    if s not in (1, 2, 3):
+        raise ValueError("saddle index must be 1, 2 or 3")
+    return (exponents.log_local_constant(s) - exponents.chi0(s)
+            - saddle_sign(s) * 1j * exponents.v[s - 1] * np.log(_scale_factor(s, geometry, t)))
 
 
 def lambda_conjugator(s: int, exponents: SaddleExponents, geometry: PhaseGeometry,
                       t: float, tau: complex) -> complex:
     """Scalar exponent eta_s with Lambda_s = exp(eta_s sigma3).
 
-    eta_s = chi_s + phi_s(tau) + (i/2) * (power-factor logarithms), with the
-    Taylor-consistent phi_s and the printed 4t(...) bases.
+    eta_s = chi_s(xi(tau)) + phi_s(tau) + ``log_power_factor``, with the power
+    factor read off delta's product form.
     """
-    v1, v2, v3 = exponents.v
-    B1, B2a, B2b = power_bases(geometry)
     xi = scaling_map(s, geometry, t, tau)
     chi = exponents.chi(s, xi) if abs(tau) > 1e-12 else exponents.chi0(s)
     phi = local_phase_phi(s, geometry, t, tau)
-    if s in (1, 3):
-        power = 0.5j * (v1 if s == 1 else v3) * np.log(B1 / t)
-    elif s == 2:
-        power = -0.5j * v3 * np.log(B2a / t) - 0.5j * v2 * np.log(B2b)
-    else:
-        raise ValueError("saddle index must be 1, 2 or 3")
-    return chi + phi + power
+    return chi + phi + log_power_factor(s, exponents, geometry, t)
 
 
 # ---------------------------------------------------------------------------
@@ -326,45 +292,3 @@ def pc_jump_matrix(s: int, model: LocalModelData, tau: complex) -> np.ndarray:
     # s = 2: conjugate reflection of the s = 1 picture
     inner_model = LocalModelData(s=1, v=np.conj(v), r1r=np.conj(p), r2r=np.conj(q))
     return np.conj(pc_jump_matrix(1, inner_model, -np.conj(tau)))
-
-
-def xi_leading(s: int, model: LocalModelData, exponents: SaddleExponents,
-               geometry: PhaseGeometry, t: float) -> np.ndarray:
-    """The leading circle-residue matrix Xi_s (off-diagonal).
-
-    Xi_s = -(i / 2 sqrt(c_s^+)) [[0, beta e^{2[chi+phi]} F^{i v}],
-                                 [-gamma_c e^{-2[chi+phi]} F^{-i v}, 0]]
-    with the printed F bases; xi_leading_r returns Xi_s^r = -Xi_s/sqrt(t).
-    """
-    beta, gamc = pc_coefficients(s, model.r1r, model.r2r, model.v)
-    v1, v2, v3 = exponents.v
-    c1, c2, c3 = geometry.curvatures
-    c2p = -c2
-    chi_phi = model.chi + local_phase_phi(s, geometry, t, 0.0)
-    e_plus = np.exp(2.0 * chi_phi)
-    e_minus = np.exp(-2.0 * chi_phi)
-    if s == 1:
-        F = c2p / (4.0 * t * c1 * c3)
-        up = beta * e_plus * F ** (1j * v1)
-        dn = -gamc * e_minus * F ** (-1j * v1)
-        pref = -0.5j / np.sqrt(c1)
-    elif s == 2:
-        F2 = 1.0 / (4.0 * t * c2p)
-        Ft = (4.0 * t * c1) ** (1j * v2) * (1.0 / (4.0 * t * c3)) ** (-1j * v3)
-        up = beta * e_plus * F2 ** (-1j * v2) / Ft
-        dn = -gamc * e_minus * F2 ** (1j * v2) * Ft
-        pref = -0.5j / np.sqrt(c2p)
-    elif s == 3:
-        F = c2p / (4.0 * t * c3 * c1)
-        up = beta * e_plus * F ** (1j * v3)
-        dn = -gamc * e_minus * F ** (-1j * v3)
-        pref = -0.5j / np.sqrt(c3)
-    else:
-        raise ValueError("saddle index must be 1, 2 or 3")
-    return pref * np.array([[0.0, up], [dn, 0.0]], dtype=complex)
-
-
-def xi_leading_r(s: int, model: LocalModelData, exponents: SaddleExponents,
-                 geometry: PhaseGeometry, t: float) -> np.ndarray:
-    """Xi_s^r = -Xi_s / sqrt(t), the form entering the defect-vector algebra."""
-    return -xi_leading(s, model, exponents, geometry, t) / np.sqrt(t)

@@ -261,6 +261,19 @@ class SaddleExponents:
         """chi_s evaluated at its own saddle (the constant of the local model)."""
         return self.chi_at_saddle[s - 1]
 
+    def log_local_constant(self, s: int) -> complex:
+        """ln K_s = chi_s(lam_s) + i sum_{j != s} p_j ln|lam_s - lam_j|.
+
+        Off the real line, delta(xi) -> K_s (xi - lam_s)^{i v_s} as xi -> lam_s
+        at s = 1, 3 and K_2 (lam_2 - xi)^{-i v_2} at s = 2, whose cut lies
+        along the contour (lam_2, lam_1): the i pi of each ln(xi - lam_j) with
+        lam_j > lam_s cancels in the saddle-s powers on either side.
+        """
+        lam = self.geometry.lam(s)
+        logs = [0.0 if j == s - 1 else np.log(abs(lam - lj))
+                for j, lj in enumerate(self.geometry.lambdas)]
+        return self.chi0(s) + 1j * np.dot(_power_coefficients(s, self.v), logs)
+
     def product_form(self, s: int, xi: complex, side: int = +1) -> complex:
         """delta(xi) rebuilt from the saddle-s product representation."""
         return np.exp(self._powers(s, xi, side) + self.chi(s, xi, side))
@@ -326,7 +339,9 @@ def jump_matrix(stage: str, x: float, t: float, xi: complex, data,
         opr = 1.0 + r1 * r2
         lam1, lam2, lam3 = geometry.lambdas
         lo, hi = sorted((lam2, lam1))
-        on_cut = (xi.real < min(lam3, lam1)) or (lo < xi.real < hi)
+        # the half-line is (-inf, lam3) for mu > 0 and (lam3, inf) mirrored
+        half = xi.real < lam3 if geometry.mu > 0 else xi.real > lam3
+        on_cut = half or (lo < xi.real < hi)
         if on_cut:
             dp = delta.eval(xi, side=+1)
             dm = delta.eval(xi, side=-1)
@@ -456,19 +471,3 @@ def bp_elements(u, v) -> tuple[complex, complex]:
     if den == 0:
         raise ZeroDivisionError("degenerate BP data: u1 v2 - u2 v1 = 0")
     return u1 * v1 / den, -u2 * v2 / den
-
-
-def bp_leading(xi_r_matrices, xi1: float, c0: complex,
-               geometry: PhaseGeometry) -> tuple[complex, complex]:
-    """Leading-order P12, P21 from the circle contributions Xi_j^r.
-
-    Inputs are the three residue matrices Xi_j^r = -Xi_j/sqrt(t) (off-diagonal).
-    """
-    lam = geometry.lambdas
-    p12 = -1j * c0 / xi1
-    p21 = 0.0 + 0.0j
-    for j, m in enumerate(xi_r_matrices):
-        lamj = lam[j]
-        p12 += -m[0, 1] / lamj + (1j * c0**2 / xi1) * m[1, 0] / (lamj * (lamj - 1j * xi1))
-        p21 += m[1, 0] / (lamj - 1j * xi1)
-    return p12, p21

@@ -1,4 +1,4 @@
-"""Leading-order formulas, error-order tables, soliton and reconstruction."""
+"""Leading-order formulas, error-order tables and the soliton."""
 
 import numpy as np
 import pytest
@@ -10,11 +10,9 @@ from steplpd.asymptotics import (
     q_asymptotic,
     q_rough,
     q_soliton,
-    reconstruct_q,
 )
 from steplpd.phase import RegimeError, stationary_points
-from steplpd.rhfactors import build_delta, residue_constants, saddle_exponents, bp_elements, bp_leading
-from steplpd.pcmodel import local_model_data, xi_leading_r
+from steplpd.rhfactors import build_delta, saddle_exponents
 from steplpd.scattering import ScatteringData, SyntheticReflectionData, locate_xi1, synthetic_from_v_targets
 
 GAMMA = 1.0 / 27.0
@@ -64,28 +62,28 @@ class TestCoefficients:
         assert abs(abs(N[0] / L[0]) - oracle) < 1e-9 * oracle
 
     def test_h_uses_conjugated_data(self, machinery):
-        # pure step has real v, so H1/L1 collapses to r1(lam1)/conj(r2(lam1))
+        # pure step has real v, so H_s/L_s collapses to r1(lam_s)/conj(r2(lam_s))
         data, geom, delta, exps, c0 = machinery
         H, L, N = coefficients_HLN(data, geom, exps, c0)
-        lam1 = geom.lam1
-        oracle = data.r1(lam1) / np.conj(data.r2(lam1))
-        assert abs(H[0] / L[0] - oracle) < 1e-12
+        for k, lam in enumerate(geom.lambdas):
+            oracle = data.r1(lam) / np.conj(data.r2(lam))
+            assert abs(H[k] / L[k] - oracle) < 1e-12, k + 1
 
     def test_pinned_pure_step_values(self, machinery):
-        # the nine coefficients at mu = 0.5, recorded from the earlier
-        # hand-unrolled formulas
+        # the nine coefficients at mu = 0.5, recorded from the power factors
+        # read off delta's product form
         data, geom, delta, exps, c0 = machinery
         got = coefficients_HLN(data, geom, exps, c0)
         want = (
-            (0.1719682241538228 + 0.09124928083565353j,
-             0.17351067495696182 - 0.039834668110287325j,
-             -0.10990647595498336 - 0.0704691967912199j),
-            (-0.3022122330493636 - 0.16035897946369726j,
-             -2.7309375285652306 + 0.6269700126940772j,
-             0.165224815011492 + 0.1059378885790743j),
-            (-0.1009460771218414 - 0.10746879459337023j,
-             0.818913429572019 - 2.4928980763927777j,
-             0.048774978503548116 + 0.044035760525862076j),
+            (0.13941611442944632 + 0.13587732853216897j,
+             0.1778161858348699 - 0.00861157143709572j,
+             -0.10368235152730564 - 0.0793429967609697j),
+            (-0.24500604964729442 - 0.23878708452416122j,
+             -2.79870327980239 + 0.13554015407592934j,
+             0.1558679522949331 + 0.11927806663238044j),
+            (-0.12706760292379773 - 0.0747895486337551j,
+             -0.5671943605684595 - 2.561923219332607j,
+             0.05225961949486859 + 0.039838158885222165j),
         )
         for g, w in zip(np.ravel(got), np.ravel(want)):
             assert abs(g - w) < 1e-13 * abs(w)
@@ -208,45 +206,6 @@ class TestQSoliton:
             q_soliton(0.0, 0.0, 2.0, 0.0, 1.0)
 
 
-class TestReconstruct:
-    def test_bare_positive_side(self):
-        assert reconstruct_q(0.5 - 0.25j, 0.0, "x>0") == 2j * (0.5 - 0.25j)
-
-    def test_soliton_m12_limit(self):
-        # the reflectionless sectional solution has M12 = f1/xi, so
-        # 2i lim xi M12 = 2i f1 = q
-        A_, al = 2.0, np.pi
-        for (x, t) in ((0.4, 0.3), (-0.8, 0.1)):
-            f1 = (A_ / 2j) / (1.0 - np.exp(-A_ * x + 0.5j * A_**2 * t
-                                           + 1j * A_**4 * GAMMA * t + 1j * al))
-            lhs = reconstruct_q(f1, 0.0, "x>0")
-            assert abs(lhs - q_soliton(x, t, A_, al, GAMMA)) < 1e-13
-
-    def test_zero_inputs(self):
-        assert reconstruct_q(0.0, 0.0, "x>0") == 0
-        assert reconstruct_q(0.0, 0.0, "x<0", bp=(0.0, 1.0)) == 0
-
-    def test_soliton_m21_route_negative_side(self):
-        # the 21-entry route evaluated at (-x, t): lim xi M21(-x) =
-        # -conj(f1(x,t)), so q(x<0) = -2i conj(.) = 2i f1(x,t)
-        A_, al = 2.0, np.pi
-        x, t = -0.9, 0.25
-        f1_at_x = (A_ / 2j) / (1.0 - np.exp(-A_ * x + 0.5j * A_**2 * t
-                                            + 1j * A_**4 * GAMMA * t + 1j * al))
-        m21_limit = -np.conj(f1_at_x)
-        val = reconstruct_q(0.0, m21_limit, "x<0")
-        assert abs(val - q_soliton(x, t, A_, al, GAMMA)) < 1e-13
-
-    def test_bp_background(self, machinery):
-        data, geom, delta, _, c0 = machinery
-        xi1 = data.xi1
-        P12, P21 = bp_elements((1j * xi1, 0.0), (c0, 1j * xi1))
-        val = reconstruct_q(0.0, 0.0, "x>0", bp=(P12, xi1))
-        assert abs(val - A * delta.at_zero() ** 2) < 1e-14
-        val_neg = reconstruct_q(0.0, 0.0, "x<0", bp=(P21, xi1))
-        assert val_neg == 0
-
-
 class TestQAsymptotic:
     def test_pure_step_structure(self, machinery):
         data, geom, delta, exps, c0 = machinery
@@ -321,48 +280,6 @@ class TestQAsymptotic:
         slope = np.polyfit(np.log(ts), np.log(vals), 1)[0]
         dominant = max(tm.exponent.real for tm in res.leading_terms)
         assert abs(slope - dominant) < 0.05
-
-    def test_bp_leading_matches_bp_elements(self, machinery):
-        # feed the defect-vector expansions into the exact BP algebra and
-        # compare with the closed leading-order formulas at large t
-        data, geom, delta, exps, c0 = machinery
-        t = 1e8
-        xi1 = data.xi1
-        rc = residue_constants(data, delta)
-        xs = []
-        for s in (1, 2, 3):
-            model = local_model_data(s, exps, data, geom)
-            xs.append(xi_leading_r(s, model, exps, geom, t))
-        P12l, P21l = bp_leading(xs, xi1, c0, geom)
-        lam = geom.lambdas
-        u = (1j * xi1 * (1 - sum(x[1, 0] * 0 for x in xs)) + 0j,
-             -1j * xi1 * sum(x[1, 0] / (lam[j] - 1j * xi1) for j, x in enumerate(xs)))
-        v = (c0 - 1j * xi1 * sum(x[0, 1] / lam[j] for j, x in enumerate(xs)),
-             1j * xi1 - c0 * sum(x[1, 0] / lam[j] for j, x in enumerate(xs)))
-        P12e, P21e = bp_elements(u, v)
-        assert abs(P12l - P12e) < 1e-7
-        assert abs(P21l - P21e) < 1e-7
-
-    @pytest.mark.parametrize("targets", [None, (0.05j, -0.03j, 0.08j)],
-                             ids=["pure-step", "synthetic"])
-    def test_bp_chain_reproduces_outer_n_terms(self, machinery, targets):
-        # the local model -> Xi^r -> BP route gives q's N-term at saddles 1
-        # and 3: -2 xi1 * (i c0^2 / xi1) Xi^r_s[1,0] / (lam_s (lam_s - i xi1))
-        if targets is None:
-            data = machinery[0]
-        else:
-            data = synthetic_from_v_targets(A, GAMMA, 0.5, targets)
-        t, cache = 100.0, {}
-        res = q_asymptotic(0.5 * t, t, data, _cache=cache)
-        assert res.branch is Branch.X_POS_I2      # terms run N1, L1, N2, L2, N3, L3
-        geom, _, exps, c0 = cache[0.5][:4]
-        xi1 = data.xi1
-        for s in (1, 3):
-            lam = geom.lam(s)
-            xr = xi_leading_r(s, local_model_data(s, exps, data, geom), exps, geom, t)
-            chain = -2.0 * xi1 * (1j * c0**2 / xi1) * xr[1, 0] / (lam * (lam - 1j * xi1))
-            n_term = res.leading_terms[2 * (s - 1)].at(t)
-            assert abs(chain - n_term) < 1e-12 * abs(n_term), s
 
 
 class TestFormerIntegrationFailures:

@@ -26,19 +26,20 @@ def _coerce(tok):
 
 # data rows of `asymptote --A 2 --mu 0.3 0.5 0.8 --t 100 1000 10000`, so a
 # refactor shows its output unchanged: re_q, im_q and abs_q at 1e-13
-# relative, the rest exactly.  Recorded from the Gauss-node chi_s; the same
-# rows with chi_s(lam_s) from the 30-digit reference of
-# test_rhfactors::TestPureStepReference agree within 1.6e-14 relative.
+# relative, the rest exactly.  Recorded from the Gauss-node chi_s, with the
+# power factors read off delta's product form; the same rows with
+# chi_s(lam_s) from the 30-digit reference of
+# test_rhfactors::TestPureStepReference agree within 3.4e-16 relative.
 ASYMPTOTE_GOLDEN = (
-    (30, 100, 1.379311106993542, 1.7453161459915134, 2.224551096139268, "x>0:I2", -1),
-    (300, 1000, 0.3759861434784657, 1.9316472606953308, 1.967899062411379, "x>0:I2", -1),
-    (3000, 10000, 0.6457162656406451, 1.8860467913872285, 1.9935200011574903, "x>0:I2", -1),
-    (50, 100, 1.6478227775124212, 1.1757763270664758, 2.0242949086975157, "x>0:I2", -1),
-    (500, 1000, 1.5289747983473965, 1.2670824489570374, 1.9857648064250772, "x>0:I2", -1),
-    (5000, 10000, 1.5555222566159141, 1.247611596956571, 1.9940371580509706, "x>0:I2", -1),
-    (80, 100, 1.860767070194136, 0.6296106197543525, 1.964399048570918, "x>0:I2", -1),
-    (800, 1000, 1.9256349383168925, 0.49952850692033285, 1.9893714195425547, "x>0:I2", -1),
-    (8000, 10000, 1.93509210157708, 0.4859601668052849, 1.9951788705044518, "x>0:I2", -1),
+    (30, 100, 1.6845155063878492, 1.528675410864826, 2.2747397660048625, "x>0:I2", -1),
+    (300, 1000, 0.5214349387369307, 1.9284126414509095, 1.9976660659487764, "x>0:I2", -1),
+    (3000, 10000, 0.7083546722211083, 1.8694838036012718, 1.999183841867714, "x>0:I2", -1),
+    (50, 100, 1.5317914082400506, 1.3091744250140702, 2.0150242165961574, "x>0:I2", -1),
+    (500, 1000, 1.5738795014242846, 1.237820365842322, 2.002322637113603, "x>0:I2", -1),
+    (5000, 10000, 1.5602734897487227, 1.2561168294002736, 2.0030683592716585, "x>0:I2", -1),
+    (80, 100, 1.89243285099297, 0.6842087732311984, 2.01232297131547, "x>0:I2", -1),
+    (800, 1000, 1.9385488282537031, 0.48934125984504717, 1.9993565035057013, "x>0:I2", -1),
+    (8000, 10000, 1.939282114426294, 0.4901631438484827, 2.0002687386751674, "x>0:I2", -1),
 )
 
 

@@ -8,7 +8,6 @@ from steplpd.phase import stationary_points
 from steplpd.rhfactors import (
     AssumptionViolation,
     bp_elements,
-    bp_leading,
     build_delta,
     jump_factorizations,
     jump_matrix,
@@ -319,12 +318,23 @@ class TestJumpMatrices:
             assert np.abs(Lt @ D @ Ut - J).max() < 1e-10
 
     def test_tilde_consistency(self, step_data, geometry, delta):
-        # the factorized tilde jump equals delta_-^{sigma3} J delta_+^{-sigma3}
-        x, t = 0.5 * MU, 0.5
-        for xi0, on_cut in ((0.5 * (geometry.lam2 + geometry.lam1), True),
-                            (0.5 * (geometry.lam3 + geometry.lam2), False),
-                            (geometry.lam1 + 0.8, False)):
-            Jt = jump_matrix("tilde", x, t, xi0, step_data, geometry, delta)
+        # the factorized tilde jump equals delta_-^{sigma3} J delta_+^{-sigma3};
+        # the mirrored ray (mu < 0) has the contour (lam1, lam2) u (lam3, inf)
+        t = 0.5
+        mirror = stationary_points(-0.5, GAMMA)
+        dmirror = build_delta(step_data, mirror)
+        lam1, lam2, lam3 = mirror.lambdas
+        cases = [(geometry, delta, 0.5 * (geometry.lam2 + geometry.lam1), True),
+                 (geometry, delta, 0.5 * (geometry.lam3 + geometry.lam2), False),
+                 (geometry, delta, geometry.lam1 + 0.8, False),
+                 (geometry, delta, geometry.lam3 - 0.5, True),
+                 (mirror, dmirror, lam1 - 0.5, False),
+                 (mirror, dmirror, 0.5 * (lam1 + lam2), True),
+                 (mirror, dmirror, 0.5 * (lam2 + lam3), False),
+                 (mirror, dmirror, lam3 + 0.5, True)]
+        for geom, delta, xi0, on_cut in cases:
+            x = geom.mu * t
+            Jt = jump_matrix("tilde", x, t, xi0, step_data, geom, delta)
             J = jump_matrix("original", x, t, xi0, step_data)
             dp = delta.eval(xi0, side=+1) if on_cut else delta.eval(xi0)
             dm = delta.eval(xi0, side=-1) if on_cut else delta.eval(xi0)
@@ -430,18 +440,3 @@ class TestBPElements:
         with pytest.raises(ZeroDivisionError):
             bp_elements((1.0, 1.0), (1.0, 1.0))
 
-
-class TestBPLeading:
-    def test_constant_term(self, geometry):
-        zero = np.zeros((2, 2), dtype=complex)
-        c0 = 0.3 - 0.8j
-        P12, P21 = bp_leading([zero, zero, zero], 1.0, c0, geometry)
-        assert abs(P12 + 1j * c0) < 1e-15
-        assert P21 == 0
-
-    def test_single_21_entry(self, geometry):
-        m = np.zeros((2, 2), dtype=complex)
-        m[1, 0] = 0.7 + 0.2j
-        zero = np.zeros((2, 2), dtype=complex)
-        _, P21 = bp_leading([m, zero, zero], 1.0, 0.0, geometry)
-        assert abs(P21 - m[1, 0] / (geometry.lam1 - 1j)) < 1e-15
