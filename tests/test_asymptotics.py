@@ -45,21 +45,31 @@ class TestCoefficients:
         assert all(abs(c) > 1e-6 for c in H + L + N)
 
     def test_n_over_l_modulus_structure(self, machinery):
-        # N1/L1 carries |c0|^2/lam1^2 * |r1/r2| * |Gamma(-iv)/Gamma(iv)| and
-        # the power factors invert: check the modulus ratio oracle
+        # |N1/L1| = |c0|^2/lam1^2 * |r1/r2| * |Gamma(-iv)/Gamma(iv)| / |F1|^2,
+        # F1 = P1^2 the power factor at t = 1, rebuilt from delta's local
+        # constant: ln P1 = ln K1 - chi1(lam1) - i v1 ln sqrt(4 c1), with
+        # sqrt(4 c1) read off the scaling map.  On the pure step v is real
+        # and |F1| = 1; the synthetic set has complex v, so |F1| != 1 there.
         from steplpd.kernels import complex_gamma
+        from steplpd.pcmodel import scaling_map
 
-        data, geom, delta, exps, c0 = machinery
-        H, L, N = coefficients_HLN(data, geom, exps, c0)
-        v1 = exps.v[0]
-        lam1 = geom.lam1
-        c1, c2, c3 = geom.curvatures
-        B1 = (-c2) / (4.0 * c1 * c3)
-        oracle = (abs(c0) ** 2 / lam1**2
-                  * abs(data.r1(lam1) / data.r2(lam1))
-                  * abs(complex_gamma(-1j * v1) / complex_gamma(1j * v1)) ** (-1)
-                  * abs(B1 ** (-2j * v1)))
-        assert abs(abs(N[0] / L[0]) - oracle) < 1e-9 * oracle
+        synthetic = synthetic_from_v_targets(A, GAMMA, 0.5, (0.05j, -0.03j, 0.08j))
+        geom = machinery[1]
+        scale = 1.0 / (scaling_map(1, geom, 1.0, 1.0) - geom.lam1)
+        delta = build_delta(synthetic, geom)
+        sets = [machinery[:1] + machinery[2:],
+                (synthetic, delta, saddle_exponents(synthetic, geom, delta),
+                 A * delta.at_zero() ** 2 / 2j)]
+        for data, delta, exps, c0 in sets:
+            H, L, N = coefficients_HLN(data, geom, exps, c0)
+            v1, lam1 = exps.v[0], geom.lam1
+            log_p = exps.log_local_constant(1) - exps.chi0(1) - 1j * v1 * np.log(scale)
+            oracle = (abs(c0) ** 2 / lam1**2
+                      * abs(data.r1(lam1) / data.r2(lam1))
+                      * abs(complex_gamma(-1j * v1) / complex_gamma(1j * v1))
+                      * abs(np.exp(-4.0 * log_p)))
+            assert abs(abs(N[0] / L[0]) - oracle) < 1e-9 * oracle
+        assert abs(abs(np.exp(-4.0 * log_p)) - 1.0) > 1e-3   # synthetic: a live factor
 
     def test_h_uses_conjugated_data(self, machinery):
         # pure step has real v, so H_s/L_s collapses to r1(lam_s)/conj(r2(lam_s))

@@ -2,11 +2,17 @@
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from steplpd.asymptotics import q_soliton
 from steplpd.simulate import (
+    _D2_6_PAD,
+    _D4_6,
+    _FROZEN,
     FieldGrid,
     SolitonField,
+    _LinearPropagator,
+    _nonlinear_rhs,
     evolve,
     fd_weights,
     pde_residual,
@@ -147,7 +153,94 @@ class TestEvolve:
         assert np.all(np.isfinite(out.values))
         assert np.abs(out.values).max() < 3.0
 
+    def test_restart_invariance(self):
+        # ten evolve calls and one call reach the same state: the background
+        # of the linear flow is fixed by the clamps, not by each call's start
+        A, gam, al = 2.0, 0.1, np.pi
+        g0 = FieldGrid.from_function(lambda x: q_soliton(x, 0.0, A, al, gam), 10.0, 0.05)
+        chunked = g0
+        for k in range(1, 11):
+            chunked = evolve(chunked, 0.005 * k, gam)
+        single = evolve(g0, 0.05, gam)
+        exact = np.array([q_soliton(float(x), 0.05, A, al, gam) for x in g0.x])
+        assert np.abs(chunked.values - single.values).max() < 1e-8
+        assert np.abs(chunked.values - exact).max() < 1e-6
+        assert np.abs(single.values - exact).max() < 1e-6
+
     def test_stable_dt_scale(self):
         g = FieldGrid.smoothed_step(2.0, 10.0, 0.02)
         dt = stable_dt(g, 0.1)
         assert 1e-6 < dt < 1e-4
+
+
+def _symbol_stencil(h, gamma):
+    return 0.5 * _D2_6_PAD / h**2 + gamma * _D4_6 / h**4
+
+
+def _odd_closure_matrix(m, stencil):
+    """Interior stencil matrix with w odd about the cell beyond each end."""
+    T = np.zeros((m, m))
+    for i in range(m):
+        for off in range(-4, 5):
+            j, w = i + off, stencil[off + 4]
+            if 0 <= j < m:
+                T[i, j] += w
+            elif j < -1:
+                T[i, -2 - j] -= w
+            elif j > m:
+                T[i, 2 * m - j] -= w
+    return T
+
+
+class TestLinearPropagator:
+    N, H, GAMMA = 41, 0.3, 0.1
+    LEFT, RIGHT = 0.0, 1.5 - 0.4j
+
+    def test_evals_match_odd_closure(self):
+        lin = _LinearPropagator(self.N, self.H, self.GAMMA, self.LEFT, self.RIGHT)
+        m = self.N - 2 * _FROZEN
+        dense = np.linalg.eigvalsh(_odd_closure_matrix(m, _symbol_stencil(self.H, self.GAMMA)))
+        got = np.sort(lin.evals)
+        assert np.abs(got - dense).max() < 1e-10 * np.abs(dense).max()
+
+    def test_affine_step_matches_expm(self):
+        n, h, m = self.N, self.H, self.N - 2 * _FROZEN
+        stencil = _symbol_stencil(h, self.GAMMA)
+        lin = _LinearPropagator(n, h, self.GAMMA, self.LEFT, self.RIGHT)
+        b = np.where(np.arange(n) < n // 2, self.LEFT, self.RIGHT).astype(complex)
+        b[n // 2] = 0.5 * (self.LEFT + self.RIGHT)
+        # the clamped stencil acting on b, on the interior rows
+        g = np.array([stencil @ b[i - 4:i + 5] for i in range(_FROZEN, n - _FROZEN)])
+        rng = np.random.default_rng(5)
+        w = rng.normal(size=m) + 1j * rng.normal(size=m)
+        q = b.copy()
+        q[_FROZEN:-_FROZEN] += w
+        dt = 0.01
+        ph, kick = lin.phases(dt)
+        got = lin.to_grid(ph * lin.to_modes(q) + kick)
+        M = np.zeros((m + 1, m + 1), dtype=complex)
+        M[:m, :m] = -1j * _odd_closure_matrix(m, stencil)
+        M[:m, m] = -1j * g
+        want = (expm(M * dt) @ np.append(w, 1.0))[:m]
+        assert np.abs(got[_FROZEN:-_FROZEN] - b[_FROZEN:-_FROZEN] - want).max() < 1e-11
+        assert np.array_equal(got[:_FROZEN], b[:_FROZEN])
+        assert np.array_equal(got[-_FROZEN:], b[-_FROZEN:])
+
+
+class TestNonlinearRhs:
+    def test_matches_stencil_reference(self):
+        # q_x and q_xx by the 6th-order stencils of fd_weights, on the
+        # interior rows, in the written-out form of the nonlinear terms
+        h, gam = 0.02, 0.1
+        x = np.arange(-500, 501) * h
+        q = np.array([q_soliton(float(xx), 0.0, 2.0, 3.0, gam) for xx in x])
+        offs = np.arange(-3, 4)
+        qx = np.convolve(q, fd_weights(offs, 1)[::-1], "valid")[1:-1] / h
+        qxx = np.convolve(q, fd_weights(offs, 2)[::-1], "valid")[1:-1] / h**2
+        qi = q[_FROZEN:-_FROZEN]
+        r, rx, rxx = -np.conj(qi[::-1]), np.conj(qx[::-1]), -np.conj(qxx[::-1])
+        H = (6j * r * qx**2 + 4j * qi * qx * rx + 8j * r * qi * qxx
+             + 2j * qi * qi * rxx - 6j * r * r * qi**3)
+        want = 1j * qi * qi * r + gam * H
+        got = _nonlinear_rhs(q, h, gam)
+        assert np.abs(got - want).max() < 1e-11 * np.abs(want).max()
