@@ -29,7 +29,6 @@ from steplpd.kernels import (
 from steplpd.pcmodel import (
     LocalModelData,
     lambda_conjugator,
-    local_model_data,
     local_phase_phi,
     pc_coefficients,
     pc_model_matrix,
@@ -67,8 +66,8 @@ __all__ = [
     "error_order", "q_asymptotic", "q_rough", "q_soliton",
     "ContourInterval", "complex_gamma", "cubic_real_roots", "ode_integrate",
     "parabolic_cylinder_D",
-    "LocalModelData", "lambda_conjugator", "local_model_data",
-    "local_phase_phi", "pc_coefficients", "pc_model_matrix", "scaling_map",
+    "LocalModelData", "lambda_conjugator", "local_phase_phi", "pc_coefficients",
+    "pc_model_matrix", "scaling_map",
     "PhaseGeometry", "Regime", "phase_theta", "sign_of_re_phi",
     "stationary_points",
     "DeltaFunction", "ResidueConstants", "SaddleExponents", "bp_elements",

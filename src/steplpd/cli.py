@@ -76,12 +76,8 @@ def cmd_scatter(args) -> int:
     data = _scattering_data(args)
     xs = np.linspace(args.xi_min, args.xi_max, args.n)
     xs = xs[np.abs(xs) > 1e-9]
-    rows = []
-    for xi in xs:
-        a1, a2, b = data.a1(xi), data.a2(xi), data.b(xi)
-        r1, r2 = data.r1(xi), data.r2(xi)
-        rows.append([xi, a1.real, a1.imag, a2.real, a2.imag, b.real, b.imag,
-                     r1.real, r1.imag, r2.real, r2.imag])
+    cols = [entry(xs) for entry in (data.a1, data.a2, data.b, data.r1, data.r2)]
+    rows = np.column_stack([xs] + [part for c in cols for part in (c.real, c.imag)])
     meta = {"command": "scatter", "A": data.A, "gamma": data.gamma,
             "xi1": data.xi1, "case": data.case_tag.value}
     write_csv(args.out, ["xi", "re_a1", "im_a1", "re_a2", "im_a2", "re_b",

@@ -46,23 +46,11 @@ class LocalModelData:
     v: complex
     r1r: complex
     r2r: complex
-    chi: complex = 0.0 + 0.0j
 
 
 def model_order(r1r: complex, r2r: complex) -> complex:
     """v = -(1/2 pi) Log(1 + r1r r2r), principal branch."""
     return -np.log(1.0 + complex(r1r) * complex(r2r)) / (2.0 * np.pi)
-
-
-def local_model_data(s: int, exponents: SaddleExponents,
-                     data, geometry: PhaseGeometry) -> LocalModelData:
-    """Assemble a saddle's model data from scattering data and exponents."""
-    from steplpd.rhfactors import regularized_reflections
-
-    lam = geometry.lam(s)
-    r1r, r2r = regularized_reflections(data, lam)
-    return LocalModelData(s=s, v=exponents.v[s - 1], r1r=r1r, r2r=r2r,
-                          chi=exponents.chi0(s))
 
 
 # ---------------------------------------------------------------------------

@@ -64,13 +64,14 @@ _MAX_BISECTIONS = 40
 _ENDPOINT_GUARD = 1e-8
 
 
-def _continuous_log(w: Callable[[float], complex], points: np.ndarray,
+def _continuous_log(w: Callable[[np.ndarray], np.ndarray], points: np.ndarray,
                     anchor_left: bool) -> np.ndarray:
-    """ln w at the points, arg w unwrapped along the line from the decaying
-    end: the leftmost point for positive mu, the rightmost for the mirror."""
+    """ln w at the points (w takes them as one array), arg w unwrapped along
+    the line from the decaying end: the leftmost point for positive mu, the
+    rightmost for the mirror."""
     order = np.argsort(points)
     x = points[order]
-    vals = np.array([w(float(p)) for p in x], dtype=complex)
+    vals = np.asarray(w(x), dtype=complex)
     given = np.ones(len(x), dtype=bool)
     for _ in range(_MAX_BISECTIONS):
         if np.any(np.abs(vals) < 1e-14):
@@ -81,7 +82,7 @@ def _continuous_log(w: Callable[[float], complex], points: np.ndarray,
             break
         mids = 0.5 * (x[wide - 1] + x[wide])
         x, given = np.insert(x, wide, mids), np.insert(given, wide, False)
-        vals = np.insert(vals, wide, [w(float(p)) for p in mids])
+        vals = np.insert(vals, wide, w(mids))
     else:
         raise BranchError(f"arg(1 + r1 r2) jumps near {x[wide[0]]:.17g}")
     k = 0 if anchor_left else -1
@@ -162,9 +163,9 @@ class DeltaFunction:
 def build_delta(data, geometry: PhaseGeometry) -> DeltaFunction:
     """Construct the delta evaluator for three-saddle geometry.
 
-    ``data`` needs the callable one_plus_r1r2 on the real line
+    ``data`` needs one_plus_r1r2 on the real line, taking a node array
     (ScatteringData or SyntheticReflectionData); the continuous-branch log
-    of 1 + r1 r2 is sampled once, on the nodes.
+    of 1 + r1 r2 is sampled once, on all the nodes in one call.
     """
     if geometry.regime is not Regime.THREE_REAL:
         raise ValueError("delta needs the three-stationary-point regime")

@@ -19,6 +19,9 @@ entries (det phi_+ = 1),
     a1 = W(phi_-1, phi_+2),  b = W(phi_-2, phi_+2),  a2 = W(phi_+1, phi_-2),
 
 the one formula for S at every nonzero xi, on the real axis and off it.
+ScatteringData carries S alone, as a function of a xi-array; a1, a2, b,
+r1 = -S21/S11, r2 = S12/S22 and 1 + r1 r2 = 1/(1 + S12 S21) are its methods,
+so every sample, the mirrored b(-xi) in r1 included, costs one sweep.
 
 Q(x) does not depend on xi, so each half-line's transfer matrix is a
 product of 4th-order Magnus cell exponentials (Iserles & Norsett, Phil.
@@ -333,22 +336,33 @@ _A1DOT_H_REL = 1e-5
 # |a2(0)| above this times (1 + A) is case 1
 _CASE_THRESHOLD_REL = 1e-6
 
+
+def _matrix(s11, s12, s21, s22) -> np.ndarray:
+    """Entries of one shape (...) stacked into matrices (..., 2, 2)."""
+    return np.moveaxis(np.array([[s11, s12], [s21, s22]]), (0, 1), (-2, -1))
+
+
 @dataclass
 class ScatteringData:
     """Evaluable scattering data of a step-like profile.
 
-    a1 lives on the closed upper half-plane minus 0, a2 on the closed lower
-    half-plane, b on the reals (all three continue meromorphically for the
-    compact-perturbation class, which the callables exploit off the axis).
-    kappa is the unimodular norming constant of the discrete eigenvalue; it
-    is free data here (default 1).
+    S maps an array of xi to the scattering matrices (..., 2, 2),
+
+        S(xi) = [[a1(xi), b(xi)], [-conj(b(-conj(xi))), a2(xi)]],
+
+    with a1 on the closed upper half-plane minus 0, a2 on the closed lower
+    half-plane and b on the reals (all continue meromorphically for the
+    compact-perturbation class, which S exploits off the axis).  Where an
+    entry has a pole S holds a non-finite value.  The entries and the
+    reflection coefficients are methods that read one S call and take a
+    scalar or an array; a value that is not finite raises
+    SingularNormalizationError.  kappa is the unimodular norming constant
+    of the discrete eigenvalue; it is free data here (default 1).
     """
 
     A: float
     gamma: float
-    a1: Callable[[complex], complex]
-    a2: Callable[[complex], complex]
-    b: Callable[[complex], complex]
+    S: Callable[[np.ndarray], np.ndarray]
     case_tag: CaseTag | None = None
     xi1: float | None = None
     a11: complex | None = None
@@ -359,108 +373,107 @@ class ScatteringData:
         if abs(abs(self.kappa) - 1.0) > 1e-12:
             raise ValueError("norming constant kappa must be unimodular")
 
-    # reflection coefficients --------------------------------------------
+    def _read(self, xi, entries: Callable[[np.ndarray], np.ndarray]):
+        """entries(S(xi)) for a scalar or an array xi; raises where not finite."""
+        S = self.S(np.asarray(xi, dtype=complex))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            out = entries(S)
+        if not np.isfinite(out).all():
+            raise SingularNormalizationError(f"the scattering data have a pole at {xi}")
+        return out
 
-    def b_mirror(self, xi: complex) -> complex:
-        """conj(b(-conj(xi))): the Schwarz-reflected partner entering r1."""
-        return np.conj(self.b(-np.conj(xi)))
+    def a1(self, xi):
+        return self._read(xi, lambda S: S[..., 0, 0])
 
-    def r1(self, xi: complex) -> complex:
-        return self.b_mirror(xi) / self.a1(xi)
+    def a2(self, xi):
+        return self._read(xi, lambda S: S[..., 1, 1])
 
-    def r2(self, xi: complex) -> complex:
-        return self.b(xi) / self.a2(xi)
+    def b(self, xi):
+        return self._read(xi, lambda S: S[..., 0, 1])
 
-    def one_plus_r1r2(self, xi: complex) -> complex:
-        """1/(1 - b b_mirror), equal to 1 + r1 r2 by det S = 1 without the
+    def b_mirror(self, xi):
+        """-S21 = conj(b(-conj(xi))): the Schwarz-reflected partner entering r1."""
+        return self._read(xi, lambda S: -S[..., 1, 0])
+
+    def r1(self, xi):
+        return self._read(xi, lambda S: -S[..., 1, 0] / S[..., 0, 0])
+
+    def r2(self, xi):
+        return self._read(xi, lambda S: S[..., 0, 1] / S[..., 1, 1])
+
+    def one_plus_r1r2(self, xi):
+        """1/(1 + S12 S21), equal to 1 + r1 r2 by det S = 1 without the
         cancellation of r1 r2 ~ -1 near xi = 0, and exactly 1 where b = 0."""
-        return 1.0 / (1.0 - self.b(xi) * self.b_mirror(xi))
+        return self._read(xi, lambda S: 1.0 / (1.0 + S[..., 0, 1] * S[..., 1, 0]))
 
     def a1dot_at_pole(self) -> complex:
         """da1/dxi at i*xi1 by a central difference along the imaginary axis."""
         if self.xi1 is None:
             raise ValueError("xi1 not located yet")
         h = _A1DOT_H_REL * self.xi1
-        up = self.a1(1j * (self.xi1 + h))
-        dn = self.a1(1j * (self.xi1 - h))
+        up, dn = self.a1(1j * (self.xi1 + np.array([h, -h])))
         return (up - dn) / (2j * h)
 
     # constructors ---------------------------------------------------------
 
     @classmethod
     def pure_step(cls, A: float, gamma: float) -> "ScatteringData":
-        """Closed forms: a1 = 1 + A^2/(4 xi^2), a2 = 1, b = iA/(2 xi)."""
-        def a1(xi):
-            return 1.0 + A * A / (4.0 * complex(xi) ** 2)
+        """Closed form S = [[1 - b^2, b], [-conj(b(-conj(xi))), 1]] with
+        b = iA/(2 xi): a1 = 1 + A^2/(4 xi^2), a2 = 1 and S21 = -b."""
+        def S(xi):
+            with np.errstate(divide="ignore", invalid="ignore"):
+                b, b_reflected = 1j * A / (2.0 * xi), 1j * A / (-2.0 * np.conj(xi))
+            return _matrix(1.0 - b * b, b, -np.conj(b_reflected), np.ones_like(b))
 
-        def a2(xi):
-            return 1.0 + 0.0j
-
-        def b(xi):
-            return 1j * A / (2.0 * complex(xi))
-
-        return cls(A=A, gamma=gamma, a1=a1, a2=a2, b=b, case_tag=CaseTag.CASE1,
-                   xi1=A / 2.0)
+        return cls(A=A, gamma=gamma, S=S, case_tag=CaseTag.CASE1, xi1=A / 2.0)
 
     @classmethod
     def reflectionless(cls, A: float, gamma: float,
                        alpha: float = 0.0) -> "ScatteringData":
-        """b == 0 case-2 data of the exact one-soliton, kappa = exp(i*alpha)."""
-        def a1(xi):
-            xi = complex(xi)
-            return (xi - 0.5j * A) / xi
+        """b == 0 case-2 data of the exact one-soliton, kappa = exp(i*alpha):
+        a1 = (xi - iA/2)/xi, a2 = 1/a1."""
+        def S(xi):
+            with np.errstate(divide="ignore", invalid="ignore"):
+                a1, a2 = (xi - 0.5j * A) / xi, xi / (xi - 0.5j * A)
+            zero = np.zeros_like(a1)
+            return _matrix(a1, zero, zero, a2)
 
-        def a2(xi):
-            xi = complex(xi)
-            return xi / (xi - 0.5j * A)
-
-        def b(xi):
-            return 0.0 + 0.0j
-
-        return cls(A=A, gamma=gamma, a1=a1, a2=a2, b=b, case_tag=CaseTag.CASE2,
+        return cls(A=A, gamma=gamma, S=S, case_tag=CaseTag.CASE2,
                    xi1=A / 2.0, a11=-0.5j * A, a2dot0=2j / A,
                    kappa=np.exp(1j * alpha))
 
     @classmethod
     def from_profile(cls, profile: InitialProfile,
                      analyze: bool = True) -> "ScatteringData":
-        """Numerical scattering data: a1, a2 and b read the entries of the
-        Wronskian S (scattering_matrix), on the axis and off it, cached per xi.
+        """Numerical scattering data: S is the Wronskian scattering_matrix,
+        one sweep per xi on the axis and off it, cached per xi.
 
         At xi = 0 one sweep gives the clean columns T_+ e1 and T_- e2 and
         with them a2(0).  b(0) is finite only in case 2: with a2(0) = 0 the
         pole of b = W(T_- e2, T_+ e2) - (A/2i xi) a2(xi) exp(2i xi ell)
         cancels and b(0) = W(T_- e2, T_+ e2) - (A/2i) a2'(0); when |a2(0)|
-        exceeds classify_case's threshold, b(0) raises.  a1(0) raises.
+        exceeds classify_case's threshold, S(0) holds NaN for b, as for a1.
         """
         if profile.is_pure_step:
             return cls.pure_step(profile.A, profile.gamma)
         A = profile.A
 
         @lru_cache(maxsize=50_000)
-        def s_entries(xi: complex) -> tuple:
-            return tuple(scattering_matrix(profile, xi).ravel())
-
-        T_minus, T_plus = (T[0] for T in _transfer(profile, np.zeros(1)))
-        a2_zero = _wronskian(T_plus[:, 0], T_minus[:, 1])
-        w_zero = _wronskian(T_minus[:, 1], T_plus[:, 1])
-
-        def a1(xi):
-            return s_entries(complex(xi))[0]
-
-        def a2(xi):
-            xi = complex(xi)
-            return a2_zero if xi == 0 else s_entries(xi)[3]
-
-        def b(xi):
-            xi = complex(xi)
+        def s_matrix(xi: complex) -> np.ndarray:
             if xi != 0:
-                return s_entries(xi)[1]
-            if abs(a2_zero) > _CASE_THRESHOLD_REL * (1.0 + A):
-                raise SingularNormalizationError("b has a pole at 0: a2(0) != 0")
-            return w_zero - A / 2j * _a2dot0(a2, A)
+                return scattering_matrix(profile, xi)
+            T_minus, T_plus = (T[0] for T in _transfer(profile, np.zeros(1)))
+            a2 = _wronskian(T_plus[:, 0], T_minus[:, 1])
+            b = np.nan
+            if abs(a2) <= _CASE_THRESHOLD_REL * (1.0 + A):
+                b = _wronskian(T_minus[:, 1], T_plus[:, 1]) - A / 2j * _a2dot0(S, A)
+            return np.array([[np.nan, b], [-np.conj(b), a2]])
 
-        data = cls(A=A, gamma=profile.gamma, a1=a1, a2=a2, b=b)
+        def S(xi):
+            xi = np.asarray(xi, dtype=complex)
+            return np.array([s_matrix(complex(z)) for z in xi.flat]).reshape(xi.shape + (2, 2))
+
+        data = cls(A=A, gamma=profile.gamma, S=S)
         if analyze:
             data.case_tag = classify_case(data)
             data.xi1 = locate_xi1(data)
@@ -492,19 +505,19 @@ def soliton_profile(A: float, gamma: float, alpha: float = 0.0) -> InitialProfil
 class SyntheticReflectionData:
     """Minimal reflection-data stand-in for factor/asymptotics experiments.
 
-    Carries just the surface the delta/exponent machinery consumes: r1, r2
-    callables on the line plus step height and dispersion parameters.  The
-    norming constant kappa is 1.
+    Carries just the surface the delta/exponent machinery consumes: r1 and
+    r2 on the line, each taking a scalar or an array, plus step height and
+    dispersion parameters.  The norming constant kappa is 1.
     """
 
     A: float
     gamma: float
-    r1: Callable[[complex], complex]
-    r2: Callable[[complex], complex]
+    r1: Callable[[np.ndarray], np.ndarray]
+    r2: Callable[[np.ndarray], np.ndarray]
     xi1: float | None = None
     kappa: ClassVar[complex] = 1.0 + 0.0j
 
-    def one_plus_r1r2(self, xi: complex) -> complex:
+    def one_plus_r1r2(self, xi):
         return 1.0 + self.r1(xi) * self.r2(xi)
 
 
@@ -532,33 +545,34 @@ def synthetic_from_v_targets(A: float, gamma: float, mu: float,
     G = np.exp(-((lams[:, None] - lams[None, :]) / _SYNTHETIC_WIDTH) ** 2)
     coef = np.linalg.solve(G, np.asarray(v_targets, dtype=complex))
 
-    def g(z: complex) -> complex:
-        return np.sum(coef * np.exp(-((complex(z).real - lams) / _SYNTHETIC_WIDTH) ** 2))
+    def bumps(z):
+        """The three Gaussians at Re z, on a last axis."""
+        return np.exp(-((np.asarray(z).real[..., None] - lams) / _SYNTHETIC_WIDTH) ** 2)
+
+    def g(z):
+        return np.sum(coef * bumps(z), axis=-1)
 
     if np.ndim(r2) == 0:
-        def r2_of(z: complex) -> complex:
-            return r2
+        def r2_of(z):
+            return np.full(np.shape(z), r2, dtype=complex)
     else:
         floor, *weights = r2
 
-        def r2_of(z: complex) -> complex:
-            zr = complex(z).real
-            val = floor
-            for w, lam in zip(weights, lams):
-                val = val + w * np.exp(-((zr - lam) / _SYNTHETIC_WIDTH) ** 2)
-            return val
+        def r2_of(z):
+            return floor + np.sum(np.asarray(weights) * bumps(z), axis=-1)
 
-    def r1(z: complex) -> complex:
+    def r1(z):
         return (np.exp(-2.0 * np.pi * g(z)) - 1.0) / r2_of(z)
 
     # a nominal discrete eigenvalue so the BP-regularized quantities exist
     return SyntheticReflectionData(A=A, gamma=gamma, r1=r1, r2=r2_of, xi1=A / 2.0)
 
 
-def _a2dot0(a2: Callable[[complex], complex], A: float) -> complex:
+def _a2dot0(S: Callable[[np.ndarray], np.ndarray], A: float) -> complex:
     """a2'(0) by a central difference (shared by classify_case and b(0))."""
     h = 1e-5 * (1.0 + A)
-    return (a2(h) - a2(-h)) / (2.0 * h)
+    up, dn = S(np.array([h, -h]))[:, 1, 1]
+    return (up - dn) / (2.0 * h)
 
 
 def classify_case(data: ScatteringData) -> CaseTag:
@@ -570,7 +584,7 @@ def classify_case(data: ScatteringData) -> CaseTag:
         data.case_tag = CaseTag.CASE1
         return CaseTag.CASE1
 
-    a2dot0 = _a2dot0(data.a2, data.A)
+    a2dot0 = _a2dot0(data.S, data.A)
     if abs(a2dot0) <= thr:
         raise DegeneracyError("both a2(0) and a2'(0) vanish: unsupported data")
     b0 = data.b(0.0)
@@ -604,7 +618,7 @@ def locate_xi1(data: ScatteringData) -> float:
 
     def trace_integral(n: int) -> float:
         rule = interval_rule(ContourInterval(0.0, np.inf), n)
-        arg = np.angle([data.one_plus_r1r2(th) for th in rule.z])
+        arg = np.angle(data.one_plus_r1r2(rule.z))
         return rule.integrate(arg / rule.z).real / np.pi
 
     coarse, I = trace_integral(_NODES), trace_integral(2 * _NODES)
@@ -625,10 +639,10 @@ def locate_xi1(data: ScatteringData) -> float:
         xi1 = A * (np.sqrt(np.real(b0) ** 2 + F2**2) - np.real(b0)) / (2.0 * F1 * F2)
     xi1 = float(xi1)
 
-    scale = max(abs(data.a1(1j * xi1 * (1.0 + 1e-3))), 1e-6)
-    if abs(data.a1(1j * xi1)) > _XI1_CHECK_TOL * max(1.0, scale):
+    at, near = data.a1(1j * xi1 * np.array([1.0, 1.0 + 1e-3]))
+    if abs(at) > _XI1_CHECK_TOL * max(1.0, abs(near)):
         raise InconsistentDataError(
-            f"a1(i*xi1) = {data.a1(1j * xi1):.3e} does not vanish at xi1 = {xi1:.8g}")
+            f"a1(i*xi1) = {at:.3e} does not vanish at xi1 = {xi1:.8g}")
     data.xi1 = xi1
     return xi1
 

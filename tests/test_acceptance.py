@@ -245,7 +245,8 @@ def test_criterion_09_asymptotic_power_law():
     coef = np.linalg.solve(G, np.asarray(targets))
 
     def g(z):
-        return np.sum(coef * np.exp(-((np.real(z) - lams) / width) ** 2))
+        return np.sum(coef * np.exp(-((np.asarray(z).real[..., None] - lams) / width) ** 2),
+                      axis=-1)
 
     def r2(z):
         zr = np.real(z)

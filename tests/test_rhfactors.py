@@ -218,7 +218,7 @@ class TestPureStepReference:
                                             (3.0, 0.0024773869346733667)])
     def test_no_rounding_near_lam2(self, height, mu):
         # rays whose chi_2 n/2n gap the rounding of 1 + r1 r2 near lam2 once
-        # pushed past 1e-10; sampled as 1/(1 - b b_mirror) it is not there
+        # pushed past 1e-10; sampled as 1/(1 + S12 S21) it is not there
         exps = saddle_exponents(ScatteringData.pure_step(height, GAMMA),
                                 stationary_points(mu, GAMMA))
         assert exps.delta.convergence < 1e-13 and max(exps.chi_error) < 1e-13

@@ -7,7 +7,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from steplpd import scattering
-from steplpd.kernels import IntegrationError, ode, ode_integrate
+from steplpd.kernels import ContourInterval, IntegrationError, interval_rule, ode, ode_integrate
+from steplpd.kernels.quadrature import _NODES
+from steplpd.phase import stationary_points
+from steplpd.rhfactors import build_delta
 from steplpd.scattering import (
     CaseTag,
     DegeneracyError,
@@ -21,6 +24,7 @@ from steplpd.scattering import (
     normalization_matrices,
     scattering_matrix,
     soliton_profile,
+    synthetic_from_v_targets,
 )
 
 SIGMA1 = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -30,6 +34,16 @@ GAMMA = 1.0 / 27.0
 def pure_step_S(A: float, xi: float) -> np.ndarray:
     return np.array([[1 + A * A / (4 * xi * xi), -A / (2j * xi)],
                      [A / (2j * xi), 1.0]], dtype=complex)
+
+
+def diagonal_S(a1, a2):
+    """S with b = 0 and the given a1, a2, each a function of the xi array."""
+    def S(xi):
+        out = np.zeros(np.shape(xi) + (2, 2), dtype=complex)
+        out[..., 0, 0], out[..., 1, 1] = a1(xi), a2(xi)
+        return out
+
+    return S
 
 
 @pytest.fixture(scope="module")
@@ -276,16 +290,12 @@ class TestCaseClassification:
 
     def test_threshold_logic(self):
         d = ScatteringData(A=1.0, gamma=GAMMA,
-                           a1=lambda xi: 1.0 + 0j,
-                           a2=lambda xi: 0.5 + 0j,
-                           b=lambda xi: 0.0 + 0j)
+                           S=diagonal_S(lambda xi: 1.0 + 0j, lambda xi: 0.5 + 0j))
         assert classify_case(d) is CaseTag.CASE1
 
     def test_degenerate_rejected(self):
         d = ScatteringData(A=1.0, gamma=GAMMA,
-                           a1=lambda xi: 1.0 + 0j,
-                           a2=lambda xi: complex(xi) ** 2,
-                           b=lambda xi: 0.0 + 0j)
+                           S=diagonal_S(lambda xi: 1.0 + 0j, lambda xi: xi ** 2))
         with pytest.raises(DegeneracyError):
             classify_case(d)
 
@@ -466,25 +476,93 @@ class TestBaselineBump:
         prof = InitialProfile.gaussian_bump(**BASELINE_BUMP)
         data = ScatteringData.from_profile(prof, analyze=False)
         assert classify_case(data) is CaseTag.CASE1
-        thetas = []
         b = data.b
-
-        def recording_b(xi):
-            thetas.append(abs(complex(xi)))
-            return b(xi)
-
         # the same entry of S on the axis and just off it
         assert abs(b(0.9 + 1e-300j) - b(0.9)) < 1e-12
-        data.b = recording_b
         xi1 = locate_xi1(data)   # raises unless |a1(i xi1)| vanishes
         assert abs(xi1 - BASELINE_XI1) < 1e-8
         # the trace integrand's 1 - b(th) conj(b(-th)) at the largest node,
         # th ~ 1.1e4, where |b| is smallest
-        th = max(thetas)
+        th = interval_rule(ContourInterval(0.0, np.inf), 2 * _NODES).z.max()
         b_plus, b_minus = dop853_b(prof, th), dop853_b(prof, -th)
         assert abs(b(th) - b_plus) < 1e-11 and abs(b(-th) - b_minus) < 1e-11
         got = 1.0 - b(th) * np.conj(b(-th))
         assert abs(got - (1.0 - b_plus * np.conj(b_minus))) < 1e-12
+
+
+class TestSweepCount:
+    """One Magnus sweep (one jost_at_origin call) per sample of S."""
+
+    @pytest.fixture
+    def counted(self, monkeypatch):
+        calls = []
+        jost = scattering.jost_at_origin
+
+        def counting(profile, xi):
+            calls.append(xi)
+            return jost(profile, xi)
+
+        monkeypatch.setattr(scattering, "jost_at_origin", counting)
+        data = ScatteringData.from_profile(InitialProfile.gaussian_bump(**BASELINE_BUMP),
+                                           analyze=False)
+        assert classify_case(data) is CaseTag.CASE1
+        calls.clear()
+        return data, calls
+
+    def test_locate_xi1(self, counted):
+        data, calls = counted
+        locate_xi1(data)
+        # 64 + 128 trace nodes and the two a1 checks off the axis
+        assert len(calls) == 194
+
+    def test_build_delta(self, counted):
+        data, calls = counted
+        build_delta(data, stationary_points(0.3, GAMMA))
+        assert len(calls) == 515
+
+    def test_scatter_row(self, counted):
+        data, calls = counted
+        xi = 0.7
+        data.a1(xi), data.a2(xi), data.b(xi), data.r1(xi), data.r2(xi)
+        assert len(calls) == 1
+
+
+class TestArraySurface:
+    NODES = np.array([-2.2, -0.7, 0.3, 0.45, 1.7, 3.0])
+
+    @pytest.mark.parametrize("source", ["pure-step", "reflectionless", "bump", "synthetic"])
+    def test_array_equals_scalar_calls(self, source, bump_profile):
+        data = {"pure-step": lambda: ScatteringData.pure_step(1.3, GAMMA),
+                "reflectionless": lambda: ScatteringData.reflectionless(1.4, GAMMA, 0.2),
+                "bump": lambda: ScatteringData.from_profile(bump_profile, analyze=False),
+                "synthetic": lambda: synthetic_from_v_targets(
+                    2.0, GAMMA, 0.5, (0.1j, -0.05j, 0.08j), r2=(0.1, 3.0, 1.2, 0.6))}[source]()
+        for method in (data.one_plus_r1r2, data.r1, data.r2):
+            np.testing.assert_array_equal(method(self.NODES),
+                                          [method(xi) for xi in self.NODES])
+
+    def test_b_mirror_is_reflected_b(self, bump_profile):
+        d = ScatteringData.from_profile(bump_profile, analyze=False)
+        for xi in (0.3, 1.7, -2.2, 0.4 + 0.1j):
+            assert abs(d.b_mirror(xi) - np.conj(d.b(-np.conj(xi)))) < 1e-13
+
+    def test_reflectionless_a2_pole(self):
+        # a1's zero i A/2 is a2's pole: S holds it without a warning, a1
+        # reads 0 there and a2 raises
+        A = 1.4
+        d = ScatteringData.reflectionless(A, GAMMA)
+        S = d.S(np.asarray(0.5j * A))
+        assert S[0, 0] == 0 and not np.isfinite(S[1, 1])
+        assert d.a1(0.5j * A) == 0
+        with pytest.raises(SingularNormalizationError):
+            d.a2(0.5j * A)
+
+    def test_pure_step_zero(self):
+        d = ScatteringData.pure_step(1.3, GAMMA)
+        assert d.a2(0.0) == 1
+        for entry in (d.a1, d.b, d.r2, d.one_plus_r1r2):
+            with pytest.raises(SingularNormalizationError):
+                entry(0.0)
 
 
 class TestSupportCheck:
