@@ -143,21 +143,6 @@ def stationary_points(mu: float, gamma: float,
                          lambdas=tuple(lams), curvatures=tuple(curv))
 
 
-def cardano_roots(mu: float, gamma: float) -> tuple[complex, complex, complex]:
-    """Closed-form roots via cube roots of unity; oracle for stationary_points.
-
-    Branch-sensitive by nature, so only the root *set* should be compared.
-    """
-    w = (-1.0 + np.sqrt(3.0) * 1j) / 2.0
-    s = np.sqrt(complex(mu * mu - 1.0 / (27.0 * gamma)))
-    up = ((-mu + s) / gamma) ** (1.0 / 3.0)
-    um = np.exp(np.log((-mu - s) / gamma) / 3.0)
-    lam1 = w**2 / 4.0 * up + w / 4.0 * um
-    lam2 = w / 4.0 * up + w**2 / 4.0 * um
-    lam3 = up / 4.0 + um / 4.0
-    return lam1, lam2, lam3
-
-
 def sign_of_re_phi(xi: complex, geometry: PhaseGeometry) -> int:
     """Sign of Re(i*theta(xi, mu)) in {-1, 0, +1}, with a dead band at zero."""
     re = (1j * geometry.theta(xi)).real

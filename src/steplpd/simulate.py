@@ -274,6 +274,7 @@ class _LinearPropagator:
         b[n // 2] = 0.5 * (left + right)
         self.background = b
         self.force = _dst(np.convolve(b, stencil, mode="valid"))
+        self._phases: dict[float, tuple[np.ndarray, np.ndarray]] = {}
         # default damping mask; evolve tightens it to the dt in use
         self.set_cutoff(gamma * (0.5 * np.pi / h) ** 4)
 
@@ -301,7 +302,13 @@ class _LinearPropagator:
         return full
 
     def phases(self, dt: float) -> tuple[np.ndarray, np.ndarray]:
-        """(e^{-i lam dt}, the affine forcing increment over dt)."""
+        """(e^{-i lam dt}, the affine forcing increment over dt), evaluated
+        once per dt: a run of equal steps shares them."""
+        if dt not in self._phases:
+            self._phases[dt] = self._affine_flow(dt)
+        return self._phases[dt]
+
+    def _affine_flow(self, dt: float) -> tuple[np.ndarray, np.ndarray]:
         lam = self.evals
         ph = np.exp(-1j * lam * dt)
         z = -1j * lam * dt

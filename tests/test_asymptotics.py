@@ -13,7 +13,15 @@ from steplpd.asymptotics import (
 )
 from steplpd.phase import RegimeError, stationary_points
 from steplpd.rhfactors import build_delta, saddle_exponents
-from steplpd.scattering import ScatteringData, SyntheticReflectionData, locate_xi1, synthetic_from_v_targets
+from steplpd.scattering import (
+    CaseTag,
+    ScatteringData,
+    SyntheticReflectionData,
+    classify_case,
+    locate_xi1,
+    soliton_profile,
+    synthetic_from_v_targets,
+)
 
 GAMMA = 1.0 / 27.0
 A = 2.0
@@ -290,6 +298,21 @@ class TestQAsymptotic:
         slope = np.polyfit(np.log(ts), np.log(vals), 1)[0]
         dominant = max(tm.exponent.real for tm in res.leading_terms)
         assert abs(slope - dominant) < 0.05
+
+
+class TestCaseTwoProfile:
+    def test_soliton_profile_tends_to_the_step(self):
+        # case 2 end to end on a perturbed profile: the one-soliton's own
+        # q0 has b ~ 0, so delta ~ 1 and q -> A on x > 0, q -> 0 on x < 0
+        data = ScatteringData.from_profile(soliton_profile(A, GAMMA, np.pi / 3),
+                                           analyze=False)
+        assert classify_case(data) is CaseTag.CASE2
+        locate_xi1(data)
+        cache = {}
+        right = q_asymptotic(30.0, 100.0, data, cache).value(30.0, 100.0)
+        left = q_asymptotic(-30.0, 100.0, data, cache).value(-30.0, 100.0)
+        assert abs(right - A) < 1e-10
+        assert abs(left) < 1e-10
 
 
 class TestFormerIntegrationFailures:

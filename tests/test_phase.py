@@ -8,13 +8,27 @@ from steplpd.phase import (
     PhaseGeometry,
     Regime,
     RegimeError,
-    cardano_roots,
     phase_theta,
     sign_of_re_phi,
     stationary_points,
 )
 
 GAMMA = 1.0 / 27.0
+
+
+def cardano_roots(mu: float, gamma: float) -> tuple[complex, complex, complex]:
+    """Closed-form roots via cube roots of unity: the oracle for stationary_points.
+
+    Branch-sensitive by nature, so only the root *set* should be compared.
+    """
+    w = (-1.0 + np.sqrt(3.0) * 1j) / 2.0
+    s = np.sqrt(complex(mu * mu - 1.0 / (27.0 * gamma)))
+    up = ((-mu + s) / gamma) ** (1.0 / 3.0)
+    um = np.exp(np.log((-mu - s) / gamma) / 3.0)
+    lam1 = w**2 / 4.0 * up + w / 4.0 * um
+    lam2 = w / 4.0 * up + w**2 / 4.0 * um
+    lam3 = up / 4.0 + um / 4.0
+    return lam1, lam2, lam3
 
 
 class TestTheta:

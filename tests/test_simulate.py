@@ -167,6 +167,28 @@ class TestEvolve:
         assert np.abs(chunked.values - exact).max() < 1e-6
         assert np.abs(single.values - exact).max() < 1e-6
 
+    def test_phases_once_per_step_size(self, monkeypatch):
+        # a run of equal Lawson steps evaluates its phases once per dt: the
+        # steps' half-step, and the step-doubling check's quarter step
+        requested, evaluated = [], []
+        phases, affine_flow = _LinearPropagator.phases, _LinearPropagator._affine_flow
+
+        def counting_phases(lin, dt):
+            requested.append(dt)
+            return phases(lin, dt)
+
+        def counting_flow(lin, dt):
+            evaluated.append(dt)
+            return affine_flow(lin, dt)
+
+        monkeypatch.setattr(_LinearPropagator, "phases", counting_phases)
+        monkeypatch.setattr(_LinearPropagator, "_affine_flow", counting_flow)
+        g0 = FieldGrid.from_function(lambda x: q_soliton(x, 0.0, 2.0, np.pi, 0.1), 10.0, 0.05)
+        evolve(g0, 0.005, 0.1)
+        assert len(requested) > 20
+        assert sorted(evaluated) == sorted(set(requested))
+        assert len(evaluated) <= 4
+
     def test_stable_dt_scale(self):
         g = FieldGrid.smoothed_step(2.0, 10.0, 0.02)
         dt = stable_dt(g, 0.1)
