@@ -14,8 +14,9 @@ with
 
 v = -(1/2 pi) Log(1 + r1r*r2r) (so beta*gamma_c = -v).  The matrix m with the
 constant jump [[1+pq, -q], [-p, 1]] across the real line is assembled from
-D_{iv} and D_{iv-1} at the rotated arguments tau*e^{-3 i pi/4} (upper) and
-tau*e^{+i pi/4} (lower); the s = 2 model is the conjugate reflection
+the pairs (D_{iv-1}, D_{iv}) at z13 and (D_{-iv-1}, D_{-iv}) at z24, with
+(z13, z24) = tau*(e^{-3 i pi/4}, e^{-i pi/4}) above the line and
+tau*(e^{i pi/4}, e^{3 i pi/4}) below; the s = 2 model is the conjugate reflection
 tau -> -conj(tau) of an s = 1 model built on the conjugated data.
 
 Sector factors, jump matrices on the four rays, the Wronskian identities
@@ -26,16 +27,23 @@ set (the printed sources disagree among themselves in three signs).
 
 from __future__ import annotations
 
+import cmath
+import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from steplpd.kernels import complex_gamma
-from steplpd.kernels.special import parabolic_cylinder_D_scaled, reciprocal_gamma
+from steplpd.kernels.special import parabolic_cylinder_D_scaled_pair, reciprocal_gamma
 from steplpd.phase import PhaseGeometry
 from steplpd.rhfactors import SaddleExponents
 
 _SQRT2PI = np.sqrt(2.0 * np.pi)
+_QUARTER = math.pi / 4.0
+# tau -> (z13, z24) above and below the real line
+_ROT_UPPER = (cmath.exp(-0.75j * math.pi), cmath.exp(-0.25j * math.pi))
+_ROT_LOWER = (cmath.exp(0.25j * math.pi), cmath.exp(0.75j * math.pi))
 
 
 @dataclass(frozen=True)
@@ -126,38 +134,21 @@ def pc_coefficients(s: int, r1r: complex, r2r: complex,
     conjugate-reflected convention (phases and Gamma arguments swapped),
     matching its reversed quadratic phase.
     """
+    if s not in (1, 2, 3):
+        raise ValueError("saddle index must be 1, 2 or 3")
     if v == 0:
         return 0.0 + 0.0j, 0.0 + 0.0j
-    if s in (1, 3):
-        beta = -_SQRT2PI * np.exp(-np.pi * v / 2.0) * np.exp(1j * np.pi / 4.0) \
-            * reciprocal_gamma(-1j * v) / r1r
-        gam = -_SQRT2PI * np.exp(-np.pi * v / 2.0) * np.exp(-1j * np.pi / 4.0) \
-            * reciprocal_gamma(1j * v) / r2r
-    elif s == 2:
-        beta = -_SQRT2PI * np.exp(-np.pi * v / 2.0) * np.exp(-1j * np.pi / 4.0) \
-            * reciprocal_gamma(1j * v) / r1r
-        gam = -_SQRT2PI * np.exp(-np.pi * v / 2.0) * np.exp(1j * np.pi / 4.0) \
-            * reciprocal_gamma(-1j * v) / r2r
-    else:
-        raise ValueError("saddle index must be 1, 2 or 3")
+    w = 1j if s in (1, 3) else -1j
+    beta = -_SQRT2PI * np.exp(-np.pi * v / 2.0) * np.exp(w * np.pi / 4.0) \
+        * reciprocal_gamma(-w * v) / r1r
+    gam = -_SQRT2PI * np.exp(-np.pi * v / 2.0) * np.exp(-w * np.pi / 4.0) \
+        * reciprocal_gamma(w * v) / r2r
     return beta, gam
 
 
-def _sector_factor_s13(r1r: complex, r2r: complex, tau: complex) -> np.ndarray:
-    """Piecewise unwinding factor P of mhat = m P tau^{-iv sigma3} e^{i tau^2 sigma3/4}."""
-    opq = 1.0 + r1r * r2r
-    a = np.angle(complex(tau))
-    if 0 <= a < np.pi / 4.0:
-        return np.array([[1.0, 0.0], [r1r, 1.0]], dtype=complex)
-    if np.pi / 4.0 < a < 3.0 * np.pi / 4.0:
-        return np.eye(2, dtype=complex)
-    if 3.0 * np.pi / 4.0 < a <= np.pi:
-        return np.array([[1.0, r2r / opq], [0.0, 1.0]], dtype=complex)
-    if -np.pi / 4.0 < a < 0:
-        return np.array([[1.0, -r2r], [0.0, 1.0]], dtype=complex)
-    if -3.0 * np.pi / 4.0 < a < -np.pi / 4.0:
-        return np.eye(2, dtype=complex)
-    return np.array([[1.0, 0.0], [-r1r / opq, 1.0]], dtype=complex)
+def _conjugate(model: LocalModelData) -> LocalModelData:
+    """The s = 1 model on conjugated data: reflected, it is the s = 2 model."""
+    return LocalModelData(1, *(complex(x).conjugate() for x in (model.v, model.r1r, model.r2r)))
 
 
 def m_matrix(s: int, model: LocalModelData, tau: complex) -> np.ndarray:
@@ -168,43 +159,37 @@ def m_matrix(s: int, model: LocalModelData, tau: complex) -> np.ndarray:
     """
     tau = complex(tau)
     if s == 2:
-        inner = LocalModelData(s=1, v=np.conj(model.v), r1r=np.conj(model.r1r),
-                               r2r=np.conj(model.r2r))
-        return np.conj(m_matrix(1, inner, -np.conj(tau)))
-    col1s, col2s = _scaled_columns(model.v, model.r1r, model.r2r, tau,
-                                   upper=tau.imag >= 0)
-    grow = np.exp(1j * tau**2 / 4.0)
-    return np.column_stack((col1s / grow, col2s * grow))
+        return np.conj(m_matrix(1, _conjugate(model), -tau.conjugate()))
+    (c11, c21), (c12, c22) = _scaled_columns(model.v, model.r1r, model.r2r, tau,
+                                             upper=tau.imag >= 0)
+    grow = cmath.exp(0.25j * tau * tau)
+    return np.array([[c11 / grow, c12 * grow], [c21 / grow, c22 * grow]])
+
+
+@lru_cache(maxsize=64)
+def _column_constants(v: complex, r1r: complex, r2r: complex) -> tuple[tuple[complex, ...], ...]:
+    """The factors of E_{iv}(z13), E_{iv-1}(z13), E_{-iv-1}(z24) and
+    E_{-iv}(z24) in m's scaled columns, above the real line and below;
+    b = e^{i pi/4} iv/beta and g = e^{-i pi/4} iv/gamma_c."""
+    b = r1r * complex_gamma(1.0 - 1j * v) * cmath.exp(math.pi * v / 2.0) / _SQRT2PI
+    g = -r2r * complex_gamma(1.0 + 1j * v) * cmath.exp(math.pi * v / 2.0) / _SQRT2PI
+    near, far = cmath.exp(math.pi * v / 4.0), cmath.exp(-3.0 * math.pi * v / 4.0)
+    return (far, -b * far, g * near, near), (near, b * near, -g * far, far)
 
 
 def _scaled_columns(v: complex, r1r: complex, r2r: complex, tau: complex,
-                    upper: bool) -> tuple[np.ndarray, np.ndarray]:
+                    upper: bool) -> tuple[tuple[complex, complex], tuple[complex, complex]]:
     """(col1 * e^{+i tau^2/4}, col2 * e^{-i tau^2/4}) of m, overflow-free.
 
     The growth of m's columns sits entirely in e^{-+ i tau^2/4}; multiplying
-    it away leaves the polynomially bounded combinations e^{z^2/4} D_a(z).
+    it away leaves the polynomially bounded combinations e^{z^2/4} D_a(z),
+    one evaluation at each of z13 and z24.
     """
-    Ds = parabolic_cylinder_D_scaled
-    tau = complex(tau)
-    iv = 1j * v
-    e = np.exp
-    iv_over_beta = r1r * complex_gamma(1.0 - iv) * e(np.pi * v / 2.0) \
-        * e(-1j * np.pi / 4.0) / _SQRT2PI
-    iv_over_gamc = -r2r * complex_gamma(1.0 + iv) * e(np.pi * v / 2.0) \
-        * e(1j * np.pi / 4.0) / _SQRT2PI
-    if upper:
-        z13, z24 = tau * e(-3j * np.pi / 4.0), tau * e(-1j * np.pi / 4.0)
-        c11 = e(-3.0 * np.pi * v / 4.0) * Ds(iv, z13)
-        c21 = iv_over_beta * e(-3.0 * np.pi * (v + 1j) / 4.0) * Ds(iv - 1.0, z13)
-        c12 = iv_over_gamc * e(np.pi * (v - 1j) / 4.0) * Ds(-iv - 1.0, z24)
-        c22 = e(np.pi * v / 4.0) * Ds(-iv, z24)
-    else:
-        z13, z24 = tau * e(1j * np.pi / 4.0), tau * e(3j * np.pi / 4.0)
-        c11 = e(np.pi * v / 4.0) * Ds(iv, z13)
-        c21 = iv_over_beta * e(np.pi * (v + 1j) / 4.0) * Ds(iv - 1.0, z13)
-        c12 = iv_over_gamc * e(-3.0 * np.pi * (v - 1j) / 4.0) * Ds(-iv - 1.0, z24)
-        c22 = e(-3.0 * np.pi * v / 4.0) * Ds(-iv, z24)
-    return np.array([c11, c21], dtype=complex), np.array([c12, c22], dtype=complex)
+    k11, k21, k12, k22 = _column_constants(v, r1r, r2r)[0 if upper else 1]
+    r13, r24 = _ROT_UPPER if upper else _ROT_LOWER
+    e21, e11 = parabolic_cylinder_D_scaled_pair(1j * v - 1.0, tau * r13)
+    e12, e22 = parabolic_cylinder_D_scaled_pair(-1j * v - 1.0, tau * r24)
+    return (k11 * e11, k21 * e21), (k12 * e12, k22 * e22)
 
 
 def pc_model_matrix(s: int, model: LocalModelData, tau: complex,
@@ -218,39 +203,31 @@ def pc_model_matrix(s: int, model: LocalModelData, tau: complex,
     tau = complex(tau)
     if tau == 0:
         raise ValueError("the model normalization is singular at tau = 0")
-    a = np.angle(tau)
-    on_boundary = any(abs(((a - b) + np.pi) % (2 * np.pi) - np.pi) < 1e-13
-                      for b in (0.0, np.pi, np.pi / 4, 3 * np.pi / 4,
-                                -np.pi / 4, -3 * np.pi / 4))
-    if on_boundary:
+    a = cmath.phase(tau)
+    k = round(a / _QUARTER)
+    if k % 4 != 2 and abs(a - k * _QUARTER) < 1e-13:     # 0, +-pi/4, +-3pi/4, +-pi
         if side not in (-1, +1):
             raise ValueError("tau lies on the jump contour: side flag required")
-        tau = tau * np.exp(1j * side * 1e-12)
+        tau = tau * cmath.exp(1j * side * 1e-12)
+        a = cmath.phase(tau)
 
     if s == 2:
-        inner_model = LocalModelData(s=1, v=np.conj(model.v), r1r=np.conj(model.r1r),
-                                     r2r=np.conj(model.r2r))
-        inner = pc_model_matrix(1, inner_model, -np.conj(tau))
-        return np.conj(inner)
+        return np.conj(pc_model_matrix(1, _conjugate(model), -tau.conjugate()))
 
-    col1s, col2s = _scaled_columns(model.v, model.r1r, model.r2r, tau,
-                                   upper=tau.imag >= 0)
-    P = _sector_factor_s13(model.r1r, model.r2r, tau)
-    tpm = tau ** (-1j * model.v)
+    (c11, c21), (c12, c22) = _scaled_columns(model.v, model.r1r, model.r2r, tau,
+                                             upper=tau.imag >= 0)
+    # the piecewise unwinding factor P of mhat = m P tau^{-iv sigma3} e^{i tau^2 sigma3/4}
+    # in the sector of tau: [[1, 0], [p, 1]] next to the positive real axis and
+    # below the negative one, [[1, q], [0, 1]] in the other two real sectors
+    p, q, sector = model.r1r, model.r2r, math.floor(a / _QUARTER)
+    if sector in (0, -4):       # |e^{i tau^2/2}| <= 1 here
+        mix = (p if sector == 0 else -p / (1.0 + p * q)) * cmath.exp(0.5j * tau * tau)
+        c11, c21 = c11 + mix * c12, c21 + mix * c22
+    elif sector in (-1, 3, 4):  # |e^{-i tau^2/2}| <= 1 here
+        mix = (-q if sector == -1 else q / (1.0 + p * q)) * cmath.exp(-0.5j * tau * tau)
+        c12, c22 = c12 + mix * c11, c22 + mix * c21
     tpp = tau ** (1j * model.v)
-    out = np.empty((2, 2), dtype=complex)
-    if P[1, 0] != 0:      # lower-triangular mixing, |e^{i tau^2/2}| <= 1 here
-        mix = P[1, 0] * np.exp(1j * tau**2 / 2.0)
-        out[:, 0] = (col1s + mix * col2s) * tpm
-        out[:, 1] = col2s * tpp
-    elif P[0, 1] != 0:    # upper-triangular mixing, |e^{-i tau^2/2}| <= 1 here
-        mix = P[0, 1] * np.exp(-1j * tau**2 / 2.0)
-        out[:, 0] = col1s * tpm
-        out[:, 1] = (col2s + mix * col1s) * tpp
-    else:
-        out[:, 0] = col1s * tpm
-        out[:, 1] = col2s * tpp
-    return out
+    return np.array([[c11 / tpp, c12 * tpp], [c21 / tpp, c22 * tpp]])
 
 
 def pc_jump_matrix(s: int, model: LocalModelData, tau: complex) -> np.ndarray:
@@ -260,23 +237,15 @@ def pc_jump_matrix(s: int, model: LocalModelData, tau: complex) -> np.ndarray:
     imaginary axis, so mhat(axial sector) = mhat(real-adjacent sector) J^pc.
     """
     tau = complex(tau)
+    if s not in (1, 3):     # s = 2: conjugate reflection of the s = 1 picture
+        return np.conj(pc_jump_matrix(1, _conjugate(model), -tau.conjugate()))
     p, q, v = model.r1r, model.r2r, model.v
-    opq = 1.0 + p * q
-    a = np.angle(tau)
-    e2 = np.exp(1j * tau**2 / 2.0)
-    em2 = np.exp(-1j * tau**2 / 2.0)
-    tv = tau ** (2j * v)
-    tvm = tau ** (-2j * v)
-    if s in (1, 3):
-        if abs(a - np.pi / 4) < 1e-9:
-            return np.array([[1.0, 0.0], [-p * e2 * tvm, 1.0]], dtype=complex)
-        if abs(a - 3 * np.pi / 4) < 1e-9:
-            return np.array([[1.0, -(q / opq) * em2 * tv], [0.0, 1.0]], dtype=complex)
-        if abs(a + np.pi / 4) < 1e-9:
-            return np.array([[1.0, q * em2 * tv], [0.0, 1.0]], dtype=complex)
-        if abs(a + 3 * np.pi / 4) < 1e-9:
-            return np.array([[1.0, 0.0], [(p / opq) * e2 * tvm, 1.0]], dtype=complex)
+    a = cmath.phase(tau)
+    k = round(a / _QUARTER)
+    if k % 2 == 0 or abs(a - k * _QUARTER) >= 1e-9:
         raise ValueError("tau is not on one of the four rays")
-    # s = 2: conjugate reflection of the s = 1 picture
-    inner_model = LocalModelData(s=1, v=np.conj(v), r1r=np.conj(p), r2r=np.conj(q))
-    return np.conj(pc_jump_matrix(1, inner_model, -np.conj(tau)))
+    if k in (1, -3):
+        c = -p if k == 1 else p / (1.0 + p * q)
+        return np.array([[1.0, 0.0], [c * cmath.exp(0.5j * tau * tau) * tau ** (-2j * v), 1.0]])
+    c = q if k == -1 else -q / (1.0 + p * q)
+    return np.array([[1.0, c * cmath.exp(-0.5j * tau * tau) * tau ** (2j * v)], [0.0, 1.0]])

@@ -318,9 +318,11 @@ class _LinearPropagator:
         return ph, dt * phi1 * (-1j * self.force)
 
 
-def _lawson_step(q: np.ndarray, dt: float, h: float, gamma: float,
-                 lin: _LinearPropagator, u_ref: np.ndarray) -> np.ndarray:
+def _lawson_step(q: np.ndarray, u: np.ndarray, dt: float, h: float, gamma: float,
+                 lin: _LinearPropagator, u_ref: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Integrating-factor RK4 (Lawson): exact linear flow wraps every stage.
+
+    The state comes and goes both as the grid q and as its modes u.
 
     Splitting the bare nonlinearity off the dispersion entirely is unstable
     here (the mirrored derivative coupling grows at the k^2 scale once the
@@ -333,7 +335,7 @@ def _lawson_step(q: np.ndarray, dt: float, h: float, gamma: float,
         return _dst(_nonlinear_rhs(lin.to_grid(u), h, gamma))
 
     ph_h, kick_h = lin.phases(0.5 * dt)
-    u_half = ph_h * lin.to_modes(q) + kick_h   # affine half-flow of the state
+    u_half = ph_h * u + kick_h   # affine half-flow of the state
     u_full = ph_h * u_half + kick_h
 
     k1 = _dst(_nonlinear_rhs(q, h, gamma))
@@ -343,7 +345,7 @@ def _lawson_step(q: np.ndarray, dt: float, h: float, gamma: float,
     u_new = u_full + (dt / 6.0) * (ph_h * ph_h * k1 + 2.0 * ph_h * (k2 + k3) + k4)
     # contract the top dispersion band of the deviation from u_ref, free in modes
     u_new = u_ref + lin.damp * (u_new - u_ref)
-    return lin.to_grid(u_new)
+    return lin.to_grid(u_new), u_new
 
 
 def stable_dt(grid: FieldGrid, gamma: float) -> float:
@@ -392,21 +394,21 @@ def evolve(grid: FieldGrid, t_end: float, gamma: float,
 
     lin = _LinearPropagator(n, grid.h, gamma, left, right)
     lin.set_cutoff(min(lin.s_cut, 0.4 * np.pi / abs(dt)))
-    u_ref = lin.to_modes(q)
+    u_ref = u = lin.to_modes(q)
     amp = float(np.abs(q).max())
 
     steps = 0
     while (t_end - t) * direction > 1e-15:
         if abs(dt) > abs(t_end - t):
             dt = (t_end - t)
-        q_new = _lawson_step(q, dt, grid.h, gamma, lin, u_ref)
+        q_new, u_new = _lawson_step(q, u, dt, grid.h, gamma, lin, u_ref)
         if not np.all(np.isfinite(q_new)):
             raise BlowUpError(f"solution lost finiteness at t = {t:.6g}")
         if np.abs(q_new).max() > 50.0 * (1.0 + abs(right)):
             raise BlowUpError(f"solution blowing up at t = {t:.6g}")
         if steps % _CHECK_EVERY == 0:
-            qa = _lawson_step(q, 0.5 * dt, grid.h, gamma, lin, u_ref)
-            qb = _lawson_step(qa, 0.5 * dt, grid.h, gamma, lin, u_ref)
+            qa, ua = _lawson_step(q, u, 0.5 * dt, grid.h, gamma, lin, u_ref)
+            qb, _ = _lawson_step(qa, ua, 0.5 * dt, grid.h, gamma, lin, u_ref)
             err = float(np.abs(q_new - qb).max()) / 3.0
             tol = _LOCAL_TOL * (abs(dt) + amp)
             if err > tol:
@@ -414,7 +416,7 @@ def evolve(grid: FieldGrid, t_end: float, gamma: float,
                 if abs(dt) < 1e-12:
                     raise StabilityError("time step underflow")
                 continue
-        q = q_new
+        q, u = q_new, u_new
         t += dt
         steps += 1
     return FieldGrid(x=grid.x, values=q, h=grid.h, time=t_end)

@@ -15,6 +15,7 @@ from steplpd.phase import RegimeError, stationary_points
 from steplpd.rhfactors import build_delta, saddle_exponents
 from steplpd.scattering import (
     CaseTag,
+    InitialProfile,
     ScatteringData,
     SyntheticReflectionData,
     classify_case,
@@ -313,6 +314,27 @@ class TestCaseTwoProfile:
         left = q_asymptotic(-30.0, 100.0, data, cache).value(-30.0, 100.0)
         assert abs(right - A) < 1e-10
         assert abs(left) < 1e-10
+
+
+class TestSmallAmplitude:
+    def test_bump_tends_to_the_step_linearly(self):
+        # the Baseline bump (A = 1, centre 0.2, width 0.3) at shrinking
+        # amplitude: xi1 - A/2, v and q(30, 100) on mu = 0.3 each differ
+        # from the pure step's in proportion to the amplitude
+        def ray(data):
+            classify_case(data)
+            xi1 = locate_xi1(data)
+            res = q_asymptotic(30.0, 100.0, data)
+            return xi1, np.array(res.v), res.value(30.0, 100.0)
+
+        _, v_step, q_step = ray(ScatteringData.pure_step(1.0, GAMMA))
+        diffs = []
+        for amplitude in (1e-2, 1e-3, 1e-4):
+            profile = InitialProfile.gaussian_bump(1.0, GAMMA, amplitude, 0.2, 0.3)
+            xi1, v, q = ray(ScatteringData.from_profile(profile, analyze=False))
+            diffs.append([abs(xi1 - 0.5), np.abs(v - v_step).max(), abs(q - q_step)])
+        ratios = np.array(diffs[:-1]) / np.array(diffs[1:])
+        assert np.all((9.0 <= ratios) & (ratios <= 11.0)), ratios
 
 
 class TestFormerIntegrationFailures:

@@ -20,6 +20,7 @@ from steplpd.kernels.special import (
     GammaPoleError,
     _pcfd_scaled_cached,
     parabolic_cylinder_D_scaled,
+    parabolic_cylinder_D_scaled_pair,
     reciprocal_gamma,
 )
 
@@ -203,6 +204,9 @@ class TestComplexGamma:
 # |Im a| <= 0.96)
 _MODEL_ORDERS = [a for v in (0.11, 0.11 + 0.2j, 0.96 + 0.4j, 0.96 - 0.4j)
                  for a in (1j * v, 1j * v - 1.0, -1j * v, -1j * v - 1.0)]
+# every region and both sides of each switch: |z| = 2 and 9, and the
+# Stokes line arg z = +-pi/2
+_PC_RADII = (0.5, 2.0, 2.0 - 1e-9, 2.0 + 1e-9, 5.0, 9.0 - 1e-9, 9.0 + 1e-9, 20.0, 50.0)
 _PC_ANGLES = [k * np.pi / 8 for k in range(-6, 7)] + [
     s * np.pi / 2 + d for s in (1, -1) for d in (1e-9, -1e-9)]
 
@@ -260,16 +264,28 @@ class TestParabolicCylinder:
 
     @pytest.mark.parametrize("a", _MODEL_ORDERS)
     def test_scaled_against_mpmath(self, a):
-        # every region and both sides of each switch: |z| = 2 and 9, and the
-        # Stokes line arg z = +-pi/2
         worst = 0.0
-        for r in (0.5, 2.0, 2.0 - 1e-9, 2.0 + 1e-9, 5.0, 9.0 - 1e-9, 9.0 + 1e-9,
-                  20.0, 50.0):
+        for r in _PC_RADII:
             for ang in _PC_ANGLES:
                 z = r * np.exp(1j * ang)
                 want = _mp_pcfd(a, z, scaled=True)
                 got = parabolic_cylinder_D_scaled(a, z)
                 worst = max(worst, abs(got - want) / abs(want))
+        assert worst < 1e-12
+
+    @pytest.mark.parametrize("a", _MODEL_ORDERS + [1e-8j - 1.0, -1e-8j - 1.0])
+    def test_pair_against_mpmath(self, a):
+        # E_{a+1} = z E_a - E_a' from the same evaluation; where 12.9.3's
+        # growing part dominates, the subtraction loses up to |z|^2 ulps
+        # (4.8e-13 at |z| = 50)
+        worst = 0.0
+        for r in _PC_RADII:
+            for ang in _PC_ANGLES:
+                z = r * np.exp(1j * ang)
+                e, e_next = parabolic_cylinder_D_scaled_pair(a, z)
+                assert e == parabolic_cylinder_D_scaled(a, z)
+                want = _mp_pcfd(a + 1.0, z, scaled=True)
+                worst = max(worst, abs(e_next - want) / abs(want))
         assert worst < 1e-12
 
     @pytest.mark.parametrize("a", _MODEL_ORDERS[:4])
@@ -294,8 +310,10 @@ class TestParabolicCylinder:
             assert parabolic_cylinder_D_scaled(0.0, z) == 1.0, z
 
     def test_cache_stays_small(self):
-        # a ray repeats a third of its D_a calls within the ray; a larger
-        # cache only grows with the run
+        # a ray repeats a third of its (E_a, E_{a+1}) pairs (32 of 96): a
+        # ring point above the real line and its twin below (pi/4 and
+        # -3pi/4, 3pi/4 and -pi/4) rotate onto the same z13 and z24 when
+        # rounding allows; a larger cache only grows with the run
         assert _pcfd_scaled_cached.cache_info().maxsize <= 4096
 
     def test_import_leaves_mpmath_out(self):

@@ -1,8 +1,12 @@
 """Local parabolic-cylinder models: scaling, phases, Weber solutions, conjugator."""
 
+from functools import lru_cache
+
 import numpy as np
 import pytest
 
+from steplpd import pcmodel
+from steplpd.kernels import special
 from steplpd.phase import stationary_points
 from steplpd.pcmodel import (
     LocalModelData,
@@ -208,6 +212,39 @@ class TestModelMatrix:
             lhs = pc_model_matrix(2, mod2, tau)
             rhs = np.conj(pc_model_matrix(1, mod1c, -np.conj(tau)))
             assert np.abs(lhs - rhs).max() < 1e-8
+
+
+class TestEvaluationCount:
+    """One Maclaurin table per order, one D_a evaluation per column."""
+
+    def test_ring(self, monkeypatch, model1):
+        # fresh caches, so that no earlier test's values hide the work
+        tables, pairs = [], []
+        build, pair = special._maclaurin.__wrapped__, pcmodel.parabolic_cylinder_D_scaled_pair
+
+        def counting_build(a):
+            tables.append(a)
+            return build(a)
+
+        def counting_pair(a, z):
+            pairs.append(a)
+            return pair(a, z)
+
+        monkeypatch.setattr(special, "_maclaurin", lru_cache(maxsize=64)(counting_build))
+        monkeypatch.setattr(special, "_pcfd_scaled_cached",
+                            lru_cache(maxsize=1024)(special._pcfd_scaled_cached.__wrapped__))
+        monkeypatch.setattr(pcmodel, "parabolic_cylinder_D_scaled_pair", counting_pair)
+        for r in (0.5, 2.0):
+            for ang in (np.pi / 4, 3 * np.pi / 4, -np.pi / 4, -3 * np.pi / 4):
+                tau = r * np.exp(1j * ang)
+                for side in (+1, -1):
+                    before = len(pairs)
+                    pc_model_matrix(1, model1, tau, side=side)
+                    assert len(pairs) == before + 2
+                pc_jump_matrix(1, model1, tau)
+        assert len(pairs) == 32
+        iv = 1j * model1.v
+        assert sorted(tables, key=np.imag) == sorted([iv - 1.0, -iv - 1.0], key=np.imag)
 
 
 class TestLambdaConjugator:

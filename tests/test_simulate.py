@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from steplpd import simulate
 from steplpd.asymptotics import q_soliton
 from steplpd.simulate import (
     _D2_6_PAD,
@@ -188,6 +189,24 @@ class TestEvolve:
         assert len(requested) > 20
         assert sorted(evaluated) == sorted(set(requested))
         assert len(evaluated) <= 4
+
+    def test_dst_count_per_step(self, monkeypatch):
+        # the propagator's forcing and u_ref take one DST each; a Lawson step
+        # takes 8 (k1, three stage pairs, the new grid) because the modes of
+        # its state come from the step before; the step-doubling check at
+        # step 0 is two half-steps
+        calls = []
+        dst = simulate._dst
+
+        def counting(a):
+            calls.append(len(a))
+            return dst(a)
+
+        monkeypatch.setattr(simulate, "_dst", counting)
+        g0 = FieldGrid.from_function(lambda x: q_soliton(x, 0.0, 2.0, np.pi, 0.1), 10.0, 0.05)
+        steps, dt = 10, 2.0 ** -16
+        evolve(g0, steps * dt, 0.1, dt=dt)
+        assert len(calls) == 2 + 8 * steps + 2 * 8
 
     def test_stable_dt_scale(self):
         g = FieldGrid.smoothed_step(2.0, 10.0, 0.02)
