@@ -91,7 +91,7 @@ def ray_stages(profile) -> dict[str, tuple[float, int]]:
     scattering.classify_case(data)
     geometry = stationary_points(MU, GAMMA)
     xi1 = timed(lambda: scattering.locate_xi1(data))
-    exps = timed(lambda: saddle_exponents(data, geometry, build_delta(data, geometry)))
+    exps = timed(lambda: saddle_exponents(build_delta(data, geometry)))
     return {"locate_xi1_soliton": xi1, "delta_exponents_soliton": exps,
             "ray_soliton": (xi1[0] + exps[0], xi1[1] + exps[1])}
 

@@ -11,7 +11,9 @@ power terms, two per stationary point:
 with per-saddle selection by the interval of Im v_s: the N-sum for
 Im v in (-1/2, 1/6), the L-sum for Im v in (-1/6, 1/2) (both on the overlap).
 For x < 0 everything is evaluated on the mirrored ray -mu and conjugated; the
-background drops and the N/L-type terms collapse to a single H-sum.
+background drops and the N/L-type terms collapse to a single H-sum.  A ray's
+geometry, v, chi_s, background and c0 all come from its ``SaddleExponents``
+and their delta.
 
 The predicted error order follows the two case tables keyed on the sign
 pattern of Im v(lam_j); sign patterns not covered by either table yield a
@@ -23,13 +25,12 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable
 
 import numpy as np
 
 from steplpd.phase import PhaseGeometry, RegimeError, stationary_points
 from steplpd.pcmodel import log_power_factor, pc_coefficients
-from steplpd.rhfactors import DeltaFunction, SaddleExponents, build_delta, saddle_exponents
+from steplpd.rhfactors import SaddleExponents, build_delta, saddle_exponents
 
 
 class Branch(Enum):
@@ -61,18 +62,25 @@ class OrderDescriptor:
 
 @dataclass
 class AsymptoticResult:
-    """Leading terms, background and error order of one ray."""
+    """Leading terms, background and error order of one ray; ``geometry``
+    is the positive ray's, mirrored by the branch for x < 0."""
 
     branch: Branch
     leading_terms: list            # (amplitude, t_exponent, oscillation rate)
     background: complex
     error_order: tuple[OrderDescriptor, OrderDescriptor]
-    value_at: Callable[[float, float], complex]
     geometry: PhaseGeometry
     v: tuple
 
     def value(self, x: float, t: float) -> complex:
-        return self.value_at(x, t)
+        """q at a point (x, t) of the ray the result was built on."""
+        negative = self.branch is Branch.X_NEG
+        if t <= 0 or x == 0 or (x < 0) != negative:
+            raise ValueError("value expects the ray's sign of x and t > 0")
+        mu = -self.geometry.mu if negative else self.geometry.mu
+        if abs(x / t - mu) > 1e-12 * (1 + abs(mu)):
+            raise ValueError("value is bound to the ray it was built on")
+        return self.background + sum(tm.at(t) for tm in self.leading_terms)
 
 
 # ---------------------------------------------------------------------------
@@ -101,11 +109,11 @@ def _wants_L(im_v: float) -> bool:
 # the nine leading coefficients
 # ---------------------------------------------------------------------------
 
-def coefficients_HLN(data, geometry: PhaseGeometry, exponents: SaddleExponents,
-                     c0: complex) -> tuple[tuple, tuple, tuple]:
+def coefficients_HLN(data, exponents: SaddleExponents) -> tuple[tuple, tuple, tuple]:
     """(H1..H3, L1..L3, N1..N3) from the local models' 1/tau coefficients.
 
     L_s = -beta_s / sqrt(c_s^+) and N_s = -c0^2 gamma_c,s / (lam_s^2 sqrt(c_s^+)),
+    with the ray's geometry, v and c0 read off ``exponents`` and its delta,
     times F_s and 1/F_s, F_s = exp(2 ``log_power_factor``) at t = 1 (the
     assembled terms carry chi_s, the phase and the t-powers).  The middle
     saddle's model is the conjugate reflection, so its L and N read the
@@ -113,6 +121,7 @@ def coefficients_HLN(data, geometry: PhaseGeometry, exponents: SaddleExponents,
     place of r1, with the conjugation flipped, times conj(1/F_s).  v = 0
     collapses a coefficient to 0 through the Gamma pole.
     """
+    geometry, c0 = exponents.geometry, exponents.delta.c0
     c1, c2, c3 = geometry.curvatures
     roots = np.sqrt((c1, -c2, c3))
     cj = np.conj
@@ -124,7 +133,7 @@ def coefficients_HLN(data, geometry: PhaseGeometry, exponents: SaddleExponents,
             ray, mirror = (cj(r1), cj(r2), cj(v)), (r2, r1, v)
         else:
             ray, mirror = (r1, r2, v), (cj(r2), cj(r1), cj(v))
-        factor = np.exp(2.0 * log_power_factor(s, exponents, geometry, 1.0))
+        factor = np.exp(2.0 * log_power_factor(s, exponents, 1.0))
         beta, gamc = pc_coefficients(s, *ray)
         L.append(-beta / roots[k] * factor)
         N.append(-c0**2 * gamc / (lam**2 * roots[k]) / factor)
@@ -215,18 +224,6 @@ class _Term:
         return self.coef * t ** self.exponent * np.exp(1j * self.rate * t)
 
 
-def _positive_ray_machinery(data, mu: float, gamma: float):
-    from steplpd.phase import Regime
-
-    geometry = stationary_points(mu, gamma)
-    if geometry.regime is not Regime.THREE_REAL:
-        raise RegimeError(f"ray mu = {mu:g} outside the three-saddle band")
-    delta = build_delta(data, geometry)
-    exps = saddle_exponents(data, geometry, delta)
-    c0 = data.A * delta.at_zero() ** 2 / 2j
-    return geometry, delta, exps, c0
-
-
 def q_asymptotic(x: float, t: float, data,
                  _cache: dict | None = None) -> AsymptoticResult:
     """Leading-order q(x, t) along the ray mu = x/t.
@@ -235,25 +232,24 @@ def q_asymptotic(x: float, t: float, data,
     mirrored for x < 0).  chi_s and phi_s enter at the saddle (tau = 0), where
     the Taylor-consistent phase is phi_s(0) = i t theta(lam_s), carried as
     the oscillation rate of the term.  ``_cache`` maps |mu| to the ray's
-    factors and coefficients.
+    saddle exponents and coefficients.
     """
     if t <= 0:
         raise ValueError("t must be positive")
     mu = x / t
-    gamma = data.gamma
     if mu == 0:
         raise RegimeError("the ray mu = 0 is excluded")
 
     m = abs(mu)
     if _cache is not None and m in _cache:
-        geometry, delta, exps, c0, H, L, N = _cache[m]
+        exps, H, L, N = _cache[m]
     else:
-        geometry, delta, exps, c0 = _positive_ray_machinery(data, m, gamma)
-        H, L, N = coefficients_HLN(data, geometry, exps, c0)
+        exps = saddle_exponents(build_delta(data, stationary_points(m, data.gamma)))
+        H, L, N = coefficients_HLN(data, exps)
         if _cache is not None:
-            _cache[m] = (geometry, delta, exps, c0, H, L, N)
+            _cache[m] = (exps, H, L, N)
 
-    v = exps.v
+    geometry, v = exps.geometry, exps.v
     im = [float(np.imag(vv)) for vv in v]
     orders = error_order(*v)
     chi0 = exps.chi_at_saddle
@@ -276,8 +272,7 @@ def q_asymptotic(x: float, t: float, data,
                 expo = complex(-0.5 - sgn * ii, sgn * float(np.real(vv)))
                 coef = -L[s - 1] * np.exp(2.0 * chi0[s - 1])
                 terms.append(_Term(coef, expo, 2.0 * theta0[s - 1]))
-        background = data.A * delta.at_zero() ** 2
-        err = (orders[0], orders[1])
+        background = exps.delta.background
     else:
         branch = Branch.X_NEG
         for s in (1, 2, 3):
@@ -287,31 +282,19 @@ def q_asymptotic(x: float, t: float, data,
             coef = -H[s - 1] * np.exp(-2.0 * np.conj(chi0[s - 1]))
             terms.append(_Term(coef, expo, 2.0 * theta0[s - 1]))
         background = 0.0 + 0.0j
-        err = (orders[0], orders[1])
-
-    def value_at(xv: float, tv: float) -> complex:
-        if tv <= 0 or xv * x <= 0:
-            raise ValueError("value_at expects the same sign of x and t > 0")
-        if abs(xv / tv - mu) > 1e-12 * (1 + abs(mu)):
-            raise ValueError("value_at is bound to the ray it was built on")
-        return background + sum(tm.at(tv) for tm in terms)
 
     return AsymptoticResult(branch=branch, leading_terms=terms,
-                            background=background, error_order=err,
-                            value_at=value_at, geometry=geometry, v=v)
+                            background=background, error_order=orders,
+                            geometry=geometry, v=v)
 
 
-def q_rough(x: float, t: float, data, delta: DeltaFunction | None = None) -> complex:
+def q_rough(x: float, t: float, data) -> complex:
     """A delta(0, mu)^2 for x > 0, 0 for x < 0 (the zeroth-order skeleton)."""
     if t <= 0:
         raise ValueError("t must be positive")
     if x < 0:
         return 0.0 + 0.0j
-    mu = x / t
-    if delta is None:
-        geometry = stationary_points(mu, data.gamma)
-        delta = build_delta(data, geometry)
-    return data.A * delta.at_zero() ** 2
+    return build_delta(data, stationary_points(x / t, data.gamma)).background
 
 
 def q_soliton(x: float, t: float, A: float, alpha: float, gamma: float) -> complex:

@@ -102,16 +102,17 @@ def cmd_phase(args) -> int:
 
 def cmd_delta(args) -> int:
     data = _scattering_data(args)
-    geom = stationary_points(args.mu, data.gamma)
-    delta = build_delta(data, geom)
-    exps = saddle_exponents(data, geom, delta)
+    delta = build_delta(data, stationary_points(args.mu, data.gamma))
     rows = []
     for y in np.linspace(0.3, args.height, args.n):
         d = delta.eval(1j * y)
         rows.append([0.0, y, d.real, d.imag])
+    # chi_s is built on positive rays only; the mirrored ray writes null
+    chi = None if args.mu < 0 else [[c.real, c.imag]
+                                    for c in saddle_exponents(delta).chi_at_saddle]
     meta = {"command": "delta", "mu": args.mu,
-            "v": [[v.real, v.imag] for v in exps.v],
-            "chi_at_saddle": [[c.real, c.imag] for c in exps.chi_at_saddle],
+            "v": [[v.real, v.imag] for v in delta.v_values],
+            "chi_at_saddle": chi,
             "delta0": [delta.at_zero().real, delta.at_zero().imag]}
     write_csv(args.out, ["re_xi", "im_xi", "re_delta", "im_delta"], rows, meta)
     return 0

@@ -94,8 +94,7 @@ def local_phase_phi(s: int, geometry: PhaseGeometry, t: float, tau: complex) -> 
     return 1j * t * geometry.theta(xi) - saddle_sign(s) * 1j * complex(tau)**2 / 4.0
 
 
-def log_power_factor(s: int, exponents: SaddleExponents, geometry: PhaseGeometry,
-                     t: float) -> complex:
+def log_power_factor(s: int, exponents: SaddleExponents, t: float) -> complex:
     """ln K_s - chi_s(lam_s) - sigma_s i v_s ln sqrt(4 t c_s^+), read off delta.
 
     With xi - lam_s = tau / sqrt(4 t c_s^+), delta(xi(tau)) tends to
@@ -105,20 +104,22 @@ def log_power_factor(s: int, exponents: SaddleExponents, geometry: PhaseGeometry
     if s not in (1, 2, 3):
         raise ValueError("saddle index must be 1, 2 or 3")
     return (exponents.log_local_constant(s) - exponents.chi0(s)
-            - saddle_sign(s) * 1j * exponents.v[s - 1] * np.log(_scale_factor(s, geometry, t)))
+            - saddle_sign(s) * 1j * exponents.v[s - 1]
+            * np.log(_scale_factor(s, exponents.geometry, t)))
 
 
-def lambda_conjugator(s: int, exponents: SaddleExponents, geometry: PhaseGeometry,
-                      t: float, tau: complex) -> complex:
+def lambda_conjugator(s: int, exponents: SaddleExponents, t: float,
+                      tau: complex) -> complex:
     """Scalar exponent eta_s with Lambda_s = exp(eta_s sigma3).
 
     eta_s = chi_s(xi(tau)) + phi_s(tau) + ``log_power_factor``, with the power
     factor read off delta's product form.
     """
+    geometry = exponents.geometry
     xi = scaling_map(s, geometry, t, tau)
     chi = exponents.chi(s, xi) if abs(tau) > 1e-12 else exponents.chi0(s)
     phi = local_phase_phi(s, geometry, t, tau)
-    return chi + phi + log_power_factor(s, exponents, geometry, t)
+    return chi + phi + log_power_factor(s, exponents, t)
 
 
 # ---------------------------------------------------------------------------

@@ -34,6 +34,10 @@ subtracted on (-inf, lam3], whose log term int_0^inf ln u/(1+u)^2 du is 0.
 ln delta(0) and chi_s(lam_s) come from both levels; the 2n values are used,
 the n/2n gaps kept as convergence estimates, and a gap above 1e-10 raises
 IntegrationError.
+
+One ray is carried by its delta: ``build_delta`` checks the regime and forms
+the background A delta(0)^2 (and with it c0 = A delta(0)^2 / 2i) once, and
+``saddle_exponents(delta)`` adds chi_s, reading the geometry and v off delta.
 """
 
 from __future__ import annotations
@@ -45,7 +49,7 @@ import numpy as np
 
 from steplpd.kernels import ContourInterval, IntegrationError, IntervalRule, interval_rule
 from steplpd.kernels.quadrature import _CONVERGENCE_TOL, _NODES
-from steplpd.phase import PhaseGeometry, Regime
+from steplpd.phase import PhaseGeometry, Regime, RegimeError
 
 _TWO_PI = 2.0 * np.pi
 
@@ -121,6 +125,7 @@ class DeltaFunction:
 
     ``levels`` pairs each interval's rule with rho at its nodes, on n and
     on 2n nodes (the 2n level evaluates delta); ``rho_saddles`` is rho(lam_s).
+    ``build_delta`` sets ``background``, A delta(0)^2.
     """
 
     geometry: PhaseGeometry
@@ -129,6 +134,7 @@ class DeltaFunction:
     v_values: tuple[complex, complex, complex] = field(init=False)
     # |ln delta(0)| on n nodes minus on 2n nodes per interval
     convergence: float = field(init=False)
+    background: complex = field(init=False)
 
     def __post_init__(self):
         self.v_values = tuple(-r / _TWO_PI for r in self.rho_saddles)
@@ -159,16 +165,22 @@ class DeltaFunction:
         """delta(i*xi1), off the contour in the upper half-plane."""
         return self.eval(1j * float(xi1))
 
+    @property
+    def c0(self) -> complex:
+        """c0(mu) = A delta(0)^2 / (2i), the residue constant of the origin."""
+        return self.background / 2j
+
 
 def build_delta(data, geometry: PhaseGeometry) -> DeltaFunction:
     """Construct the delta evaluator for three-saddle geometry.
 
     ``data`` needs one_plus_r1r2 on the real line, taking a node array
     (ScatteringData or SyntheticReflectionData); the continuous-branch log
-    of 1 + r1 r2 is sampled once, on all the nodes in one call.
+    of 1 + r1 r2 is sampled once, on all the nodes in one call.  The
+    background A delta(0)^2 is formed here, once per ray.
     """
     if geometry.regime is not Regime.THREE_REAL:
-        raise ValueError("delta needs the three-stationary-point regime")
+        raise RegimeError(f"ray mu = {geometry.mu:g} outside the three-saddle band")
     lam1, lam2, lam3 = geometry.lambdas
 
     if geometry.mu > 0:
@@ -190,6 +202,7 @@ def build_delta(data, geometry: PhaseGeometry) -> DeltaFunction:
         raise IntegrationError(
             f"build_delta: ln delta(0) changes by {delta.convergence:.1e} from "
             f"{_NODES} to {2 * _NODES} nodes per interval")
+    delta.background = data.A * delta.at_zero() ** 2
     return delta
 
 
@@ -239,14 +252,21 @@ def _chi(delta: DeltaFunction, level, s: int, xi: complex, side: int) -> complex
 
 @dataclass
 class SaddleExponents:
-    """v(lam_s) and the regular parts chi_s; ``chi_error`` holds
-    |chi_s(lam_s)| on n nodes minus on 2n nodes per interval."""
+    """The regular parts chi_s of one ray's delta; ``chi_error`` holds
+    |chi_s(lam_s)| on n nodes minus on 2n nodes per interval.  The ray's
+    geometry and v(lam_s) are read off delta."""
 
-    geometry: PhaseGeometry
     delta: DeltaFunction
-    v: tuple[complex, complex, complex]
     chi_at_saddle: tuple[complex, complex, complex]
     chi_error: tuple[float, float, float]
+
+    @property
+    def geometry(self) -> PhaseGeometry:
+        return self.delta.geometry
+
+    @property
+    def v(self) -> tuple[complex, complex, complex]:
+        return self.delta.v_values
 
     def _powers(self, s: int, xi: complex, side: int) -> complex:
         logs = [_log_side(complex(xi) - lam, side) for lam in self.geometry.lambdas]
@@ -280,14 +300,12 @@ class SaddleExponents:
         return np.exp(self._powers(s, xi, side) + self.chi(s, xi, side))
 
 
-def saddle_exponents(data, geometry: PhaseGeometry,
-                     delta: DeltaFunction | None = None) -> SaddleExponents:
-    """v(lam_l) and chi_s(lam_s) from the node sample of rho."""
+def saddle_exponents(delta: DeltaFunction) -> SaddleExponents:
+    """chi_s(lam_s) from delta's node sample of rho, on a positive ray."""
+    geometry = delta.geometry
     if geometry.mu < 0:
         raise ValueError("saddle exponents are built on positive rays; the "
                          "x<0 asymptotics use the mirrored geometry at -mu")
-    if delta is None:
-        delta = build_delta(data, geometry)
     coarse, fine = (tuple(_chi(delta, level, s, geometry.lam(s), +1) for s in (1, 2, 3))
                     for level in delta.levels)
     errors = tuple(abs(c - f) for c, f in zip(coarse, fine))
@@ -296,8 +314,7 @@ def saddle_exponents(data, geometry: PhaseGeometry,
             raise IntegrationError(
                 f"saddle_exponents: chi_{s}(lam_{s}) changes by {err:.1e} from "
                 f"{_NODES} to {2 * _NODES} nodes per interval")
-    return SaddleExponents(geometry=geometry, delta=delta, v=delta.v_values,
-                           chi_at_saddle=fine, chi_error=errors)
+    return SaddleExponents(delta=delta, chi_at_saddle=fine, chi_error=errors)
 
 
 # ---------------------------------------------------------------------------
@@ -311,7 +328,6 @@ def _phase(xi: complex, x: float, t: float, gamma: float) -> complex:
 
 
 def jump_matrix(stage: str, x: float, t: float, xi: complex, data,
-                geometry: PhaseGeometry | None = None,
                 delta: DeltaFunction | None = None,
                 ray: str | None = None) -> np.ndarray:
     """Jump matrix of the indicated deformation stage at the point xi.
@@ -334,14 +350,14 @@ def jump_matrix(stage: str, x: float, t: float, xi: complex, data,
     if stage == "tilde":
         if xi.imag != 0.0 or xi == 0:
             raise ValueError("tilde jump lives on the real line minus 0")
-        if geometry is None or delta is None:
-            raise ValueError("tilde stage needs geometry and delta")
+        if delta is None:
+            raise ValueError("tilde stage needs delta")
         r1, r2 = data.r1(xi), data.r2(xi)
         opr = 1.0 + r1 * r2
-        lam1, lam2, lam3 = geometry.lambdas
+        lam1, lam2, lam3 = delta.geometry.lambdas
         lo, hi = sorted((lam2, lam1))
         # the half-line is (-inf, lam3) for mu > 0 and (lam3, inf) mirrored
-        half = xi.real < lam3 if geometry.mu > 0 else xi.real > lam3
+        half = xi.real < lam3 if delta.geometry.mu > 0 else xi.real > lam3
         on_cut = half or (lo < xi.real < hi)
         if on_cut:
             dp = delta.eval(xi, side=+1)
@@ -440,7 +456,7 @@ def residue_constants(data, delta: DeltaFunction) -> ResidueConstants:
     """Build c1(.,.) and c0 from the located pole and the delta evaluator.
 
     c1(x,t) = kappa/(a1'(i xi1) delta(i xi1)^2) * exp(-2 xi1 x + 2 i xi1^2 t
-    + 16 i xi1^4 gamma t); c0 = A delta(0)^2 / (2i).
+    + 16 i xi1^4 gamma t); c0 = A delta(0)^2 / (2i) is ``delta.c0``.
     """
     if data.xi1 is None:
         raise ValueError("xi1 must be located first")
@@ -456,8 +472,7 @@ def residue_constants(data, delta: DeltaFunction) -> ResidueConstants:
         return pref * np.exp(-2.0 * xi1 * xv + 2j * xi1**2 * tv
                              + 16j * xi1**4 * gamma * tv)
 
-    c0 = data.A * delta.at_zero() ** 2 / 2j
-    return ResidueConstants(c1=c1, c0=c0, xi1=xi1, a1dot=a1dot,
+    return ResidueConstants(c1=c1, c0=delta.c0, xi1=xi1, a1dot=a1dot,
                             delta_at_pole=dpole)
 
 

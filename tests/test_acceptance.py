@@ -143,7 +143,7 @@ def test_criterion_05_delta_suite():
     sym_err = max(abs(delta.eval(z) - np.conj(delta_m.eval(-np.conj(z))))
                   for z in (0.7 + 0.9j, -1.2 + 0.4j, 2.0 - 0.8j))
 
-    exps = saddle_exponents(data, geom, delta)
+    exps = saddle_exponents(delta)
     prod_err = max(abs(exps.product_form(s, z) - delta.eval(z))
                    for s in (1, 2, 3)
                    for z in (0.9 + 0.4j, -2.0 + 0.15j, 2.4 - 0.3j, 0.0, 3.5))

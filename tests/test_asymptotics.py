@@ -33,24 +33,19 @@ def machinery():
     data = ScatteringData.pure_step(A, GAMMA)
     locate_xi1(data)
     geom = stationary_points(0.5, GAMMA)
-    delta = build_delta(data, geom)
-    exps = saddle_exponents(data, geom, delta)
-    c0 = A * delta.at_zero() ** 2 / 2j
-    return data, geom, delta, exps, c0
+    return data, geom, saddle_exponents(build_delta(data, geom))
 
 
 class TestCoefficients:
     def test_zero_v_collapses(self):
         data = ScatteringData.reflectionless(A, GAMMA)
         geom = stationary_points(0.5, GAMMA)
-        delta = build_delta(data, geom)
-        exps = saddle_exponents(data, geom, delta)
-        H, L, N = coefficients_HLN(data, geom, exps, A / 2j)
+        H, L, N = coefficients_HLN(data, saddle_exponents(build_delta(data, geom)))
         assert all(abs(c) < 1e-12 for c in H + L + N)
 
     def test_nonzero_for_step(self, machinery):
-        data, geom, delta, exps, c0 = machinery
-        H, L, N = coefficients_HLN(data, geom, exps, c0)
+        data, _, exps = machinery
+        H, L, N = coefficients_HLN(data, exps)
         assert all(abs(c) > 1e-6 for c in H + L + N)
 
     def test_n_over_l_modulus_structure(self, machinery):
@@ -65,12 +60,11 @@ class TestCoefficients:
         synthetic = synthetic_from_v_targets(A, GAMMA, 0.5, (0.05j, -0.03j, 0.08j))
         geom = machinery[1]
         scale = 1.0 / (scaling_map(1, geom, 1.0, 1.0) - geom.lam1)
-        delta = build_delta(synthetic, geom)
-        sets = [machinery[:1] + machinery[2:],
-                (synthetic, delta, saddle_exponents(synthetic, geom, delta),
-                 A * delta.at_zero() ** 2 / 2j)]
-        for data, delta, exps, c0 in sets:
-            H, L, N = coefficients_HLN(data, geom, exps, c0)
+        sets = [(machinery[0], machinery[2]),
+                (synthetic, saddle_exponents(build_delta(synthetic, geom)))]
+        for data, exps in sets:
+            c0 = exps.delta.c0
+            H, L, N = coefficients_HLN(data, exps)
             v1, lam1 = exps.v[0], geom.lam1
             log_p = exps.log_local_constant(1) - exps.chi0(1) - 1j * v1 * np.log(scale)
             oracle = (abs(c0) ** 2 / lam1**2
@@ -82,8 +76,8 @@ class TestCoefficients:
 
     def test_h_uses_conjugated_data(self, machinery):
         # pure step has real v, so H_s/L_s collapses to r1(lam_s)/conj(r2(lam_s))
-        data, geom, delta, exps, c0 = machinery
-        H, L, N = coefficients_HLN(data, geom, exps, c0)
+        data, geom, exps = machinery
+        H, L, N = coefficients_HLN(data, exps)
         for k, lam in enumerate(geom.lambdas):
             oracle = data.r1(lam) / np.conj(data.r2(lam))
             assert abs(H[k] / L[k] - oracle) < 1e-12, k + 1
@@ -91,8 +85,8 @@ class TestCoefficients:
     def test_pinned_pure_step_values(self, machinery):
         # the nine coefficients at mu = 0.5, recorded from the power factors
         # read off delta's product form
-        data, geom, delta, exps, c0 = machinery
-        got = coefficients_HLN(data, geom, exps, c0)
+        data, _, exps = machinery
+        got = coefficients_HLN(data, exps)
         want = (
             (0.13941611442944632 + 0.13587732853216897j,
              0.1778161858348699 - 0.00861157143709572j,
@@ -202,9 +196,9 @@ class TestQRough:
         assert q_rough(-2.0, 4.0, data) == 0
 
     def test_positive_side_background(self, machinery):
-        data, geom, delta, _, _ = machinery
-        val = q_rough(geom.mu * 6.0, 6.0, data, delta)
-        assert abs(val - A * delta.at_zero() ** 2) == 0.0
+        data, geom, exps = machinery
+        val = q_rough(geom.mu * 6.0, 6.0, data)
+        assert abs(val - A * exps.delta.at_zero() ** 2) == 0.0
 
     def test_trivial_delta_gives_A(self):
         data = ScatteringData.reflectionless(A, GAMMA)
@@ -227,24 +221,24 @@ class TestQSoliton:
 
 class TestQAsymptotic:
     def test_pure_step_structure(self, machinery):
-        data, geom, delta, exps, c0 = machinery
+        data, geom, exps = machinery
         t = 25.0
         res = q_asymptotic(geom.mu * t, t, data)
         assert res.branch is Branch.X_POS_I2
-        assert abs(res.background - A * delta.at_zero() ** 2) < 1e-12
+        assert abs(res.background - A * exps.delta.at_zero() ** 2) < 1e-12
         # Im v = 0: every term decays like t^(-1/2)
         assert all(tm.exponent.real == pytest.approx(-0.5) for tm in res.leading_terms)
         # both N- and L-terms at each saddle
         assert len(res.leading_terms) == 6
 
     def test_background_identical_with_rough(self, machinery):
-        data, geom, _, _, _ = machinery
+        data, geom, _ = machinery
         t = 12.0
         res = q_asymptotic(geom.mu * t, t, data)
         assert res.background == q_rough(geom.mu * t, t, data)
 
     def test_negative_side(self, machinery):
-        data, geom, _, _, _ = machinery
+        data, geom, _ = machinery
         t = 30.0
         res = q_asymptotic(-geom.mu * t, t, data)
         assert res.branch is Branch.X_NEG
@@ -253,9 +247,22 @@ class TestQAsymptotic:
         val = res.value(-geom.mu * t, t)
         assert abs(val) < 1.0   # decaying side stays small
 
+    def test_value_bound_to_its_ray(self, machinery):
+        # a result evaluates on its own half-line and ray only, at t > 0
+        data, geom, _ = machinery
+        mu = geom.mu
+        for sign in (+1, -1):
+            res = q_asymptotic(sign * mu * 10.0, 10.0, data)
+            assert res.value(sign * mu * 40.0, 40.0) == (
+                res.background + sum(tm.at(40.0) for tm in res.leading_terms))
+            for x, t in ((-sign * mu * 40.0, 40.0), (0.0, 40.0),
+                         (sign * mu * 40.0, -40.0), (sign * 1.01 * mu * 40.0, 40.0)):
+                with pytest.raises(ValueError):
+                    res.value(x, t)
+
     def test_t_power_scaling(self, machinery):
         # quadrupling t scales each pure-step term by 4^{-1/2}
-        data, geom, _, _, _ = machinery
+        data, geom, _ = machinery
         res = q_asymptotic(geom.mu * 100.0, 100.0, data)
         term = res.leading_terms[0]
         assert abs(term.at(400.0) / term.at(100.0)) == pytest.approx(0.5, rel=1e-12)

@@ -42,6 +42,25 @@ ASYMPTOTE_GOLDEN = (
     (8000, 10000, 1.939282114426294, 0.4901631438484827, 2.0002687386751674, "x>0:I2", -1),
 )
 
+# `delta --A 2 --mu 0.5 --n 5`: the data rows (im_xi, re_delta, im_delta)
+# and the metadata, recorded before delta, v, chi_s and the background
+# became one ray object; delta, v and chi_s at 1e-13 relative as complex
+# numbers, im_xi exactly.
+DELTA_GOLDEN = {
+    "rows": (
+        (0.29999999999999999, 0.83069348683827859, 0.17616192545835219),
+        (0.97500000000000009, 0.86127814566720817, 0.039253565557571493),
+        (1.6500000000000001, 0.89433773835867514, 0.0088801536030739744),
+        (2.3250000000000002, 0.91528988704372094, 0.00015620713380086126),
+        (3, 0.92939467067378845, -0.0026170470513123927),
+    ),
+    "v": ((0.08973471017933334, -0.0), (0.43865666646958373, -0.0),
+          (0.06488385369022838, -0.0)),
+    "chi_at_saddle": ((0.0, -0.29661223393047315), (0.0, -0.6377182726372406),
+                      (0.0, 0.09523213229704994)),
+    "delta0": (0.9472889040616225, 0.32038060528335705),
+}
+
 
 def parse_csv(text):
     lines = text.strip().splitlines()
@@ -81,6 +100,42 @@ class TestSubcommands:
         meta, _, rows = parse_csv(text)
         assert len(meta["v"]) == 3
         assert len(rows) == 4
+
+    def test_delta_golden(self, tmp_path):
+        code, text = run_cli(["delta", "--A", "2", "--mu", "0.5", "--n", "5"], tmp_path)
+        assert code == 0
+        meta, header, rows = parse_csv(text)
+        assert header == ["re_xi", "im_xi", "re_delta", "im_delta"]
+
+        def close(got, want):
+            g, w = complex(*got), complex(*want)
+            return abs(g - w) <= 1e-13 * abs(w)
+
+        assert len(rows) == len(DELTA_GOLDEN["rows"])
+        for got, want in zip(rows, DELTA_GOLDEN["rows"]):
+            assert got[:2] == [0.0, want[0]] and close(got[2:], want[1:]), (got, want)
+        for key in ("v", "chi_at_saddle"):
+            assert len(meta[key]) == 3
+            assert all(close(g, w) for g, w in zip(meta[key], DELTA_GOLDEN[key])), key
+        assert close(meta["delta0"], DELTA_GOLDEN["delta0"])
+
+    def test_delta_mirrored_ray(self, tmp_path):
+        # mu < 0 writes delta and v of the mirrored contour, and no chi_s;
+        # delta_{-mu}(i y) = conj(delta_mu(i y)) and v is even in mu
+        code, text = run_cli(["delta", "--A", "2", "--mu", "-0.3", "--n", "3"], tmp_path)
+        assert code == 0
+        meta, _, rows = parse_csv(text)
+        code, text = run_cli(["delta", "--A", "2", "--mu", "0.3", "--n", "3"],
+                             tmp_path, "plus.csv")
+        assert code == 0
+        meta_p, _, rows_p = parse_csv(text)
+        assert meta["chi_at_saddle"] is None and meta_p["chi_at_saddle"] is not None
+        assert np.allclose(meta["v"], meta_p["v"], rtol=0, atol=1e-12)
+        assert abs(complex(*meta["delta0"]) - np.conj(complex(*meta_p["delta0"]))) < 1e-12
+        assert len(rows) == 3
+        for got, want in zip(rows, rows_p):
+            assert got[:2] == want[:2]
+            assert abs(complex(*got[2:]) - np.conj(complex(*want[2:]))) < 1e-12
 
     def test_pcmodel(self, tmp_path):
         code, text = run_cli(["pcmodel"], tmp_path)

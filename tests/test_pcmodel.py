@@ -253,22 +253,20 @@ class TestLambdaConjugator:
         data = ScatteringData.pure_step(2.0, GAMMA)
         locate_xi1(data)
         geom = stationary_points(0.5, GAMMA)
-        delta = build_delta(data, geom)
-        exps = saddle_exponents(data, geom, delta)
-        return data, geom, exps
+        return data, geom, saddle_exponents(build_delta(data, geom))
 
     def test_trivial(self):
         data = ScatteringData.reflectionless(2.0, GAMMA)
         geom = stationary_points(0.5, GAMMA)
-        exps = saddle_exponents(data, geom)
-        eta = lambda_conjugator(1, exps, geom, 5.0, 0.0)
+        exps = saddle_exponents(build_delta(data, geom))
+        eta = lambda_conjugator(1, exps, 5.0, 0.0)
         # v = chi = 0: only the oscillatory phase i t theta survives
         assert abs(eta - 1j * 5.0 * geom.theta(geom.lam1)) < 1e-9
 
     def test_power_factor_modulus(self, machinery):
         data, geom, exps = machinery
         t = 40.0
-        eta = lambda_conjugator(1, exps, geom, t, 0.0)
+        eta = lambda_conjugator(1, exps, t, 0.0)
         # pure step: v real, chi imaginary, phi imaginary -> |e^eta| = |F^{iv/2}| = 1
         assert abs(abs(np.exp(eta)) - 1.0) < 1e-9
 
@@ -279,10 +277,10 @@ class TestLambdaConjugator:
 
         data = synthetic_from_v_targets(2.0, GAMMA, 0.5, (0.1 + 0.2j, 0.05, 0.02))
         geom = stationary_points(0.5, GAMMA)
-        exps = saddle_exponents(data, geom)
+        exps = saddle_exponents(build_delta(data, geom))
         t1, t2 = 20.0, 80.0
-        e1 = lambda_conjugator(1, exps, geom, t1, 0.0)
-        e2 = lambda_conjugator(1, exps, geom, t2, 0.0)
+        e1 = lambda_conjugator(1, exps, t1, 0.0)
+        e2 = lambda_conjugator(1, exps, t2, 0.0)
         # strip the oscillation i t theta(lam1): it has no modulus
         ratio = abs(np.exp(e2)) / abs(np.exp(e1))
         expected = (t2 / t1) ** (np.imag(exps.v[0]) / 2.0)
@@ -300,10 +298,10 @@ class TestLambdaConjugator:
             data = synthetic_from_v_targets(2.0, GAMMA, 0.5, targets)
         geom = stationary_points(0.5, GAMMA)
         delta = build_delta(data, geom)
-        exps = saddle_exponents(data, geom, delta)
+        exps = saddle_exponents(delta)
         v = exps.v[s - 1]
         for t in (1e4, 1e6):
-            want = np.exp(lambda_conjugator(s, exps, geom, t, 0.0)
+            want = np.exp(lambda_conjugator(s, exps, t, 0.0)
                           - local_phase_phi(s, geom, t, 0.0))
             for tau in (0.7j, -0.7j):
                 power = tau ** (1j * v) if s != 2 else (-tau) ** (-1j * v)

@@ -40,8 +40,8 @@ def delta(step_data, geometry):
 
 
 @pytest.fixture(scope="module")
-def exponents(step_data, geometry, delta):
-    return saddle_exponents(step_data, geometry, delta)
+def exponents(delta):
+    return saddle_exponents(delta)
 
 
 class TestDelta:
@@ -140,14 +140,14 @@ class TestSaddleExponents:
     def test_trivial_for_zero_reflection(self):
         d0 = ScatteringData.reflectionless(A, GAMMA)
         geom = stationary_points(0.5, GAMMA)
-        exps = saddle_exponents(d0, geom)
+        exps = saddle_exponents(build_delta(d0, geom))
         assert all(abs(v) < 1e-12 for v in exps.v)
         assert all(abs(c) < 1e-9 for c in exps.chi_at_saddle)
 
     def test_mirror_ray_rejected(self, step_data):
-        geom_m = stationary_points(-0.5, GAMMA)
+        delta_m = build_delta(step_data, stationary_points(-0.5, GAMMA))
         with pytest.raises(ValueError):
-            saddle_exponents(step_data, geom_m)
+            saddle_exponents(delta_m)
 
 
 class TestPureStepReference:
@@ -190,7 +190,7 @@ class TestPureStepReference:
     @pytest.mark.parametrize("mu", (0.3, 0.5, 0.8))
     def test_against_mpmath(self, step_data, mu):
         geom = stationary_points(mu, GAMMA)
-        exps = saddle_exponents(step_data, geom)
+        exps = saddle_exponents(build_delta(step_data, geom))
         log_delta0, v, chi = self.reference(geom)
         assert abs(np.log(exps.delta.at_zero()) - log_delta0) < 1e-13
         for s in (1, 2, 3):
@@ -203,7 +203,7 @@ class TestPureStepReference:
         # ten times 1e-16 A^2/(4 lam2^2), the rounding near lam2 of
         # 1 + r1 r2 formed from r1 r2 ~ -1
         geom = stationary_points(mu, GAMMA)
-        exps = saddle_exponents(step_data, geom)
+        exps = saddle_exponents(build_delta(step_data, geom))
         assert exps.delta.convergence < 1e-10 and max(exps.chi_error) < 1e-10
         log_delta0, v, chi = self.reference(geom)
         floor = 1e-13 + 1e-15 * A ** 2 / (4.0 * geom.lam2 ** 2)
@@ -219,8 +219,8 @@ class TestPureStepReference:
     def test_no_rounding_near_lam2(self, height, mu):
         # rays whose chi_2 n/2n gap the rounding of 1 + r1 r2 near lam2 once
         # pushed past 1e-10; sampled as 1/(1 + S12 S21) it is not there
-        exps = saddle_exponents(ScatteringData.pure_step(height, GAMMA),
-                                stationary_points(mu, GAMMA))
+        exps = saddle_exponents(build_delta(ScatteringData.pure_step(height, GAMMA),
+                                            stationary_points(mu, GAMMA)))
         assert exps.delta.convergence < 1e-13 and max(exps.chi_error) < 1e-13
 
 
@@ -240,7 +240,7 @@ class TestNodeConvergence:
         with pytest.raises(IntegrationError, match="build_delta"):
             build_delta(step_data, geom)
         with pytest.raises(IntegrationError, match="saddle_exponents"):
-            saddle_exponents(step_data, geom, delta)
+            saddle_exponents(delta)
 
 
 BUMP = {"A": 1.0, "gamma": GAMMA,
@@ -260,7 +260,7 @@ class TestPerturbedProfile:
         classify_case(data)
         locate_xi1(data)
         geom = stationary_points(0.3, GAMMA)
-        exps = saddle_exponents(data, geom)
+        exps = saddle_exponents(build_delta(data, geom))
         return data, geom, exps
 
     def test_delta_suite(self, bump):
@@ -334,7 +334,7 @@ class TestJumpMatrices:
                  (mirror, dmirror, lam3 + 0.5, True)]
         for geom, delta, xi0, on_cut in cases:
             x = geom.mu * t
-            Jt = jump_matrix("tilde", x, t, xi0, step_data, geom, delta)
+            Jt = jump_matrix("tilde", x, t, xi0, step_data, delta)
             J = jump_matrix("original", x, t, xi0, step_data)
             dp = delta.eval(xi0, side=+1) if on_cut else delta.eval(xi0)
             dm = delta.eval(xi0, side=-1) if on_cut else delta.eval(xi0)
@@ -348,8 +348,8 @@ class TestJumpMatrices:
                            ("Y2", geometry.lam3 + 0.4 * np.exp(0.75j * np.pi)),
                            ("Y1*", geometry.lam1 + 0.4 * np.exp(-0.25j * np.pi)),
                            ("Y2*", geometry.lam3 + 0.4 * np.exp(-0.75j * np.pi))):
-            Jh = jump_matrix("hat", 0.2, 0.4, point, step_data, geometry, delta, ray=ray)
-            Jr = jump_matrix("regular", 0.2, 0.4, point, step_data, geometry, delta, ray=ray)
+            Jh = jump_matrix("hat", 0.2, 0.4, point, step_data, delta, ray=ray)
+            Jr = jump_matrix("regular", 0.2, 0.4, point, step_data, delta, ray=ray)
             B = np.diag([1.0, (point - 1j * xi1) / point])
             Binv = np.diag([1.0, point / (point - 1j * xi1)])
             assert np.abs(B @ Jh @ Binv - Jr).max() < 1e-10
@@ -358,7 +358,7 @@ class TestJumpMatrices:
         with pytest.raises(ValueError):
             jump_matrix("original", 0, 0, 0.5 + 0.5j, step_data)
         with pytest.raises(ValueError):
-            jump_matrix("hat", 0, 0, 1.0 + 0.5j, step_data, geometry, delta, ray="Y1*")
+            jump_matrix("hat", 0, 0, 1.0 + 0.5j, step_data, delta, ray="Y1*")
 
 
 class TestRegularizedReflections:
