@@ -11,13 +11,16 @@ sweeps (`jost_at_origin` calls):
   over 200 xi drawn uniformly from [0.15, 5] (fixed seed), on the Baseline
   bump (A = 1, amplitude 0.1, centre 0.2, width 0.3) and on
   `soliton_profile(2, 1/27, pi/3)`, with the profile's cells built;
+- `one_S_bump_far`: the same on the bump over 200 xi drawn from [12, 50],
+  where the sweep needs the narrow cells;
 - `cells_bump`, `cells_soliton`: the first S of a fresh profile, which
   samples q0 at the Gauss points of its cells;
-- `locate_xi1_soliton`: `locate_xi1` on the soliton profile, after
-  `classify_case`, on a fresh `ScatteringData` (no S memoised);
-- `delta_exponents_soliton`: `build_delta` plus `saddle_exponents` at
+- `locate_xi1_<profile>`: `locate_xi1` on either profile, after
+  `classify_case`, on a fresh `ScatteringData` (no S memoised), with the
+  cells of every width built;
+- `delta_exponents_<profile>`: `build_delta` plus `saddle_exponents` at
   mu = 0.3 on the same data, right after `locate_xi1`;
-- `ray_soliton`: the sum of the last two.
+- `ray_<profile>`: the sum of the last two.
 
 Only the public surface that both sides of a before/after comparison share
 is used, so the script runs unchanged on either checkout.
@@ -77,7 +80,7 @@ def timed(fn) -> tuple[float, int]:
 
 def one_S(make, xis) -> tuple[float, int]:
     profile = make()
-    scattering.scattering_matrix(profile, 1.0)
+    scattering.scattering_matrix(profile, xis[0])
     elapsed, sweeps = timed(lambda: [scattering.scattering_matrix(profile, xi) for xi in xis])
     return elapsed / len(xis), sweeps / len(xis)
 
@@ -86,14 +89,14 @@ def first_S(make) -> tuple[float, int]:
     return timed(lambda: scattering.scattering_matrix(make(), 1.0))
 
 
-def ray_stages(profile) -> dict[str, tuple[float, int]]:
+def ray_stages(name, profile) -> dict[str, tuple[float, int]]:
     data = scattering.ScatteringData.from_profile(profile, analyze=False)
     scattering.classify_case(data)
     geometry = stationary_points(MU, GAMMA)
     xi1 = timed(lambda: scattering.locate_xi1(data))
     exps = timed(lambda: saddle_exponents(build_delta(data, geometry)))
-    return {"locate_xi1_soliton": xi1, "delta_exponents_soliton": exps,
-            "ray_soliton": (xi1[0] + exps[0], xi1[1] + exps[1])}
+    return {f"locate_xi1_{name}": xi1, f"delta_exponents_{name}": exps,
+            f"ray_{name}": (xi1[0] + exps[0], xi1[1] + exps[1])}
 
 
 def environment() -> dict:
@@ -110,14 +113,19 @@ def environment() -> dict:
 
 def run(repeats: int) -> dict:
     xis = np.random.default_rng(0).uniform(0.15, 5.0, N_XI)
+    far = np.random.default_rng(1).uniform(12.0, 50.0, N_XI)
     make = profiles()
     samples: dict[str, list[tuple[float, int]]] = {}
-    soliton = make["soliton"]()
-    scattering.scattering_matrix(soliton, 1.0)
+    built = {name: mk() for name, mk in make.items()}
+    for profile in built.values():
+        for xi in (1.0, 50.0):
+            scattering.scattering_matrix(profile, xi)
     for _ in range(repeats):
         runs = {f"one_S_{name}": one_S(mk, xis) for name, mk in make.items()}
+        runs["one_S_bump_far"] = one_S(make["bump"], far)
         runs.update({f"cells_{name}": first_S(mk) for name, mk in make.items()})
-        runs.update(ray_stages(soliton))
+        for name, profile in built.items():
+            runs.update(ray_stages(name, profile))
         for key, value in runs.items():
             samples.setdefault(key, []).append(value)
     stages = {key: {"median_s": statistics.median(t for t, _ in vals),

@@ -110,10 +110,11 @@ def cmd_delta(args) -> int:
     # chi_s is built on positive rays only; the mirrored ray writes null
     chi = None if args.mu < 0 else [[c.real, c.imag]
                                     for c in saddle_exponents(delta).chi_at_saddle]
+    delta0 = delta.at_zero()
     meta = {"command": "delta", "mu": args.mu,
             "v": [[v.real, v.imag] for v in delta.v_values],
             "chi_at_saddle": chi,
-            "delta0": [delta.at_zero().real, delta.at_zero().imag]}
+            "delta0": [delta0.real, delta0.imag]}
     write_csv(args.out, ["re_xi", "im_xi", "re_delta", "im_delta"], rows, meta)
     return 0
 

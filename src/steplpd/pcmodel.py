@@ -152,21 +152,6 @@ def _conjugate(model: LocalModelData) -> LocalModelData:
     return LocalModelData(1, *(complex(x).conjugate() for x in (model.v, model.r1r, model.r2r)))
 
 
-def m_matrix(s: int, model: LocalModelData, tau: complex) -> np.ndarray:
-    """The constant-jump Weber solution m at the given saddle.
-
-    ``tau`` in the closed upper half-plane selects the branch recessive
-    there, the open lower half-plane the other one.
-    """
-    tau = complex(tau)
-    if s == 2:
-        return np.conj(m_matrix(1, _conjugate(model), -tau.conjugate()))
-    (c11, c21), (c12, c22) = _scaled_columns(model.v, model.r1r, model.r2r, tau,
-                                             upper=tau.imag >= 0)
-    grow = cmath.exp(0.25j * tau * tau)
-    return np.array([[c11 / grow, c12 * grow], [c21 / grow, c22 * grow]])
-
-
 @lru_cache(maxsize=64)
 def _column_constants(v: complex, r1r: complex, r2r: complex) -> tuple[tuple[complex, ...], ...]:
     """The factors of E_{iv}(z13), E_{iv-1}(z13), E_{-iv-1}(z24) and

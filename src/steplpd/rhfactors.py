@@ -134,12 +134,14 @@ class DeltaFunction:
     v_values: tuple[complex, complex, complex] = field(init=False)
     # |ln delta(0)| on n nodes minus on 2n nodes per interval
     convergence: float = field(init=False)
+    # ln delta(0) on the 2n level, the one at_zero reads
+    log_delta0: complex = field(init=False)
     background: complex = field(init=False)
 
     def __post_init__(self):
         self.v_values = tuple(-r / _TWO_PI for r in self.rho_saddles)
-        coarse, fine = (_cauchy_sum(level, 0.0, None) for level in self.levels)
-        self.convergence = abs(coarse - fine)
+        coarse, self.log_delta0 = (_cauchy_sum(level, 0.0, None) for level in self.levels)
+        self.convergence = abs(coarse - self.log_delta0)
 
     def v(self, s: int) -> complex:
         """v(lam_s) = -(1/2pi) ln|1+r1r2| - (i/2pi) * accumulated arg."""
@@ -159,7 +161,7 @@ class DeltaFunction:
 
     def at_zero(self) -> complex:
         """delta(0, mu); the origin sits in the (lam3, lam2) gap off-contour."""
-        return self.eval(0.0)
+        return np.exp(self.log_delta0)
 
     def at_pole(self, xi1: float) -> complex:
         """delta(i*xi1), off the contour in the upper half-plane."""

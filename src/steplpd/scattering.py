@@ -26,13 +26,17 @@ so every sample, the mirrored b(-xi) in r1 included, costs one sweep.
 Each half-line's transfer matrix is a product of 6th-order Magnus cell
 exponentials (Blanes, Casas & Ros, BIT 40, 2000; Blanes, Casas, Oteo & Ros,
 Phys. Rep. 470, 2009), each in closed form for a traceless 2x2 matrix.
-Cells are at most _MAGNUS_H wide, with edges at 0, at +-support and at the
-kinks of a table profile.  Q(x) does not depend on xi and only the
-constant -i xi sigma3 carries it, so every entry of a cell's exponent is a
-cubic in xi: the profile samples Q once, at three Gauss points per cell,
-and caches those cubics' coefficients.  A sweep evaluates them by Horner's
-rule, takes cosh and sinh(s)/s from their series wherever the cells are
-short against 1/|xi| (every |xi| up to about 25), and multiplies both
+Cells have edges at 0, at +-support and at the kinks of a table profile, and
+the profile keeps two tables of them: cells at most _MAGNUS_H_COARSE = 1e-2
+wide for |xi| <= _MAGNUS_XI_COARSE = 10, where the profile and not
+exp(2i xi x) sets the error, and cells at most _MAGNUS_H = 4e-3 wide for
+larger |xi| (_transfer has the measured errors).  Q(x) does not depend on
+xi and only the constant -i xi sigma3 carries it, so every entry of a
+cell's exponent is a cubic in xi: the profile samples Q once per table, at
+three Gauss points per cell, and caches those cubics' coefficients.  A
+sweep evaluates them by Horner's rule, takes cosh and sinh(s)/s from their
+series wherever the cells are short against 1/|xi| (every |xi| up to about
+10 on the wide cells and 25 on the narrow ones), and multiplies both
 half-lines in one vectorised product.  Beyond |xi| _MAGNUS_H ~ 1 the cells
 no longer resolve exp(2i xi x).  There b and the product S12 S21 that the
 trace formula and delta read stay within 3e-13 and 5e-14 of a fine sweep at
@@ -101,8 +105,12 @@ def _zero(x: float) -> complex:
 
 # distances past -+support at which the perturbation must vanish
 _SUPPORT_PROBES = np.linspace(0.0, 4.0, 81)[1:]
-# widest cell of the Magnus sweep (see _transfer)
+# widest cell of the Magnus sweep (see _transfer): _MAGNUS_H where |xi|
+# exceeds _MAGNUS_XI_COARSE and the cells must resolve exp(2i xi x),
+# _MAGNUS_H_COARSE up to it, where the profile sets the error
 _MAGNUS_H = 4e-3
+_MAGNUS_H_COARSE = 1e-2
+_MAGNUS_XI_COARSE = 10.0
 _GAUSS_3 = np.sqrt(15.0) / 10.0         # Gauss points at midpoint + (1, 0, -1) * this * h
 # |s^2| up to which a sweep takes cosh(s) and sinh(s)/s from their series
 _SERIES_S2 = 1e-2
@@ -147,7 +155,16 @@ class InitialProfile:
         return base + self.perturbation(x)
 
     @cached_property
-    def _magnus_cells(self) -> tuple[np.ndarray, np.ndarray]:
+    def _fine_cells(self) -> tuple[np.ndarray, np.ndarray]:
+        """_magnus_cells at most _MAGNUS_H wide, built on first use."""
+        return self._magnus_cells(_MAGNUS_H)
+
+    @cached_property
+    def _coarse_cells(self) -> tuple[np.ndarray, np.ndarray]:
+        """_magnus_cells at most _MAGNUS_H_COARSE wide, built on first use."""
+        return self._magnus_cells(_MAGNUS_H_COARSE)
+
+    def _magnus_cells(self, width: float) -> tuple[np.ndarray, np.ndarray]:
         """Cells of [0, support] and the Magnus exponents of both half-lines.
 
         Returns the widths h (n,) of the cells of [0, support], ordered from
@@ -157,14 +174,14 @@ class InitialProfile:
         a = -i xi: [k, e, j, side] is the a^k coefficient of entry e
         (Omega_11, Omega_12, Omega_21) of cell j on the side's half-line
         (0: (-support, 0), width h; 1: (support, 0), width -h).  Q(x) does
-        not depend on xi, so q0 is sampled here once, at the three Gauss
-        points of each cell, and no sweep touches the profile again.  Cell
-        edges sit at 0, at support and at every |kink| in between; no cell
-        is wider than _MAGNUS_H.
+        not depend on xi, so q0 is sampled here once per table, at the three
+        Gauss points of each cell, and no sweep touches the profile again.
+        Cell edges sit at 0, at support and at every |kink| in between; no
+        cell is wider than width.
         """
         ell = self.support
         edges = np.unique([0.0, ell, *(abs(k) for k in self.kinks if abs(k) < ell)])
-        per_gap = np.ceil(np.diff(edges) / _MAGNUS_H).astype(int)
+        per_gap = np.ceil(np.diff(edges) / width).astype(int)
         z = np.concatenate([np.linspace(lo, hi, n + 1)[:-1]
                             for lo, hi, n in zip(edges[:-1], edges[1:], per_gap)] + [[ell]])
         h = np.diff(z)[::-1]
@@ -340,7 +357,8 @@ def _ordered_product(E: np.ndarray) -> np.ndarray:
     while E.shape[2] > 1:
         n = E.shape[2]
         later, earlier = E[:, :, 1::2], E[:, :, 0:n - 1:2]
-        pairs = (later[:, :, None] * earlier[None]).sum(axis=1)
+        terms = later[:, :, None] * earlier[None]
+        pairs = terms[:, 0] + terms[:, 1]
         E = np.concatenate([pairs, E[:, :, n - 1:]], axis=2) if n % 2 else pairs
     return E[:, :, 0]
 
@@ -348,16 +366,46 @@ def _ordered_product(E: np.ndarray) -> np.ndarray:
 def _transfer(profile: InitialProfile, xi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(T_-, T_+): phi(0) = T_-+ phi(-+support) for every xi of the array.
 
-    The profile holds its cells' Magnus exponents as cubics in a = -i xi
-    (_magnus_cells); Horner's rule gives every Omega at once.  Omega is
-    traceless, so exp(Omega) = cosh(s) I + sinh(s)/s Omega with
+    Each xi with |xi| <= _MAGNUS_XI_COARSE is swept on the profile's cells
+    at most _MAGNUS_H_COARSE wide, every other xi on those at most _MAGNUS_H
+    wide; a table is built the first time a xi needs it.  Up to |xi| = 10 the
+    error of the wide cells is mostly that of the profile, not that of
+    exp(2i xi x).  Worst relative error of S (relative where |entry| > 1)
+    against a sweep at h = 2.5e-4, on +-xi:
+
+        profile (support)      h     |xi| in [0.15, 5]  |xi| = 10     |xi| = 50
+        3 bumps (2.2 to 3.7)   4e-3  5.2e-13 to 1.2e-12  2e-14 to 9e-14  7e-14 to 3e-13
+                               1e-2  5.4e-13 to 1.2e-12  2e-13 to 5e-13  2e-11 to 6e-11
+        soliton (20)           4e-3  6.4e-12             5.4e-13         1.5e-12
+                               1e-2  6.2e-12             8.0e-13         8.1e-11
+        table (1)              4e-3  1.7e-14             5.9e-14         8.0e-12
+                               1e-2  5.3e-13             1.5e-11         2.1e-9
+
+    On the table, whose Q' jumps at its nodes, the wide cells' own error
+    shows through; it falls as h^6 with the width.  The choice is made per
+    xi, so a xi gets the same bits alone or in an array.
+    """
+    coarse = np.abs(xi) <= _MAGNUS_XI_COARSE
+    if coarse.all():
+        return _sweep(profile._coarse_cells[1], xi)
+    if not coarse.any():
+        return _sweep(profile._fine_cells[1], xi)
+    T_minus, T_plus = np.empty((2,) + xi.shape + (2, 2), dtype=complex)
+    for group, cells in ((coarse, profile._coarse_cells), (~coarse, profile._fine_cells)):
+        T_minus[group], T_plus[group] = _sweep(cells[1], xi[group])
+    return T_minus, T_plus
+
+
+def _sweep(omega: np.ndarray, xi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(T_-, T_+) of the cells whose Magnus exponents omega holds as cubics
+    in a = -i xi (_magnus_cells); Horner's rule gives every Omega at once.
+
+    Omega is traceless, so exp(Omega) = cosh(s) I + sinh(s)/s Omega with
     s^2 = -det Omega.  For each xi whose cells all keep |s^2| <= _SERIES_S2,
     cosh and sinh(s)/s come from their even series in s^2; sqrt, cosh and
-    sinh run only on the other columns.  The choice is made per xi, so a xi
-    gets the same bits alone or in an array.  Both half-lines go through one
+    sinh run only on the other columns.  Both half-lines go through one
     ordered product.
     """
-    omega = profile._magnus_cells[1]
     a = -1j * xi
     w = omega[3, ..., None] * a
     for k in (2, 1):
@@ -405,9 +453,10 @@ def scattering_matrix(profile: InitialProfile, xi: complex) -> np.ndarray:
     """S(xi) = phi_+(0,0,xi)^(-1) phi_-(0,0,xi) for nonzero xi, real or
     complex, as the Wronskians of the Jost columns (det phi_+ = 1)."""
     phi_minus, phi_plus = jost_at_origin(profile, xi)
-    (m1, m2), (p1, p2) = phi_minus.T, phi_plus.T
-    return np.array([[_wronskian(m1, p2), _wronskian(m2, p2)],
-                     [_wronskian(p1, m1), _wronskian(p1, m2)]])
+    (m11, m12), (m21, m22) = phi_minus.tolist()
+    (p11, p12), (p21, p22) = phi_plus.tolist()
+    return np.array([[m11 * p22 - m21 * p12, m12 * p22 - m22 * p12],
+                     [p11 * m21 - p21 * m11, p11 * m22 - p21 * m12]])
 
 
 # ---------------------------------------------------------------------------
@@ -554,6 +603,8 @@ class ScatteringData:
 
         def S(xi):
             xi = np.asarray(xi, dtype=complex)
+            if xi.ndim == 0:
+                return s_matrix(complex(xi)).copy()
             return np.array([s_matrix(complex(z)) for z in xi.flat]).reshape(xi.shape + (2, 2))
 
         data = cls(A=A, gamma=profile.gamma, S=S)

@@ -1,5 +1,6 @@
 """Local parabolic-cylinder models: scaling, phases, Weber solutions, conjugator."""
 
+import cmath
 from functools import lru_cache
 
 import numpy as np
@@ -12,7 +13,6 @@ from steplpd.pcmodel import (
     LocalModelData,
     lambda_conjugator,
     local_phase_phi,
-    m_matrix,
     model_order,
     pc_coefficients,
     pc_jump_matrix,
@@ -123,6 +123,17 @@ class TestPcCoefficients:
         assert abs(g2 - np.conj(g1c)) < 1e-14
 
 
+def m_matrix(model: LocalModelData, tau: complex) -> np.ndarray:
+    """The constant-jump Weber solution m of an s = 1 model, from its scaled
+    columns; tau in the closed upper half-plane selects the branch recessive
+    there, the open lower half-plane the other one."""
+    tau = complex(tau)
+    (c11, c21), (c12, c22) = pcmodel._scaled_columns(model.v, model.r1r, model.r2r, tau,
+                                                     upper=tau.imag >= 0)
+    grow = cmath.exp(0.25j * tau * tau)
+    return np.array([[c11 / grow, c12 * grow], [c21 / grow, c22 * grow]])
+
+
 class TestWeberSolution:
     def test_entry_odes(self, model1):
         # m11'' + (i/2 + tau^2/4 - v) m11 = 0 and the -i/2 partner for m22
@@ -132,7 +143,7 @@ class TestWeberSolution:
         h = 1e-3
         for tau in (0.6, -1.2, 0.4 + 0.5j):
             for (i, j, sgn) in ((0, 0, +1), (1, 0, -1), (0, 1, +1), (1, 1, -1)):
-                f = lambda t: m_matrix(1, model1, t)[i, j]
+                f = lambda t: m_matrix(model1, t)[i, j]
                 dd = (f(tau + h) - 2 * f(tau) + f(tau - h)) / h**2
                 coef = (sgn * 0.5j + tau**2 / 4.0 - v)
                 res = dd + coef * f(tau)
@@ -144,8 +155,8 @@ class TestWeberSolution:
         # a 1e-300 offset below the axis selects the lower branch at the
         # same point (it vanishes in every product)
         tau = 1.234
-        mu_ = m_matrix(1, model1, tau)
-        md_ = m_matrix(1, model1, complex(tau, -1e-300))
+        mu_ = m_matrix(model1, tau)
+        md_ = m_matrix(model1, complex(tau, -1e-300))
         w1 = md_[0, 0] * mu_[1, 0] - mu_[0, 0] * md_[1, 0]
         w2 = md_[1, 1] * mu_[0, 1] - mu_[1, 1] * md_[0, 1]
         assert abs(w1 - (-P)) < 1e-12
@@ -153,7 +164,7 @@ class TestWeberSolution:
 
     def test_determinant(self, model1):
         for tau in (0.5, 1.5 + 0.4j, -2.0 - 0.3j):
-            m = m_matrix(1, model1, tau)
+            m = m_matrix(model1, tau)
             assert abs(np.linalg.det(m) - 1.0) < 1e-10
 
 

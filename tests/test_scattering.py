@@ -432,20 +432,46 @@ class TestMagnusSweep:
         # halving the cell width cuts the error by about 64.  Widths a hair
         # above 0.1/2^k split every gap of the table into twice the cells at
         # each halving; the tighter reference keeps its own error below the
-        # finest sweep's
+        # finest sweep's.  Every xi here is below _MAGNUS_XI_COARSE, so the
+        # coarse width is the one the sweep uses
         monkeypatch.setattr(ode, "_RTOL", 1e-13)
         monkeypatch.setattr(ode, "_ATOL", 1e-22)
         for name, xi in (("bump-1", 1.0), ("bump-1", 5.0), ("table", 5.0)):
+            assert xi <= scattering._MAGNUS_XI_COARSE
             want = dop853_S(oracle_profiles()[name], xi)
             errs = []
             for h in (0.1001, 0.05005, 0.025025):
                 # a fresh profile: each samples its cells once
-                monkeypatch.setattr(scattering, "_MAGNUS_H", h)
-                errs.append(np.abs(scattering_matrix(oracle_profiles()[name], xi) - want).max())
+                monkeypatch.setattr(scattering, "_MAGNUS_H_COARSE", h)
+                prof = oracle_profiles()[name]
+                errs.append(np.abs(scattering_matrix(prof, xi) - want).max())
+                assert prof._coarse_cells[0].max() > 0.5 * h
+                assert "_fine_cells" not in vars(prof)
             assert errs[0] / errs[1] > 40 and errs[1] / errs[2] > 40, (name, xi, errs)
 
+    # the largest relative difference of S between the two widths that
+    # test_coarse_cells_match_fine_cells allows.  On the bumps the widths
+    # agree within 5.3e-13.  On the soliton profile (support 20) they differ
+    # by 1.9e-12 at xi = +-5 and on the table, whose Q' jumps at its nodes,
+    # by 1.5e-11 at +-10: the wider cells' own error, which falls as h^6
+    COARSE_TOL = {"bump-1": 1e-12, "bump-2": 1e-12, "bump-3": 1e-12,
+                  "soliton": 5e-12, "table": 3e-11}
+
+    @pytest.mark.parametrize("name", sorted(COARSE_TOL))
+    def test_coarse_cells_match_fine_cells(self, name, monkeypatch):
+        prof = oracle_profiles()[name]
+        xis = [s * x for x in (0.05, 0.3, 1.0, 5.0, scattering._MAGNUS_XI_COARSE)
+               for s in (1, -1)]
+        got = [scattering_matrix(prof, xi) for xi in xis]
+        assert "_fine_cells" not in vars(prof)
+        # the fine sweep at the same xi: no xi takes the wider cells
+        monkeypatch.setattr(scattering, "_MAGNUS_XI_COARSE", -1.0)
+        for xi, S in zip(xis, got):
+            assert rel_err(S, scattering_matrix(prof, xi)) < self.COARSE_TOL[name], xi
+
     def test_array_sweep_matches_scalar_calls(self, bump_profile):
-        xis = np.array([-2.0, -0.4, 0.3, 1.1 + 0.2j, 0.7j, 3.0])
+        # the array straddles _MAGNUS_XI_COARSE: each xi keeps its own cells
+        xis = np.array([-2.0, -0.4, 0.3, 1.1 + 0.2j, 0.7j, 3.0, 10.0, -10.5, 12.0 + 1.0j, 40.0])
         T_minus, T_plus = scattering._transfer(bump_profile, xis)
         for k, xi in enumerate(xis):
             one_minus, one_plus = scattering._transfer(bump_profile, xis[k:k + 1])
@@ -454,11 +480,13 @@ class TestMagnusSweep:
 
     def test_cell_edges_at_table_nodes(self):
         prof = oracle_profiles()["table"]
-        h = prof._magnus_cells[0]
-        edges = np.concatenate([[0.0], np.cumsum(h[::-1])])
-        for node in (0.2, 0.3, 0.7, 1.0):
-            assert np.abs(edges - node).min() < 1e-14
-        assert h.max() < scattering._MAGNUS_H * (1 + 1e-12)
+        for cells, width in ((prof._fine_cells, scattering._MAGNUS_H),
+                             (prof._coarse_cells, scattering._MAGNUS_H_COARSE)):
+            h = cells[0]
+            edges = np.concatenate([[0.0], np.cumsum(h[::-1])])
+            for node in (0.2, 0.3, 0.7, 1.0):
+                assert np.abs(edges - node).min() < 1e-14
+            assert h.max() < width * (1 + 1e-12)
 
     @settings(max_examples=25, deadline=None)
     @given(A=st.floats(1.0, 2.0), amp=st.floats(0.05, 0.3),
