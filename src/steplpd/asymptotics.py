@@ -297,9 +297,14 @@ def q_rough(x: float, t: float, data) -> complex:
     return build_delta(data, stationary_points(x / t, data.gamma)).background
 
 
+def soliton_exponent(x: float, t: float, A: float, alpha: float, gamma: float) -> complex:
+    """The exponent E of the exact one-soliton q = A / (1 - e^E)."""
+    return -A * x + 0.5j * A * A * t + 1j * A**4 * gamma * t + 1j * alpha
+
+
 def q_soliton(x: float, t: float, A: float, alpha: float, gamma: float) -> complex:
-    """The exact one-soliton q = A / (1 - e^{-Ax + i A^2 t/2 + i A^4 gamma t + i alpha})."""
-    expo = -A * x + 0.5j * A * A * t + 1j * A**4 * gamma * t + 1j * alpha
+    """The exact one-soliton q = A / (1 - e^E), E = ``soliton_exponent``."""
+    expo = soliton_exponent(x, t, A, alpha, gamma)
     if expo.real > 50.0:        # left tail: 1 - e^{expo} dominated by the exponential
         return -A * np.exp(-expo)
     den = 1.0 - np.exp(expo)

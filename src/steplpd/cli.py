@@ -55,17 +55,23 @@ def write_csv(path, header: list[str], rows, meta: dict):
 
 
 def load_profile(args) -> InitialProfile:
-    if getattr(args, "config", None):
+    if args.config:
+        if args.A is not None or args.gamma is not None:
+            raise ValueError("--config sets A and gamma: drop --A and --gamma")
         return InitialProfile.from_json(args.config)
-    return InitialProfile.pure_step(args.A, args.gamma)
+    return InitialProfile.pure_step(2.0 if args.A is None else args.A,
+                                    1.0 / 27.0 if args.gamma is None else args.gamma)
 
 
 def _scattering_data(args) -> ScatteringData:
-    profile = load_profile(args)
-    data = ScatteringData.from_profile(profile, analyze=False)
-    classify_case(data)
-    locate_xi1(data)
-    return data
+    return ScatteringData.from_profile(load_profile(args))
+
+
+def _large_tau_fit(s: int, model: LocalModelData) -> tuple[complex, complex]:
+    """(beta, gamma_c) off tau (M - I) ~ [[., -i beta], [-i gamma_c, .]], tau = 50 e^{0.9i}."""
+    tau = 50.0 * np.exp(0.9j)
+    X = tau * (pc_model_matrix(s, model, tau) - np.eye(2))
+    return 1j * X[0, 1], 1j * X[1, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -136,9 +142,7 @@ def cmd_pcmodel(args) -> int:
             plus, minus = (up, dn) if plus_is_ccw else (dn, up)
             res = float(np.abs(plus - minus @ J).max())
             rows.append([r, ang, res])
-    tau = 50.0 * np.exp(0.9j)
-    X = tau * (pc_model_matrix(args.saddle, model, tau) - np.eye(2))
-    fit_beta, fit_gamc = 1j * X[0, 1], 1j * X[1, 0]
+    fit_beta, fit_gamc = _large_tau_fit(args.saddle, model)
     meta = {"command": "pcmodel", "saddle": args.saddle,
             "v": [v.real, v.imag],
             "beta": [beta.real, beta.imag], "gamma_c": [gamc.real, gamc.imag],
@@ -247,10 +251,9 @@ def cmd_validate(args) -> int:
     v = model_order(p, q)
     model = LocalModelData(s=1, v=v, r1r=p, r2r=q)
     beta, gamc = pc_coefficients(1, p, q, v)
-    tau = 50.0 * np.exp(0.9j)
-    X = tau * (pc_model_matrix(1, model, tau) - np.eye(2))
-    fit_ok = (abs(1j * X[0, 1] - beta) / abs(beta) < 0.02
-              and abs(1j * X[1, 0] - gamc) / abs(gamc) < 0.02)
+    fit_beta, fit_gamc = _large_tau_fit(1, model)
+    fit_ok = (abs(fit_beta - beta) / abs(beta) < 0.02
+              and abs(fit_gamc - gamc) / abs(gamc) < 0.02)
     check("local-model coefficients", fit_ok, "large-tau fit within 2%")
 
     qa = q_asymptotic(mu * 50.0, 50.0, data)
@@ -270,9 +273,9 @@ def cmd_validate(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _add_profile_args(p):
-    p.add_argument("--config", help="profile JSON document")
-    p.add_argument("--A", type=float, default=2.0)
-    p.add_argument("--gamma", type=float, default=1.0 / 27.0)
+    p.add_argument("--config", help="profile JSON document (sets A and gamma)")
+    p.add_argument("--A", type=float, help="pure-step height (default 2)")
+    p.add_argument("--gamma", type=float, help="pure-step gamma (default 1/27)")
 
 
 def build_parser() -> argparse.ArgumentParser:

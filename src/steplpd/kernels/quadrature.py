@@ -14,14 +14,13 @@ of (f - c g)/(z - xi) plus the closed-form transform of c g, where c is f's
 node interpolant (barycentric in s) at xi's preimage and g(xi) = 1.  g = 1
 on [a, b] (transform c ln((b - xi)/(a - xi))) and g = (p - xi)/(p - z) on a
 half-line, p = b + 1 or a - 1 (transform c Log(xi - b) or -c Log(a - xi)).
-For real xi inside the interval the closed form's +-i pi gives the Plemelj
-value from the side ``side`` = +-1.  The RH factors and the xi1 trace
-formula are such sums on _NODES and on 2 _NODES nodes, and a change above
-_CONVERGENCE_TOL between the two raises IntegrationError.  No QUADPACK call
-remains; ``_si`` (scipy.integrate) stays bound because the traced benchmark,
-perfbench/tracing.py, patches it to count quad calls.  Branches throughout
-the package: ln and non-integer powers are principal, and (xi - lam)**(i*v)
-inherits the cut along (-inf, lam].
+For real xi inside the interval the closed form's +-i pi (:func:`log_side`)
+gives the Plemelj value from the side ``side`` = +-1.  The RH factors and
+the xi1 trace formula are such sums on the two NODE_LEVELS, and
+:func:`level_gap` is their one gate.  No QUADPACK call remains; ``_si``
+(scipy.integrate) stays bound because perfbench/tracing.py patches it.
+Branches throughout the package: ln and non-integer powers are principal,
+and (xi - lam)**(i*v) inherits the cut along (-inf, lam].
 """
 
 from __future__ import annotations
@@ -35,12 +34,31 @@ from scipy import integrate as _si  # noqa: F401 - patched by the tracer
 # Gauss-Legendre nodes per contour interval; every node sum is also taken on
 # twice as many, and those values are the ones returned
 _NODES = 64
+NODE_LEVELS = (_NODES, 2 * _NODES)
 # largest n/2n change of a node sum accepted
 _CONVERGENCE_TOL = 1e-10
 
 
 class IntegrationError(Exception):
     """A node sum changed by more than _CONVERGENCE_TOL from n to 2n nodes."""
+
+
+def level_gap(stage: str, coarse, fine):
+    """|coarse - fine| of a node sum on the two NODE_LEVELS, elementwise; a gap
+    above _CONVERGENCE_TOL raises IntegrationError naming the stage."""
+    gap = np.abs(np.subtract(coarse, fine))
+    if np.max(gap) > _CONVERGENCE_TOL:
+        raise IntegrationError(f"{stage} changes by {np.max(gap):.1e} from {NODE_LEVELS[0]}"
+                               f" to {NODE_LEVELS[1]} nodes per interval")
+    return gap
+
+
+def log_side(z: complex, side: int | None = None) -> complex:
+    """Principal log; a real negative z is read from above (side +1) or below (-1)."""
+    z = complex(z)
+    if side is not None and z.imag == 0.0 and z.real < 0.0:
+        return np.log(-z.real) + 1j * np.pi * side
+    return np.log(z)
 
 
 @dataclass(frozen=True)
@@ -123,8 +141,8 @@ class IntervalRule:
             return complex(np.dot(self.W, values / dz)) / (2j * np.pi)
         c = complex(np.dot(self.bary / (s_xi - self.s), values)
                     / np.sum(self.bary / (s_xi - self.s)))
-        transform = np.log(abs(arg)) + 1j * np.pi * side if on else np.log(arg)
-        return (complex(np.dot(self.W, (values - c * g) / dz)) + c * transform) / (2j * np.pi)
+        return (complex(np.dot(self.W, (values - c * g) / dz))
+                + c * log_side(arg, side)) / (2j * np.pi)
 
 
 def interval_rule(interval: ContourInterval, n: int) -> IntervalRule:

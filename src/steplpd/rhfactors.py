@@ -32,8 +32,8 @@ parts, to boundary logs plus the Cauchy sum off the ends, and at an end lam*
 to the kernel (rho(z) - rho(lam*))/(lam* - z), with rho(lam3)/(1 + lam3 - z)
 subtracted on (-inf, lam3], whose log term int_0^inf ln u/(1+u)^2 du is 0.
 ln delta(0) and chi_s(lam_s) come from both levels; the 2n values are used,
-the n/2n gaps kept as convergence estimates, and a gap above 1e-10 raises
-IntegrationError.
+and the n/2n gaps, kept as convergence estimates, pass ``level_gap``.  The
+jumps read 1 + r1 r2 from the data's one_plus_r1r2, their phase from theta.
 
 One ray is carried by its delta: ``build_delta`` checks the regime and forms
 the background A delta(0)^2 (and with it c0 = A delta(0)^2 / 2i) once, and
@@ -47,9 +47,9 @@ from typing import Callable
 
 import numpy as np
 
-from steplpd.kernels import ContourInterval, IntegrationError, IntervalRule, interval_rule
-from steplpd.kernels.quadrature import _CONVERGENCE_TOL, _NODES
-from steplpd.phase import PhaseGeometry, Regime, RegimeError
+from steplpd.kernels import ContourInterval, IntervalRule, interval_rule
+from steplpd.kernels.quadrature import NODE_LEVELS, level_gap, log_side
+from steplpd.phase import PhaseGeometry, Regime, RegimeError, phase_theta
 
 _TWO_PI = 2.0 * np.pi
 
@@ -102,14 +102,6 @@ def _continuous_log(w: Callable[[np.ndarray], np.ndarray], points: np.ndarray,
     return out
 
 
-def _log_side(z: complex, side: int = +1) -> complex:
-    """Principal log, with real-negative arguments read from the given side."""
-    z = complex(z)
-    if z.imag == 0.0 and z.real < 0.0:
-        return np.log(-z.real) + 1j * np.pi * side
-    return np.log(z)
-
-
 # ---------------------------------------------------------------------------
 # delta
 # ---------------------------------------------------------------------------
@@ -141,7 +133,7 @@ class DeltaFunction:
     def __post_init__(self):
         self.v_values = tuple(-r / _TWO_PI for r in self.rho_saddles)
         coarse, self.log_delta0 = (_cauchy_sum(level, 0.0, None) for level in self.levels)
-        self.convergence = abs(coarse - self.log_delta0)
+        self.convergence = level_gap("build_delta: ln delta(0)", coarse, self.log_delta0)
 
     def v(self, s: int) -> complex:
         """v(lam_s) = -(1/2pi) ln|1+r1r2| - (i/2pi) * accumulated arg."""
@@ -193,17 +185,13 @@ def build_delta(data, geometry: PhaseGeometry) -> DeltaFunction:
         # mirrored ray: lam1 < lam2 < 0 < lam3, contour (lam1, lam2) u (lam3, inf)
         contour = (ContourInterval(lam1, lam2), ContourInterval(lam3, np.inf))
         winding_only = (ContourInterval(lam1 - 1.0, lam1), ContourInterval(lam2, lam3))
-    rules = [interval_rule(iv, n) for n in (_NODES, 2 * _NODES) for iv in contour]
+    rules = [interval_rule(iv, n) for n in NODE_LEVELS for iv in contour]
     points = [r.z for r in rules] + [np.array(geometry.lambdas)]
     rho = np.split(_continuous_log(data.one_plus_r1r2, np.concatenate(
-        points + [interval_rule(iv, _NODES).z for iv in winding_only]),
+        points + [interval_rule(iv, NODE_LEVELS[0]).z for iv in winding_only]),
         anchor_left=geometry.mu > 0), np.cumsum([len(z) for z in points]))
     levels = (tuple(zip(rules[:2], rho[:2])), tuple(zip(rules[2:4], rho[2:4])))
     delta = DeltaFunction(geometry=geometry, levels=levels, rho_saddles=tuple(rho[4]))
-    if delta.convergence > _CONVERGENCE_TOL:
-        raise IntegrationError(
-            f"build_delta: ln delta(0) changes by {delta.convergence:.1e} from "
-            f"{_NODES} to {2 * _NODES} nodes per interval")
     delta.background = data.A * delta.at_zero() ** 2
     return delta
 
@@ -231,12 +219,12 @@ def _log_rho_prime(rule: IntervalRule, rho: np.ndarray, xi: complex,
     if xi == b:
         h = 1.0 if finite else 1.0 / (1.0 + b - rule.z)
         out = rule.integrate((rho - rho_hi * h) / (b - rule.z))
-        return out - _log_side(xi - a) * (rho_lo - rho_hi) if finite else out
+        return out - log_side(xi - a) * (rho_lo - rho_hi) if finite else out
     if xi == a:
         return (rule.integrate((rho - rho_lo) / (a - rule.z))
-                + _log_side(a - b, side) * (rho_hi - rho_lo))
-    out = _log_side(xi - b, side) * rho_hi - 2j * np.pi * rule.cauchy(rho, xi, side)
-    return out - _log_side(xi - a, side) * rho_lo if finite else out
+                + log_side(a - b, side) * (rho_hi - rho_lo))
+    out = log_side(xi - b, side) * rho_hi - 2j * np.pi * rule.cauchy(rho, xi, side)
+    return out - log_side(xi - a, side) * rho_lo if finite else out
 
 
 def _chi(delta: DeltaFunction, level, s: int, xi: complex, side: int) -> complex:
@@ -248,7 +236,7 @@ def _chi(delta: DeltaFunction, level, s: int, xi: complex, side: int) -> complex
     X = -sum(_log_rho_prime(rule, r, xi, at.get(rule.interval.lower, 0.0),
                             at[rule.interval.upper], side)
              for rule, r in level) / (2j * np.pi)
-    logs = [0.0 if j == s - 1 else _log_side(xi - lam, side) for j, lam in enumerate(lambdas)]
+    logs = [0.0 if j == s - 1 else log_side(xi - lam, side) for j, lam in enumerate(lambdas)]
     return X + 1j * np.dot(np.array(v) * (1, -1, 1) - _power_coefficients(s, v), logs)
 
 
@@ -271,7 +259,7 @@ class SaddleExponents:
         return self.delta.v_values
 
     def _powers(self, s: int, xi: complex, side: int) -> complex:
-        logs = [_log_side(complex(xi) - lam, side) for lam in self.geometry.lambdas]
+        logs = [log_side(complex(xi) - lam, side) for lam in self.geometry.lambdas]
         return 1j * np.dot(_power_coefficients(s, self.v), logs)
 
     def chi(self, s: int, xi: complex, side: int = +1) -> complex:
@@ -310,23 +298,18 @@ def saddle_exponents(delta: DeltaFunction) -> SaddleExponents:
                          "x<0 asymptotics use the mirrored geometry at -mu")
     coarse, fine = (tuple(_chi(delta, level, s, geometry.lam(s), +1) for s in (1, 2, 3))
                     for level in delta.levels)
-    errors = tuple(abs(c - f) for c, f in zip(coarse, fine))
-    for s, err in enumerate(errors, start=1):
-        if err > _CONVERGENCE_TOL:
-            raise IntegrationError(
-                f"saddle_exponents: chi_{s}(lam_{s}) changes by {err:.1e} from "
-                f"{_NODES} to {2 * _NODES} nodes per interval")
-    return SaddleExponents(delta=delta, chi_at_saddle=fine, chi_error=errors)
+    errors = level_gap("saddle_exponents: chi_s(lam_s)", coarse, fine)
+    return SaddleExponents(delta=delta, chi_at_saddle=fine, chi_error=tuple(errors))
 
 
 # ---------------------------------------------------------------------------
 # jump matrices at the deformation stages
 # ---------------------------------------------------------------------------
 
-def _phase(xi: complex, x: float, t: float, gamma: float) -> complex:
-    """xi*x - xi^2*t + 8*gamma*xi^4*t  (equals t*theta(xi, x/t) for t != 0)."""
-    xi = complex(xi)
-    return xi * x - xi * xi * t + 8.0 * gamma * xi**4 * t
+def _phase(xi: complex, x: float, t: float, gamma: float) -> tuple[complex, complex]:
+    """e^{+-2i p} of p = xi x + t theta(xi, 0), which is t theta(xi, x/t) for t != 0."""
+    ph = complex(xi) * x + t * phase_theta(xi, 0.0, gamma)
+    return np.exp(2j * ph), np.exp(-2j * ph)
 
 
 def jump_matrix(stage: str, x: float, t: float, xi: complex, data,
@@ -339,23 +322,20 @@ def jump_matrix(stage: str, x: float, t: float, xi: complex, data,
     ``ray`` one of "Y1", "Y2", "Y1*", "Y2*").
     """
     xi = complex(xi)
-    gamma = data.gamma
-    ph = _phase(xi, x, t, gamma)
-    ep, em = np.exp(2j * ph), np.exp(-2j * ph)
+    ep, em = _phase(xi, x, t, data.gamma)
 
     if stage == "original":
         if xi.imag != 0.0 or xi == 0:
             raise ValueError("original jump lives on the real line minus 0")
         r1, r2 = data.r1(xi), data.r2(xi)
-        return np.array([[1.0 + r1 * r2, -r2 * em], [-r1 * ep, 1.0]], dtype=complex)
+        return np.array([[data.one_plus_r1r2(xi), -r2 * em], [-r1 * ep, 1.0]], dtype=complex)
 
     if stage == "tilde":
         if xi.imag != 0.0 or xi == 0:
             raise ValueError("tilde jump lives on the real line minus 0")
         if delta is None:
             raise ValueError("tilde stage needs delta")
-        r1, r2 = data.r1(xi), data.r2(xi)
-        opr = 1.0 + r1 * r2
+        r1, r2, opr = data.r1(xi), data.r2(xi), data.one_plus_r1r2(xi)
         lam1, lam2, lam3 = delta.geometry.lambdas
         lo, hi = sorted((lam2, lam1))
         # the half-line is (-inf, lam3) for mu > 0 and (lam3, inf) mirrored
@@ -384,7 +364,7 @@ def jump_matrix(stage: str, x: float, t: float, xi: complex, data,
             r1, r2 = regularized_reflections(data, xi)
         else:
             r1, r2 = data.r1(xi), data.r2(xi)
-        opr = 1.0 + r1 * r2
+        opr = data.one_plus_r1r2(xi)  # r1^r r2^r = r1 r2
         d2 = delta.eval(xi) ** 2
         if ray == "Y1":
             return np.array([[1.0, 0.0], [-r1 * ep / d2, 1.0]], dtype=complex)
@@ -400,10 +380,8 @@ def jump_matrix(stage: str, x: float, t: float, xi: complex, data,
 def jump_factorizations(x: float, t: float, xi: complex, data) -> tuple[np.ndarray, ...]:
     """The two triangular splittings of the original jump: (U, L, Lt, D, Ut)."""
     xi = complex(xi)
-    ph = _phase(xi, x, t, data.gamma)
-    ep, em = np.exp(2j * ph), np.exp(-2j * ph)
-    r1, r2 = data.r1(xi), data.r2(xi)
-    opr = 1.0 + r1 * r2
+    ep, em = _phase(xi, x, t, data.gamma)
+    r1, r2, opr = data.r1(xi), data.r2(xi), data.one_plus_r1r2(xi)
     U = np.array([[1.0, -r2 * em], [0.0, 1.0]], dtype=complex)
     L = np.array([[1.0, 0.0], [-r1 * ep, 1.0]], dtype=complex)
     Lt = np.array([[1.0, 0.0], [-r1 * ep / opr, 1.0]], dtype=complex)

@@ -50,7 +50,8 @@ xi = 0 gives a2(0), and the case-2 value of b(0), where the pole of
 b = W(T_- e2, T_+ e2) - (A/2i xi) a2(xi) exp(2i xi ell) cancels.
 
 The discrete eigenvalue i*xi1 (zero of a1 in the upper half-plane) follows
-from the trace formulas.  Both rest on one integral,
+from the trace formulas, which ``from_profile`` applies by default.  Both
+rest on one integral, a node sum gated by ``kernels.quadrature.level_gap``,
 
     I = (1/pi) int_0^inf Arg(1 + r1 r2)(th) / th dth,
 
@@ -71,8 +72,8 @@ from typing import Callable, ClassVar
 
 import numpy as np
 
-from steplpd.kernels import ContourInterval, IntegrationError, interval_rule, ode_integrate
-from steplpd.kernels.quadrature import _CONVERGENCE_TOL, _NODES
+from steplpd.kernels import ContourInterval, interval_rule, ode_integrate
+from steplpd.kernels.quadrature import NODE_LEVELS, level_gap
 
 SIGMA1 = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA3 = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
@@ -624,13 +625,13 @@ def soliton_profile(A: float, gamma: float, alpha: float = 0.0) -> InitialProfil
     Exponential tails are cut where they reach ~1e-17 of the step; alpha must
     stay away from 0 mod 2*pi or the profile has a pole at the origin.
     """
+    from steplpd.asymptotics import q_soliton   # the layer above, imported on use
     ell = _SOLITON_CUTOFF / A
 
     def pert(x: float) -> complex:
         if abs(x) > ell:
             return 0.0 + 0.0j
-        q = A / (1.0 - np.exp(-A * x + 1j * alpha))
-        return q - (A if x > 0 else 0.0)
+        return q_soliton(x, 0.0, A, alpha, gamma) - (A if x > 0 else 0.0)
 
     return InitialProfile(A=A, gamma=gamma, perturbation=pert, support=ell)
 
@@ -743,8 +744,8 @@ def locate_xi1(data: ScatteringData) -> float:
     Case 1:  xi1 = (A/2) e^I.
     Case 2:  xi1 = A (sqrt(Re b(0)^2 + F2^2) - Re b(0)) / (2 F1 F2) with
              F1 = e^(-I) and F2 = sqrt(1 - |b(0)|^2).
-    I is a node sum on (0, inf) over one_plus_r1r2, taken on _NODES and on
-    2 _NODES nodes; a change above _CONVERGENCE_TOL raises IntegrationError.
+    I is a node sum on (0, inf) over one_plus_r1r2, taken on both
+    NODE_LEVELS and gated by ``level_gap``.
     The value is cross-checked against a1 at i*xi1; disagreement raises.
     """
     if data.case_tag is None:
@@ -755,11 +756,8 @@ def locate_xi1(data: ScatteringData) -> float:
         arg = np.angle(data.one_plus_r1r2(rule.z))
         return rule.integrate(arg / rule.z).real / np.pi
 
-    coarse, I = trace_integral(_NODES), trace_integral(2 * _NODES)
-    if abs(coarse - I) > _CONVERGENCE_TOL:
-        raise IntegrationError(
-            f"locate_xi1: the trace integral changes by {abs(coarse - I):.1e} "
-            f"from {_NODES} to {2 * _NODES} nodes")
+    coarse, I = (trace_integral(n) for n in NODE_LEVELS)
+    level_gap("locate_xi1: the trace integral", coarse, I)
 
     A = data.A
     if data.case_tag is CaseTag.CASE1:

@@ -36,6 +36,8 @@ from typing import Callable
 import numpy as np
 from scipy.fft import dst
 
+from steplpd.asymptotics import q_soliton, soliton_exponent
+
 # ---------------------------------------------------------------------------
 # finite-difference weights (Fornberg)
 # ---------------------------------------------------------------------------
@@ -85,11 +87,10 @@ class SolitonField:
     gamma: float
 
     def _E(self, x: float, t: float) -> complex:
-        return np.exp(-self.A * x + 0.5j * self.A**2 * t
-                      + 1j * self.A**4 * self.gamma * t + 1j * self.alpha)
+        return np.exp(soliton_exponent(x, t, self.A, self.alpha, self.gamma))
 
     def __call__(self, x: float, t: float) -> complex:
-        return self.A / (1.0 - self._E(x, t))
+        return q_soliton(x, t, self.A, self.alpha, self.gamma)
 
     def dx(self, x: float, t: float, order: int) -> complex:
         # d/dx acts on E as multiplication by -A; the chain collapses to
@@ -97,7 +98,7 @@ class SolitonField:
         A, E = self.A, self._E(x, t)
         u = E / (1.0 - E)
         if order == 0:
-            return A / (1.0 - E)
+            return self(x, t)
         if order == 1:
             return -A**2 * (u + u**2)
         if order == 2:
@@ -110,7 +111,7 @@ class SolitonField:
 
     def dt(self, x: float, t: float) -> complex:
         A, E = self.A, self._E(x, t)
-        w = 0.5j * A**2 + 1j * A**4 * self.gamma
+        w = soliton_exponent(0.0, 1.0, A, 0.0, self.gamma)   # dE/dt: E is linear in t
         return A * w * E / (1.0 - E) ** 2
 
 

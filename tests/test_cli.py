@@ -62,6 +62,64 @@ DELTA_GOLDEN = {
 }
 
 
+# the Baseline bump, and the data rows of `scatter --config <bump> --n 11`
+# (xi, then a1, a2, b, r1, r2 as re, im) and of `asymptote --config <bump>
+# --mu 0.3 -0.3 --t 100 1000`, recorded when the CLI still ran classify_case
+# and locate_xi1 itself; complex entries and abs_q at 1e-13 relative, the
+# rest exactly.
+BUMP_DOC = {"A": 1.0, "gamma": 1.0 / 27.0,
+            "perturbation": {"kind": "gaussian-bump", "amplitude": 0.1,
+                             "center": 0.2, "width": 0.3}}
+BUMP_SCATTER_GOLDEN = (
+    (-5, 1.0121137435253418, 0.000788693316455223, 0.9989113431638841, -0.001262367932950993,
+     -0.002333206109279093, -0.10496827354691285, -0.0023860969849102457, -0.1037100744058222,
+     -0.0022029478530413015, -0.10508545647821187),
+    (-4, 1.0202876332324773, 0.0011587991650297818, 0.9986140375530362, -0.0012356259677733328,
+     -0.0003766766469305389, -0.13738677744003236, -0.0005221213928859322, -0.13465435425393826,
+     -0.0002069689061136407, -0.13757771071677996),
+    (-3, 1.0371893278306632, 0.004375069746792857, 0.9982840954538229, -0.0011073185694012752,
+     0.00854401747050403, -0.18838114231074962, 0.0074713945251088315, -0.18165808799535216,
+     0.00876800825270513, -0.1886952163119062),
+    (-2, 1.0777170436434604, 0.015185512530494572, 0.997969121781471, -0.0008497135388277604,
+     0.025790009545212315, -0.2760549936185264, 0.020316951272009935, -0.2564342083728593,
+     0.02607799692752004, -0.27659456466821974),
+    (-1, 1.2689292710873519, 0.04695916082769438, 0.9977368809051465, -0.0004651318546050379,
+     0.04467579305914402, -0.517759888086139, 0.020080079123849875, -0.40877205969617947,
+     0.04501903961802265, -0.518913310919264),
+    (1, 1.2689292710873519, -0.04695916082769438, 0.9977368809051465, 0.0004651318546050379,
+     0.04467579305914402, 0.517759888086139, 0.020080079123849875, 0.40877205969617947,
+     0.04501903961802265, 0.518913310919264),
+    (2, 1.0777170436434604, -0.015185512530494572, 0.997969121781471, 0.0008497135388277604,
+     0.025790009545212315, 0.2760549936185264, 0.020316951272009935, 0.2564342083728593,
+     0.02607799692752004, 0.27659456466821974),
+    (3, 1.0371893278306632, -0.004375069746792857, 0.9982840954538229, 0.0011073185694012752,
+     0.00854401747050403, 0.18838114231074962, 0.0074713945251088315, 0.18165808799535216,
+     0.00876800825270513, 0.1886952163119062),
+    (4, 1.0202876332324773, -0.0011587991650297818, 0.9986140375530362, 0.0012356259677733328,
+     -0.0003766766469305389, 0.13738677744003236, -0.0005221213928859322, 0.13465435425393826,
+     -0.0002069689061136407, 0.13757771071677996),
+    (5, 1.0121137435253418, -0.000788693316455223, 0.9989113431638841, 0.001262367932950993,
+     -0.002333206109279093, 0.10496827354691285, -0.0023860969849102457, 0.1037100744058222,
+     -0.0022029478530413015, 0.10508545647821187),
+)
+BUMP_ASYMPTOTE_GOLDEN = (
+    (30, 100, 1.0367751212920437, 0.35206960111129637, 1.0949226713137323, "x>0:I2",
+     -0.9906194214412513),
+    (300, 1000, 0.7330950240676797, 0.7256845575540602, 1.0315262436725612, "x>0:I2",
+     -0.9906194214412513),
+    (-30, 100, -0.01073981455290427, 0.004962688920976988, 0.011830971978546906, "x<0",
+     -0.9906194214412513),
+    (-300, 1000, 0.007499471193993837, 0.0016746947001584284, 0.007684183139949364, "x<0",
+     -0.9906194214412513),
+)
+
+
+def close(got, want):
+    """A complex (re, im) pair, or a real, within 1e-13 of the recorded value."""
+    g, w = complex(*got), complex(*want)
+    return abs(g - w) <= 1e-13 * abs(w)
+
+
 def parse_csv(text):
     lines = text.strip().splitlines()
     meta = json.loads(lines[0][2:])
@@ -256,6 +314,38 @@ class TestConfig:
             InitialProfile.from_json(str(cfg))
         assert main(["--out", str(tmp_path / "x.csv"), "scatter",
                      "--config", str(cfg)]) == 1
+
+    @pytest.fixture
+    def bump(self, tmp_path):
+        cfg = tmp_path / "bump.json"
+        cfg.write_text(json.dumps(BUMP_DOC))
+        return str(cfg)
+
+    def test_bump_scatter_golden(self, tmp_path, bump):
+        code, text = run_cli(["scatter", "--config", bump, "--n", "11"], tmp_path)
+        assert code == 0
+        _, _, rows = parse_csv(text)
+        assert len(rows) == len(BUMP_SCATTER_GOLDEN)
+        for got, want in zip(rows, BUMP_SCATTER_GOLDEN):
+            assert got[0] == want[0]
+            assert all(close(got[k:k + 2], want[k:k + 2]) for k in range(1, 11, 2)), (got, want)
+
+    def test_bump_asymptote_golden(self, tmp_path, bump):
+        code, text = run_cli(["asymptote", "--config", bump, "--mu", "0.3", "-0.3",
+                              "--t", "100", "1000"], tmp_path)
+        assert code == 0
+        _, _, rows = parse_csv(text)
+        assert len(rows) == len(BUMP_ASYMPTOTE_GOLDEN)
+        for got, want in zip(rows, BUMP_ASYMPTOTE_GOLDEN):
+            assert got[:2] == list(want[:2]) and got[5:] == list(want[5:])
+            assert close(got[2:4], want[2:4]) and close(got[4:5], want[4:5]), (got, want)
+
+    def test_step_flags_refused_next_to_config(self, tmp_path, bump):
+        # the document sets A and gamma; a flag that would be ignored is refused
+        for flags in (["--A", "3"], ["--gamma", "0.5"], ["--A", "3", "--gamma", "0.5"]):
+            out = tmp_path / "out.csv"
+            assert main(["--out", str(out), "scatter", "--config", bump] + flags) == 1
+            assert not out.exists()
 
     def test_entry_point(self):
         proc = subprocess.run([sys.executable, "-m", "steplpd.cli",

@@ -230,17 +230,19 @@ class TestNodeConvergence:
         assert len(exponents.chi_error) == 3 and max(exponents.chi_error) < 1e-10
 
     def test_unconverged_sample_raises(self, step_data, monkeypatch):
-        # a tolerance no sum can meet makes both stages fail, by name
-        from steplpd import rhfactors
+        # a tolerance no sum can meet makes all three stages fail, by name
+        from steplpd.kernels import quadrature
         from steplpd.kernels.quadrature import IntegrationError
 
         geom = stationary_points(0.4, GAMMA)
         delta = build_delta(step_data, geom)
-        monkeypatch.setattr(rhfactors, "_CONVERGENCE_TOL", -1.0)
+        monkeypatch.setattr(quadrature, "_CONVERGENCE_TOL", -1.0)
         with pytest.raises(IntegrationError, match="build_delta"):
             build_delta(step_data, geom)
         with pytest.raises(IntegrationError, match="saddle_exponents"):
             saddle_exponents(delta)
+        with pytest.raises(IntegrationError, match="locate_xi1"):
+            locate_xi1(ScatteringData.pure_step(A, GAMMA))
 
 
 BUMP = {"A": 1.0, "gamma": GAMMA,
@@ -301,6 +303,16 @@ class TestJumpMatrices:
         J = jump_matrix("original", 0.0, 0.0, 1.0, step_data)
         assert abs(J[0, 0] - 0.5) < 1e-14
         assert abs(J[1, 1] - 1.0) < 1e-14
+
+    def test_near_zero_reads_the_data(self, step_data):
+        # J11 = 4 xi^2/(4 xi^2 + A^2) near xi = 0, where r1 r2 ~ -1 and the
+        # naive 1 + r1 r2 cancels to 2e-5 relative at xi = 1e-6
+        for xi in (1e-2, 1e-4, 1e-6):
+            want = 4 * xi**2 / (4 * xi**2 + A**2)
+            J = jump_matrix("original", 0, 0, xi, step_data)
+            D = jump_factorizations(0, 0, xi, step_data)[3]
+            assert abs(J[0, 0] - want) <= 1e-14 * want, xi
+            assert abs(D[0, 0] - want) <= 1e-14 * want, xi
 
     def test_identity_for_zero_reflection(self):
         d0 = ScatteringData.reflectionless(A, GAMMA)
