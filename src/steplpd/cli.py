@@ -187,14 +187,18 @@ def cmd_soliton(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    if args.snapshots < 2:
+        raise ValueError("--snapshots counts t = 0 and t_end: give at least 2")
     if args.initial == "soliton":
+        alpha = np.pi if args.alpha is None else args.alpha
         grid = FieldGrid.from_function(
-            lambda x: q_soliton(x, 0.0, args.A, args.alpha, args.gamma),
+            lambda x: q_soliton(x, 0.0, args.A, alpha, args.gamma),
             args.L, args.h)
     else:
+        if args.alpha is not None:
+            raise ValueError("--initial step has no phase: drop --alpha")
         grid = FieldGrid.smoothed_step(args.A, args.L, args.h)
-    n_snap = max(2, args.snapshots)
-    times = np.linspace(0.0, args.t_end, n_snap)
+    times = np.linspace(0.0, args.t_end, args.snapshots)
     rows = []
     g = grid
     for t in times:
@@ -331,7 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="short-time direct integration")
     p.add_argument("--initial", choices=["soliton", "step"], default="soliton")
     p.add_argument("--A", type=float, default=1.0)
-    p.add_argument("--alpha", type=float, default=np.pi)
+    p.add_argument("--alpha", type=float, help="soliton phase (default pi)")
     p.add_argument("--gamma", type=float, default=1.0 / 27.0)
     p.add_argument("--L", type=float, default=10.0)
     p.add_argument("--h", type=float, default=0.05)

@@ -1,7 +1,9 @@
 """Adaptive matrix ODE integration (complex-valued, non-stiff).
 
 It solves the f1/f2 system of ``scattering.auxiliary_f``, and the tests
-build their DOP853 reference for the Magnus Jost sweep on it.
+build their DOP853 reference for the Magnus Jost sweep on it.  No other path
+integrates an ODE, so ``scipy.integrate`` is imported on the first call of
+:func:`ode_integrate`, not with the package.
 """
 
 from __future__ import annotations
@@ -9,7 +11,6 @@ from __future__ import annotations
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 # local error tolerances: the f1/f2 solve's accuracy and the reference's
 _RTOL = 1e-12
@@ -28,6 +29,8 @@ def ode_integrate(rhs: Callable[[float, np.ndarray], np.ndarray],
     Dormand-Prince 8(5,3) at relative tolerance 1e-12 and absolute 1e-13.
     Returns Y at span[1] with the shape of y0.
     """
+    from scipy.integrate import solve_ivp
+
     y0 = np.asarray(y0, dtype=complex)
     shape = y0.shape
 

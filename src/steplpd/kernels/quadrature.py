@@ -17,8 +17,10 @@ half-line, p = b + 1 or a - 1 (transform c Log(xi - b) or -c Log(a - xi)).
 For real xi inside the interval the closed form's +-i pi (:func:`log_side`)
 gives the Plemelj value from the side ``side`` = +-1.  The RH factors and
 the xi1 trace formula are such sums on the two NODE_LEVELS, and
-:func:`level_gap` is their one gate.  No QUADPACK call remains; ``_si``
-(scipy.integrate) stays bound because perfbench/tracing.py patches it.
+:func:`level_gap` is their one gate.  No QUADPACK call remains.  The
+module attribute ``_si`` (scipy.integrate) exists only for perfbench's
+tracer, which patches ``_si.quad``; the module ``__getattr__`` imports it on
+first access, so ``import steplpd`` loads no scipy.integrate.
 Branches throughout the package: ln and non-integer powers are principal,
 and (xi - lam)**(i*v) inherits the cut along (-inf, lam].
 """
@@ -29,7 +31,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy import integrate as _si  # noqa: F401 - patched by the tracer
 
 # Gauss-Legendre nodes per contour interval; every node sum is also taken on
 # twice as many, and those values are the ones returned
@@ -165,3 +166,12 @@ def interval_rule(interval: ContourInterval, n: int) -> IntervalRule:
     return IntervalRule(interval=interval, s=s, z=z, W=w * np.abs(dzds), bary=bary,
                         geometric=geometric)
 
+
+def __getattr__(name: str):
+    # _si (scipy.integrate) on first access, bound as a global from then on
+    if name == "_si":
+        from scipy import integrate
+
+        globals()["_si"] = integrate
+        return integrate
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

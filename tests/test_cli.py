@@ -262,6 +262,23 @@ class TestSubcommands:
         _, header, rows = parse_csv(text)
         assert header == ["t", "x", "re_q", "im_q"]
 
+    def test_simulate_refuses_alpha_next_to_step(self, tmp_path, capsys):
+        # smoothed_step has no phase: an --alpha would be dropped
+        out = tmp_path / "out.csv"
+        assert main(["--out", str(out), "simulate", "--initial", "step",
+                     "--L", "4", "--h", "0.1", "--t-end", "0.001", "--alpha", "1.0"]) == 1
+        assert not out.exists()
+        assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("n", ["0", "1"])
+    def test_simulate_refuses_fewer_than_two_snapshots(self, tmp_path, capsys, n):
+        # t = 0 and t_end are always written: fewer snapshots cannot be honoured
+        out = tmp_path / "out.csv"
+        assert main(["--out", str(out), "simulate", "--L", "4", "--h", "0.1",
+                     "--t-end", "0.001", "--snapshots", n]) == 1
+        assert not out.exists()
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_unknown_subcommand(self):
         assert main(["frobnicate"]) == 1
 

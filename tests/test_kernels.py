@@ -28,6 +28,22 @@ from steplpd.kernels.special import (
 N = 64
 
 
+def _loaded_after_import(module: str, names: list[str]) -> list[bool]:
+    """Whether each of names is in sys.modules after a fresh process imports module."""
+    import steplpd
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(steplpd.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         f"import sys, {module}; print(*(n in sys.modules for n in {names!r}))"],
+        capture_output=True, text=True, timeout=120, env=env)
+    assert proc.returncode == 0, proc.stderr
+    return [tok == "True" for tok in proc.stdout.split()]
+
+
 class TestIntegrate:
     """The Gauss-Legendre node rule on finite intervals and half-lines."""
 
@@ -62,6 +78,16 @@ class TestIntegrate:
     def test_whole_line_refused(self):
         with pytest.raises(ValueError):
             interval_rule(ContourInterval(-np.inf, np.inf), N)
+
+    def test_si_bound_on_first_access(self):
+        from scipy import integrate
+
+        from steplpd.kernels import quadrature
+
+        assert quadrature._si is integrate
+        assert vars(quadrature)["_si"] is integrate
+        with pytest.raises(AttributeError):
+            quadrature.no_such_name  # noqa: B018
 
 
 def _exp_cauchy(xi: complex, side: int = +1) -> complex:
@@ -317,18 +343,7 @@ class TestParabolicCylinder:
         assert _pcfd_scaled_cached.cache_info().maxsize <= 4096
 
     def test_import_leaves_mpmath_out(self):
-        import steplpd
-
-        src = os.path.dirname(os.path.dirname(os.path.abspath(steplpd.__file__)))
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in (src, env.get("PYTHONPATH")) if p)
-        proc = subprocess.run(
-            [sys.executable, "-c",
-             "import sys, steplpd; print('mpmath' in sys.modules)"],
-            capture_output=True, text=True, timeout=120, env=env)
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "False"
+        assert _loaded_after_import("steplpd", ["mpmath"]) == [False]
 
 
 class TestCubicRoots:
@@ -372,6 +387,12 @@ class TestCubicRoots:
 
 
 class TestOdeIntegrate:
+    @pytest.mark.parametrize("module", ["steplpd", "steplpd.cli"])
+    def test_import_leaves_scipy_integrate_out(self, module):
+        # only ode_integrate solves an ODE and it imports scipy.integrate
+        # itself; scipy.optimize (and sparse, linalg, spatial) come with it
+        assert _loaded_after_import(module, ["scipy.integrate", "scipy.optimize"]) == [False, False]
+
     def test_zero_field(self):
         out = ode_integrate(lambda x, y: 0 * y, np.eye(2, dtype=complex), (0, 1))
         assert np.abs(out - np.eye(2)).max() < 1e-14
