@@ -238,11 +238,6 @@ def _pcfd_scaled_cached(a: complex, z: complex) -> tuple[complex, complex]:
     return _scaled(a, z)
 
 
-def parabolic_cylinder_D_scaled(a: complex, z: complex) -> complex:
-    """e^{z^2/4} D_a(z): polynomially bounded (~ z^a) for large |z|."""
-    return _pcfd_scaled_cached(complex(a), complex(z))[0]
-
-
 def parabolic_cylinder_D_scaled_pair(a: complex, z: complex) -> tuple[complex, complex]:
     """(e^{z^2/4} D_a(z), e^{z^2/4} D_{a+1}(z)) from one evaluation, the
     second as z E_a(z) - E_a'(z) (DLMF 12.8.3)."""

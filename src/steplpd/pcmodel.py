@@ -131,19 +131,21 @@ def pc_coefficients(s: int, r1r: complex, r2r: complex,
     """The 1/tau coefficients (beta, gamma_c) of the local model at saddle s.
 
     v = 0 returns (0, 0) exactly through the Gamma poles (1/Gamma(0) = 0
-    beats any finite denominator).  The s = 2 saddle carries the
-    conjugate-reflected convention (phases and Gamma arguments swapped),
-    matching its reversed quadratic phase.
+    beats any finite denominator).  At the s = 2 saddle, with its reversed
+    quadratic phase, they are the conjugates of the s = 1 coefficients on
+    conjugated data.
     """
     if s not in (1, 2, 3):
         raise ValueError("saddle index must be 1, 2 or 3")
     if v == 0:
         return 0.0 + 0.0j, 0.0 + 0.0j
-    w = 1j if s in (1, 3) else -1j
-    beta = -_SQRT2PI * np.exp(-np.pi * v / 2.0) * np.exp(w * np.pi / 4.0) \
-        * reciprocal_gamma(-w * v) / r1r
-    gam = -_SQRT2PI * np.exp(-np.pi * v / 2.0) * np.exp(-w * np.pi / 4.0) \
-        * reciprocal_gamma(w * v) / r2r
+    if s == 2:
+        beta, gam = pc_coefficients(1, *(complex(x).conjugate() for x in (r1r, r2r, v)))
+        return beta.conjugate(), gam.conjugate()
+    beta = -_SQRT2PI * np.exp(-np.pi * v / 2.0) * np.exp(1j * np.pi / 4.0) \
+        * reciprocal_gamma(-1j * v) / r1r
+    gam = -_SQRT2PI * np.exp(-np.pi * v / 2.0) * np.exp(-1j * np.pi / 4.0) \
+        * reciprocal_gamma(1j * v) / r2r
     return beta, gam
 
 

@@ -347,10 +347,9 @@ def jump_matrix(stage: str, x: float, t: float, xi: complex, data,
             lower = np.array([[1.0, 0.0], [-r1 * ep / (opr * dm**2), 1.0]], dtype=complex)
             upper = np.array([[1.0, -r2 * dp**2 * em / opr], [0.0, 1.0]], dtype=complex)
             return lower @ upper
-        d = delta.eval(xi)
-        upper = np.array([[1.0, -r2 * d**2 * em], [0.0, 1.0]], dtype=complex)
-        lower = np.array([[1.0, 0.0], [-r1 * ep / d**2, 1.0]], dtype=complex)
-        return upper @ lower
+        # upper @ lower written out: its 11 entry is opr, which 1 + r1 r2 cancels to near 0
+        d2 = delta.eval(xi) ** 2
+        return np.array([[opr, -r2 * d2 * em], [-r1 * ep / d2, 1.0]], dtype=complex)
 
     if stage in ("hat", "regular"):
         if ray not in ("Y1", "Y2", "Y1*", "Y2*"):

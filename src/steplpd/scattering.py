@@ -222,6 +222,8 @@ class InitialProfile:
         vals = np.asarray(values, dtype=complex)
         if xs.ndim != 1 or xs.shape != vals.shape or len(xs) < 2:
             raise ValueError("table perturbation needs matching 1-d x and value arrays")
+        if not np.all(np.diff(xs) > 0):
+            raise ValueError("table perturbation needs strictly ascending x nodes")
         support = float(max(abs(xs[0]), abs(xs[-1])))
 
         def interp(x: float) -> complex:

@@ -379,6 +379,8 @@ def evolve(grid: FieldGrid, t_end: float, gamma: float,
     orders below that in normal operation, so the check is a safety valve
     against under-resolved data, not a tuner.
     """
+    if dt is not None and not (np.isfinite(dt) and dt != 0):
+        raise ValueError(f"time step dt must be finite and nonzero, got {dt}")
     q = grid.values.astype(complex).copy()
     n = len(q)
     left = complex(q[0])

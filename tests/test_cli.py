@@ -279,6 +279,17 @@ class TestSubcommands:
         assert not out.exists()
         assert capsys.readouterr().err.startswith("error: ")
 
+    @pytest.mark.parametrize("dt", ["0", "nan"])
+    def test_simulate_refuses_a_step_that_cannot_advance(self, tmp_path, dt):
+        # with dt = 0 the run never advanced t; the timeout turns a hang into a failure
+        out = tmp_path / "out.csv"
+        proc = subprocess.run([sys.executable, "-m", "steplpd.cli", "--out", str(out),
+                               "simulate", "--L", "4", "--h", "0.1", "--t-end", "0.001",
+                               "--dt", dt], capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error: ")
+        assert not out.exists()
+
     def test_unknown_subcommand(self):
         assert main(["frobnicate"]) == 1
 
@@ -331,6 +342,17 @@ class TestConfig:
             InitialProfile.from_json(str(cfg))
         assert main(["--out", str(tmp_path / "x.csv"), "scatter",
                      "--config", str(cfg)]) == 1
+
+    def test_table_x_must_ascend(self, tmp_path, capsys):
+        # descending nodes were read as the pure step and exited 0
+        doc = {"A": 1.2, "gamma": 0.037,
+               "perturbation": {"kind": "table", "x": [0.5, 0.0, -0.5],
+                                "values": [0, 0.3, 0]}}
+        cfg, out = tmp_path / "cfg.json", tmp_path / "x.csv"
+        cfg.write_text(json.dumps(doc))
+        assert main(["--out", str(out), "scatter", "--config", str(cfg)]) == 1
+        assert not out.exists()
+        assert capsys.readouterr().err.startswith("error: ")
 
     @pytest.fixture
     def bump(self, tmp_path):

@@ -19,7 +19,6 @@ from steplpd.kernels import (
 from steplpd.kernels.special import (
     GammaPoleError,
     _pcfd_scaled_cached,
-    parabolic_cylinder_D_scaled,
     parabolic_cylinder_D_scaled_pair,
     reciprocal_gamma,
 )
@@ -295,7 +294,7 @@ class TestParabolicCylinder:
             for ang in _PC_ANGLES:
                 z = r * np.exp(1j * ang)
                 want = _mp_pcfd(a, z, scaled=True)
-                got = parabolic_cylinder_D_scaled(a, z)
+                got = parabolic_cylinder_D_scaled_pair(a, z)[0]
                 worst = max(worst, abs(got - want) / abs(want))
         assert worst < 1e-12
 
@@ -309,7 +308,6 @@ class TestParabolicCylinder:
             for ang in _PC_ANGLES:
                 z = r * np.exp(1j * ang)
                 e, e_next = parabolic_cylinder_D_scaled_pair(a, z)
-                assert e == parabolic_cylinder_D_scaled(a, z)
                 want = _mp_pcfd(a + 1.0, z, scaled=True)
                 worst = max(worst, abs(e_next - want) / abs(want))
         assert worst < 1e-12
@@ -320,7 +318,7 @@ class TestParabolicCylinder:
         # at this |z|, and it is not part of D_a until arg z = pi/2
         z = 20.4 + 20.5j
         want = _mp_pcfd(a, z, scaled=True)
-        assert abs(parabolic_cylinder_D_scaled(a, z) - want) < 1e-12 * abs(want)
+        assert abs(parabolic_cylinder_D_scaled_pair(a, z)[0] - want) < 1e-12 * abs(want)
 
     @pytest.mark.parametrize("a", [0.0, 0.25j, -0.25j, 0.3 + 0.1j, 1e-8j, 0.11j - 1.0])
     def test_unscaled_real_line_against_mpmath(self, a):
@@ -333,7 +331,7 @@ class TestParabolicCylinder:
     def test_order_zero_scaled_is_one(self):
         for z in (0.0, 0.7, 2.0, 3.0 - 1.0j, -5.0 + 2.0j, 6.0j, 9.0, 20.4 + 20.5j,
                   -30.0, 40.0 - 35.0j):
-            assert parabolic_cylinder_D_scaled(0.0, z) == 1.0, z
+            assert parabolic_cylinder_D_scaled_pair(0.0, z)[0] == 1.0, z
 
     def test_cache_stays_small(self):
         # a ray repeats a third of its (E_a, E_{a+1}) pairs (32 of 96): a

@@ -304,15 +304,19 @@ class TestJumpMatrices:
         assert abs(J[0, 0] - 0.5) < 1e-14
         assert abs(J[1, 1] - 1.0) < 1e-14
 
-    def test_near_zero_reads_the_data(self, step_data):
+    def test_near_zero_reads_the_data(self, step_data, geometry, delta):
         # J11 = 4 xi^2/(4 xi^2 + A^2) near xi = 0, where r1 r2 ~ -1 and the
-        # naive 1 + r1 r2 cancels to 2e-5 relative at xi = 1e-6
+        # naive 1 + r1 r2 cancels to 2e-5 relative at xi = 1e-6; the tilde
+        # jump off the cut, here in the gap (lam3, lam2), has the same J11
         for xi in (1e-2, 1e-4, 1e-6):
+            assert geometry.lam3 < xi < geometry.lam2
             want = 4 * xi**2 / (4 * xi**2 + A**2)
             J = jump_matrix("original", 0, 0, xi, step_data)
             D = jump_factorizations(0, 0, xi, step_data)[3]
+            Jt = jump_matrix("tilde", geometry.mu, 1.0, xi, step_data, delta)
             assert abs(J[0, 0] - want) <= 1e-14 * want, xi
             assert abs(D[0, 0] - want) <= 1e-14 * want, xi
+            assert abs(Jt[0, 0] - want) <= 1e-14 * want, xi
 
     def test_identity_for_zero_reflection(self):
         d0 = ScatteringData.reflectionless(A, GAMMA)

@@ -390,6 +390,13 @@ class TestProfileJSON:
         assert abs(prof.perturbation(0.5) - (0.1 + 0.05j)) < 1e-12
         assert prof.perturbation(2.0) == 0
 
+    @pytest.mark.parametrize("xs", [[0.5, 0.0, -0.5], [-0.5, 0.0, 0.0, 0.5]])
+    def test_table_nodes_must_ascend(self, xs):
+        # descending nodes were read as the pure step: every x fell outside
+        # [xs[0], xs[-1]], so the perturbation was 0 everywhere
+        with pytest.raises(ValueError, match="strictly ascending"):
+            InitialProfile.from_table(1.2, 0.037, xs, [0.0, 0.3] + [0.0] * (len(xs) - 2))
+
     def test_none_kind(self):
         prof = InitialProfile.from_dict({"A": 2.0, "gamma": 0.1})
         assert prof.is_pure_step

@@ -1,0 +1,22 @@
+"""The repository's scripts."""
+
+import importlib.util
+import json
+import pathlib
+import subprocess
+import sys
+
+SCRIPTS = pathlib.Path(__file__).resolve().parents[1] / "scripts"
+
+
+def test_compare_outputs_against_itself():
+    # a command that fails writes no file, so every listed file must be named
+    spec = importlib.util.spec_from_file_location("compare", SCRIPTS / "compare.py")
+    compare = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(compare)
+    proc = subprocess.run([sys.executable, str(SCRIPTS / "compare.py"),
+                           "--parent", str(compare.CHANGE), "outputs"],
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    outputs = json.loads(proc.stdout)["outputs"]
+    assert set(compare.FILES) | {"validate.txt", "exit_codes.txt"} <= set(outputs)
