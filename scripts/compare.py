@@ -78,6 +78,7 @@ STARTUP = {  # stage -> arguments after the interpreter
     "asymptote_step": ["-m", "steplpd.cli", "asymptote", "--A", "2", "--mu", "0.3", "--t", "100"],
     "asymptote_bump": ["-m", "steplpd.cli", "asymptote", "--config", "bump.json",
                        "--mu", "0.3", "0.5", "--t", "100", "1000"],
+    "scatter_bump": ["-m", "steplpd.cli", "scatter", "--config", "bump.json", "--n", "21"],
 }
 RING = tuple((r, k * math.pi / 4) for r in (0.5, 2.0) for k in (1, 3, -1, -3))
 

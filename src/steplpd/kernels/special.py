@@ -2,6 +2,8 @@
 
 Gamma comes from scipy's reciprocal Gamma, ``scipy.special.rgamma``, which
 is entire and exactly 0 at the poles; D_a's Gamma factors use it directly.
+``scipy.special`` is imported on the first Gamma, not with the package: the
+scattering and delta paths never need it.
 At the local models' arguments 1 +- i v and +-i v (|Re v| <= 0.96,
 |Im v| <= 0.4) Gamma agrees with mpmath to 6.2e-15 relative over 80 000
 points.
@@ -56,8 +58,6 @@ import cmath
 import math
 from functools import lru_cache
 
-from scipy.special import rgamma as _rgamma
-
 
 class GammaPoleError(ZeroDivisionError):
     """Gamma evaluated at a non-positive integer."""
@@ -65,7 +65,9 @@ class GammaPoleError(ZeroDivisionError):
 
 def reciprocal_gamma(z: complex) -> complex:
     """1/Gamma(z); entire, exactly 0 at the poles of Gamma."""
-    return complex(_rgamma(complex(z)))
+    from scipy.special import rgamma
+
+    return complex(rgamma(complex(z)))
 
 
 def complex_gamma(z: complex) -> complex:

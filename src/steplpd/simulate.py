@@ -12,7 +12,8 @@ nonlocal terms off the reversed array.  Spatial derivatives are 6th-order
 centered.  The stiff linear part -(i/2) d2 - i gamma d4 is advanced exactly
 on the deviation from a fixed background that holds the clamp values: the
 interior stencil, closed by odd reflection at the clamps, is diagonal in the
-sine modes of one O(N log N) DST-I, and the stencil acting on the background
+sine modes of one O(N log N) DST-I (``scipy.fft``, imported on the first
+transform, not with the package), and the stencil acting on the background
 is a constant forcing.  The nonlocal nonlinearity enters by
 integrating-factor RK4 (Lawson): every stage is evaluated in the frame
 rotated by that exact linear flow.  Modes whose rotation per step nears a
@@ -34,7 +35,6 @@ from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
-from scipy.fft import dst
 
 from steplpd.asymptotics import q_soliton, soliton_exponent
 
@@ -214,6 +214,8 @@ _FROZEN = 4   # clamped cells at each end (stencil half-width)
 
 def _dst(a: np.ndarray) -> np.ndarray:
     """Orthonormal DST-I (its own inverse); re and im in one call as 2 columns."""
+    from scipy.fft import dst
+
     pairs = np.ascontiguousarray(a, dtype=complex).view(np.float64).reshape(-1, 2)
     return dst(pairs, type=1, norm="ortho", axis=0).view(complex).ravel()
 
@@ -365,6 +367,8 @@ def stable_dt(grid: FieldGrid, gamma: float) -> float:
 # evolve's step-doubling error check: its tolerance and period in steps
 _LOCAL_TOL = 1e-4
 _CHECK_EVERY = 64
+# the shortest given step evolve takes, as a fraction of stable_dt
+_DT_FLOOR = 2.0 ** -10
 
 
 def evolve(grid: FieldGrid, t_end: float, gamma: float,
@@ -378,6 +382,11 @@ def evolve(grid: FieldGrid, t_end: float, gamma: float,
     per step exceeds 1e-4 * (dt + max|q|); the 4th-order truncation sits
     orders below that in normal operation, so the check is a safety valve
     against under-resolved data, not a tuner.
+
+    A given dt must be finite and nonzero, and either cover the whole span
+    or be at least 2**-10 * stable_dt: a shorter step buys no accuracy that
+    the stable step lacks, and the step count span/dt grows without bound
+    (dt = 1e-12 on a 1e-3 span is 1e9 steps).  A ValueError names both.
     """
     if dt is not None and not (np.isfinite(dt) and dt != 0):
         raise ValueError(f"time step dt must be finite and nonzero, got {dt}")
@@ -393,6 +402,8 @@ def evolve(grid: FieldGrid, t_end: float, gamma: float,
     dt_stab = stable_dt(grid, gamma)
     if dt is None:
         dt = dt_stab
+    elif abs(dt) < min(abs(span), _DT_FLOOR * dt_stab):
+        raise ValueError(f"time step dt = {dt:g} is below {_DT_FLOOR:g} of stable_dt = {dt_stab:g}")
     dt = direction * min(abs(dt), abs(span))
 
     lin = _LinearPropagator(n, grid.h, gamma, left, right)

@@ -279,9 +279,10 @@ class TestSubcommands:
         assert not out.exists()
         assert capsys.readouterr().err.startswith("error: ")
 
-    @pytest.mark.parametrize("dt", ["0", "nan"])
+    @pytest.mark.parametrize("dt", ["0", "nan", "1e-12"])
     def test_simulate_refuses_a_step_that_cannot_advance(self, tmp_path, dt):
-        # with dt = 0 the run never advanced t; the timeout turns a hang into a failure
+        # with dt = 0 the run never advanced t, and dt = 1e-12 took 1e9 steps;
+        # the timeout turns a hang into a failure
         out = tmp_path / "out.csv"
         proc = subprocess.run([sys.executable, "-m", "steplpd.cli", "--out", str(out),
                                "simulate", "--L", "4", "--h", "0.1", "--t-end", "0.001",
@@ -289,6 +290,23 @@ class TestSubcommands:
         assert proc.returncode == 1
         assert proc.stderr.startswith("error: ")
         assert not out.exists()
+
+    @pytest.mark.parametrize("argv, absent", [
+        (["scatter", "--config", "bump.json", "--n", "5"], "scipy"),
+        (["delta", "--A", "2", "--mu", "0.5", "--n", "5"], "scipy"),
+        (["asymptote", "--A", "2", "--mu", "0.3", "--t", "100"], "scipy.fft"),
+    ], ids=["scatter", "delta", "asymptote"])
+    def test_runs_without_scipy(self, tmp_path, argv, absent):
+        # scipy.special loads on the first Gamma (the local models) and
+        # scipy.fft on the first DST (simulate): scatter and delta need
+        # neither, asymptote only the first
+        cfg = tmp_path / "bump.json"
+        cfg.write_text(json.dumps(BUMP_DOC))
+        argv = ["--out", str(tmp_path / "out.csv"), *(str(cfg) if a == cfg.name else a for a in argv)]
+        code = f"import sys; from steplpd.cli import main; print(main({argv!r}), {absent!r} in sys.modules)"
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              timeout=120)
+        assert proc.stdout.split() == ["0", "False"], proc.stderr
 
     def test_unknown_subcommand(self):
         assert main(["frobnicate"]) == 1
