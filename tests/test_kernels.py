@@ -340,6 +340,9 @@ class TestParabolicCylinder:
         # rounding allows; a larger cache only grows with the run
         assert _pcfd_scaled_cached.cache_info().maxsize <= 4096
 
+    def test_import_leaves_mpmath_out(self):
+        assert _loaded_after_import("steplpd", ["mpmath"]) == [False]
+
 
 class TestCubicRoots:
     def test_three_simple(self):
@@ -383,13 +386,19 @@ class TestCubicRoots:
 
 class TestImport:
     @pytest.mark.parametrize("module", ["steplpd", "steplpd.cli"])
-    def test_import_leaves_scipy_and_mpmath_out(self, module):
+    def test_import_leaves_scipy_out(self, module):
         # scipy loads on first use: scipy.special on the first Gamma,
         # scipy.fft on the first DST, scipy.integrate on the first ODE solve
-        assert _loaded_after_import(module, ["scipy", "mpmath"]) == [False, False]
+        assert _loaded_after_import(module, ["scipy"]) == [False]
 
 
 class TestOdeIntegrate:
+    @pytest.mark.parametrize("module", ["steplpd", "steplpd.cli"])
+    def test_import_leaves_scipy_integrate_out(self, module):
+        # only ode_integrate solves an ODE and it imports scipy.integrate
+        # itself; scipy.optimize (and sparse, linalg, spatial) come with it
+        assert _loaded_after_import(module, ["scipy.integrate", "scipy.optimize"]) == [False, False]
+
     def test_zero_field(self):
         out = ode_integrate(lambda x, y: 0 * y, np.eye(2, dtype=complex), (0, 1))
         assert np.abs(out - np.eye(2)).max() < 1e-14
