@@ -24,6 +24,11 @@ it, and each child checks that it imported `steplpd` from there.  GROUPs:
   model's 16 `pc_model_matrix` and 8 `pc_jump_matrix` at |tau| = 0.5 and 2
   on the four rays, the mean over 64 fresh v; `ray_models`, the rings of one
   `rays` op's three models, the mean over 32 pure-step and 32 synthetic rays.
+- `simulate`, on criterion 11's grid (the soliton A = 2, alpha = pi,
+  gamma = 0.1 on L = 10, h = 0.02: N = 1001): `lawson_step`, one
+  integrating-factor RK4 step at `stable_dt`, the mean over 200 steps;
+  `chunk`, one `evolve` over 0.005 from t = 0, as a `simulate --snapshots`
+  chunk of soliton-sim runs.
 
 Draws use fixed seeds.  A timed group runs one untimed child per side, then
 `--pairs` pairs, the parent first in even pairs.  Each stage gets both
@@ -89,7 +94,7 @@ def child(group: str, src: str) -> None:
     if not pathlib.Path(steplpd.__file__).resolve().is_relative_to(pathlib.Path(src)):
         sys.exit(f"steplpd imported from {steplpd.__file__}, not from {src}")
     print(json.dumps({"outputs": write_outputs, "sweep": sweep_stages,
-                      "pcmodel": pcmodel_stages}[group]()))
+                      "pcmodel": pcmodel_stages, "simulate": simulate_stages}[group]()))
 
 
 def write_outputs() -> None:
@@ -200,6 +205,27 @@ def pcmodel_stages() -> dict[str, list[float]]:
     return runs
 
 
+def simulate_stages() -> dict[str, list[float]]:
+    from steplpd import simulate
+    from steplpd.asymptotics import q_soliton
+
+    gamma, steps = 0.1, 200
+    grid = simulate.FieldGrid.from_function(lambda x: q_soliton(x, 0.0, 2.0, math.pi, gamma),
+                                            10.0, 0.02)
+    q = grid.values
+    lin = simulate._LinearPropagator(len(q), grid.h, gamma, q[0], q[-1])
+    dt = simulate.stable_dt(grid, gamma)
+    lin.set_cutoff(min(lin.s_cut, 0.4 * math.pi / dt))
+    u_ref = u = lin.to_modes(q)
+    q, u = simulate._lawson_step(q, u, dt, grid.h, gamma, lin, u_ref)  # the phases, once
+    t0 = time.perf_counter()
+    for _ in range(steps):
+        q, u = simulate._lawson_step(q, u, dt, grid.h, gamma, lin, u_ref)
+    t1 = time.perf_counter()
+    simulate.evolve(grid, 0.005, gamma)
+    return {"lawson_step": [(t1 - t0) / steps], "chunk": [time.perf_counter() - t1]}
+
+
 def run_side(group: str, src: pathlib.Path, cwd: str) -> dict[str, list[float]]:
     """One fresh run of a group on one side: stage -> [seconds, count...]."""
     env = dict(os.environ, PYTHONPATH=f"{src}{os.pathsep}{SCRIPTS}")
@@ -277,7 +303,7 @@ def main(argv=None) -> int:
                     help="src/ directory of the checkout to compare against")
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("groups", nargs="+", metavar="GROUP",
-                    choices=("outputs", "startup", "sweep", "pcmodel"))
+                    choices=("outputs", "startup", "sweep", "pcmodel", "simulate"))
     args = ap.parse_args(argv)
     if args.pairs < 2:
         ap.error("--pairs must be at least 2")

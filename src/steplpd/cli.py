@@ -189,6 +189,8 @@ def cmd_soliton(args) -> int:
 def cmd_simulate(args) -> int:
     if args.snapshots < 2:
         raise ValueError("--snapshots counts t = 0 and t_end: give at least 2")
+    if not np.isfinite(args.t_end):   # the snapshot times would be NaN
+        raise ValueError(f"--t-end must be finite, got {args.t_end}")
     if args.initial == "soliton":
         alpha = np.pi if args.alpha is None else args.alpha
         grid = FieldGrid.from_function(

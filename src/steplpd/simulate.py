@@ -9,12 +9,13 @@ The evolution equation (focusing nonlocal coupling r(x,t) = -conj(q(-x,t))):
 The mirrored argument makes the x -> -x reflection part of the state, so the
 integrator works on grids symmetric about 0 (x_k = -x_{N-k}) and reads the
 nonlocal terms off the reversed array.  Spatial derivatives are 6th-order
-centered.  The stiff linear part -(i/2) d2 - i gamma d4 is advanced exactly
-on the deviation from a fixed background that holds the clamp values: the
-interior stencil, closed by odd reflection at the clamps, is diagonal in the
-sine modes of one O(N log N) DST-I (``scipy.fft``, imported on the first
-transform, not with the package), and the stencil acting on the background
-is a constant forcing.  The nonlocal nonlinearity enters by
+centered, and the nonlinear terms are summed as one factored expression
+(``_nonlinear_rhs``).  The stiff linear part -(i/2) d2 - i gamma d4 is
+advanced exactly on the deviation from a fixed background that holds the
+clamp values: the interior stencil, closed by odd reflection at the clamps,
+is diagonal in the sine modes of one O(N log N) DST-I (``scipy.fft``,
+imported on the first transform, not with the package), and the stencil
+acting on the background is a constant forcing.  The nonlocal nonlinearity enters by
 integrating-factor RK4 (Lawson): every stage is evaluated in the frame
 rotated by that exact linear flow.  Modes whose rotation per step nears a
 multiple of pi are resonant for the sampled scheme, so the high-dispersion
@@ -31,6 +32,7 @@ equation's far field, not this one's).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, replace
 from typing import Callable
 
@@ -190,7 +192,10 @@ class FieldGrid:
     @classmethod
     def from_function(cls, f: Callable[[float], complex], half_width: float,
                       h: float) -> "FieldGrid":
-        """Samples of f at t = 0."""
+        """Samples of f at t = 0; h and half_width must be finite and positive."""
+        for name, value in (("h", h), ("half_width", half_width)):
+            if not (np.isfinite(value) and value > 0):
+                raise ValueError(f"grid {name} must be finite and positive, got {value}")
         n = int(round(half_width / h))
         x = np.arange(-n, n + 1) * h
         vals = np.array([f(float(xx)) for xx in x], dtype=complex)
@@ -212,12 +217,26 @@ _D1_6 = np.array([-1 / 60, 3 / 20, -3 / 4, 0, 3 / 4, -3 / 20, 1 / 60])
 _FROZEN = 4   # clamped cells at each end (stencil half-width)
 
 
-def _dst(a: np.ndarray) -> np.ndarray:
-    """Orthonormal DST-I (its own inverse); re and im in one call as 2 columns."""
+@functools.lru_cache(maxsize=8)
+def _stencil_rows(h: float) -> np.ndarray:
+    """The 7-point q_x and q_xx stencils as rows, pre-divided by h and h^2."""
+    rows = np.stack((_D1_6 / h, _D2_6 / (h * h)))
+    rows.flags.writeable = False
+    return rows
+
+
+@functools.cache
+def _dst_kernel() -> Callable[..., np.ndarray]:
+    """scipy's DST, bound on the first transform, not on import."""
     from scipy.fft import dst
 
+    return dst
+
+
+def _dst(a: np.ndarray) -> np.ndarray:
+    """Orthonormal DST-I (its own inverse); re and im in one call as 2 columns."""
     pairs = np.ascontiguousarray(a, dtype=complex).view(np.float64).reshape(-1, 2)
-    return dst(pairs, type=1, norm="ortho", axis=0).view(complex).ravel()
+    return _dst_kernel()(pairs, type=1, norm="ortho", axis=0).view(complex).ravel()
 
 
 class BlowUpError(RuntimeError):
@@ -230,23 +249,30 @@ class StabilityError(RuntimeError):
 
 def _nonlinear_rhs(q: np.ndarray, h: float, gamma: float) -> np.ndarray:
     """The nonlinear terms on the interior rows, whose q_x and q_xx stencils
-    stay inside the grid (the clamped cells never move)."""
+    stay inside the grid (the clamped cells never move).
+
+    With rq = r q, i q^2 r + gamma H_nl factors as
+
+        i (q (rq + gamma (4 q_x r_x + 8 r q_xx + 2 q r_xx - 6 rq^2))
+           + 6 gamma r q_x^2).
+
+    Both stencils come from one product of their pre-divided rows with the
+    seven shifted copies of the interior.  The mirrored terms are read off
+    c, c1, c2 = conj(q, q_x, q_xx) at -x, which are -r, r_x and -r_xx, so
+    with p = c q = -rq the sum above is written with no sign flips.
+    """
+    q = np.ascontiguousarray(q, dtype=complex)
     m = len(q) - 2 * _FROZEN
-    qi = q[_FROZEN:_FROZEN + m]
-    qx = np.zeros(m, dtype=complex)
-    qxx = _D2_6[3] * qi
-    for k in (1, 2, 3):
-        fwd, back = q[_FROZEN + k:_FROZEN + k + m], q[_FROZEN - k:_FROZEN - k + m]
-        qx += _D1_6[3 + k] * (fwd - back)
-        qxx += _D2_6[3 + k] * (fwd + back)
-    qx /= h
-    qxx /= h * h
-    r = -np.conj(qi[::-1])
-    rx = np.conj(qx[::-1])
-    rxx = -np.conj(qxx[::-1])
-    H_nl = (6j * r * qx**2 + 4j * qi * qx * rx + 8j * r * qi * qxx
-            + 2j * qi * qi * rxx - 6j * r * r * qi**3)
-    return 1j * qi * qi * r + gamma * H_nl
+    # row j: the interior shifted by j - 3 cells, as interleaved re and im
+    shifted = np.ndarray((7, 2 * m), np.float64, q, (_FROZEN - 3) * q.itemsize,
+                         (q.itemsize, 8)).copy()
+    derivs = (_stencil_rows(h) @ shifted).view(complex)
+    qi, (qx, qxx) = q[_FROZEN:_FROZEN + m], derivs
+    c = np.conj(qi[::-1])
+    c1, c2 = np.conj(derivs[:, ::-1])
+    p = c * qi
+    return -1j * (qi * (p + gamma * (8 * c * qxx + 2 * qi * c2 + 6 * p * p - 4 * qx * c1))
+                  + (6 * gamma) * c * qx * qx)
 
 
 class _LinearPropagator:
@@ -341,11 +367,13 @@ def _lawson_step(q: np.ndarray, u: np.ndarray, dt: float, h: float, gamma: float
     u_half = ph_h * u + kick_h   # affine half-flow of the state
     u_full = ph_h * u_half + kick_h
 
-    k1 = _dst(_nonlinear_rhs(q, h, gamma))
-    k2 = N_modes(u_half + 0.5 * dt * (ph_h * k1))
+    # k1 is used only rotated by a half-step; the full-step rotations of k1,
+    # k2 and k3 share one more factor ph_h
+    pk1 = ph_h * _dst(_nonlinear_rhs(q, h, gamma))
+    k2 = N_modes(u_half + 0.5 * dt * pk1)
     k3 = N_modes(u_half + 0.5 * dt * k2)
     k4 = N_modes(u_full + dt * (ph_h * k3))
-    u_new = u_full + (dt / 6.0) * (ph_h * ph_h * k1 + 2.0 * ph_h * (k2 + k3) + k4)
+    u_new = u_full + (dt / 6.0) * (ph_h * (pk1 + 2.0 * (k2 + k3)) + k4)
     # contract the top dispersion band of the deviation from u_ref, free in modes
     u_new = u_ref + lin.damp * (u_new - u_ref)
     return lin.to_grid(u_new), u_new
@@ -387,11 +415,18 @@ def evolve(grid: FieldGrid, t_end: float, gamma: float,
     or be at least 2**-10 * stable_dt: a shorter step buys no accuracy that
     the stable step lacks, and the step count span/dt grows without bound
     (dt = 1e-12 on a 1e-3 span is 1e9 steps).  A ValueError names both.
+    So does one for a t_end that is not finite, and one for a grid with no
+    point beyond its 2 * _FROZEN clamped cells.
     """
+    if not np.isfinite(t_end):
+        raise ValueError(f"t_end must be finite, got {t_end}")
     if dt is not None and not (np.isfinite(dt) and dt != 0):
         raise ValueError(f"time step dt must be finite and nonzero, got {dt}")
     q = grid.values.astype(complex).copy()
     n = len(q)
+    if n <= 2 * _FROZEN:
+        raise ValueError(f"a grid of {n} points has no point beyond its "
+                         f"{2 * _FROZEN} clamped cells: widen it or refine h")
     left = complex(q[0])
     right = complex(q[-1])
     t = grid.time
@@ -416,9 +451,10 @@ def evolve(grid: FieldGrid, t_end: float, gamma: float,
         if abs(dt) > abs(t_end - t):
             dt = (t_end - t)
         q_new, u_new = _lawson_step(q, u, dt, grid.h, gamma, lin, u_ref)
-        if not np.all(np.isfinite(q_new)):
+        peak = np.abs(q_new).max()   # NaN if any value is NaN
+        if not np.isfinite(peak):
             raise BlowUpError(f"solution lost finiteness at t = {t:.6g}")
-        if np.abs(q_new).max() > 50.0 * (1.0 + abs(right)):
+        if peak > 50.0 * (1.0 + abs(right)):
             raise BlowUpError(f"solution blowing up at t = {t:.6g}")
         if steps % _CHECK_EVERY == 0:
             qa, ua = _lawson_step(q, u, 0.5 * dt, grid.h, gamma, lin, u_ref)

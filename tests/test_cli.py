@@ -291,6 +291,29 @@ class TestSubcommands:
         assert proc.stderr.startswith("error: ")
         assert not out.exists()
 
+    @pytest.mark.parametrize("grid, named", [
+        (["--L", "0.1", "--h", "0.05"], "5 points"),
+        (["--h", "-0.05"], "-0.05"),
+        (["--h", "0"], "h must be finite and positive"),
+    ], ids=["no-interior", "negative-h", "zero-h"])
+    def test_simulate_refuses_a_degenerate_grid(self, tmp_path, capsys, grid, named):
+        # these failed inside scipy, on the odd-interval check and on a
+        # division by zero, none of which named the grid
+        out = tmp_path / "out.csv"
+        assert main(["--out", str(out), "simulate", *grid, "--t-end", "0.001"]) == 1
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and named in err
+
+    @pytest.mark.parametrize("t_end", ["nan", "inf"])
+    def test_simulate_refuses_a_non_finite_end(self, tmp_path, capsys, t_end):
+        # both wrote the initial field labelled t = nan and exited 0
+        out = tmp_path / "out.csv"
+        assert main(["--out", str(out), "simulate", "--L", "4", "--h", "0.1",
+                     "--t-end", t_end]) == 1
+        assert not out.exists()
+        assert f"--t-end must be finite, got {t_end}" in capsys.readouterr().err
+
     @pytest.mark.parametrize("argv, absent", [
         (["scatter", "--config", "bump.json", "--n", "5"], "scipy"),
         (["delta", "--A", "2", "--mu", "0.5", "--n", "5"], "scipy"),

@@ -7,12 +7,15 @@ from scipy.linalg import expm
 from steplpd import simulate
 from steplpd.asymptotics import q_soliton
 from steplpd.simulate import (
+    _D1_6,
+    _D2_6,
     _D2_6_PAD,
     _D4_6,
     _FROZEN,
     FieldGrid,
     SolitonField,
     _LinearPropagator,
+    _lawson_step,
     _nonlinear_rhs,
     evolve,
     fd_weights,
@@ -114,6 +117,17 @@ class TestFieldGrid:
         assert len(g.x) == 9
         assert g.x[0] == -2.0 and g.x[-1] == 2.0
 
+    @pytest.mark.parametrize("half_width, h, named", [
+        (2.0, 0.0, "h must be finite and positive, got 0.0"),
+        (2.0, -0.5, "h must be finite and positive, got -0.5"),
+        (2.0, np.nan, "h must be finite and positive, got nan"),
+        (0.0, 0.5, "half_width must be finite and positive, got 0.0"),
+        (np.inf, 0.5, "half_width must be finite and positive, got inf"),
+    ])
+    def test_from_function_refuses_a_degenerate_grid(self, half_width, h, named):
+        with pytest.raises(ValueError, match=named):
+            FieldGrid.from_function(lambda x: 0.0, half_width, h)
+
     def test_smoothed_step(self):
         g = FieldGrid.smoothed_step(2.0, 10.0, 0.05)
         assert abs(g.values[0]) < 1e-12
@@ -208,6 +222,24 @@ class TestEvolve:
         evolve(g0, steps * dt, 0.1, dt=dt)
         assert len(calls) == 2 + 8 * steps + 2 * 8
 
+    @pytest.mark.parametrize("half_width", [0.1, 0.15])
+    def test_refuses_a_grid_with_no_interior(self, half_width):
+        # 5 and 7 points, all of them clamped: there is no mode to evolve
+        g = FieldGrid.from_function(lambda x: 1.0, half_width, 0.05)
+        with pytest.raises(ValueError, match=f"grid of {len(g.x)} points has no point beyond"):
+            evolve(g, 0.001, GAMMA)
+
+    @pytest.mark.parametrize("t_end", [np.nan, np.inf, -np.inf])
+    def test_refuses_a_non_finite_end(self, t_end):
+        g = FieldGrid.from_function(lambda x: 0.0, 1.0, 0.05)
+        with pytest.raises(ValueError, match=f"t_end must be finite, got {t_end}"):
+            evolve(g, t_end, GAMMA)
+
+    def test_one_interior_point_evolves(self):
+        g = FieldGrid.from_function(lambda x: 0.0, 0.2, 0.05)
+        assert len(g.x) == 2 * _FROZEN + 1
+        assert np.abs(evolve(g, 0.001, GAMMA).values).max() == 0
+
     def test_stable_dt_scale(self):
         g = FieldGrid.smoothed_step(2.0, 10.0, 0.02)
         dt = stable_dt(g, 0.1)
@@ -285,3 +317,61 @@ class TestNonlinearRhs:
         want = 1j * qi * qi * r + gam * H
         got = _nonlinear_rhs(q, h, gam)
         assert np.abs(got - want).max() < 1e-11 * np.abs(want).max()
+
+
+def _written_out_rhs(q, h, gamma):
+    """The nonlinear terms as first written: zeroed accumulators, divisions
+    after the stencil sums, and H_nl term by term."""
+    m = len(q) - 2 * _FROZEN
+    qi = q[_FROZEN:_FROZEN + m]
+    qx = np.zeros(m, dtype=complex)
+    qxx = _D2_6[3] * qi
+    for k in (1, 2, 3):
+        fwd, back = q[_FROZEN + k:_FROZEN + k + m], q[_FROZEN - k:_FROZEN - k + m]
+        qx += _D1_6[3 + k] * (fwd - back)
+        qxx += _D2_6[3 + k] * (fwd + back)
+    qx /= h
+    qxx /= h * h
+    r = -np.conj(qi[::-1])
+    rx = np.conj(qx[::-1])
+    rxx = -np.conj(qxx[::-1])
+    H_nl = (6j * r * qx**2 + 4j * qi * qx * rx + 8j * r * qi * qxx
+            + 2j * qi * qi * rxx - 6j * r * r * qi**3)
+    return 1j * qi * qi * r + gamma * H_nl
+
+
+def _written_out_step(q, u, dt, h, gamma, lin, u_ref):
+    """The Lawson step with its stage combination unfactored."""
+    def N_modes(u):
+        return simulate._dst(_written_out_rhs(lin.to_grid(u), h, gamma))
+
+    ph_h, kick_h = lin.phases(0.5 * dt)
+    u_half = ph_h * u + kick_h
+    u_full = ph_h * u_half + kick_h
+    k1 = simulate._dst(_written_out_rhs(q, h, gamma))
+    k2 = N_modes(u_half + 0.5 * dt * (ph_h * k1))
+    k3 = N_modes(u_half + 0.5 * dt * k2)
+    k4 = N_modes(u_full + dt * (ph_h * k3))
+    u_new = u_full + (dt / 6.0) * (ph_h * ph_h * k1 + 2.0 * ph_h * (k2 + k3) + k4)
+    u_new = u_ref + lin.damp * (u_new - u_ref)
+    return lin.to_grid(u_new), u_new
+
+
+class TestLawsonStep:
+    def test_matches_the_written_out_step(self):
+        # criterion 11's grid at evolve's step and damping band: the factored
+        # right-hand side and stage combination only reorder the rounding
+        A, gam, al, h = 2.0, 0.1, np.pi, 0.02
+        g = FieldGrid.from_function(lambda x: q_soliton(x, 0.0, A, al, gam), 10.0, h)
+        q0 = g.values
+        lin = _LinearPropagator(len(q0), h, gam, q0[0], q0[-1])
+        dt = stable_dt(g, gam)
+        lin.set_cutoff(min(lin.s_cut, 0.4 * np.pi / dt))
+        u_ref = lin.to_modes(q0)
+        q, u = want, u_want = q0, u_ref
+        for _ in range(20):
+            q, u = _lawson_step(q, u, dt, h, gam, lin, u_ref)
+            want, u_want = _written_out_step(want, u_want, dt, h, gam, lin, u_ref)
+        assert np.abs(q - want).max() < 1e-12 * np.abs(want).max()
+        assert np.abs(u - u_want).max() < 1e-12 * np.abs(u_want).max()
+        assert np.abs(q - q0).max() > 1e-6   # the 20 steps moved the field
