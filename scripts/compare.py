@@ -14,7 +14,9 @@ it, and each child checks that it imported `steplpd` from there.  GROUPs:
 - `startup`: wall seconds of the fresh processes in `STARTUP`.
 - `sweep`, on the bump and on `soliton_profile(2, 1/27, pi/3)`, counting
   sweeps (`scattering.jost_at_origin` calls): `one_S_*`, one S at one xi,
-  the mean over 200 xi in [0.15, 5] (`one_S_bump_far`: in [12, 50]);
+  the mean over 200 xi in [0.15, 5] (`one_S_bump_far`: in [12, 50];
+  `one_S_wide_bump` on the bump A = 2, amplitude 0.3, centre 0.4, width
+  0.5, 365 cells per half-line, the widest of bump-profile's draws);
   `cells_*`, the first S of a fresh profile; `locate_xi1_*` on fresh data;
   `delta_exponents_*`, `build_delta` and `saddle_exponents` at mu = 0.3
   right after; `ray_*`, the two summed.
@@ -137,6 +139,8 @@ def sweep_stages() -> dict[str, list[float]]:
     near = np.random.default_rng(0).uniform(0.15, 5.0, 200)
     runs = {f"one_S_{name}": one_S(mk, near) for name, mk in make.items()}
     runs["one_S_bump_far"] = one_S(make["bump"], np.random.default_rng(1).uniform(12.0, 50.0, 200))
+    runs["one_S_wide_bump"] = one_S(
+        lambda: scattering.InitialProfile.gaussian_bump(2.0, GAMMA, 0.3, 0.4, 0.5), near)
     for name, mk in make.items():
         runs[f"cells_{name}"] = timed(lambda: scattering.scattering_matrix(mk(), 1.0))
     geometry = stationary_points(0.3, GAMMA)

@@ -113,6 +113,7 @@ _MAGNUS_H = 4e-3
 _MAGNUS_H_COARSE = 1e-2
 _MAGNUS_XI_COARSE = 10.0
 _GAUSS_3 = np.sqrt(15.0) / 10.0         # Gauss points at midpoint + (1, 0, -1) * this * h
+_SIGMA3 = np.array([1.0, -1.0])         # also the step signs on (-support, 0), (support, 0)
 # |s^2| up to which a sweep takes cosh(s) and sinh(s)/s from their series
 _SERIES_S2 = 1e-2
 
@@ -170,11 +171,12 @@ class InitialProfile:
 
         Returns the widths h (n,) of the cells of [0, support], ordered from
         the outer end inwards (from +-support towards 0), the order in which
-        both half-line sweeps meet them, and the coefficients (4, 3, n, 2)
+        both half-line sweeps meet them, and the coefficients (4, 3, 2, n)
         of the sixth-order Magnus exponent Omega of every cell as a cubic in
-        a = -i xi: [k, e, j, side] is the a^k coefficient of entry e
+        a = -i xi: [k, e, side, j] is the a^k coefficient of entry e
         (Omega_11, Omega_12, Omega_21) of cell j on the side's half-line
-        (0: (-support, 0), width h; 1: (support, 0), width -h).  Q(x) does
+        (0: (-support, 0), width h; 1: (support, 0), width -h), contiguous
+        in the cells, along which every pass of _sweep runs.  Q(x) does
         not depend on xi, so q0 is sampled here once per table, at the three
         Gauss points of each cell, and no sweep touches the profile again.
         Cell edges sit at 0, at support and at every |kink| in between; no
@@ -191,9 +193,9 @@ class InitialProfile:
         x = mid[:, None] + np.outer(h, [_GAUSS_3, 0.0, -_GAUSS_3])
         q = np.array([self.q0(v) for v in np.concatenate([x, -x]).ravel()])
         right, left = q.reshape((2,) + x.shape)
-        # Q = [[0, up], [lo, 0]] at the points, sides stacked on axis 1
-        up, lo = np.stack([left, right], axis=1), -np.conj(np.stack([right, left], axis=1))
-        return h, _magnus_exponents(np.outer(h, [1.0, -1.0]), up, lo)
+        # Q = [[0, up], [lo, 0]] at the points, sides stacked on axis 0
+        up, lo = np.stack([left, right]), -np.conj(np.stack([right, left]))
+        return h, _magnus_exponents(np.outer(_SIGMA3, h), up, lo)
 
     # -- construction from the JSON document used by the CLI ---------------
 
@@ -273,14 +275,12 @@ class InitialProfile:
         return cls.from_dict(doc)
 
 
-def normalization_matrices(A: float, xi: complex) -> tuple[np.ndarray, np.ndarray]:
-    """L-(xi), L+(xi) diagonalizing the asymptotic Lax matrices."""
+def normalization_matrices(A: float, xi: complex) -> np.ndarray:
+    """L-(xi), L+(xi) diagonalizing the asymptotic Lax matrices, stacked."""
     if xi == 0:
         raise SingularNormalizationError("L+- are singular at xi = 0")
     r = A / (2j * xi)
-    L_minus = np.array([[1.0, 0.0], [r, 1.0]], dtype=complex)
-    L_plus = np.array([[1.0, r], [0.0, 1.0]], dtype=complex)
-    return L_minus, L_plus
+    return np.array([[[1.0, 0.0], [r, 1.0]], [[1.0, r], [0.0, 1.0]]], dtype=complex)
 
 
 # ---------------------------------------------------------------------------
@@ -336,12 +336,12 @@ def _magnus_exponents(h: np.ndarray, up: np.ndarray, lo: np.ndarray) -> np.ndarr
     C2 = -_commutator(alpha1, 2.0 * alpha3 + C1) / 60.0
     omega = (alpha1 + alpha3 / 12.0
              + _commutator(-20.0 * alpha1 - alpha3 + C1, alpha2 + C2) / 240.0)
-    return np.moveaxis(omega, 1, 0)
+    return np.ascontiguousarray(omega.swapaxes(0, 1))
 
 
 def _even_series() -> np.ndarray:
-    """Coefficients (K, 2, 1, 1, 1) of cosh(s) and sinh(s)/s as series in
-    s^2, highest power first: 1/(2k)! and 1/(2k + 1)! for every k whose
+    """Coefficients (terms, 2, 1, 1, 1) of cosh(s) and sinh(s)/s as series
+    in s^2, highest power first: 1/(2k)! and 1/(2k + 1)! for every k whose
     cosh term stays above 1e-17 at |s^2| = _SERIES_S2."""
     K = 0
     while _SERIES_S2 ** K / math.factorial(2 * K) >= 1e-17:
@@ -351,23 +351,23 @@ def _even_series() -> np.ndarray:
     return np.array(coef)[:, :, None, None, None]
 
 
-_COSH_SINHC_SERIES = _even_series()
+_COSH_SINHC_SERIES = tuple(_even_series())     # one (2, 1, 1, 1) array per power
 
 
 def _ordered_product(E: np.ndarray) -> np.ndarray:
-    """E_(n-1) ... E_1 E_0 for matrices E[:, :, j] (shape (2, 2, n, ...)),
-    multiplied in pairwise levels."""
-    while E.shape[2] > 1:
-        n = E.shape[2]
-        later, earlier = E[:, :, 1::2], E[:, :, 0:n - 1:2]
-        terms = later[:, :, None] * earlier[None]
+    """E_(n-1) ... E_1 E_0 (shape (2, 2, ...)) for matrices E[..., j] (shape
+    (2, 2, ..., n): [row, column, ..., cell]), multiplied in pairwise levels
+    along the last axis."""
+    while E.shape[-1] > 1:
+        n = E.shape[-1]
+        terms = E[:, :, None, ..., 1::2] * E[None, ..., 0:n - 1:2]
         pairs = terms[:, 0] + terms[:, 1]
-        E = np.concatenate([pairs, E[:, :, n - 1:]], axis=2) if n % 2 else pairs
-    return E[:, :, 0]
+        E = np.concatenate([pairs, E[..., n - 1:]], axis=-1) if n % 2 else pairs
+    return E[..., 0]
 
 
-def _transfer(profile: InitialProfile, xi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(T_-, T_+): phi(0) = T_-+ phi(-+support) for every xi of the array.
+def _transfer(profile: InitialProfile, xi: np.ndarray) -> np.ndarray:
+    """(T_-, T_+) (2, K, 2, 2): phi(0) = T_-+ phi(-+support) for each xi.
 
     Each xi with |xi| <= _MAGNUS_XI_COARSE is swept on the profile's cells
     at most _MAGNUS_H_COARSE wide, every other xi on those at most _MAGNUS_H
@@ -393,46 +393,50 @@ def _transfer(profile: InitialProfile, xi: np.ndarray) -> tuple[np.ndarray, np.n
         return _sweep(profile._coarse_cells[1], xi)
     if not coarse.any():
         return _sweep(profile._fine_cells[1], xi)
-    T_minus, T_plus = np.empty((2,) + xi.shape + (2, 2), dtype=complex)
+    T = np.empty((2,) + xi.shape + (2, 2), dtype=complex)
     for group, cells in ((coarse, profile._coarse_cells), (~coarse, profile._fine_cells)):
-        T_minus[group], T_plus[group] = _sweep(cells[1], xi[group])
-    return T_minus, T_plus
+        T[:, group] = _sweep(cells[1], xi[group])
+    return T
 
 
-def _sweep(omega: np.ndarray, xi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(T_-, T_+) of the cells whose Magnus exponents omega holds as cubics
-    in a = -i xi (_magnus_cells); Horner's rule gives every Omega at once.
+def _sweep(omega: np.ndarray, xi: np.ndarray) -> np.ndarray:
+    """(T_-, T_+) (2, K, 2, 2) of the cells whose Magnus exponents omega
+    (4, 3, 2, n) holds as cubics in a = -i xi (_magnus_cells); Horner's rule
+    gives every Omega at once, as (3, 2, K, n): [e, side, xi, cell].
 
     Omega is traceless, so exp(Omega) = cosh(s) I + sinh(s)/s Omega with
     s^2 = -det Omega.  For each xi whose cells all keep |s^2| <= _SERIES_S2,
     cosh and sinh(s)/s come from their even series in s^2; sqrt, cosh and
-    sinh run only on the other columns.  Both half-lines go through one
-    ordered product.
+    sinh run only on the other xi.  The cell matrices E (2, 2, 2, K, n),
+    [row, column, side, xi, cell], of both half-lines go through one
+    ordered product along the cells.
     """
-    a = -1j * xi
-    w = omega[3, ..., None] * a
+    a = -1j * xi[:, None]
+    w = omega[3, :, :, None] * a
     for k in (2, 1):
-        w += omega[k, ..., None]
+        w += omega[k, :, :, None]
         w *= a
-    w += omega[0, ..., None]
+    w += omega[0, :, :, None]
     s2 = w[0] * w[0] + w[1] * w[2]
     cs = _COSH_SINHC_SERIES[0] * s2
     for c in _COSH_SINHC_SERIES[1:-1]:
         cs += c
         cs *= s2
     cs += _COSH_SINHC_SERIES[-1]
-    far = np.abs(s2).max(axis=(0, 1)) > _SERIES_S2
+    far = np.abs(s2).max(axis=(0, 2)) > _SERIES_S2
     if far.any():
-        root = np.sqrt(s2[..., far])
-        cs[0][..., far], cs[1][..., far] = np.cosh(root), np.sinh(root) / root
-    ch, (sw11, sw12, sw21) = cs[0], cs[1] * w
-    E = np.array([[ch + sw11, sw12], [sw21, ch - sw11]])
-    T_minus, T_plus = np.moveaxis(_ordered_product(E), (0, 1), (-2, -1))
-    return T_minus, T_plus
+        root = np.sqrt(s2[:, far])
+        cs[0][:, far], cs[1][:, far] = np.cosh(root), np.sinh(root) / root
+    E = np.empty((4,) + s2.shape, dtype=complex)
+    np.multiply(cs[1], w, out=E[:3])        # E[0] holds sinh(s)/s Omega_11 for now
+    np.subtract(cs[0], E[0], out=E[3])
+    np.add(cs[0], E[0], out=E[0])
+    return _ordered_product(E.reshape((2, 2) + s2.shape)).transpose(2, 3, 0, 1)
 
 
-def jost_at_origin(profile: InitialProfile, xi: complex) -> tuple[np.ndarray, np.ndarray]:
-    """(phi_-(0,0,xi), phi_+(0,0,xi)) by exact seeding outside the support.
+def jost_at_origin(profile: InitialProfile, xi: complex) -> np.ndarray:
+    """(phi_-(0,0,xi), phi_+(0,0,xi)), stacked, by exact seeding outside the
+    support.
 
     phi_-+ equals L_-+ exp(-i xi sigma3 x) at x = -+support, and the Magnus
     transfer matrix of its half-line carries it to 0.  For the pure step the
@@ -440,12 +444,13 @@ def jost_at_origin(profile: InitialProfile, xi: complex) -> tuple[np.ndarray, np
     closed form exactly.
     """
     xi = complex(xi)
-    L_minus, L_plus = normalization_matrices(profile.A, xi)
+    L = normalization_matrices(profile.A, xi)
     if profile.is_pure_step:
-        return L_minus, L_plus
-    T_minus, T_plus = _transfer(profile, np.array([xi]))
-    phase = np.exp(1j * xi * profile.support * np.array([1.0, -1.0]))
-    return T_minus[0] @ (L_minus * phase), T_plus[0] @ (L_plus / phase)
+        return L
+    phase = np.exp(1j * xi * profile.support * _SIGMA3)
+    L[0] *= phase
+    L[1] /= phase
+    return _transfer(profile, np.array([xi]))[:, 0] @ L
 
 
 def _wronskian(u: np.ndarray, v: np.ndarray) -> complex:
@@ -455,9 +460,7 @@ def _wronskian(u: np.ndarray, v: np.ndarray) -> complex:
 def scattering_matrix(profile: InitialProfile, xi: complex) -> np.ndarray:
     """S(xi) = phi_+(0,0,xi)^(-1) phi_-(0,0,xi) for nonzero xi, real or
     complex, as the Wronskians of the Jost columns (det phi_+ = 1)."""
-    phi_minus, phi_plus = jost_at_origin(profile, xi)
-    (m11, m12), (m21, m22) = phi_minus.tolist()
-    (p11, p12), (p21, p22) = phi_plus.tolist()
+    ((m11, m12), (m21, m22)), ((p11, p12), (p21, p22)) = jost_at_origin(profile, xi).tolist()
     return np.array([[m11 * p22 - m21 * p12, m12 * p22 - m22 * p12],
                      [p11 * m21 - p21 * m11, p11 * m22 - p21 * m12]])
 
@@ -597,7 +600,7 @@ class ScatteringData:
         def s_matrix(xi: complex) -> np.ndarray:
             if xi != 0:
                 return scattering_matrix(profile, xi)
-            T_minus, T_plus = (T[0] for T in _transfer(profile, np.zeros(1)))
+            T_minus, T_plus = _transfer(profile, np.zeros(1))[:, 0]
             a2 = _wronskian(T_plus[:, 0], T_minus[:, 1])
             b = np.nan
             if abs(a2) <= _CASE_THRESHOLD_REL * (1.0 + A):

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.linalg import expm
 
 from steplpd import scattering
 from steplpd.kernels import ContourInterval, IntegrationError, interval_rule, ode, ode_integrate
@@ -484,6 +485,29 @@ class TestMagnusSweep:
             one_minus, one_plus = scattering._transfer(bump_profile, xis[k:k + 1])
             assert np.array_equal(T_minus[k], one_minus[0])
             assert np.array_equal(T_plus[k], one_plus[0])
+
+    @pytest.mark.parametrize("name", ["baseline", "soliton"])
+    def test_against_expm_product(self, name):
+        # every cell's exp(Omega) by scipy's expm, multiplied in cell order by
+        # a plain loop, against the sweep at one xi.  At 50 on the narrow
+        # cells, and only there, the sweep takes the cosh/sinh branch
+        prof = {"baseline": InitialProfile.gaussian_bump(**BASELINE_BUMP),
+                "soliton": oracle_profiles()["soliton"]}[name]
+        worst = 0.0
+        for xi in (0.3, -2.0, 7.0, 12.0, 50.0):
+            wide = abs(xi) <= scattering._MAGNUS_XI_COARSE
+            table = (prof._coarse_cells if wide else prof._fine_cells)[1]
+            w = sum(c * (-1j * xi) ** k for k, c in enumerate(table))
+            far = np.abs(w[0] ** 2 + w[1] * w[2]).max() > scattering._SERIES_S2
+            assert far == (xi == 50.0)
+            want = np.empty((2, 2, 2), dtype=complex)
+            for side in (0, 1):
+                want[side] = np.eye(2)
+                for d, u, lo in w[:, side].T:
+                    want[side] = expm(np.array([[d, u], [lo, -d]])) @ want[side]
+            got = scattering._transfer(prof, np.array([xi]))[:, 0]
+            worst = max(worst, np.abs(got - want).max() / np.abs(want).max())
+        assert worst < 1e-12
 
     def test_cell_edges_at_table_nodes(self):
         prof = oracle_profiles()["table"]
