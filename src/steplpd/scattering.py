@@ -104,6 +104,25 @@ def _zero(x: float) -> complex:
     return 0.0 + 0.0j
 
 
+# the keys of a document's perturbation, by kind (a bump also reads "support")
+_PERTURBATION_KEYS = {"none": {"kind"}, "gaussian-bump": {"kind", "amplitude", "center", "width"},
+                      "table": {"kind", "x", "values"}}
+
+
+def _number(where: str, value) -> float:
+    """A document's number; bool, str, None and the rest are refused, naming the key."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{where} must be a number, got {value!r}")
+    return float(value)
+
+
+def _complex(where: str, value) -> complex:
+    """A document's complex number: a number or an [re, im] pair of numbers."""
+    if isinstance(value, (list, tuple)) and len(value) == 2:
+        return complex(_number(where, value[0]), _number(where, value[1]))
+    return complex(_number(where, value))
+
+
 # distances past -+support at which the perturbation must vanish
 _SUPPORT_PROBES = np.linspace(0.0, 4.0, 81)[1:]
 # widest cell of the Magnus sweep (see _transfer): _MAGNUS_H where |xi|
@@ -135,12 +154,11 @@ class InitialProfile:
     kinks: tuple[float, ...] = ()
 
     def __post_init__(self):
-        if self.A <= 0:
-            raise ValueError("step height A must be positive")
-        if self.gamma <= 0:
-            raise ValueError("gamma must be positive")
-        if self.support < 0:
-            raise ValueError("support must be >= 0")
+        for name, value in (("step height A", self.A), ("gamma", self.gamma)):
+            if not (value > 0 and math.isfinite(value)):
+                raise ValueError(f"{name} must be positive and finite, got {value!r}")
+        if not (self.support >= 0 and math.isfinite(self.support)):
+            raise ValueError(f"support must be >= 0 and finite, got {self.support!r}")
         tol = 1e-10 * (1 + self.A)
         for xp in self.support + _SUPPORT_PROBES:
             if abs(self.perturbation(xp)) > tol or abs(self.perturbation(-xp)) > tol:
@@ -207,9 +225,15 @@ class InitialProfile:
     def gaussian_bump(cls, A: float, gamma: float, amplitude: complex,
                       center: float, width: float,
                       support: float | None = None) -> "InitialProfile":
+        amp = complex(amplitude)
+        if not np.isfinite(amp):
+            raise ValueError(f"bump amplitude must be finite, got {amplitude!r}")
+        if not math.isfinite(center):
+            raise ValueError(f"bump center must be finite, got {center!r}")
+        if not (width > 0 and math.isfinite(width)):
+            raise ValueError(f"bump width must be positive and finite, got {width!r}")
         if support is None:
             support = abs(center) + 6.5 * width
-        amp = complex(amplitude)
 
         def bump(x: float) -> complex:
             if abs(x) > support:
@@ -224,8 +248,10 @@ class InitialProfile:
         vals = np.asarray(values, dtype=complex)
         if xs.ndim != 1 or xs.shape != vals.shape or len(xs) < 2:
             raise ValueError("table perturbation needs matching 1-d x and value arrays")
-        if not np.all(np.diff(xs) > 0):
-            raise ValueError("table perturbation needs strictly ascending x nodes")
+        if not (np.all(np.isfinite(xs)) and np.all(np.diff(xs) > 0)):
+            raise ValueError("table perturbation needs finite, strictly ascending x nodes")
+        if not np.all(np.isfinite(vals)):
+            raise ValueError("table perturbation needs finite values")
         support = float(max(abs(xs[0]), abs(xs[-1])))
 
         def interp(x: float) -> complex:
@@ -240,39 +266,37 @@ class InitialProfile:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "InitialProfile":
-        A = float(doc["A"])
-        gamma = float(doc["gamma"])
-        pert = doc.get("perturbation", {"kind": "none"})
-        kind = pert.get("kind", "none")
+        """A JSON document's profile: types are checked here, ranges in the constructors."""
+        pert = doc.get("perturbation", {"kind": "none"}) if isinstance(doc, dict) else None
+        if not isinstance(pert, dict):
+            raise ValueError("a profile document and its perturbation must be JSON objects")
+        kind = pert.get("kind")
+        if kind not in _PERTURBATION_KEYS:
+            raise ValueError(f"perturbation kind must be none, gaussian-bump or table, "
+                             f"got {kind!r}")
+        top = {"A", "gamma", "perturbation"} | ({"support"} if kind == "gaussian-bump" else set())
+        unread = sorted(set(doc) - top) + sorted(set(pert) - _PERTURBATION_KEYS[kind])
+        if unread:
+            raise ValueError(f"keys {unread} are not read with perturbation kind {kind!r}")
+        A, gamma = _number("A", doc.get("A")), _number("gamma", doc.get("gamma"))
         if kind == "none":
             return cls.pure_step(A, gamma)
         if kind == "gaussian-bump":
-            amp = pert["amplitude"]
-            if isinstance(amp, (list, tuple)):
-                amp = complex(amp[0], amp[1])
-            return cls.gaussian_bump(A, gamma, amp, float(pert.get("center", 0.0)),
-                                     float(pert["width"]),
-                                     support=doc.get("support"))
-        if kind == "table":
-            xs = pert["x"]
-            vals = [complex(v[0], v[1]) if isinstance(v, (list, tuple)) else complex(v)
-                    for v in pert["values"]]
-            return cls.from_table(A, gamma, xs, vals)
-        raise ValueError(f"unknown perturbation kind {kind!r}")
+            support = _number("support", doc["support"]) if "support" in doc else None
+            return cls.gaussian_bump(A, gamma, _complex("amplitude", pert.get("amplitude")),
+                                     _number("center", pert.get("center", 0.0)),
+                                     _number("width", pert.get("width")), support=support)
+        xs, values = pert.get("x"), pert.get("values")
+        if not (isinstance(xs, (list, tuple)) and isinstance(values, (list, tuple))):
+            raise ValueError(f"table x and values must be arrays, got {xs!r} and {values!r}")
+        return cls.from_table(A, gamma, [_number("x", x) for x in xs],
+                              [_complex("values", v) for v in values])
 
     @classmethod
     def from_json(cls, path: str) -> "InitialProfile":
-        """Load a profile document validated against config_schema.json."""
-        # imported here so that ``import steplpd`` does not pay for them
-        from importlib import resources
-
-        import jsonschema
-
+        """Load a profile document (see from_dict)."""
         with open(path) as fh:
-            doc = json.load(fh)
-        schema = resources.files("steplpd").joinpath("config_schema.json")
-        jsonschema.validate(doc, json.loads(schema.read_text()))
-        return cls.from_dict(doc)
+            return cls.from_dict(json.load(fh))
 
 
 def normalization_matrices(A: float, xi: complex) -> np.ndarray:

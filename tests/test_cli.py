@@ -1,6 +1,7 @@
 """CLI subcommands, CSV output discipline, exit codes."""
 
 import json
+import math
 import subprocess
 import sys
 
@@ -318,11 +319,13 @@ class TestSubcommands:
         (["scatter", "--config", "bump.json", "--n", "5"], "scipy"),
         (["delta", "--A", "2", "--mu", "0.5", "--n", "5"], "scipy"),
         (["asymptote", "--A", "2", "--mu", "0.3", "--t", "100"], "scipy.fft"),
-    ], ids=["scatter", "delta", "asymptote"])
+        (["scatter", "--config", "bump.json", "--n", "5"], "jsonschema"),
+    ], ids=["scatter", "delta", "asymptote", "config"])
     def test_runs_without_scipy(self, tmp_path, argv, absent):
         # scipy.special loads on the first Gamma (the local models) and
         # scipy.fft on the first DST (simulate): scatter and delta need
-        # neither, asymptote only the first
+        # neither, asymptote only the first; a profile document is read by
+        # json and InitialProfile.from_dict alone
         cfg = tmp_path / "bump.json"
         cfg.write_text(json.dumps(BUMP_DOC))
         argv = ["--out", str(tmp_path / "out.csv"), *(str(cfg) if a == cfg.name else a for a in argv)]
@@ -369,9 +372,7 @@ class TestConfig:
                      "--config", str(cfg)]) == 1
 
     def test_table_x_must_be_numbers(self, tmp_path):
-        # the schema's x.items rule: a string node is refused, not coerced
-        import jsonschema
-
+        # a string node is refused, not coerced
         from steplpd.scattering import InitialProfile
 
         doc = {"A": 1.0, "gamma": 1.0 / 27.0,
@@ -379,10 +380,24 @@ class TestConfig:
                                 "values": [0.0, 0.1, 0.0]}}
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(doc))
-        with pytest.raises(jsonschema.ValidationError):
+        with pytest.raises(ValueError, match="x must be a number"):
             InitialProfile.from_json(str(cfg))
         assert main(["--out", str(tmp_path / "x.csv"), "scatter",
                      "--config", str(cfg)]) == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["scatter", "--A", "1", "--gamma", "nan"],
+        ["scatter", "--config", "nan.json"],
+    ], ids=["flag", "document"])
+    def test_non_finite_refused(self, tmp_path, capsys, argv):
+        # both exited 0 and wrote "gamma": NaN into the metadata line, which
+        # is not JSON; Python's json reads NaN in a document
+        cfg, out = tmp_path / "nan.json", tmp_path / "x.csv"
+        cfg.write_text(json.dumps({"A": 1.0, "gamma": math.nan}))
+        argv = [str(cfg) if a == cfg.name else a for a in argv]
+        assert main(["--out", str(out), *argv]) == 1
+        assert not out.exists()
+        assert "gamma must be positive and finite, got nan" in capsys.readouterr().err
 
     def test_table_x_must_ascend(self, tmp_path, capsys):
         # descending nodes were read as the pure step and exited 0

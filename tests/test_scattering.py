@@ -1,6 +1,8 @@
 """Jost solutions, scattering matrix, trace-formula xi1 and the f-system."""
 
 import json
+import math
+import re
 
 import numpy as np
 import pytest
@@ -374,6 +376,85 @@ class TestAuxiliaryF:
         assert abs(lhs - d.a2(0.0)) < 1e-9
 
 
+def _doc(**keys) -> dict:
+    return {"A": 1.0, "gamma": 0.037, **keys}
+
+
+def _bump(**keys) -> dict:
+    return {"kind": "gaussian-bump", "amplitude": 0.1, "center": 0.0, "width": 0.3, **keys}
+
+
+def _table(**keys) -> dict:
+    return {"kind": "table", "x": [-1.0, 0.0, 1.0], "values": [0.0, 0.3, 0.0], **keys}
+
+
+# profile documents: a refused one by the key its ValueError names, an
+# accepted one by its perturbation at x = 0
+PROFILE_DOCS = [
+    # the schema refused these, but from_dict alone read them
+    ({"A": "2", "gamma": 1}, "A"),
+    ({"A": True, "gamma": 1}, "A"),
+    (_doc(perturbation={}), "kind"),
+    (_doc(perturbation=_bump(amplitude="0.1")), "amplitude"),
+    (_doc(perturbation=_bump(center="0.2")), "center"),
+    (_doc(perturbation=_table(x=[-1.0, "0.0", 1.0])), "x"),
+    (_doc(support=-1.0), "support"),
+    # the schema's other rules
+    ({"gamma": 1}, "A"),
+    ({"A": 1}, "gamma"),
+    (_doc(A=-2.0), "A"),
+    (_doc(A=0), "A"),
+    (_doc(gamma=0.0), "gamma"),
+    (_doc(gamma=None), "gamma"),
+    (_doc(perturbation=_bump(), support="2"), "support"),
+    (_doc(perturbation=_bump(), support=-1.0), "support"),
+    (_doc(perturbation={"kind": "sine"}), "kind"),
+    (_doc(perturbation=_bump(width=0.0)), "width"),
+    (_doc(perturbation=_bump(width=-0.3)), "width"),
+    (_doc(perturbation=_bump(width=None)), "width"),
+    (_doc(perturbation=_bump(amplitude=None)), "amplitude"),
+    (_doc(perturbation=_table(x=1.0)), "x"),
+    (_doc(perturbation=_table(values=None)), "values"),
+    (_doc(perturbation="none"), "perturbation"),
+    ([1.0, 0.037], "document"),
+    # ranges the schema could not state
+    (_doc(perturbation=_table(x=[1.0, 0.0, -1.0])), "x"),
+    (_doc(perturbation=_table(x=[-1.0, 0.0])), "x"),
+    # non-finite numbers, which Python's json reads
+    (_doc(gamma=math.nan), "gamma"),
+    (_doc(A=math.inf), "A"),
+    (_doc(perturbation=_bump(), support=math.nan), "support"),
+    (_doc(perturbation=_bump(amplitude=math.nan)), "amplitude"),
+    (_doc(perturbation=_bump(amplitude=[0.1, math.inf])), "amplitude"),
+    (_doc(perturbation=_bump(center=math.inf)), "center"),
+    (_doc(perturbation=_bump(width=math.nan)), "width"),
+    (_doc(perturbation=_table(x=[-math.inf, 0.0, 1.0])), "x"),
+    (_doc(perturbation=_table(values=[0.0, math.nan, 0.0])), "values"),
+    # keys that nothing reads
+    (_doc(perturbation=_bump(widht=0.3)), "widht"),
+    (_doc(support=1.0), "support"),
+    (_doc(perturbation=_table(), support=1.0), "support"),
+    (_doc(perturbation=_table(width=0.3)), "width"),
+    (_doc(perturbation={"kind": "none", "amplitude": 0.1}), "amplitude"),
+    (_doc(comment="step"), "comment"),
+    # complex numbers that are neither a number nor an [re, im] pair
+    (_doc(perturbation=_bump(amplitude=[0.1, 0.2, 0.3])), "amplitude"),
+    (_doc(perturbation=_bump(amplitude=[0.1])), "amplitude"),
+    (_doc(perturbation=_bump(amplitude=[0.1, "0.2"])), "amplitude"),
+    (_doc(perturbation=_table(values=[0.0, [0.1, 0.2, 0.3], 0.0])), "values"),
+    (_doc(perturbation=_table(values=[0.0, "0.3", 0.0])), "values"),
+    # accepted forms
+    (_doc(), 0.0),
+    (_doc(perturbation={"kind": "none"}), 0.0),
+    (_doc(perturbation=_bump()), 0.1),
+    (_doc(perturbation=_bump(amplitude=[0.2, -0.1])), 0.2 - 0.1j),
+    (_doc(perturbation=_bump(), support=2.5), 0.1),
+    (_doc(perturbation={"kind": "gaussian-bump", "amplitude": 0.1, "width": 0.3}), 0.1),
+    (_doc(perturbation=_table()), 0.3),
+    (_doc(perturbation=_table(values=[[0, 0], [0.3, -0.2], [0.0, 0.0]])), 0.3 - 0.2j),
+]
+
+
 class TestProfileJSON:
     def test_round_trip(self, tmp_path):
         doc = {"A": 1.5, "gamma": 0.05,
@@ -403,9 +484,18 @@ class TestProfileJSON:
         assert prof.is_pure_step
 
     def test_unknown_kind(self):
-        with pytest.raises(ValueError):
-            InitialProfile.from_dict({"A": 1, "gamma": 1,
-                                      "perturbation": {"kind": "sine"}})
+        # each rule of a profile document, one row of PROFILE_DOCS each: a
+        # refusal is a ValueError that names the key, and an accepted form
+        # loads its perturbation
+        for doc, outcome in PROFILE_DOCS:
+            try:
+                got = InitialProfile.from_dict(doc).perturbation(0.0)
+            except ValueError as exc:
+                got = str(exc)
+            if isinstance(outcome, str):
+                assert isinstance(got, str) and re.search(rf"\b{outcome}\b", got), (doc, got)
+            else:
+                assert got == outcome, (doc, got)
 
 
 class TestMagnusSweep:
