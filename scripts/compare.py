@@ -17,6 +17,9 @@ it, and each child checks that it imported `steplpd` from there.  GROUPs:
   the mean over 200 xi in [0.15, 5] (`one_S_bump_far`: in [12, 50];
   `one_S_wide_bump` on the bump A = 2, amplitude 0.3, centre 0.4, width
   0.5, 365 cells per half-line, the widest of bump-profile's draws);
+  `row_bump`, the five reads a1, a2, b, r1, r2 of fresh `from_profile`
+  data on the bump at a new scalar xi, as a bump-profile op reads them,
+  the mean over the same 200 xi with random signs;
   `cells_*`, the first S of a fresh profile; `locate_xi1_*` on fresh data;
   `delta_exponents_*`, `build_delta` and `saddle_exponents` at mu = 0.3
   right after; `ray_*`, the two summed.
@@ -141,6 +144,11 @@ def sweep_stages() -> dict[str, list[float]]:
     runs["one_S_bump_far"] = one_S(make["bump"], np.random.default_rng(1).uniform(12.0, 50.0, 200))
     runs["one_S_wide_bump"] = one_S(
         lambda: scattering.InitialProfile.gaussian_bump(2.0, GAMMA, 0.3, 0.4, 0.5), near)
+    row = scattering.ScatteringData.from_profile(make["bump"](), analyze=False)
+    row.a1(1.0)
+    signed = near * np.random.default_rng(2).choice([-1.0, 1.0], len(near))
+    runs["row_bump"] = timed(lambda: [(row.a1(xi), row.a2(xi), row.b(xi), row.r1(xi), row.r2(xi))
+                                      for xi in map(float, signed)], len(signed))
     for name, mk in make.items():
         runs[f"cells_{name}"] = timed(lambda: scattering.scattering_matrix(mk(), 1.0))
     geometry = stationary_points(0.3, GAMMA)

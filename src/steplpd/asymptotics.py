@@ -22,6 +22,7 @@ conservative fallback exponent flagged as such.
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass
 from enum import Enum
@@ -224,6 +225,14 @@ class _Term:
         return self.coef * t ** self.exponent * np.exp(1j * self.rate * t)
 
 
+def _check_point(x: float, t: float) -> None:
+    """Refuse a point (x, t) that no ray passes through, naming the coordinate."""
+    if not (t > 0 and math.isfinite(t)):
+        raise ValueError(f"t must be positive and finite, got {t!r}")
+    if not math.isfinite(x):
+        raise ValueError(f"x must be finite, got {x!r}")
+
+
 def q_asymptotic(x: float, t: float, data,
                  _cache: dict | None = None) -> AsymptoticResult:
     """Leading-order q(x, t) along the ray mu = x/t.
@@ -234,8 +243,7 @@ def q_asymptotic(x: float, t: float, data,
     the oscillation rate of the term.  ``_cache`` maps |mu| to the ray's
     saddle exponents and coefficients.
     """
-    if t <= 0:
-        raise ValueError("t must be positive")
+    _check_point(x, t)
     mu = x / t
     if mu == 0:
         raise RegimeError("the ray mu = 0 is excluded")
@@ -290,8 +298,7 @@ def q_asymptotic(x: float, t: float, data,
 
 def q_rough(x: float, t: float, data) -> complex:
     """A delta(0, mu)^2 for x > 0, 0 for x < 0 (the zeroth-order skeleton)."""
-    if t <= 0:
-        raise ValueError("t must be positive")
+    _check_point(x, t)
     if x < 0:
         return 0.0 + 0.0j
     return build_delta(data, stationary_points(x / t, data.gamma)).background

@@ -174,6 +174,8 @@ def cmd_asymptote(args) -> int:
 
 def cmd_soliton(args) -> int:
     f = SolitonField(args.A, args.alpha, args.gamma)
+    if not np.isfinite(args.t):
+        raise ValueError(f"--t must be finite, got {args.t}")
     xs = np.linspace(args.xmin, args.xmax, args.n)
     rows = []
     for x in xs:

@@ -14,6 +14,7 @@ mirrors all three signs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -107,8 +108,10 @@ def stationary_points(mu: float, gamma: float,
     lam_j(mu) = -lam_j(-mu).  Construction rejects mu within 1e-3 of 0
     or of +-sqrt(1/(27*gamma)) unless allow_edge is set.
     """
-    if gamma <= 0:
-        raise ValueError("gamma must be positive")
+    if not (gamma > 0 and math.isfinite(gamma)):
+        raise ValueError(f"gamma must be positive and finite, got {gamma!r}")
+    if not math.isfinite(mu):
+        raise ValueError(f"mu must be finite, got {mu!r}")
     mu_max = float(np.sqrt(1.0 / (27.0 * gamma)))
     if not allow_edge:
         if abs(mu) < _EDGE_GUARD or abs(abs(mu) - mu_max) < _EDGE_GUARD:

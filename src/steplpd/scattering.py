@@ -21,7 +21,12 @@ entries (det phi_+ = 1),
 the one formula for S at every nonzero xi, on the real axis and off it.
 ScatteringData carries S alone, as a function of a xi-array; a1, a2, b,
 r1 = -S21/S11, r2 = S12/S22 and 1 + r1 r2 = 1/(1 + S12 S21) are its methods,
-so every sample, the mirrored b(-xi) in r1 included, costs one sweep.
+so every sample, the mirrored b(-xi) in r1 included, costs one sweep.  A
+scalar xi reaches S as a 0-d array, with the bits of a one-element one,
+but its read takes no array reduction and no np.errstate: cmath.isfinite
+checks the entry, and a read divides plainly where its divisor is finite
+and not 0.  A table row (a1, a2, b, r1, r2 at one xi, as `scatter` and
+the bump-profile benchmark read it) then costs its sweep and little else.
 
 Each half-line's transfer matrix is a product of 6th-order Magnus cell
 exponentials (Blanes, Casas & Ros, BIT 40, 2000; Blanes, Casas, Oteo & Ros,
@@ -37,12 +42,17 @@ three Gauss points per cell, and caches those cubics' coefficients.  A
 sweep evaluates them by Horner's rule, takes cosh and sinh(s)/s from their
 series wherever the cells are short against 1/|xi| (every |xi| up to about
 10 on the wide cells and 25 on the narrow ones), and multiplies both
-half-lines in one vectorised product.  Beyond |xi| _MAGNUS_H ~ 1 the cells
-no longer resolve exp(2i xi x).  There b and the product S12 S21 that the
-trace formula and delta read stay within 3e-13 and 5e-14 of a fine sweep at
-the trace nodes, but a1 and a2 lose digits (1e-5 at xi = 1.1e4 on a bump);
-near xi = k pi/_MAGNUS_H the uniform cells fall in phase with it and b is
-off too (5e-5 on a bump at k = 1; no trace node lies within 95 of one).
+half-lines in one vectorised product.  Each table also keeps the largest
+modulus of every coefficient, a certificate that bounds every cell's s^2
+from |xi| alone: where it shows no cell can be far, the sweep skips its
+per-cell check, which could not have changed a bit.
+
+Beyond |xi| _MAGNUS_H ~ 1 the cells no longer resolve exp(2i xi x).  There
+b and the product S12 S21 that the trace formula and delta read stay within
+3e-13 and 5e-14 of a fine sweep at the trace nodes, but a1 and a2 lose
+digits (1e-5 at xi = 1.1e4 on a bump); near xi = k pi/_MAGNUS_H the uniform
+cells fall in phase with it and b is off too (5e-5 on a bump at k = 1; no
+trace node lies within 95 of one).
 
 L-+ blow up at xi = 0, but the clean columns phi_+1 = T_+ e1 and
 phi_-2 = T_- e2 (T the transfer matrices) stay finite there: one sweep at
@@ -63,6 +73,7 @@ case 2 (a2(0) = 0) the quadratic closed form built on F1 = e^(-I) and F2.
 
 from __future__ import annotations
 
+import cmath
 import json
 import math
 from dataclasses import dataclass
@@ -175,26 +186,28 @@ class InitialProfile:
         return base + self.perturbation(x)
 
     @cached_property
-    def _fine_cells(self) -> tuple[np.ndarray, np.ndarray]:
+    def _fine_cells(self) -> tuple[np.ndarray, np.ndarray, list]:
         """_magnus_cells at most _MAGNUS_H wide, built on first use."""
         return self._magnus_cells(_MAGNUS_H)
 
     @cached_property
-    def _coarse_cells(self) -> tuple[np.ndarray, np.ndarray]:
+    def _coarse_cells(self) -> tuple[np.ndarray, np.ndarray, list]:
         """_magnus_cells at most _MAGNUS_H_COARSE wide, built on first use."""
         return self._magnus_cells(_MAGNUS_H_COARSE)
 
-    def _magnus_cells(self, width: float) -> tuple[np.ndarray, np.ndarray]:
+    def _magnus_cells(self, width: float) -> tuple[np.ndarray, np.ndarray, list]:
         """Cells of [0, support] and the Magnus exponents of both half-lines.
 
         Returns the widths h (n,) of the cells of [0, support], ordered from
         the outer end inwards (from +-support towards 0), the order in which
-        both half-line sweeps meet them, and the coefficients (4, 3, 2, n)
+        both half-line sweeps meet them, the coefficients (4, 3, 2, n)
         of the sixth-order Magnus exponent Omega of every cell as a cubic in
         a = -i xi: [k, e, side, j] is the a^k coefficient of entry e
         (Omega_11, Omega_12, Omega_21) of cell j on the side's half-line
         (0: (-support, 0), width h; 1: (support, 0), width -h), contiguous
-        in the cells, along which every pass of _sweep runs.  Q(x) does
+        in the cells, along which every pass of _sweep runs, and their
+        bounds M: M[e][k] is the largest |[k, e, side, j]| over the sides
+        and cells, the certificate _sweep reads.  Q(x) does
         not depend on xi, so q0 is sampled here once per table, at the three
         Gauss points of each cell, and no sweep touches the profile again.
         Cell edges sit at 0, at support and at every |kink| in between; no
@@ -213,7 +226,8 @@ class InitialProfile:
         right, left = q.reshape((2,) + x.shape)
         # Q = [[0, up], [lo, 0]] at the points, sides stacked on axis 0
         up, lo = np.stack([left, right]), -np.conj(np.stack([right, left]))
-        return h, _magnus_exponents(np.outer(_SIGMA3, h), up, lo)
+        omega = _magnus_exponents(np.outer(_SIGMA3, h), up, lo)
+        return h, omega, np.abs(omega).max(axis=(2, 3)).T.tolist()
 
     # -- construction from the JSON document used by the CLI ---------------
 
@@ -299,12 +313,19 @@ class InitialProfile:
             return cls.from_dict(json.load(fh))
 
 
+_IDENTITY_PAIR = np.array([np.eye(2), np.eye(2)], dtype=complex)
+# _SIGMA3 as complex numbers, so the seed phases need no cast to meet xi
+_SIGMA3_COMPLEX = _SIGMA3.astype(complex)
+
+
 def normalization_matrices(A: float, xi: complex) -> np.ndarray:
-    """L-(xi), L+(xi) diagonalizing the asymptotic Lax matrices, stacked."""
+    """L-(xi), L+(xi) diagonalizing the asymptotic Lax matrices, stacked:
+    [[1, 0], [r, 1]] and [[1, r], [0, 1]] with r = A/(2i xi)."""
     if xi == 0:
         raise SingularNormalizationError("L+- are singular at xi = 0")
-    r = A / (2j * xi)
-    return np.array([[[1.0, 0.0], [r, 1.0]], [[1.0, r], [0.0, 1.0]]], dtype=complex)
+    L = _IDENTITY_PAIR.copy()
+    L[0, 1, 0] = L[1, 0, 1] = A / (2j * xi)
+    return L
 
 
 # ---------------------------------------------------------------------------
@@ -366,13 +387,15 @@ def _magnus_exponents(h: np.ndarray, up: np.ndarray, lo: np.ndarray) -> np.ndarr
 def _even_series() -> np.ndarray:
     """Coefficients (terms, 2, 1, 1, 1) of cosh(s) and sinh(s)/s as series
     in s^2, highest power first: 1/(2k)! and 1/(2k + 1)! for every k whose
-    cosh term stays above 1e-17 at |s^2| = _SERIES_S2."""
+    cosh term stays above 1e-17 at |s^2| = _SERIES_S2.  They are stored
+    complex: numpy would cast them to meet the complex s^2 in every pass of
+    the sweep, to the same bits."""
     K = 0
     while _SERIES_S2 ** K / math.factorial(2 * K) >= 1e-17:
         K += 1
     coef = [[1.0 / math.factorial(2 * k), 1.0 / math.factorial(2 * k + 1)]
             for k in reversed(range(K))]
-    return np.array(coef)[:, :, None, None, None]
+    return np.array(coef, dtype=complex)[:, :, None, None, None]
 
 
 _COSH_SINHC_SERIES = tuple(_even_series())     # one (2, 1, 1, 1) array per power
@@ -410,20 +433,29 @@ def _transfer(profile: InitialProfile, xi: np.ndarray) -> np.ndarray:
 
     On the table, whose Q' jumps at its nodes, the wide cells' own error
     shows through; it falls as h^6 with the width.  The choice is made per
-    xi, so a xi gets the same bits alone or in an array.
+    xi, so a xi gets the same bits alone or in an array; one xi alone is
+    placed by one Python abs.
     """
+    if xi.size == 1:
+        wide = abs(xi.item(0)) <= _MAGNUS_XI_COARSE
+        return _sweep(xi, *(profile._coarse_cells if wide else profile._fine_cells)[1:])
     coarse = np.abs(xi) <= _MAGNUS_XI_COARSE
     if coarse.all():
-        return _sweep(profile._coarse_cells[1], xi)
+        return _sweep(xi, *profile._coarse_cells[1:])
     if not coarse.any():
-        return _sweep(profile._fine_cells[1], xi)
+        return _sweep(xi, *profile._fine_cells[1:])
     T = np.empty((2,) + xi.shape + (2, 2), dtype=complex)
     for group, cells in ((coarse, profile._coarse_cells), (~coarse, profile._fine_cells)):
-        T[:, group] = _sweep(cells[1], xi[group])
+        T[:, group] = _sweep(xi[group], *cells[1:])
     return T
 
 
-def _sweep(omega: np.ndarray, xi: np.ndarray) -> np.ndarray:
+# share of _SERIES_S2 below which _sweep takes the certificate's word that
+# no cell is far; the margin covers the rounding of Horner's rule and s^2
+_CERTIFICATE_MARGIN = 0.99
+
+
+def _sweep(xi: np.ndarray, omega: np.ndarray, bound: list | None = None) -> np.ndarray:
     """(T_-, T_+) (2, K, 2, 2) of the cells whose Magnus exponents omega
     (4, 3, 2, n) holds as cubics in a = -i xi (_magnus_cells); Horner's rule
     gives every Omega at once, as (3, 2, K, n): [e, side, xi, cell].
@@ -434,7 +466,21 @@ def _sweep(omega: np.ndarray, xi: np.ndarray) -> np.ndarray:
     sinh run only on the other xi.  The cell matrices E (2, 2, 2, K, n),
     [row, column, side, xi, cell], of both half-lines go through one
     ordered product along the cells.
+
+    bound, the table's M of _magnus_cells, certifies that no cell is far:
+    with r the largest |xi|, |Omega_e| <= b_e = sum_k M[e][k] r^k in every
+    cell, so |s^2| <= b_11^2 + b_12 b_21.  Where that is at most
+    _CERTIFICATE_MARGIN _SERIES_S2 (the benchmark's bumps read 2.6e-3 to
+    3e-3 at |xi| = 5 on the wide cells) the per-cell check of |s^2| is
+    skipped; it would find no far xi, so the certificate only saves the
+    check and changes no bit.  Without bound, or where it is larger, every
+    cell is checked.
     """
+    certified = False
+    if bound is not None:
+        r = abs(xi.item(0)) if xi.size == 1 else float(np.abs(xi).max(initial=0.0))
+        d, u, lo = (c0 + r * (c1 + r * (c2 + r * c3)) for c0, c1, c2, c3 in bound)
+        certified = d * d + u * lo <= _CERTIFICATE_MARGIN * _SERIES_S2
     a = -1j * xi[:, None]
     w = omega[3, :, :, None] * a
     for k in (2, 1):
@@ -447,10 +493,11 @@ def _sweep(omega: np.ndarray, xi: np.ndarray) -> np.ndarray:
         cs += c
         cs *= s2
     cs += _COSH_SINHC_SERIES[-1]
-    far = np.abs(s2).max(axis=(0, 2)) > _SERIES_S2
-    if far.any():
-        root = np.sqrt(s2[:, far])
-        cs[0][:, far], cs[1][:, far] = np.cosh(root), np.sinh(root) / root
+    if not certified:
+        far = np.abs(s2).max(axis=(0, 2)) > _SERIES_S2
+        if far.any():
+            root = np.sqrt(s2[:, far])
+            cs[0][:, far], cs[1][:, far] = np.cosh(root), np.sinh(root) / root
     E = np.empty((4,) + s2.shape, dtype=complex)
     np.multiply(cs[1], w, out=E[:3])        # E[0] holds sinh(s)/s Omega_11 for now
     np.subtract(cs[0], E[0], out=E[3])
@@ -471,7 +518,7 @@ def jost_at_origin(profile: InitialProfile, xi: complex) -> np.ndarray:
     L = normalization_matrices(profile.A, xi)
     if profile.is_pure_step:
         return L
-    phase = np.exp(1j * xi * profile.support * _SIGMA3)
+    phase = np.exp(1j * xi * profile.support * _SIGMA3_COMPLEX)
     L[0] *= phase
     L[1] /= phase
     return _transfer(profile, np.array([xi]))[:, 0] @ L
@@ -535,14 +582,30 @@ class ScatteringData:
         if abs(abs(self.kappa) - 1.0) > 1e-12:
             raise ValueError("norming constant kappa must be unimodular")
 
-    def _read(self, xi, entries: Callable[[np.ndarray], np.ndarray]):
-        """entries(S(xi)) for a scalar or an array xi; raises where not finite."""
+    def _read(self, xi, entry: Callable[[np.ndarray], np.ndarray],
+              divisor: Callable[[np.ndarray], np.ndarray] | None = None):
+        """entry(S(xi)), over divisor(S(xi)) if given, for a scalar or an
+        array xi; raises where not finite.
+
+        S always gets xi as a complex array (0-d for a scalar), so a scalar
+        read has the bits of a one-element one.  A scalar read takes no
+        array reduction and no np.errstate: cmath.isfinite checks its entry,
+        and it divides plainly when both sides are finite and the divisor is
+        not 0, which leaves numpy no divide or invalid flag to ignore.
+        """
         S = self.S(np.asarray(xi, dtype=complex))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            out = entries(S)
-        if not np.isfinite(out).all():
-            raise SingularNormalizationError(f"the scattering data have a pole at {xi}")
-        return out
+        out = entry(S)
+        scalar = S.ndim == 2
+        if divisor is not None:
+            d = divisor(S)
+            if scalar and complex(d) != 0 and cmath.isfinite(d) and cmath.isfinite(out):
+                out = out / d
+            else:
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    out = out / d
+        if cmath.isfinite(out) if scalar else np.isfinite(out).all():
+            return out
+        raise SingularNormalizationError(f"the scattering data have a pole at {xi}")
 
     def a1(self, xi):
         return self._read(xi, lambda S: S[..., 0, 0])
@@ -558,15 +621,15 @@ class ScatteringData:
         return self._read(xi, lambda S: -S[..., 1, 0])
 
     def r1(self, xi):
-        return self._read(xi, lambda S: -S[..., 1, 0] / S[..., 0, 0])
+        return self._read(xi, lambda S: -S[..., 1, 0], lambda S: S[..., 0, 0])
 
     def r2(self, xi):
-        return self._read(xi, lambda S: S[..., 0, 1] / S[..., 1, 1])
+        return self._read(xi, lambda S: S[..., 0, 1], lambda S: S[..., 1, 1])
 
     def one_plus_r1r2(self, xi):
         """1/(1 + S12 S21), equal to 1 + r1 r2 by det S = 1 without the
         cancellation of r1 r2 ~ -1 near xi = 0, and exactly 1 where b = 0."""
-        return self._read(xi, lambda S: 1.0 / (1.0 + S[..., 0, 1] * S[..., 1, 0]))
+        return self._read(xi, lambda S: 1.0, lambda S: 1.0 + S[..., 0, 1] * S[..., 1, 0])
 
     def a1dot_at_pole(self) -> complex:
         """da1/dxi at i*xi1 by a central difference along the imaginary axis."""

@@ -33,6 +33,7 @@ equation's far field, not this one's).
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, replace
 from typing import Callable
 
@@ -87,6 +88,11 @@ class SolitonField:
     A: float
     alpha: float
     gamma: float
+
+    def __post_init__(self):
+        for name, value in (("A", self.A), ("alpha", self.alpha), ("gamma", self.gamma)):
+            if not math.isfinite(value):
+                raise ValueError(f"soliton {name} must be finite, got {value!r}")
 
     def _E(self, x: float, t: float) -> complex:
         return np.exp(soliton_exponent(x, t, self.A, self.alpha, self.gamma))

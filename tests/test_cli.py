@@ -315,6 +315,29 @@ class TestSubcommands:
         assert not out.exists()
         assert f"--t-end must be finite, got {t_end}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, named", [
+        (["phase", "--mu", "0.5", "--gamma", "nan"], "gamma must be positive and finite, got nan"),
+        (["delta", "--A", "2", "--mu", "nan"], "mu must be finite, got nan"),
+        (["asymptote", "--A", "2", "--mu", "0.3", "--t", "nan"],
+         "t must be positive and finite, got nan"),
+    ], ids=["phase", "delta", "asymptote"])
+    def test_non_finite_ray_refused(self, tmp_path, capsys, argv, named):
+        # each failed in np.roots with "Array must not contain infs or NaNs",
+        # which names no flag
+        out = tmp_path / "out.csv"
+        assert main(["--out", str(out), *argv]) == 1
+        assert not out.exists()
+        assert named in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--A", "--alpha", "--gamma", "--t"])
+    def test_soliton_refuses_a_non_finite_flag(self, tmp_path, capsys, flag):
+        # --gamma nan exited 0 and wrote "gamma": NaN, which is not JSON, and
+        # NaN rows
+        out = tmp_path / "out.csv"
+        assert main(["--out", str(out), "soliton", flag, "nan", "--n", "3"]) == 1
+        assert not out.exists()
+        assert f"{flag.lstrip('-')} must be finite, got nan" in capsys.readouterr().err
+
     @pytest.mark.parametrize("argv, absent", [
         (["scatter", "--config", "bump.json", "--n", "5"], "scipy"),
         (["delta", "--A", "2", "--mu", "0.5", "--n", "5"], "scipy"),

@@ -3,6 +3,7 @@
 import json
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -576,6 +577,48 @@ class TestMagnusSweep:
             assert np.array_equal(T_minus[k], one_minus[0])
             assert np.array_equal(T_plus[k], one_plus[0])
 
+    @staticmethod
+    def s2_bound(bound, xi):
+        """The certificate's bound on |s^2|, as _sweep forms it."""
+        r = np.abs(np.atleast_1d(xi)).max()
+        d, u, lo = (sum(c * r ** k for k, c in enumerate(entry)) for entry in bound)
+        return d * d + u * lo
+
+    def test_certificate_bounds_every_cell(self):
+        # M[e][k] bounds |omega[k, e]| over sides and cells, so b_11^2 +
+        # b_12 b_21 bounds every cell's |s^2|, on the axis and off it
+        for prof in (InitialProfile.gaussian_bump(**BASELINE_BUMP), oracle_profiles()["table"]):
+            for _, omega, bound in (prof._coarse_cells, prof._fine_cells):
+                assert np.array_equal(np.abs(omega).max(axis=(2, 3)).T, bound)
+                for xi in (0.2, -3.0, 2.0 + 1.5j, -0.5 - 4.0j, 9.9, 30.0):
+                    w = sum(c * (-1j * xi) ** k for k, c in enumerate(omega))
+                    s2 = np.abs(w[0] ** 2 + w[1] * w[2]).max()
+                    assert s2 <= self.s2_bound(bound, xi) * (1 + 1e-12), xi
+
+    def test_certificate_changes_no_bit(self, monkeypatch):
+        # the certificate only skips the far-cell check: with and without
+        # it, _sweep gives the same bytes where it holds (|xi| <= 5 on the
+        # Baseline bump's wide cells, and 3 + 8i), where it does not (|xi| =
+        # 9.9 and 5.9 + 8i) and where a cell is far (12 and 6 + 8i on the
+        # wide cells), where the cosh/sinh branch must run either way
+        _, omega, bound = InitialProfile.gaussian_bump(**BASELINE_BUMP)._coarse_cells
+        limit = 0.99 * scattering._SERIES_S2
+        cosh_calls = []
+        cosh = np.cosh
+        monkeypatch.setattr(np, "cosh", lambda z: cosh_calls.append(z) or cosh(z))
+        certified = ([0.3], [-4.9], [2.0 + 1.0j], [3.0 + 8.0j], [0.2, -5.0, 1.5j])
+        checked = ([9.9], [-9.9], [5.9 + 8.0j], [0.5, 9.9])
+        far = ([12.0], [6.0 + 8.0j], [0.3, 12.0])
+        for xis in certified + checked + far:
+            xi = np.array(xis, dtype=complex)
+            assert (self.s2_bound(bound, xi) <= limit) == (xis in certified), xis
+            cosh_calls.clear()
+            exact = scattering._sweep(xi, omega)
+            assert len(cosh_calls) == (xis in far), xis
+            got = scattering._sweep(xi, omega, bound)
+            assert len(cosh_calls) == 2 * (xis in far), xis
+            assert got.tobytes() == exact.tobytes(), xis
+
     @pytest.mark.parametrize("name", ["baseline", "soliton"])
     def test_against_expm_product(self, name):
         # every cell's exp(Omega) by scipy's expm, multiplied in cell order by
@@ -717,6 +760,52 @@ class TestArraySurface:
         for entry in (d.a1, d.b, d.r2, d.one_plus_r1r2):
             with pytest.raises(SingularNormalizationError):
                 entry(0.0)
+
+    READS = ("a1", "a2", "b", "b_mirror", "r1", "r2", "one_plus_r1r2")
+    # on the axis, off it, in (9, 10] and past 10, where the wide and the
+    # narrow cells meet; a Python or numpy float or complex
+    SCALARS = (0.3, -1.7, 4.2, np.float64(-0.05), 0.6 + 0.4j, np.complex128(-2.0 - 0.3j),
+               -0.0 + 1.5j, 9.5, -10.0, 9.999999999999998 + 0.0j, np.float64(10.25), -37.0 + 2.0j)
+
+    @pytest.mark.parametrize("source", ["pure-step", "reflectionless", "baseline", "soliton"])
+    def test_scalar_read_has_the_bits_of_a_one_element_read(self, source):
+        # the scalar reads skip np.errstate and the array reductions; the
+        # values, signed zeros included, are those S gives one xi in an array
+        data = {"pure-step": lambda: ScatteringData.pure_step(2.0, GAMMA),
+                "reflectionless": lambda: ScatteringData.reflectionless(2.0, GAMMA, np.pi / 3),
+                "baseline": lambda: ScatteringData.from_profile(
+                    InitialProfile.gaussian_bump(**BASELINE_BUMP), analyze=False),
+                "soliton": lambda: ScatteringData.from_profile(
+                    soliton_profile(2.0, GAMMA, np.pi / 3), analyze=False)}[source]()
+        for name in self.READS:
+            read = getattr(data, name)
+            for xi in self.SCALARS:
+                got, want = read(xi), read(np.array([xi]))
+                assert np.ndim(got) == 0 and want.shape == (1,)
+                assert np.asarray(got).tobytes() == want.tobytes(), (name, xi)
+
+    @pytest.mark.parametrize("xi", [0.0, -0.0, 0j, np.float64(0.0), np.complex128(0.0)])
+    def test_scalar_read_at_a_pole_raises(self, xi):
+        # the scalar reads enter no np.errstate: at a pole they must still
+        # raise SingularNormalizationError, not ZeroDivisionError or a
+        # RuntimeWarning (errors under the warnings filter here)
+        step = ScatteringData.pure_step(2.0, GAMMA)
+        bump = ScatteringData.from_profile(InitialProfile.gaussian_bump(**BASELINE_BUMP),
+                                           analyze=False)
+        assert classify_case(bump) is CaseTag.CASE1
+        reads = [getattr(step, name) for name in self.READS if name != "a2"]
+        reads += [bump.a1, bump.b, bump.r1, bump.r2, bump.one_plus_r1r2]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for read in reads:
+                with pytest.raises(SingularNormalizationError):
+                    read(xi)
+            # a divisor that is exactly 0 between finite entries: a1 and
+            # 1 + S12 S21 vanish at the discrete eigenvalue i A/2
+            with pytest.raises(SingularNormalizationError):
+                step.one_plus_r1r2(1j)
+            with pytest.raises(SingularNormalizationError):
+                ScatteringData.reflectionless(2.0, GAMMA).r1(1j)
 
 
 class TestSupportCheck:
