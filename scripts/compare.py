@@ -13,7 +13,8 @@ it, and each child checks that it imported `steplpd` from there.  GROUPs:
   gives its first differing line; any difference exits 1, like `diff`.
 - `startup`: wall seconds of the fresh processes in `STARTUP`.
 - `sweep`, on the bump and on `soliton_profile(2, 1/27, pi/3)`, counting
-  sweeps (`scattering.jost_at_origin` calls): `one_S_*`, one S at one xi,
+  the xi swept (their number, summed over `scattering._transfer` calls,
+  under `sweeps`): `one_S_*`, one S at one xi,
   the mean over 200 xi in [0.15, 5] (`one_S_bump_far`: in [12, 50];
   `one_S_wide_bump` on the bump A = 2, amplitude 0.3, centre 0.4, width
   0.5, 365 cells per half-line, the widest of bump-profile's draws);
@@ -116,11 +117,11 @@ def sweep_stages() -> dict[str, list[float]]:
     from steplpd.phase import stationary_points
     from steplpd.rhfactors import build_delta, saddle_exponents
 
-    jost, sweeps = scattering.jost_at_origin, [0]
+    transfer, sweeps = scattering._transfer, [0]
 
     def counting(profile, xi):
-        sweeps[0] += 1
-        return jost(profile, xi)
+        sweeps[0] += xi.size
+        return transfer(profile, xi)
 
     def timed(fn, n: int = 1) -> list[float]:
         before, t0 = sweeps[0], time.perf_counter()
@@ -132,7 +133,7 @@ def sweep_stages() -> dict[str, list[float]]:
         scattering.scattering_matrix(profile, xis[0])
         return timed(lambda: [scattering.scattering_matrix(profile, xi) for xi in xis], len(xis))
 
-    scattering.jost_at_origin = counting
+    scattering._transfer = counting
     make = {"bump": lambda: scattering.InitialProfile.gaussian_bump(1.0, GAMMA, 0.1, 0.2, 0.3),
             "soliton": lambda: scattering.soliton_profile(2.0, GAMMA, np.pi / 3)}
     built = {name: mk() for name, mk in make.items()}

@@ -19,14 +19,13 @@ entries (det phi_+ = 1),
     a1 = W(phi_-1, phi_+2),  b = W(phi_-2, phi_+2),  a2 = W(phi_+1, phi_-2),
 
 the one formula for S at every nonzero xi, on the real axis and off it.
-ScatteringData carries S alone, as a function of a xi-array; a1, a2, b,
-r1 = -S21/S11, r2 = S12/S22 and 1 + r1 r2 = 1/(1 + S12 S21) are its methods,
-so every sample, the mirrored b(-xi) in r1 included, costs one sweep.  A
-scalar xi reaches S as a 0-d array, with the bits of a one-element one,
-but its read takes no array reduction and no np.errstate: cmath.isfinite
-checks the entry, and a read divides plainly where its divisor is finite
-and not 0.  A table row (a1, a2, b, r1, r2 at one xi, as `scatter` and
-the bump-profile benchmark read it) then costs its sweep and little else.
+ScatteringData carries S alone, as a function of a xi-array (a scalar is a
+0-d one); a1, a2, b, r1 = -S21/S11, r2 = S12/S22 and 1 + r1 r2 = 1/(1 +
+S12 S21) are its methods.  An array costs one sweep per xi, in chunks, with
+the bits of its xi read one by one: r = A/(2i xi) and the Wronskians are
+formed in Python's complex arithmetic.  from_profile's S remembers its last
+request, so a table row (a1, a2, b, r1, r2 at one xi or on one array)
+costs one sweep; a scalar read takes no array reduction and no np.errstate.
 
 Each half-line's transfer matrix is a product of 6th-order Magnus cell
 exponentials (Blanes, Casas & Ros, BIT 40, 2000; Blanes, Casas, Oteo & Ros,
@@ -78,7 +77,7 @@ import json
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import Callable, ClassVar
 
 import numpy as np
@@ -146,6 +145,8 @@ _GAUSS_3 = np.sqrt(15.0) / 10.0         # Gauss points at midpoint + (1, 0, -1) 
 _SIGMA3 = np.array([1.0, -1.0])         # also the step signs on (-support, 0), (support, 0)
 # |s^2| up to which a sweep takes cosh(s) and sinh(s)/s from their series
 _SERIES_S2 = 1e-2
+# cells times xi that one _sweep of an array takes on (see _transfer)
+_SWEEP_CELLS = 4096
 
 
 @dataclass(frozen=True)
@@ -313,19 +314,8 @@ class InitialProfile:
             return cls.from_dict(json.load(fh))
 
 
-_IDENTITY_PAIR = np.array([np.eye(2), np.eye(2)], dtype=complex)
-# _SIGMA3 as complex numbers, so the seed phases need no cast to meet xi
-_SIGMA3_COMPLEX = _SIGMA3.astype(complex)
-
-
-def normalization_matrices(A: float, xi: complex) -> np.ndarray:
-    """L-(xi), L+(xi) diagonalizing the asymptotic Lax matrices, stacked:
-    [[1, 0], [r, 1]] and [[1, r], [0, 1]] with r = A/(2i xi)."""
-    if xi == 0:
-        raise SingularNormalizationError("L+- are singular at xi = 0")
-    L = _IDENTITY_PAIR.copy()
-    L[0, 1, 0] = L[1, 0, 1] = A / (2j * xi)
-    return L
+# L- and L+ at r = 0, one xi on axis 1
+_IDENTITY_PAIR = np.array([[np.eye(2)], [np.eye(2)]], dtype=complex)
 
 
 # ---------------------------------------------------------------------------
@@ -434,19 +424,22 @@ def _transfer(profile: InitialProfile, xi: np.ndarray) -> np.ndarray:
     On the table, whose Q' jumps at its nodes, the wide cells' own error
     shows through; it falls as h^6 with the width.  The choice is made per
     xi, so a xi gets the same bits alone or in an array; one xi alone is
-    placed by one Python abs.
+    placed by one Python abs, an array's in chunks of _SWEEP_CELLS // cells
+    per table, long enough to spread numpy's cost per call.
     """
     if xi.size == 1:
         wide = abs(xi.item(0)) <= _MAGNUS_XI_COARSE
         return _sweep(xi, *(profile._coarse_cells if wide else profile._fine_cells)[1:])
+    T = np.empty((2, xi.size, 2, 2), dtype=complex)
     coarse = np.abs(xi) <= _MAGNUS_XI_COARSE
-    if coarse.all():
-        return _sweep(xi, *profile._coarse_cells[1:])
-    if not coarse.any():
-        return _sweep(xi, *profile._fine_cells[1:])
-    T = np.empty((2,) + xi.shape + (2, 2), dtype=complex)
-    for group, cells in ((coarse, profile._coarse_cells), (~coarse, profile._fine_cells)):
-        T[:, group] = _sweep(xi[group], *cells[1:])
+    for wide in (True, False):
+        at = np.flatnonzero(coarse == wide)
+        if at.size:
+            h, omega, bound = profile._coarse_cells if wide else profile._fine_cells
+            chunk = max(1, _SWEEP_CELLS // h.size)
+            for start in range(0, at.size, chunk):
+                part = at[start:start + chunk]
+                T[:, part] = _sweep(xi[part], omega, bound)
     return T
 
 
@@ -505,35 +498,48 @@ def _sweep(xi: np.ndarray, omega: np.ndarray, bound: list | None = None) -> np.n
     return _ordered_product(E.reshape((2, 2) + s2.shape)).transpose(2, 3, 0, 1)
 
 
-def jost_at_origin(profile: InitialProfile, xi: complex) -> np.ndarray:
-    """(phi_-(0,0,xi), phi_+(0,0,xi)), stacked, by exact seeding outside the
-    support.
+def jost_at_origin(profile: InitialProfile, xi) -> np.ndarray:
+    """(phi_-(0,0,xi), phi_+(0,0,xi)), stacked (2, ..., 2, 2) for xi of
+    shape (...), by exact seeding outside the support.
 
-    phi_-+ equals L_-+ exp(-i xi sigma3 x) at x = -+support, and the Magnus
-    transfer matrix of its half-line carries it to 0.  For the pure step the
-    seeds already live at x = 0 and no sweep runs; S then reproduces the
-    closed form exactly.
+    phi_-+ equals L_-+ exp(-i xi sigma3 x) at x = -+support, with L- =
+    [[1, 0], [r, 1]] and L+ = [[1, r], [0, 1]] (r = A/(2i xi)), which
+    diagonalize the asymptotic Lax matrices; the Magnus transfer matrix of
+    its half-line carries it to 0.  For the pure step the seeds already live
+    at x = 0 and no sweep runs; S then reproduces the closed form exactly.
     """
-    xi = complex(xi)
-    L = normalization_matrices(profile.A, xi)
-    if profile.is_pure_step:
-        return L
-    phase = np.exp(1j * xi * profile.support * _SIGMA3_COMPLEX)
-    L[0] *= phase
-    L[1] /= phase
-    return _transfer(profile, np.array([xi]))[:, 0] @ L
+    xi = np.asarray(xi, dtype=complex)
+    flat = xi.ravel()
+    zs = flat.tolist()
+    if not all(zs):
+        raise SingularNormalizationError("L+- are singular at xi = 0")
+    L = _IDENTITY_PAIR.repeat(len(zs), 1)
+    for k, z in enumerate(zs):
+        L[0, k, 1, 0] = L[1, k, 0, 1] = profile.A / (2j * z)
+    if not profile.is_pure_step:
+        # exp(i xi ell sigma3), the exponents times 1 + 0j and -1 + 0j as
+        # complex products, signed zeros included
+        exponent = [1j * z * profile.support for z in zs]
+        phase = np.exp([[c * (1 + 0j), c * (-1 + 0j)] for c in exponent])[:, None]
+        L[0] *= phase
+        L[1] /= phase
+        L = _transfer(profile, flat) @ L
+    return L.reshape((2,) + xi.shape + (2, 2))
 
 
-def _wronskian(u: np.ndarray, v: np.ndarray) -> complex:
-    return u[0] * v[1] - u[1] * v[0]
+def _wronskians(phi: np.ndarray) -> np.ndarray:
+    """phi_+^(-1) phi_- (K, 2, 2) of the pairs phi (2, K, 2, 2) with det
+    phi_+ = 1, as the Wronskians of their columns in Python's arithmetic."""
+    return np.array([[[m11 * p22 - m21 * p12, m12 * p22 - m22 * p12],
+                      [p11 * m21 - p21 * m11, p11 * m22 - p21 * m12]]
+                     for ((m11, m12), (m21, m22)), ((p11, p12), (p21, p22)) in zip(*phi.tolist())])
 
 
-def scattering_matrix(profile: InitialProfile, xi: complex) -> np.ndarray:
-    """S(xi) = phi_+(0,0,xi)^(-1) phi_-(0,0,xi) for nonzero xi, real or
-    complex, as the Wronskians of the Jost columns (det phi_+ = 1)."""
-    ((m11, m12), (m21, m22)), ((p11, p12), (p21, p22)) = jost_at_origin(profile, xi).tolist()
-    return np.array([[m11 * p22 - m21 * p12, m12 * p22 - m22 * p12],
-                     [p11 * m21 - p21 * m11, p11 * m22 - p21 * m12]])
+def scattering_matrix(profile: InitialProfile, xi) -> np.ndarray:
+    """S(xi) = phi_+(0,0,xi)^(-1) phi_-(0,0,xi), (..., 2, 2), for nonzero xi
+    of shape (...), real or complex (det phi_+ = 1)."""
+    xi = np.asarray(xi, dtype=complex)
+    return _wronskians(jost_at_origin(profile, xi.ravel())).reshape(xi.shape + (2, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -628,8 +634,18 @@ class ScatteringData:
 
     def one_plus_r1r2(self, xi):
         """1/(1 + S12 S21), equal to 1 + r1 r2 by det S = 1 without the
-        cancellation of r1 r2 ~ -1 near xi = 0, and exactly 1 where b = 0."""
-        return self._read(xi, lambda S: 1.0, lambda S: 1.0 + S[..., 0, 1] * S[..., 1, 0])
+        cancellation of r1 r2 ~ -1 near xi = 0, and exactly 1 where b = 0.
+        Below |xi| ~ 1e-154, S12 S21 passes the largest float; there it is
+        formed under np.errstate, as for every array.  A scalar finds that
+        case by the product in Python's arithmetic, which never warns."""
+        def divisor(S):
+            s12, s21 = S[..., 0, 1], S[..., 1, 0]
+            if S.ndim == 2 and cmath.isfinite(1e8 * complex(s12) * complex(s21)):
+                return 1.0 + s12 * s21
+            with np.errstate(over="ignore", invalid="ignore"):
+                return 1.0 + s12 * s21
+
+        return self._read(xi, lambda S: 1.0, divisor)
 
     def a1dot_at_pole(self) -> complex:
         """da1/dxi at i*xi1 by a central difference along the imaginary axis."""
@@ -646,9 +662,9 @@ class ScatteringData:
         """Closed form S = [[1 - b^2, b], [-conj(b(-conj(xi))), 1]] with
         b = iA/(2 xi): a1 = 1 + A^2/(4 xi^2), a2 = 1 and S21 = -b."""
         def S(xi):
-            with np.errstate(divide="ignore", invalid="ignore"):
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
                 b, b_reflected = 1j * A / (2.0 * xi), 1j * A / (-2.0 * np.conj(xi))
-            return _matrix(1.0 - b * b, b, -np.conj(b_reflected), np.ones_like(b))
+                return _matrix(1.0 - b * b, b, -np.conj(b_reflected), np.ones_like(b))
 
         return cls(A=A, gamma=gamma, S=S, case_tag=CaseTag.CASE1, xi1=A / 2.0)
 
@@ -671,7 +687,7 @@ class ScatteringData:
     def from_profile(cls, profile: InitialProfile,
                      analyze: bool = True) -> "ScatteringData":
         """Numerical scattering data: S is the Wronskian scattering_matrix,
-        one sweep per xi on the axis and off it, cached per xi.
+        one sweep per xi, and keeps its last request (by shape and bytes).
 
         At xi = 0 one sweep gives the clean columns T_+ e1 and T_- e2 and
         with them a2(0).  b(0) is finite only in case 2: with a2(0) = 0 the
@@ -683,22 +699,25 @@ class ScatteringData:
             return cls.pure_step(profile.A, profile.gamma)
         A = profile.A
 
-        @lru_cache(maxsize=50_000)
-        def s_matrix(xi: complex) -> np.ndarray:
-            if xi != 0:
-                return scattering_matrix(profile, xi)
-            T_minus, T_plus = _transfer(profile, np.zeros(1))[:, 0]
-            a2 = _wronskian(T_plus[:, 0], T_minus[:, 1])
-            b = np.nan
-            if abs(a2) <= _CASE_THRESHOLD_REL * (1.0 + A):
-                b = _wronskian(T_minus[:, 1], T_plus[:, 1]) - A / 2j * _a2dot0(S, A)
-            return np.array([[np.nan, b], [-np.conj(b), a2]])
+        (_, b_zero), (_, a2) = _wronskians(_transfer(profile, np.zeros(1)))[0].tolist()
+        b = np.nan
+        if abs(a2) <= _CASE_THRESHOLD_REL * (1.0 + A):
+            b = b_zero - A / 2j * _a2dot0(lambda xi: scattering_matrix(profile, xi), A)
+        s_zero = np.array([[np.nan, b], [-np.conj(b), a2]])
+        last = [None, None]
 
         def S(xi):
             xi = np.asarray(xi, dtype=complex)
-            if xi.ndim == 0:
-                return s_matrix(complex(xi)).copy()
-            return np.array([s_matrix(complex(z)) for z in xi.flat]).reshape(xi.shape + (2, 2))
+            key = xi.shape, xi.tobytes()
+            if key != last[0]:
+                try:
+                    out = scattering_matrix(profile, xi)
+                except SingularNormalizationError:  # the rows at xi = 0 take S(0)
+                    out = np.broadcast_to(s_zero, xi.shape + (2, 2)).copy()
+                    if (xi != 0).any():
+                        out[xi != 0] = scattering_matrix(profile, xi[xi != 0])
+                last[:] = key, out
+            return last[1].copy()
 
         data = cls(A=A, gamma=profile.gamma, S=S)
         if analyze:

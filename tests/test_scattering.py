@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.linalg import expm
 
 from steplpd import scattering
+from steplpd.asymptotics import q_asymptotic
 from steplpd.kernels import ContourInterval, IntegrationError, interval_rule, ode, ode_integrate
 from steplpd.kernels.quadrature import _NODES
 from steplpd.phase import stationary_points
@@ -25,7 +26,6 @@ from steplpd.scattering import (
     classify_case,
     jost_at_origin,
     locate_xi1,
-    normalization_matrices,
     scattering_matrix,
     soliton_profile,
     synthetic_from_v_targets,
@@ -61,6 +61,12 @@ def bump_profile():
 
 def _wronskian(u, v):
     return u[0] * v[1] - u[1] * v[0]
+
+
+def normalization_matrices(A, xi):
+    """L-(xi), L+(xi): [[1, 0], [r, 1]] and [[1, r], [0, 1]], r = A/(2i xi)."""
+    r = A / (2j * xi)
+    return np.array([[[1, 0], [r, 1]], [[1, r], [0, 1]]])
 
 
 def dop853_column(profile, xi, col, x_from, sign):
@@ -688,40 +694,54 @@ class TestBaselineBump:
 
 
 class TestSweepCount:
-    """One Magnus sweep (one jost_at_origin call) per sample of S."""
+    """One Magnus sweep per sampled xi: the xi that reach _transfer, summed."""
 
     @pytest.fixture
     def counted(self, monkeypatch):
-        calls = []
-        jost = scattering.jost_at_origin
+        swept = []
+        transfer = scattering._transfer
 
         def counting(profile, xi):
-            calls.append(xi)
-            return jost(profile, xi)
+            swept.append(xi.size)
+            return transfer(profile, xi)
 
-        monkeypatch.setattr(scattering, "jost_at_origin", counting)
+        monkeypatch.setattr(scattering, "_transfer", counting)
         data = ScatteringData.from_profile(InitialProfile.gaussian_bump(**BASELINE_BUMP),
                                            analyze=False)
         assert classify_case(data) is CaseTag.CASE1
-        calls.clear()
-        return data, calls
+        swept.clear()
+        return data, swept
 
     def test_locate_xi1(self, counted):
-        data, calls = counted
+        data, swept = counted
         locate_xi1(data)
         # 64 + 128 trace nodes and the two a1 checks off the axis
-        assert len(calls) == 194
+        assert sum(swept) == 194
 
     def test_build_delta(self, counted):
-        data, calls = counted
+        data, swept = counted
         build_delta(data, stationary_points(0.3, GAMMA))
-        assert len(calls) == 515
+        assert sum(swept) == 515
 
     def test_scatter_row(self, counted):
-        data, calls = counted
+        data, swept = counted
         xi = 0.7
         data.a1(xi), data.a2(xi), data.b(xi), data.r1(xi), data.r2(xi)
-        assert len(calls) == 1
+        assert sum(swept) == 1
+
+    def test_scatter_columns(self, counted):
+        # the five columns of `scatter`, each read on the whole array
+        data, swept = counted
+        xs = np.linspace(0.1, 4.0, 21)
+        data.a1(xs), data.a2(xs), data.b(xs), data.r1(xs), data.r2(xs)
+        assert sum(swept) == 21
+
+    def test_ray(self, counted):
+        # build_delta's 515 nodes and the reads at the three saddles
+        data, swept = counted
+        data.xi1 = BASELINE_XI1
+        q_asymptotic(0.3 * 100.0, 100.0, data)
+        assert sum(swept) <= 520
 
 
 class TestArraySurface:
@@ -761,6 +781,30 @@ class TestArraySurface:
             with pytest.raises(SingularNormalizationError):
                 entry(0.0)
 
+    # 0.0 and -0.0 among nonzero xi, where S(0) fills its rows; and more xi
+    # than one chunk of either cell table holds, on both sides of |xi| = 10
+    PROFILE_ARRAYS = {"zeros": np.array([0.4, 0.0, -1.3 + 0.2j, -0.0, 2.2, 0j]),
+                      "chunks": np.concatenate([np.linspace(-9.9, 9.9, 45) + 0.05j,
+                                                [-10.0, 10.0, 10.000000000000002],
+                                                np.linspace(10.25, 40.0, 10) * (-1) ** np.arange(10)])}
+
+    @pytest.mark.parametrize("source", ["baseline", "soliton"])
+    @pytest.mark.parametrize("nodes", ["zeros", "chunks"])
+    def test_profile_array_has_the_bits_of_scalar_reads(self, source, nodes):
+        profile = {"baseline": lambda: InitialProfile.gaussian_bump(**BASELINE_BUMP),
+                   "soliton": lambda: soliton_profile(2.0, GAMMA, np.pi / 3)}[source]()
+        data = ScatteringData.from_profile(profile, analyze=False)
+        xs = self.PROFILE_ARRAYS[nodes]
+        if nodes == "chunks":
+            for wide, table in ((True, profile._coarse_cells), (False, profile._fine_cells)):
+                inside = np.sum((np.abs(xs) <= scattering._MAGNUS_XI_COARSE) == wide)
+                assert inside > scattering._SWEEP_CELLS // table[0].size
+        reads = [data.S] + [getattr(data, name) for name in
+                            (("a2",) if nodes == "zeros" else self.READS)]
+        for read in reads:
+            want = np.array([read(np.asarray(xi)) for xi in xs])
+            assert read(xs).tobytes() == want.tobytes(), read
+
     READS = ("a1", "a2", "b", "b_mirror", "r1", "r2", "one_plus_r1r2")
     # on the axis, off it, in (9, 10] and past 10, where the wide and the
     # narrow cells meet; a Python or numpy float or complex
@@ -784,22 +828,28 @@ class TestArraySurface:
                 assert np.ndim(got) == 0 and want.shape == (1,)
                 assert np.asarray(got).tobytes() == want.tobytes(), (name, xi)
 
-    @pytest.mark.parametrize("xi", [0.0, -0.0, 0j, np.float64(0.0), np.complex128(0.0)])
+    @pytest.mark.parametrize("xi", [0.0, -0.0, 0j, np.float64(0.0), np.complex128(0.0),
+                                    1e-300, -1e-300])
     def test_scalar_read_at_a_pole_raises(self, xi):
         # the scalar reads enter no np.errstate: at a pole they must still
         # raise SingularNormalizationError, not ZeroDivisionError or a
-        # RuntimeWarning (errors under the warnings filter here)
+        # RuntimeWarning (errors under the warnings filter here).  Only a2
+        # is finite at 0.  At +-1e-300 the entries' 1/xi poles are finite
+        # but pass the largest float in b^2 and S12 S21: every read there
+        # returns a finite value or raises
         step = ScatteringData.pure_step(2.0, GAMMA)
         bump = ScatteringData.from_profile(InitialProfile.gaussian_bump(**BASELINE_BUMP),
                                            analyze=False)
         assert classify_case(bump) is CaseTag.CASE1
-        reads = [getattr(step, name) for name in self.READS if name != "a2"]
-        reads += [bump.a1, bump.b, bump.r1, bump.r2, bump.one_plus_r1r2]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            for read in reads:
-                with pytest.raises(SingularNormalizationError):
-                    read(xi)
+            for data in (step, bump):
+                for name in self.READS:
+                    try:
+                        value = getattr(data, name)(xi)
+                    except SingularNormalizationError:
+                        continue
+                    assert np.isfinite(value) and (xi != 0 or name == "a2"), name
             # a divisor that is exactly 0 between finite entries: a1 and
             # 1 + S12 S21 vanish at the discrete eigenvalue i A/2
             with pytest.raises(SingularNormalizationError):
