@@ -24,9 +24,11 @@ it, and each child checks that it imported `steplpd` from there.  GROUPs:
   `cells_*`, the first S of a fresh profile; `locate_xi1_*` on fresh data;
   `delta_exponents_*`, `build_delta` and `saddle_exponents` at mu = 0.3
   right after; `ray_*`, the two summed.
-- `pcmodel`: `one_D_cold`, one `parabolic_cylinder_D_scaled_pair` at a new
+- `pcmodel`: `saddles_cold`, one `stationary_points` at a fresh mu in
+  (0.1, 0.9) mu_max, the mean over the first 200 of the process;
+  `one_D_cold`, one `parabolic_cylinder_D_scaled_pair` at a new
   order a = iv - 1 (|Re v| <= 1, |Im v| <= 0.45), |z| = 0.5, the mean over
-  200 orders; `one_D_warm_order`, then one at |z| = 2; `ring_cold`, one s = 1
+  200 orders, after scipy.special has loaded; `one_D_warm_order`, then one at |z| = 2; `ring_cold`, one s = 1
   model's 16 `pc_model_matrix` and 8 `pc_jump_matrix` at |tau| = 0.5 and 2
   on the four rays, the mean over 64 fresh v; `ray_models`, the rings of one
   `rays` op's three models, the mean over 32 pure-step and 32 synthetic rays.
@@ -166,10 +168,18 @@ def sweep_stages() -> dict[str, list[float]]:
 def pcmodel_stages() -> dict[str, list[float]]:
     from steplpd import pcmodel
     from steplpd.asymptotics import q_asymptotic
-    from steplpd.kernels.special import parabolic_cylinder_D_scaled_pair
+    from steplpd.kernels.special import parabolic_cylinder_D_scaled_pair, reciprocal_gamma
+    from steplpd.phase import stationary_points
     from steplpd.rhfactors import regularized_reflections
     from steplpd.scattering import ScatteringData, locate_xi1, synthetic_from_v_targets
 
+    mu_max = math.sqrt(1.0 / (27.0 * GAMMA))
+    mus = mu_max * np.random.default_rng(1).uniform(0.1, 0.9, 200)
+    t0 = time.perf_counter()
+    for mu in mus:
+        stationary_points(float(mu), GAMMA)
+    runs = {"saddles_cold": [(time.perf_counter() - t0) / len(mus)]}
+    reciprocal_gamma(0.5)  # scipy.special loads on the first Gamma: not a D_a cost
     rng = np.random.default_rng(0)
 
     def draw_v(n: int) -> list[complex]:
@@ -195,14 +205,13 @@ def pcmodel_stages() -> dict[str, list[float]]:
         t1 = time.perf_counter()
         parabolic_cylinder_D_scaled_pair(a, z1)
         cold, warm = cold + (t1 - t0), warm + (time.perf_counter() - t1)
-    runs = {"one_D_cold": [cold / len(orders)], "one_D_warm_order": [warm / len(orders)]}
+    runs.update(one_D_cold=[cold / len(orders)], one_D_warm_order=[warm / len(orders)])
     p = 0.3 + 0.2j  # q below makes 1 + p q = e^{-2 pi v}
     models = [pcmodel.LocalModelData(s=1, v=v, r1r=p,
                                      r2r=(cmath.exp(-2.0 * math.pi * v) - 1.0) / p)
               for v in draw_v(64)]
     runs["ring_cold"] = [rings(models) / len(models)]
-    models = []
-    mu_max, golden = math.sqrt(1.0 / (27.0 * GAMMA)), (5 ** 0.5 - 1) / 2
+    models, golden = [], (5 ** 0.5 - 1) / 2
     for k in range(32):
         mu = mu_max * (0.1 + 0.8 * ((k * golden) % 1.0))
         step = ScatteringData.pure_step(2.0, GAMMA)

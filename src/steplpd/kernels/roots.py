@@ -1,31 +1,54 @@
 """Real roots of the incomplete cubic c3*x**3 + c1*x + c0.
 
 This covers the stationary-point equation of a quartic phase (no quadratic
-term).  Roots come from the companion matrix, are Newton-polished, and near
+term).  Roots start from the closed forms of DLMF 1.11(iii), trigonometric
+for three real roots and Cardano's for one, and are Newton-polished; near
 double roots are snapped to the exact discriminant-zero formulas
 r = -3*c0/(2*c1) (double), s = -2*r (simple).
 """
 
 from __future__ import annotations
 
-import numpy as np
+import math
+
+
+def _residual(x: float, c3: float, c1: float, c0: float) -> float:
+    """c3*x**3 + c1*x + c0 correctly rounded: each float is an integer over a
+    power of two, so the sum is exact in integers up to its one division."""
+    (n, d), (n3, d3), (n1, d1), (n0, d0) = (v.as_integer_ratio() for v in (x, c3, c1, c0))
+    return ((n3 * n**3 * d1 * d0 + n1 * n * d3 * d * d * d0 + n0 * d3 * d**3 * d1)
+            / (d3 * d**3 * d1 * d0))
 
 
 def _polish(x: float, c3: float, c1: float, c0: float) -> float:
+    """Newton steps, the last on the exact residual: near a double root the
+    float residual's rounding alone leaves x tens of ulps from the root."""
     for _ in range(4):
         p = c3 * x**3 + c1 * x + c0
         dp = 3.0 * c3 * x**2 + c1
         if dp == 0.0:
-            break
+            return x
         step = p / dp
         x -= step
         if abs(step) < 1e-16 * (1.0 + abs(x)):
             break
-    return x
+    return x - _residual(x, c3, c1, c0) / (3.0 * c3 * x**2 + c1)
 
 
 # |discriminant| at or below this times its natural scale is a multiple root
 _MULTIPLE_ROOT_REL = 1e-9
+
+
+def _closed_form(p: float, q: float, three: bool) -> list[float]:
+    """The real roots of x**3 + p x + q by DLMF 1.11(iii)."""
+    if three:   # p < 0: x = 2 sqrt(-p/3) cos((arccos(3q/(p m)) - 2 pi j)/3)
+        m = 2.0 * math.sqrt(-p / 3.0)
+        phi = math.acos(max(-1.0, min(1.0, 3.0 * q / (p * m))))
+        return [m * math.cos((phi - 2.0 * math.pi * j) / 3.0) for j in (0, 1, 2)]
+    # Cardano, with the cube root of the larger-magnitude sum: no cancellation
+    w = -q / 2.0 - math.copysign(math.sqrt(q * q / 4.0 + (p / 3.0) ** 3), q)
+    u = math.copysign(abs(w) ** (1.0 / 3.0), w)
+    return [u - p / (3.0 * u)]
 
 
 def cubic_real_roots(c3: float, c1: float, c0: float) -> list[tuple[float, int]]:
@@ -45,23 +68,11 @@ def cubic_real_roots(c3: float, c1: float, c0: float) -> list[tuple[float, int]]
         # c1 = c0 = 0: triple root at the origin
         return [(0.0, 3)]
 
-    if abs(disc) <= _MULTIPLE_ROOT_REL * disc_scale:
-        if c1 == 0.0:
-            return [(0.0, 3)]
+    if abs(disc) <= _MULTIPLE_ROOT_REL * disc_scale:   # so c1 != 0 and c0 != 0
         r = -3.0 * c0 / (2.0 * c1)
-        s = -2.0 * r
-        if abs(r - s) <= 1e-14 * (abs(r) + abs(s)):
-            return [(r, 3)]
-        pairs = sorted([(r, 2), (s, 1)])
-        return pairs
+        return sorted([(r, 2), (-2.0 * r, 1)])
 
-    roots = np.roots([c3, 0.0, c1, c0])
-    scale = max(abs(roots).max(), 1.0)
-    real = [r.real for r in roots if abs(r.imag) <= 1e-9 * scale]
-    real = sorted(_polish(x, c3, c1, c0) for x in real)
-    if disc > 0 and len(real) != 3:
-        raise RuntimeError("positive discriminant but did not find 3 real roots")
-    if disc < 0:
-        real = real[:1] if len(real) == 1 else [min(real, key=lambda x: abs(
-            c3 * x**3 + c1 * x + c0))]
+    real = sorted(_polish(x, c3, c1, c0) for x in _closed_form(c1 / c3, c0 / c3, disc > 0))
+    if disc > 0 and not real[0] < real[1] < real[2]:
+        raise RuntimeError("positive discriminant but the three real roots did not stay distinct")
     return [(x, 1) for x in real]

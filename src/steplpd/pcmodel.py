@@ -184,37 +184,40 @@ def pc_model_matrix(s: int, model: LocalModelData, tau: complex,
                     side: int | None = None) -> np.ndarray:
     """mhat^pc(tau): identity-normalized local model solution.
 
-    On the rays and the real axis the sector is ambiguous; ``side`` (+1/-1)
-    nudges the argument by that sign times a tiny angle.  Assembled from
-    exponentially scaled columns so that large |tau| stays finite.
+    On the rays and the real axis (within 1e-13 in angle) ``side`` (+1/-1)
+    picks the sector on that side, with it the half-plane of the Weber
+    functions and, on the negative axis, the branch arg tau = -+pi of
+    tau^{iv}; nothing is nudged, so both sides share their D_a values.
+    Assembled from exponentially scaled columns so that large |tau| stays finite.
     """
     tau = complex(tau)
     if tau == 0:
         raise ValueError("the model normalization is singular at tau = 0")
+    if s == 2:      # the reflection reverses orientation, and with it the side
+        return np.conj(pc_model_matrix(1, _conjugate(model), -tau.conjugate(),
+                                       None if side is None else -side))
     a = cmath.phase(tau)
-    k = round(a / _QUARTER)
+    k, sector = round(a / _QUARTER), math.floor(a / _QUARTER)
     if k % 4 != 2 and abs(a - k * _QUARTER) < 1e-13:     # 0, +-pi/4, +-3pi/4, +-pi
         if side not in (-1, +1):
             raise ValueError("tau lies on the jump contour: side flag required")
-        tau = tau * cmath.exp(1j * side * 1e-12)
-        a = cmath.phase(tau)
-
-    if s == 2:
-        return np.conj(pc_model_matrix(1, _conjugate(model), -tau.conjugate()))
+        sector = (k + 4 - (side < 0)) % 8 - 4                # pi wraps to -pi
 
     (c11, c21), (c12, c22) = _scaled_columns(model.v, model.r1r, model.r2r, tau,
-                                             upper=tau.imag >= 0)
+                                             upper=sector >= 0)
     # the piecewise unwinding factor P of mhat = m P tau^{-iv sigma3} e^{i tau^2 sigma3/4}
     # in the sector of tau: [[1, 0], [p, 1]] next to the positive real axis and
     # below the negative one, [[1, q], [0, 1]] in the other two real sectors
-    p, q, sector = model.r1r, model.r2r, math.floor(a / _QUARTER)
+    p, q = model.r1r, model.r2r
     if sector in (0, -4):       # |e^{i tau^2/2}| <= 1 here
         mix = (p if sector == 0 else -p / (1.0 + p * q)) * cmath.exp(0.5j * tau * tau)
         c11, c21 = c11 + mix * c12, c21 + mix * c22
-    elif sector in (-1, 3, 4):  # |e^{-i tau^2/2}| <= 1 here
+    elif sector in (-1, 3):     # |e^{-i tau^2/2}| <= 1 here
         mix = (-q if sector == -1 else q / (1.0 + p * q)) * cmath.exp(-0.5j * tau * tau)
         c12, c22 = c12 + mix * c11, c22 + mix * c21
     tpp = tau ** (1j * model.v)
+    if abs(k) == 4 and (a > 0) == (sector < 0):   # across the cut: arg tau -+ 2 pi
+        tpp *= cmath.exp(math.copysign(2.0 * math.pi, a) * model.v)
     return np.array([[c11 / tpp, c12 * tpp], [c21 / tpp, c22 * tpp]])
 
 

@@ -101,18 +101,17 @@ def stationary_points(mu: float, gamma: float,
                       allow_edge: bool = False) -> PhaseGeometry:
     """Solve theta'(xi) = 0 and label the roots.
 
-    Labelling is by ordering and sign pattern (robust against the
-    branch-sensitivity of the closed-form radicals, which are kept around
-    only as a test oracle): for mu > 0, lam1 = largest, lam2 = middle,
-    lam3 = smallest; mu < 0 is handled by the exact mirror
-    lam_j(mu) = -lam_j(-mu).  Construction rejects mu within 1e-3 of 0
-    or of +-sqrt(1/(27*gamma)) unless allow_edge is set.
+    The roots are ``cubic_real_roots``'s; labelling is by ordering and sign
+    pattern: for mu > 0, lam1 = largest, lam2 = middle, lam3 = smallest;
+    mu < 0 is handled by the exact mirror lam_j(mu) = -lam_j(-mu).
+    Construction rejects mu within 1e-3 of 0 or of +-sqrt(1/(27*gamma))
+    unless allow_edge is set.
     """
     if not (gamma > 0 and math.isfinite(gamma)):
         raise ValueError(f"gamma must be positive and finite, got {gamma!r}")
     if not math.isfinite(mu):
         raise ValueError(f"mu must be finite, got {mu!r}")
-    mu_max = float(np.sqrt(1.0 / (27.0 * gamma)))
+    mu_max = math.sqrt(1.0 / (27.0 * gamma))
     if not allow_edge:
         if abs(mu) < _EDGE_GUARD or abs(abs(mu) - mu_max) < _EDGE_GUARD:
             raise RegimeError(

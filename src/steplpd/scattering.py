@@ -694,15 +694,17 @@ class ScatteringData:
         pole of b = W(T_- e2, T_+ e2) - (A/2i xi) a2(xi) exp(2i xi ell)
         cancels and b(0) = W(T_- e2, T_+ e2) - (A/2i) a2'(0); when |a2(0)|
         exceeds classify_case's threshold, S(0) holds NaN for b, as for a1.
+        The a2'(0) formed for b(0) stays on the data for classify_case.
         """
         if profile.is_pure_step:
             return cls.pure_step(profile.A, profile.gamma)
         A = profile.A
 
         (_, b_zero), (_, a2) = _wronskians(_transfer(profile, np.zeros(1)))[0].tolist()
-        b = np.nan
+        b, a2dot0 = np.nan, None
         if abs(a2) <= _CASE_THRESHOLD_REL * (1.0 + A):
-            b = b_zero - A / 2j * _a2dot0(lambda xi: scattering_matrix(profile, xi), A)
+            a2dot0 = _a2dot0(lambda xi: scattering_matrix(profile, xi), A)
+            b = b_zero - A / 2j * a2dot0
         s_zero = np.array([[np.nan, b], [-np.conj(b), a2]])
         last = [None, None]
 
@@ -719,7 +721,7 @@ class ScatteringData:
                 last[:] = key, out
             return last[1].copy()
 
-        data = cls(A=A, gamma=profile.gamma, S=S)
+        data = cls(A=A, gamma=profile.gamma, S=S, a2dot0=a2dot0)
         if analyze:
             data.case_tag = classify_case(data)
             data.xi1 = locate_xi1(data)
@@ -823,14 +825,15 @@ def _a2dot0(S: Callable[[np.ndarray], np.ndarray], A: float) -> complex:
 
 def classify_case(data: ScatteringData) -> CaseTag:
     """Case 1 iff |a2(0)| exceeds 1e-6*(1+A); otherwise case 2,
-    provided a2'(0) and lim xi*a1(xi) are healthy (else degenerate)."""
+    provided a2'(0) (the data's own, else a central difference of S) and
+    lim xi*a1(xi) are healthy (else degenerate)."""
     thr = _CASE_THRESHOLD_REL * (1.0 + data.A)
     a20 = data.a2(0.0)
     if abs(a20) > thr:
         data.case_tag = CaseTag.CASE1
         return CaseTag.CASE1
 
-    a2dot0 = _a2dot0(data.S, data.A)
+    a2dot0 = _a2dot0(data.S, data.A) if data.a2dot0 is None else data.a2dot0
     if abs(a2dot0) <= thr:
         raise DegeneracyError("both a2(0) and a2'(0) vanish: unsupported data")
     b0 = data.b(0.0)

@@ -226,12 +226,13 @@ class TestModelMatrix:
 
 
 class TestEvaluationCount:
-    """One Maclaurin table per order, one D_a evaluation per column."""
+    """One Maclaurin table per order, one D_a evaluation per ring point."""
 
     def test_ring(self, monkeypatch, model1):
         # fresh caches, so that no earlier test's values hide the work
-        tables, pairs = [], []
+        tables, pairs, evaluations, sums = [], [], [], []
         build, pair = special._maclaurin.__wrapped__, pcmodel.parabolic_cylinder_D_scaled_pair
+        scaled, horner = special._scaled, special._horner
 
         def counting_build(a):
             tables.append(a)
@@ -241,9 +242,18 @@ class TestEvaluationCount:
             pairs.append(a)
             return pair(a, z)
 
+        def counting_scaled(a, z):
+            evaluations.append((a, z))
+            return scaled(a, z)
+
+        def counting_horner(coeffs, z):
+            sums.append((abs(z), len(coeffs)))
+            return horner(coeffs, z)
+
         monkeypatch.setattr(special, "_maclaurin", lru_cache(maxsize=64)(counting_build))
         monkeypatch.setattr(special, "_pcfd_scaled_cached",
-                            lru_cache(maxsize=1024)(special._pcfd_scaled_cached.__wrapped__))
+                            lru_cache(maxsize=1024)(counting_scaled))
+        monkeypatch.setattr(special, "_horner", counting_horner)
         monkeypatch.setattr(pcmodel, "parabolic_cylinder_D_scaled_pair", counting_pair)
         for r in (0.5, 2.0):
             for ang in (np.pi / 4, 3 * np.pi / 4, -np.pi / 4, -3 * np.pi / 4):
@@ -254,8 +264,50 @@ class TestEvaluationCount:
                     assert len(pairs) == before + 2
                 pc_jump_matrix(1, model1, tau)
         assert len(pairs) == 32
+        # both sides of a ray evaluate at tau itself and share their D_a
+        assert len(evaluations) == 8
         iv = 1j * model1.v
         assert sorted(tables, key=np.imag) == sorted([iv - 1.0, -iv - 1.0], key=np.imag)
+        near = {n for r, n in sums if r == 0.5}
+        far = {n for r, n in sums if r == 2.0}
+        assert len(sums) == 8 and near and far and max(near) < min(far)
+
+
+class TestOnRayEvaluation:
+    """On a ray or the real axis, side picks the sector: no nudge of tau."""
+
+    RAYS = (0.0, np.pi / 4, 3 * np.pi / 4, np.pi, -np.pi / 4, -3 * np.pi / 4)
+
+    @pytest.fixture(scope="class")
+    def models(self):
+        rng = np.random.default_rng(17)
+        out = []
+        for _ in range(4):
+            p, q = (complex(*rng.uniform(-0.6, 0.6, 2)) for _ in range(2))
+            out.append((p, q, model_order(p, q)))
+        return out
+
+    @pytest.mark.parametrize("s", (1, 2, 3))
+    def test_side_is_the_limit(self, s, models):
+        # each side equals the off-line value at tau e^{+-i eps}
+        eps = 1e-8
+        for p, q, v in models:
+            model = LocalModelData(s=s, v=v, r1r=p, r2r=q)
+            for r in (0.5, 2.0):
+                for ang in self.RAYS:
+                    tau = r * cmath.exp(1j * ang)
+                    for side in (+1, -1):
+                        got = pc_model_matrix(s, model, tau, side=side)
+                        want = pc_model_matrix(s, model, tau * cmath.exp(1j * side * eps))
+                        assert np.abs(got - want).max() < 1e-7 * np.abs(want).max(), \
+                            (r, ang, side)
+
+    @pytest.mark.parametrize("s", (1, 2, 3))
+    def test_ring_residuals(self, s, models):
+        # the ring of the CLI's pcmodel and the rays workload, both sides
+        # from one evaluation: left to rounding
+        for p, q, v in models:
+            assert _jump_residual(s, LocalModelData(s=s, v=v, r1r=p, r2r=q)) <= 1e-14
 
 
 class TestLambdaConjugator:

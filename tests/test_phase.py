@@ -119,6 +119,30 @@ class TestStationaryPoints:
             assert geom.lam1 - geom.lam2 < 1e-4
 
 
+class TestClosedFormRoots:
+    def test_against_companion_matrix(self):
+        # the route before the closed forms: the companion matrix's
+        # eigenvalues (np.roots), then the same polish; uniform mu over the
+        # band and mu within 1e-6 of both guard edges
+        from steplpd.kernels.roots import _polish
+
+        rng = np.random.default_rng(2024)
+        mu_max, guard = np.sqrt(1.0 / (27 * GAMMA)), 1e-3
+        mus = np.concatenate([rng.uniform(guard, mu_max - guard, 10000),
+                              guard + rng.uniform(-1e-6, 1e-6, 500),
+                              mu_max - guard + rng.uniform(-1e-6, 1e-6, 500)])
+        c3 = 32.0 * GAMMA
+        for mu in mus:
+            geom = stationary_points(mu, GAMMA, allow_edge=True)
+            lam3, lam2, lam1 = sorted(_polish(r.real, c3, -2.0, mu)
+                                      for r in np.roots([c3, 0.0, -2.0, mu]))
+            for got, want in zip(geom.lambdas, (lam1, lam2, lam3)):
+                assert abs(got - want) <= 2 * np.spacing(abs(want)), mu
+            assert geom.lam3 < geom.lam2 < geom.lam1
+            mirrored = stationary_points(-mu, GAMMA, allow_edge=True)
+            assert mirrored.lambdas == tuple(-x for x in geom.lambdas)
+
+
 class TestSignature:
     def test_real_axis_zero(self):
         geom = stationary_points(0.5, GAMMA)

@@ -743,6 +743,22 @@ class TestSweepCount:
         q_asymptotic(0.3 * 100.0, 100.0, data)
         assert sum(swept) <= 520
 
+    def test_case2_classification(self, monkeypatch):
+        # S(0) and the two points of a2'(0), which classify_case reuses
+        # from the data rather than sweeping them again
+        swept = []
+        transfer = scattering._transfer
+
+        def counting(profile, xi):
+            swept.append(xi.size)
+            return transfer(profile, xi)
+
+        monkeypatch.setattr(scattering, "_transfer", counting)
+        data = ScatteringData.from_profile(soliton_profile(2.0, GAMMA, np.pi / 3),
+                                           analyze=False)
+        assert classify_case(data) is CaseTag.CASE2
+        assert sum(swept) == 3
+
 
 class TestArraySurface:
     NODES = np.array([-2.2, -0.7, 0.3, 0.45, 1.7, 3.0])
