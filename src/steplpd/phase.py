@@ -18,8 +18,6 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-import numpy as np
-
 from steplpd.kernels import cubic_real_roots
 
 
@@ -91,10 +89,6 @@ class PhaseGeometry:
 
     def theta(self, xi: complex, order: int = 0) -> complex:
         return phase_theta(xi, self.mu, self.gamma, order)
-
-    @property
-    def mu_max(self) -> float:
-        return float(np.sqrt(1.0 / (27.0 * self.gamma)))
 
 
 def stationary_points(mu: float, gamma: float,

@@ -25,7 +25,8 @@ S12 S21) are its methods.  An array costs one sweep per xi, in chunks, with
 the bits of its xi read one by one: r = A/(2i xi) and the Wronskians are
 formed in Python's complex arithmetic.  from_profile's S remembers its last
 request, so a table row (a1, a2, b, r1, r2 at one xi or on one array)
-costs one sweep; a scalar read takes no array reduction and no np.errstate.
+costs one sweep; a scalar a1, a2, b, r1 or r2 takes no array reduction and
+no np.errstate.
 
 Each half-line's transfer matrix is a product of 6th-order Magnus cell
 exponentials (Blanes, Casas & Ros, BIT 40, 2000; Blanes, Casas, Oteo & Ros,
@@ -66,8 +67,10 @@ rest on one integral, a node sum gated by ``kernels.quadrature.level_gap``,
 
 the principal value of the log integral of 1 - b(th) conj(b(-th)) =
 1/(1 + r1 r2) (det S = 1) folded onto th > 0: that function's modulus is
-even in th and its argument odd.  Case 1 (a2(0) != 0) has xi1 = (A/2) e^I;
-case 2 (a2(0) = 0) the quadratic closed form built on F1 = e^(-I) and F2.
+even in th and its argument odd.  Both cases take xi1 = C e^I: C = A/2 in
+case 1 (a2(0) != 0) and C = sqrt(1 - |b(0)|^2)/Im a2'(0) in case 2
+(a2(0) = 0), where det S = 1 gives a11 a2'(0) + |b(0)|^2 = 1 as xi -> 0
+(a11 = lim xi a1(xi)).  Only |b(0)| enters, not b's sign convention.
 """
 
 from __future__ import annotations
@@ -99,7 +102,7 @@ class SingularNormalizationError(ZeroDivisionError):
 
 
 class DegeneracyError(RuntimeError):
-    """Neither case applies: a2(0) and a2'(0) both below threshold."""
+    """Neither case applies: a2(0) vanishes, and case 2's conditions fail."""
 
 
 class InconsistentDataError(RuntimeError):
@@ -571,8 +574,10 @@ class ScatteringData:
     entry has a pole S holds a non-finite value.  The entries and the
     reflection coefficients are methods that read one S call and take a
     scalar or an array; a value that is not finite raises
-    SingularNormalizationError.  kappa is the unimodular norming constant
-    of the discrete eigenvalue; it is free data here (default 1).
+    SingularNormalizationError.  classify_case sets case_tag, and in case 2
+    a2dot0 = a2'(0) and a11 = lim xi a1(xi); locate_xi1 sets xi1.  kappa is
+    the unimodular norming constant of the discrete eigenvalue; it is free
+    data here (default 1).
     """
 
     A: float
@@ -635,15 +640,11 @@ class ScatteringData:
     def one_plus_r1r2(self, xi):
         """1/(1 + S12 S21), equal to 1 + r1 r2 by det S = 1 without the
         cancellation of r1 r2 ~ -1 near xi = 0, and exactly 1 where b = 0.
-        Below |xi| ~ 1e-154, S12 S21 passes the largest float; there it is
-        formed under np.errstate, as for every array.  A scalar finds that
-        case by the product in Python's arithmetic, which never warns."""
+        Below |xi| ~ 1e-154, S12 S21 passes the largest float, so it is
+        formed under np.errstate."""
         def divisor(S):
-            s12, s21 = S[..., 0, 1], S[..., 1, 0]
-            if S.ndim == 2 and cmath.isfinite(1e8 * complex(s12) * complex(s21)):
-                return 1.0 + s12 * s21
             with np.errstate(over="ignore", invalid="ignore"):
-                return 1.0 + s12 * s21
+                return 1.0 + S[..., 0, 1] * S[..., 1, 0]
 
         return self._read(xi, lambda S: 1.0, divisor)
 
@@ -824,9 +825,11 @@ def _a2dot0(S: Callable[[np.ndarray], np.ndarray], A: float) -> complex:
 
 
 def classify_case(data: ScatteringData) -> CaseTag:
-    """Case 1 iff |a2(0)| exceeds 1e-6*(1+A); otherwise case 2,
-    provided a2'(0) (the data's own, else a central difference of S) and
-    lim xi*a1(xi) are healthy (else degenerate)."""
+    """Case 1 iff |a2(0)| exceeds 1e-6*(1+A); otherwise case 2, with a2'(0)
+    the data's own, else a central difference of S, and a11 = lim xi*a1(xi)
+    = (1 - |b(0)|^2)/a2'(0) by det S = 1.  Case 2 needs a11 != 0, |b(0)| < 1
+    and Im a2'(0) > 0 (a2'(0) is imaginary, as a2(xi) = conj(a2(-conj(xi))));
+    other data raise DegeneracyError, naming |b(0)| and a2'(0)."""
     thr = _CASE_THRESHOLD_REL * (1.0 + data.A)
     a20 = data.a2(0.0)
     if abs(a20) > thr:
@@ -836,10 +839,11 @@ def classify_case(data: ScatteringData) -> CaseTag:
     a2dot0 = _a2dot0(data.S, data.A) if data.a2dot0 is None else data.a2dot0
     if abs(a2dot0) <= thr:
         raise DegeneracyError("both a2(0) and a2'(0) vanish: unsupported data")
-    b0 = data.b(0.0)
-    a11 = -data.A**2 * a2dot0 / 4.0 + 1j * data.A * np.real(b0)
-    if abs(a11) <= thr:
-        raise DegeneracyError("lim xi*a1(xi) vanishes: unsupported data")
+    mod2 = abs(data.b(0.0)) ** 2
+    a11 = (1.0 - mod2) / a2dot0
+    if not (abs(a11) > thr and mod2 < 1.0 and a2dot0.imag > 0):
+        raise DegeneracyError(f"case 2 needs lim xi*a1 != 0, |b(0)| < 1 and Im a2'(0) > 0; "
+                              f"got |b(0)| = {math.sqrt(mod2):.6g}, a2'(0) = {a2dot0:.6g}")
     data.case_tag = CaseTag.CASE2
     data.a2dot0 = a2dot0
     data.a11 = a11
@@ -853,16 +857,15 @@ _XI1_CHECK_TOL = 1e-6
 def locate_xi1(data: ScatteringData) -> float:
     """The positive xi1 with a1(i*xi1) = 0, from the trace formulas.
 
-    Both cases use I = (1/pi) int_0^inf Arg(1 + r1 r2)(th) / th dth, the
-    folded principal value of the log integral of 1 - b(th) conj(b(-th)):
-    Case 1:  xi1 = (A/2) e^I.
-    Case 2:  xi1 = A (sqrt(Re b(0)^2 + F2^2) - Re b(0)) / (2 F1 F2) with
-             F1 = e^(-I) and F2 = sqrt(1 - |b(0)|^2).
+    Both cases take xi1 = C e^I, with I = (1/pi) int_0^inf Arg(1 + r1 r2)(th)
+    / th dth the folded principal value of the log integral of
+    1 - b(th) conj(b(-th)), and C = A/2 in case 1, sqrt(1 - |b(0)|^2) /
+    Im a2'(0) in case 2 (classify_case refuses |b(0)| >= 1, Im a2'(0) <= 0).
     I is a node sum on (0, inf) over one_plus_r1r2, taken on both
     NODE_LEVELS and gated by ``level_gap``.
     The value is cross-checked against a1 at i*xi1; disagreement raises.
     """
-    if data.case_tag is None:
+    if data.case_tag is None or (data.case_tag is CaseTag.CASE2 and data.a2dot0 is None):
         classify_case(data)
 
     def trace_integral(n: int) -> float:
@@ -873,17 +876,11 @@ def locate_xi1(data: ScatteringData) -> float:
     coarse, I = (trace_integral(n) for n in NODE_LEVELS)
     level_gap("locate_xi1: the trace integral", coarse, I)
 
-    A = data.A
     if data.case_tag is CaseTag.CASE1:
-        xi1 = (A / 2.0) * np.exp(I)
+        C = data.A / 2.0
     else:
-        b0 = data.b(0.0)
-        mod2 = abs(b0) ** 2
-        if mod2 >= 1.0:
-            raise InconsistentDataError("case 2 requires |b(0)| < 1")
-        F1, F2 = np.exp(-I), np.exp(0.5 * np.log(1.0 - mod2))
-        xi1 = A * (np.sqrt(np.real(b0) ** 2 + F2**2) - np.real(b0)) / (2.0 * F1 * F2)
-    xi1 = float(xi1)
+        C = math.sqrt(1.0 - abs(data.b(0.0)) ** 2) / data.a2dot0.imag
+    xi1 = float(C * np.exp(I))
 
     at, near = data.a1(1j * xi1 * np.array([1.0, 1.0 + 1e-3]))
     if abs(at) > _XI1_CHECK_TOL * max(1.0, abs(near)):

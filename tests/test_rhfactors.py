@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from steplpd.phase import stationary_points
 from steplpd.rhfactors import (
     AssumptionViolation,
+    BranchError,
     bp_elements,
     build_delta,
     jump_factorizations,
@@ -100,6 +101,26 @@ class TestDelta:
         geom = stationary_points(0.5, GAMMA)
         with pytest.raises(AssumptionViolation):
             build_delta(bad, geom)
+
+    @pytest.mark.parametrize("error, match, w", [
+        (BranchError, "vanishes on the sampling grid",
+         lambda z, lo, hi: np.where((lo < z) & (z < hi), 0.0, 1.0)),
+        (BranchError, "jumps near",
+         lambda z, lo, hi: np.exp(0.9j * np.pi * (z > 0.5 * (lo + hi)))),
+        (AssumptionViolation, "does not settle near 0",
+         lambda z, lo, hi: np.full(np.shape(z), np.exp(0.8j))),
+    ], ids=["vanishes", "jumps", "unsettled"])
+    def test_typed_refusals(self, error, match, w):
+        # 1 + r1 r2 = w(z) with r2 = 1 on the ray mu = 0.3, (lo, hi) =
+        # (lam2, lam1): zero on (lo, hi), an arg step of 0.9 pi that no
+        # bisection resolves, or arg 0.8 at the anchor
+        geom = stationary_points(0.3, GAMMA)
+        lo, hi = geom.lam2, geom.lam1
+        data = SyntheticReflectionData(A=1.0, gamma=GAMMA,
+                                       r1=lambda z: w(np.real(z), lo, hi) - 1.0,
+                                       r2=lambda z: 1.0 + 0j)
+        with pytest.raises(error, match=match):
+            build_delta(data, geom)
 
     def test_winding_refined_between_samples(self):
         # arg w = 3 sin(24 z) exp(-z^2) turns by up to 3.3 rad between these

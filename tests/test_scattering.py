@@ -9,16 +9,18 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.linalg import expm
+from scipy.optimize import brentq
 
 from steplpd import scattering
-from steplpd.asymptotics import q_asymptotic
+from steplpd.asymptotics import Branch, q_asymptotic
 from steplpd.kernels import ContourInterval, IntegrationError, interval_rule, ode, ode_integrate
-from steplpd.kernels.quadrature import _NODES
+from steplpd.kernels.quadrature import _NODES, NODE_LEVELS
 from steplpd.phase import stationary_points
 from steplpd.rhfactors import build_delta
 from steplpd.scattering import (
     CaseTag,
     DegeneracyError,
+    InconsistentDataError,
     InitialProfile,
     ScatteringData,
     SingularNormalizationError,
@@ -309,6 +311,22 @@ class TestCaseClassification:
         with pytest.raises(DegeneracyError):
             classify_case(d)
 
+    @pytest.mark.parametrize("b0, a2", [(0.0, lambda xi: xi / (xi + 1j)),
+                                        (1.2, lambda xi: xi / (xi - 1j))])
+    def test_case2_refusal(self, b0, a2):
+        # a2(0) = 0 with a2'(0) = -i (the reflectionless data's a2'(0) = 2i/A
+        # with its sign flipped), or with |b(0)| >= 1: no positive xi1
+        diagonal = diagonal_S(lambda xi: 1.0 + 0 * xi, a2)
+
+        def S(xi):
+            out = diagonal(xi)
+            out[..., 0, 1], out[..., 1, 0] = b0, -b0
+            return out
+
+        d = ScatteringData(A=2.0, gamma=GAMMA, S=S)
+        with pytest.raises(DegeneracyError, match=rf"\|b\(0\)\| = {b0:g}, a2'\(0\) = "):
+            classify_case(d)
+
 
 class TestXi1:
     def test_pure_step_case1_formula(self):
@@ -320,7 +338,10 @@ class TestXi1:
 
     def test_reflectionless_case2_exact(self):
         d = ScatteringData.reflectionless(1.4, GAMMA, 0.2)
-        assert locate_xi1(d) == 1.4 / 2.0   # bitwise: F1 = F2 = 1 exactly
+        assert locate_xi1(d) == 1.4 / 2.0   # bitwise: I = 0 and 1/(2/1.4) = 0.7
+        # tagged case 2 but without a2'(0): locate_xi1 classifies for it
+        bare = ScatteringData(A=1.4, gamma=GAMMA, S=d.S, case_tag=CaseTag.CASE2)
+        assert abs(locate_xi1(bare) - 0.7) < 1e-8
 
     @pytest.mark.parametrize("name, want", [("bump-1", 1.135668389424064),
                                             ("bump-3", 0.6591712245230903),
@@ -342,10 +363,93 @@ class TestXi1:
         with pytest.raises(IntegrationError, match="locate_xi1"):
             locate_xi1(data)
 
-    def test_f2_with_zero_b(self):
-        # the quadratic-formula ingredient F2 = exp(ln(1 - |b(0)|^2)/2) -> 1
-        d = ScatteringData.reflectionless(1.0, GAMMA)
-        assert np.exp(0.5 * np.log(1 - abs(d.b(0.0)) ** 2)) == 1.0
+    def test_trace_xi1_off_the_zero_refused(self):
+        # b = 0 gives I = 0 and xi1 = A/2, where this a1 = 1 does not vanish
+        d = ScatteringData(A=1.0, gamma=GAMMA,
+                           S=diagonal_S(lambda xi: 1.0 + 0j, lambda xi: 0.5 + 0j))
+        with pytest.raises(InconsistentDataError, match="does not vanish"):
+            locate_xi1(d)
+
+
+# ---------------------------------------------------------------------------
+# case 2 with reflection
+# ---------------------------------------------------------------------------
+
+# beta of case2_profile that brings a2(0), which is real, to 0 (brentq),
+# pinned to the last bit: rounded to 9 digits it leaves a2(0) = 1.5e-10,
+# whose pole of b at 0 moves the trace integral by 7e-8 at its first node
+CASE2_BETA = {0.05: 0.038258829359247966, 0.2: 0.14048991738416053,
+              0.3: 0.200522137492318, 0.5: 0.30643564818854924}
+CASE2_RAYS = (0.1, 0.3, 0.6, 0.9, -0.3, -0.8)
+XI1_TOL, A11_TOL = 1e-8, 1e-6
+
+
+def case2_profile(eps: float, beta: float) -> InitialProfile:
+    """The one-soliton's q0 (A = 2, alpha = pi/3) plus
+    eps exp(-((x - 0.4)/0.3)^2) + beta exp(-((x + 0.3)/0.25)^2)."""
+    soliton = soliton_profile(2.0, GAMMA, np.pi / 3)
+
+    def pert(x: float) -> complex:
+        return (soliton.perturbation(x) + eps * np.exp(-((x - 0.4) / 0.3) ** 2)
+                + beta * np.exp(-((x + 0.3) / 0.25) ** 2))
+
+    return InitialProfile(A=2.0, gamma=GAMMA, perturbation=pert, support=soliton.support)
+
+
+@pytest.fixture(scope="module", params=sorted(CASE2_BETA))
+def case2_data(request):
+    """from_profile's data of the tuned profile at each eps, xi1 located."""
+    return ScatteringData.from_profile(case2_profile(request.param, CASE2_BETA[request.param]))
+
+
+def a1_zero(data) -> float:
+    """The zero of a1(iy), real on iR+, bracketed on [0.5, 2]."""
+    return brentq(lambda y: data.a1(1j * y).real, 0.5, 2.0, xtol=1e-14)
+
+
+def a11_mean(data) -> complex:
+    """xi a1(xi) averaged over xi = +-1e-4, which cancels the O(xi) real
+    part that each value carries alone."""
+    xi = np.array([1e-4, -1e-4])
+    return np.mean(xi * data.a1(xi))
+
+
+class TestCase2WithReflection:
+    def test_tuning_reproduces_the_pinned_beta(self):
+        def a2_zero(beta):
+            profile = case2_profile(0.05, beta)
+            return ScatteringData.from_profile(profile, analyze=False).a2(0.0).real
+
+        assert abs(brentq(a2_zero, 0.0, 0.5) - CASE2_BETA[0.05]) < 1e-9
+
+    def test_classified_case2(self, case2_data):
+        a20, a2dot0 = case2_data.a2(0.0), case2_data.a2dot0
+        assert abs(a20) < 1e-12 and abs(a20.imag) < 1e-15
+        assert abs(a2dot0.real) < 1e-10 * abs(a2dot0)
+        assert case2_data.case_tag is CaseTag.CASE2
+        assert abs(case2_data.b(0.0)) >= 0.03
+
+    def test_xi1_and_a11(self, case2_data):
+        assert abs(case2_data.xi1 - a1_zero(case2_data)) < XI1_TOL
+        assert abs(case2_data.a11 - a11_mean(case2_data)) < A11_TOL
+
+    def test_replaced_closed_forms_miss(self, case2_data):
+        # the case-2 forms this module had, with Re b(0) in them
+        A, b0, a2dot0 = case2_data.A, case2_data.b(0.0), case2_data.a2dot0
+        rule = interval_rule(ContourInterval(0.0, np.inf), NODE_LEVELS[-1])
+        I = rule.integrate(np.angle(case2_data.one_plus_r1r2(rule.z)) / rule.z).real / np.pi
+        F1, F2 = np.exp(-I), np.sqrt(1.0 - abs(b0) ** 2)
+        xi1 = A * (np.sqrt(b0.real ** 2 + F2 ** 2) - b0.real) / (2.0 * F1 * F2)
+        a11 = -A ** 2 * a2dot0 / 4.0 + 1j * A * b0.real
+        assert abs(xi1 - a1_zero(case2_data)) > 100 * XI1_TOL
+        assert abs(a11 - a11_mean(case2_data)) > 100 * A11_TOL
+
+    def test_rays(self, case2_data):
+        for mu in CASE2_RAYS:
+            result = q_asymptotic(mu * 1e2, 1e2, case2_data)
+            assert result.branch is (Branch.X_NEG if mu < 0 else Branch.X_POS_I2)
+            assert all(order.covered for order in result.error_order)
+            assert all(np.isfinite(result.value(mu * t, t)) for t in (1e2, 1e4))
 
 
 class TestAuxiliaryF:

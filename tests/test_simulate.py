@@ -14,6 +14,7 @@ from steplpd.simulate import (
     _FROZEN,
     FieldGrid,
     SolitonField,
+    StabilityError,
     _LinearPropagator,
     _lawson_step,
     _nonlinear_rhs,
@@ -161,6 +162,13 @@ class TestEvolve:
         g1 = evolve(g0, 0.5, gam)
         assert np.abs(g1.values[:4]).max() < 1e-8
         assert np.abs(g1.values[-4:] - g0.values[-1]).max() < 1e-6
+
+    def test_step_halving_to_underflow(self):
+        # a bump too tall for the stable step: the step-doubling check
+        # halves dt until it underflows
+        g = FieldGrid.from_function(lambda x: 30.0 * np.exp(-x * x), 5.0, 0.05)
+        with pytest.raises(StabilityError, match="time step underflow"):
+            evolve(g, 0.5, 0.1)
 
     def test_step_profile_runs(self):
         g = FieldGrid.smoothed_step(1.0, 8.0, 0.05)
