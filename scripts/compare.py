@@ -31,7 +31,9 @@ it, and each child checks that it imported `steplpd` from there.  GROUPs:
   200 orders, after scipy.special has loaded; `one_D_warm_order`, then one at |z| = 2; `ring_cold`, one s = 1
   model's 16 `pc_model_matrix` and 8 `pc_jump_matrix` at |tau| = 0.5 and 2
   on the four rays, the mean over 64 fresh v; `ray_models`, the rings of one
-  `rays` op's three models, the mean over 32 pure-step and 32 synthetic rays.
+  `rays` op's three models, the mean over 32 pure-step and 32 synthetic rays;
+  `ray_asymptotic`, one `q_asymptotic` on those 64 fresh rays, for x > 0 and
+  for x < 0, the mean over the 128 calls.
 - `simulate`, on criterion 11's grid (the soliton A = 2, alpha = pi,
   gamma = 0.1 on L = 10, h = 0.02: N = 1001): `lawson_step`, one
   integrating-factor RK4 step at `stable_dt`, the mean over 200 steps;
@@ -211,7 +213,7 @@ def pcmodel_stages() -> dict[str, list[float]]:
                                      r2r=(cmath.exp(-2.0 * math.pi * v) - 1.0) / p)
               for v in draw_v(64)]
     runs["ring_cold"] = [rings(models) / len(models)]
-    models, golden = [], (5 ** 0.5 - 1) / 2
+    models, golden, asymptotic = [], (5 ** 0.5 - 1) / 2, 0.0
     for k in range(32):
         mu = mu_max * (0.1 + 0.8 * ((k * golden) % 1.0))
         step = ScatteringData.pure_step(2.0, GAMMA)
@@ -219,11 +221,15 @@ def pcmodel_stages() -> dict[str, list[float]]:
         synth = synthetic_from_v_targets(1.0 + rng.uniform(), GAMMA, mu,
                                          tuple(1j * rng.uniform(-0.4, 0.4) for _ in range(3)))
         for data in (step, synth):
+            t0 = time.perf_counter()
             res = q_asymptotic(mu * 100.0, 100.0, data)
+            q_asymptotic(-mu * 100.0, 100.0, data)
+            asymptotic += time.perf_counter() - t0
             for s in (1, 2, 3):
                 r1r, r2r = regularized_reflections(data, res.geometry.lam(s))
                 models.append(pcmodel.LocalModelData(s=s, v=res.v[s - 1], r1r=r1r, r2r=r2r))
     runs["ray_models"] = [rings(models) / 64]  # per ray, of its three models
+    runs["ray_asymptotic"] = [asymptotic / 128]
     return runs
 
 

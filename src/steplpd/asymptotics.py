@@ -22,6 +22,7 @@ conservative fallback exponent flagged as such.
 
 from __future__ import annotations
 
+import cmath
 import math
 import operator
 from dataclasses import dataclass
@@ -98,14 +99,6 @@ def _interval_tag(im_v: float) -> str:
     raise ValueError(f"Im v = {im_v:g} outside (-1/2, 1/2)")
 
 
-def _wants_N(im_v: float) -> bool:
-    return _interval_tag(im_v) in ("I1", "I2")
-
-
-def _wants_L(im_v: float) -> bool:
-    return _interval_tag(im_v) in ("I2", "I3")
-
-
 # ---------------------------------------------------------------------------
 # the nine leading coefficients
 # ---------------------------------------------------------------------------
@@ -123,22 +116,22 @@ def coefficients_HLN(data, exponents: SaddleExponents) -> tuple[tuple, tuple, tu
     collapses a coefficient to 0 through the Gamma pole.
     """
     geometry, c0 = exponents.geometry, exponents.delta.c0
-    c1, c2, c3 = geometry.curvatures
-    roots = np.sqrt((c1, -c2, c3))
-    cj = np.conj
+    # r1 and r2 at the three saddles, one read each; a stand-in may return one constant
+    lams, (r1s, r2s) = np.array(geometry.lambdas), np.empty((2, 3), dtype=complex)
+    r1s[:], r2s[:] = data.r1(lams), data.r2(lams)
     H, L, N = [], [], []
-    for k, lam in enumerate(geometry.lambdas):
-        s = k + 1
-        r1, r2, v = data.r1(lam), data.r2(lam), exponents.v[k]
+    for s, lam, c, r1, r2, v in zip((1, 2, 3), geometry.lambdas, geometry.curvatures, r1s, r2s,
+                                    exponents.v):
+        root = math.sqrt(abs(c))
         if s == 2:
-            ray, mirror = (cj(r1), cj(r2), cj(v)), (r2, r1, v)
+            ray, mirror = (r1.conjugate(), r2.conjugate(), v.conjugate()), (r2, r1, v)
         else:
-            ray, mirror = (r1, r2, v), (cj(r2), cj(r1), cj(v))
-        factor = np.exp(2.0 * log_power_factor(s, exponents, 1.0))
+            ray, mirror = (r1, r2, v), (r2.conjugate(), r1.conjugate(), v.conjugate())
+        factor = cmath.exp(2.0 * log_power_factor(s, exponents, 1.0))
         beta, gamc = pc_coefficients(s, *ray)
-        L.append(-beta / roots[k] * factor)
-        N.append(-c0**2 * gamc / (lam**2 * roots[k]) / factor)
-        H.append(-pc_coefficients(s, *mirror)[0] / roots[k] * cj(1.0 / factor))
+        L.append(-beta / root * factor)
+        N.append(-c0**2 * gamc / (lam**2 * root) / factor)
+        H.append(-pc_coefficients(s, *mirror)[0] / root * (1.0 / factor).conjugate())
     return tuple(H), tuple(L), tuple(N)
 
 
@@ -222,7 +215,7 @@ class _Term:
     rate: float           # oscillation exp(i * rate * t) from exp(-+2 i t theta(lam_s))
 
     def at(self, t: float) -> complex:
-        return self.coef * t ** self.exponent * np.exp(1j * self.rate * t)
+        return self.coef * t ** self.exponent * cmath.exp(1j * self.rate * t)
 
 
 def _check_point(x: float, t: float) -> None:
@@ -258,39 +251,27 @@ def q_asymptotic(x: float, t: float, data,
             _cache[m] = (exps, H, L, N)
 
     geometry, v = exps.geometry, exps.v
-    im = [float(np.imag(vv)) for vv in v]
     orders = error_order(*v)
-    chi0 = exps.chi_at_saddle
-    theta0 = [float(np.real(geometry.theta(geometry.lam(s)))) for s in (1, 2, 3)]
-
+    tags = [_interval_tag(vv.imag) for vv in v]
     terms: list[_Term] = []
-    if x > 0:
-        tags = {_interval_tag(i) for i in im}
-        branch = (Branch.X_POS_I1 if tags == {"I1"} else
-                  Branch.X_POS_I2 if tags == {"I2"} else
-                  Branch.X_POS_I3 if tags == {"I3"} else Branch.X_POS_MIXED)
-        for s in (1, 2, 3):
-            sgn = (-1) ** s
-            vv, ii = v[s - 1], im[s - 1]
-            if _wants_N(ii):
-                expo = complex(-0.5 + sgn * ii, -sgn * float(np.real(vv)))
-                coef = N[s - 1] * np.exp(-2.0 * chi0[s - 1])
-                terms.append(_Term(coef, expo, -2.0 * theta0[s - 1]))
-            if _wants_L(ii):
-                expo = complex(-0.5 - sgn * ii, sgn * float(np.real(vv)))
-                coef = -L[s - 1] * np.exp(2.0 * chi0[s - 1])
-                terms.append(_Term(coef, expo, 2.0 * theta0[s - 1]))
-        background = exps.delta.background
+    for k, (vv, tag, chi, lam) in enumerate(zip(v, tags, exps.chi_at_saddle, geometry.lambdas)):
+        sgn = (-1) ** (k + 1)
+        rate = 2.0 * geometry.theta(lam).real
+        if x < 0:
+            terms.append(_Term(-H[k] * cmath.exp(-2.0 * chi.conjugate()),
+                               complex(-0.5 + sgn * vv.imag, sgn * vv.real), rate))
+            continue
+        if tag in ("I1", "I2"):
+            terms.append(_Term(N[k] * cmath.exp(-2.0 * chi),
+                               complex(-0.5 + sgn * vv.imag, -sgn * vv.real), -rate))
+        if tag in ("I2", "I3"):
+            terms.append(_Term(-L[k] * cmath.exp(2.0 * chi),
+                               complex(-0.5 - sgn * vv.imag, sgn * vv.real), rate))
+    if x < 0:
+        branch, background = Branch.X_NEG, 0.0 + 0.0j
     else:
-        branch = Branch.X_NEG
-        for s in (1, 2, 3):
-            sgn = (-1) ** s
-            vv, ii = v[s - 1], im[s - 1]
-            expo = complex(-0.5 + sgn * ii, sgn * float(np.real(vv)))
-            coef = -H[s - 1] * np.exp(-2.0 * np.conj(chi0[s - 1]))
-            terms.append(_Term(coef, expo, 2.0 * theta0[s - 1]))
-        background = 0.0 + 0.0j
-
+        branch = Branch("x>0:" + (tags[0] if len(set(tags)) == 1 else "mixed"))
+        background = exps.delta.background
     return AsymptoticResult(branch=branch, leading_terms=terms,
                             background=background, error_order=orders,
                             geometry=geometry, v=v)

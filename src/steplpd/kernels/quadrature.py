@@ -27,6 +27,8 @@ and (xi - lam)**(i*v) inherits the cut along (-inf, lam].
 
 from __future__ import annotations
 
+import cmath
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -44,12 +46,12 @@ class IntegrationError(Exception):
     """A node sum changed by more than _CONVERGENCE_TOL from n to 2n nodes."""
 
 
-def level_gap(stage: str, coarse, fine):
-    """|coarse - fine| of a node sum on the two NODE_LEVELS, elementwise; a gap
-    above _CONVERGENCE_TOL raises IntegrationError naming the stage."""
-    gap = np.abs(np.subtract(coarse, fine))
-    if np.max(gap) > _CONVERGENCE_TOL:
-        raise IntegrationError(f"{stage} changes by {np.max(gap):.1e} from {NODE_LEVELS[0]}"
+def level_gap(stage: str, coarse: tuple, fine: tuple) -> tuple[float, ...]:
+    """|coarse - fine| of node sums on the two NODE_LEVELS, elementwise over
+    tuples; a gap above _CONVERGENCE_TOL raises IntegrationError naming the stage."""
+    gap = tuple(abs(c - f) for c, f in zip(coarse, fine))
+    if max(gap) > _CONVERGENCE_TOL:
+        raise IntegrationError(f"{stage} changes by {max(gap):.1e} from {NODE_LEVELS[0]}"
                                f" to {NODE_LEVELS[1]} nodes per interval")
     return gap
 
@@ -58,8 +60,8 @@ def log_side(z: complex, side: int | None = None) -> complex:
     """Principal log; a real negative z is read from above (side +1) or below (-1)."""
     z = complex(z)
     if side is not None and z.imag == 0.0 and z.real < 0.0:
-        return np.log(-z.real) + 1j * np.pi * side
-    return np.log(z)
+        return complex(math.log(-z.real), math.pi * side)
+    return cmath.log(z)
 
 
 @dataclass(frozen=True)
@@ -122,28 +124,28 @@ class IntervalRule:
         if on and side not in (+1, -1):
             raise ValueError("xi lies on the contour: side flag (+1/-1) required")
         dz = self.z - xi
-        if xi in (a, b) or not np.all(dz):
+        if xi in (a, b) or not dz.all():
             raise ValueError(f"xi = {xi.real:.17g} is an end or a node of the rule")
         # preimage s(xi), the subtrahend g and the argument of its transform
-        if np.isfinite(a) and np.isfinite(b):
+        if math.isfinite(a) and math.isfinite(b):
             if self.geometric:
-                s_xi = 2.0 * np.log(xi / a) / np.log(b / a) - 1.0 if xi != 0 else np.inf
+                s_xi = 2.0 * cmath.log(xi / a) / math.log(b / a) - 1.0 if xi != 0 else math.inf
             else:
                 s_xi = (2.0 * xi - a - b) / (b - a)
             g, arg = 1.0, (b - xi) / (a - xi)
         else:
-            if np.isfinite(b):
+            if math.isfinite(b):
                 u, p, arg = b - xi, b + 1.0, xi - b
             else:
                 u, p, arg = xi - a, a - 1.0, 1.0 / (a - xi)
-            s_xi = (u - 1.0) / (u + 1.0) if u != -1.0 else np.inf
+            s_xi = (u - 1.0) / (u + 1.0) if u != -1.0 else math.inf
             g = (p - xi) / (p - self.z)
-        if not abs(s_xi + np.sqrt(s_xi - 1.0) * np.sqrt(s_xi + 1.0)) < _SUBTRACT_RADIUS:
-            return complex(np.dot(self.W, values / dz)) / (2j * np.pi)
-        c = complex(np.dot(self.bary / (s_xi - self.s), values)
-                    / np.sum(self.bary / (s_xi - self.s)))
+        if not abs(s_xi + cmath.sqrt(s_xi - 1.0) * cmath.sqrt(s_xi + 1.0)) < _SUBTRACT_RADIUS:
+            return complex(np.dot(self.W, values / dz)) / (2j * math.pi)
+        terms = self.bary / (s_xi - self.s)
+        c = complex(np.dot(terms, values) / np.sum(terms))
         return (complex(np.dot(self.W, (values - c * g) / dz))
-                + c * log_side(arg, side)) / (2j * np.pi)
+                + c * log_side(arg, side)) / (2j * math.pi)
 
 
 def interval_rule(interval: ContourInterval, n: int) -> IntervalRule:
@@ -151,15 +153,15 @@ def interval_rule(interval: ContourInterval, n: int) -> IntervalRule:
     it is finite and of one sign."""
     s, w, bary = gauss_legendre(n)
     a, b = interval.lower, interval.upper
-    geometric = bool(np.isfinite(a * b) and a * b > 0)
+    geometric = math.isfinite(a * b) and a * b > 0
     if geometric:
         z = a * (b / a) ** (0.5 * (1.0 + s))
         dzds = 0.5 * np.log(b / a) * z
-    elif np.isfinite(a) and np.isfinite(b):
+    elif math.isfinite(a) and math.isfinite(b):
         z, dzds = 0.5 * (a + b) + 0.5 * (b - a) * s, np.full(n, 0.5 * (b - a))
-    elif np.isfinite(a) or np.isfinite(b):
-        sign = 1.0 if np.isfinite(a) else -1.0
-        z = (a if np.isfinite(a) else b) + sign * (1.0 + s) / (1.0 - s)
+    elif math.isfinite(a) or math.isfinite(b):
+        sign = 1.0 if math.isfinite(a) else -1.0
+        z = (a if math.isfinite(a) else b) + sign * (1.0 + s) / (1.0 - s)
         dzds = sign * 2.0 / (1.0 - s) ** 2
     else:
         raise ValueError("split the real line into two half-lines")

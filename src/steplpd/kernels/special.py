@@ -89,6 +89,12 @@ _SERIES_TOL = 2.0 ** -56
 _SQRT2PI = math.sqrt(2.0 * math.pi)
 
 
+@lru_cache(maxsize=None)
+def _rgamma_half() -> complex:
+    """1/Gamma(1/2), formed on first use."""
+    return reciprocal_gamma(0.5 + 0.0j)
+
+
 @lru_cache(maxsize=64)
 def _maclaurin(a: complex) -> tuple[tuple[complex, ...], int]:
     """E_a's Maclaurin coefficients and how many of them to sum at |z| <= _NEAR_Z:
@@ -96,7 +102,7 @@ def _maclaurin(a: complex) -> tuple[tuple[complex, ...], int]:
     and r times E''s) fall below _SERIES_TOL times the largest; the table
     runs to r = _SMALL_Z.  sqrt(pi) is 1/rgamma(1/2) from the same routine,
     so that a = 0 gives e_0 = 1 and all later e_k = 0 exactly."""
-    rg_half = reciprocal_gamma(0.5 + 0.0j)
+    rg_half = _rgamma_half()
     e0 = 2.0 ** (a / 2.0) * reciprocal_gamma((1.0 - a) / 2.0) / rg_half
     e1 = -(2.0 ** ((a + 1.0) / 2.0)) * reciprocal_gamma(-a / 2.0) / rg_half
     e, near = [e0, e1], 0

@@ -30,7 +30,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -39,7 +39,7 @@ from steplpd.kernels.special import parabolic_cylinder_D_scaled_pair, reciprocal
 from steplpd.phase import PhaseGeometry
 from steplpd.rhfactors import SaddleExponents
 
-_SQRT2PI = np.sqrt(2.0 * np.pi)
+_SQRT2PI = math.sqrt(2.0 * math.pi)
 _QUARTER = math.pi / 4.0
 # tau -> (z13, z24) above and below the real line
 _ROT_UPPER = (cmath.exp(-0.75j * math.pi), cmath.exp(-0.25j * math.pi))
@@ -54,6 +54,11 @@ class LocalModelData:
     v: complex
     r1r: complex
     r2r: complex
+
+    @cached_property
+    def conjugated(self) -> "LocalModelData":
+        """The s = 1 model on conjugated data, built once; reflected, the s = 2 model."""
+        return LocalModelData(1, *(complex(x).conjugate() for x in (self.v, self.r1r, self.r2r)))
 
 
 def model_order(r1r: complex, r2r: complex) -> complex:
@@ -73,7 +78,7 @@ def _scale_factor(s: int, geometry: PhaseGeometry, t: float) -> float:
     rad = 4.0 * t * (c if s in (1, 3) else -c)
     if rad <= 0:
         raise ValueError(f"negative radicand at saddle {s}: wrong regime")
-    return float(np.sqrt(rad))
+    return math.sqrt(rad)
 
 
 def scaling_map(s: int, geometry: PhaseGeometry, t: float, tau: complex) -> complex:
@@ -105,7 +110,7 @@ def log_power_factor(s: int, exponents: SaddleExponents, t: float) -> complex:
         raise ValueError("saddle index must be 1, 2 or 3")
     return (exponents.log_local_constant(s) - exponents.chi0(s)
             - saddle_sign(s) * 1j * exponents.v[s - 1]
-            * np.log(_scale_factor(s, exponents.geometry, t)))
+            * math.log(_scale_factor(s, exponents.geometry, t)))
 
 
 def lambda_conjugator(s: int, exponents: SaddleExponents, t: float,
@@ -142,16 +147,10 @@ def pc_coefficients(s: int, r1r: complex, r2r: complex,
     if s == 2:
         beta, gam = pc_coefficients(1, *(complex(x).conjugate() for x in (r1r, r2r, v)))
         return beta.conjugate(), gam.conjugate()
-    beta = -_SQRT2PI * np.exp(-np.pi * v / 2.0) * np.exp(1j * np.pi / 4.0) \
-        * reciprocal_gamma(-1j * v) / r1r
-    gam = -_SQRT2PI * np.exp(-np.pi * v / 2.0) * np.exp(-1j * np.pi / 4.0) \
-        * reciprocal_gamma(1j * v) / r2r
+    scale = -_SQRT2PI * cmath.exp(-math.pi * v / 2.0)
+    beta = scale * cmath.exp(1j * math.pi / 4.0) * reciprocal_gamma(-1j * v) / r1r
+    gam = scale * cmath.exp(-1j * math.pi / 4.0) * reciprocal_gamma(1j * v) / r2r
     return beta, gam
-
-
-def _conjugate(model: LocalModelData) -> LocalModelData:
-    """The s = 1 model on conjugated data: reflected, it is the s = 2 model."""
-    return LocalModelData(1, *(complex(x).conjugate() for x in (model.v, model.r1r, model.r2r)))
 
 
 @lru_cache(maxsize=64)
@@ -194,7 +193,7 @@ def pc_model_matrix(s: int, model: LocalModelData, tau: complex,
     if tau == 0:
         raise ValueError("the model normalization is singular at tau = 0")
     if s == 2:      # the reflection reverses orientation, and with it the side
-        return np.conj(pc_model_matrix(1, _conjugate(model), -tau.conjugate(),
+        return np.conj(pc_model_matrix(1, model.conjugated, -tau.conjugate(),
                                        None if side is None else -side))
     a = cmath.phase(tau)
     k, sector = round(a / _QUARTER), math.floor(a / _QUARTER)
@@ -229,7 +228,7 @@ def pc_jump_matrix(s: int, model: LocalModelData, tau: complex) -> np.ndarray:
     """
     tau = complex(tau)
     if s not in (1, 3):     # s = 2: conjugate reflection of the s = 1 picture
-        return np.conj(pc_jump_matrix(1, _conjugate(model), -tau.conjugate()))
+        return np.conj(pc_jump_matrix(1, model.conjugated, -tau.conjugate()))
     p, q, v = model.r1r, model.r2r, model.v
     a = cmath.phase(tau)
     k = round(a / _QUARTER)

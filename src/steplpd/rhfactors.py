@@ -42,6 +42,8 @@ the background A delta(0)^2 (and with it c0 = A delta(0)^2 / 2i) once, and
 
 from __future__ import annotations
 
+import cmath
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -133,7 +135,7 @@ class DeltaFunction:
     def __post_init__(self):
         self.v_values = tuple(-r / _TWO_PI for r in self.rho_saddles)
         coarse, self.log_delta0 = (_cauchy_sum(level, 0.0, None) for level in self.levels)
-        self.convergence = level_gap("build_delta: ln delta(0)", coarse, self.log_delta0)
+        (self.convergence,) = level_gap("build_delta: ln delta(0)", (coarse,), (self.log_delta0,))
 
     def v(self, s: int) -> complex:
         """v(lam_s) = -(1/2pi) ln|1+r1r2| - (i/2pi) * accumulated arg."""
@@ -200,12 +202,12 @@ def build_delta(data, geometry: PhaseGeometry) -> DeltaFunction:
 # saddle exponents: v and the regular parts chi_s
 # ---------------------------------------------------------------------------
 
-def _power_coefficients(s: int, v) -> np.ndarray:
+def _power_coefficients(s: int, v) -> tuple[complex, complex, complex]:
     """Coefficients of i ln(xi - lam_j), j = 1, 2, 3, in the saddle-s powers."""
-    v1, v2, v3 = v
     if s not in (1, 2, 3):
         raise ValueError("saddle index must be 1, 2 or 3")
-    return np.array({1: (v1, -v1, v1), 2: (v2, -v2, v3), 3: (v3, -v3, v3)}[s])
+    v1, v2, v3 = v
+    return ((v1, -v1, v1), (v2, -v2, v3), (v3, -v3, v3))[s - 1]
 
 
 def _log_rho_prime(rule: IntervalRule, rho: np.ndarray, xi: complex,
@@ -215,7 +217,7 @@ def _log_rho_prime(rule: IntervalRule, rho: np.ndarray, xi: complex,
     side ``side`` where xi - z < 0.  At a finite end lam* the kernel is
     (rho(z) - rho(lam*))/(lam* - z); elsewhere the Cauchy sum."""
     a, b = rule.interval.lower, rule.interval.upper
-    finite = np.isfinite(a)
+    finite = math.isfinite(a)
     if xi == b:
         h = 1.0 if finite else 1.0 / (1.0 + b - rule.z)
         out = rule.integrate((rho - rho_hi * h) / (b - rule.z))
@@ -223,7 +225,7 @@ def _log_rho_prime(rule: IntervalRule, rho: np.ndarray, xi: complex,
     if xi == a:
         return (rule.integrate((rho - rho_lo) / (a - rule.z))
                 + log_side(a - b, side) * (rho_hi - rho_lo))
-    out = log_side(xi - b, side) * rho_hi - 2j * np.pi * rule.cauchy(rho, xi, side)
+    out = log_side(xi - b, side) * rho_hi - 2j * math.pi * rule.cauchy(rho, xi, side)
     return out - log_side(xi - a, side) * rho_lo if finite else out
 
 
@@ -231,13 +233,15 @@ def _chi(delta: DeltaFunction, level, s: int, xi: complex, side: int) -> complex
     """chi_s(xi) from one node level (positive mu): X(xi) by parts plus the
     powers of ln delta less the saddle-s powers, whose ln(xi - lam_s)
     coefficient is 0, so that log is left out and lam_s itself allowed."""
-    lambdas, v = delta.geometry.lambdas, delta.v_values
-    at = dict(zip(lambdas, delta.rho_saddles))
-    X = -sum(_log_rho_prime(rule, r, xi, at.get(rule.interval.lower, 0.0),
-                            at[rule.interval.upper], side)
-             for rule, r in level) / (2j * np.pi)
-    logs = [0.0 if j == s - 1 else log_side(xi - lam, side) for j, lam in enumerate(lambdas)]
-    return X + 1j * np.dot(np.array(v) * (1, -1, 1) - _power_coefficients(s, v), logs)
+    rho1, rho2, rho3 = delta.rho_saddles
+    (half, rho_half), (finite, rho_finite) = level      # (-inf, lam3], [lam2, lam1]
+    X = -(_log_rho_prime(half, rho_half, xi, 0.0, rho3, side)
+          + _log_rho_prime(finite, rho_finite, xi, rho2, rho1, side)) / (2j * math.pi)
+    v1, v2, v3 = v = delta.v_values
+    logs = [0.0 if j == s - 1 else log_side(xi - lam, side)
+            for j, lam in enumerate(delta.geometry.lambdas)]
+    return X + 1j * sum((c - p) * log for c, p, log
+                        in zip((v1, -v2, v3), _power_coefficients(s, v), logs))
 
 
 @dataclass
@@ -260,7 +264,7 @@ class SaddleExponents:
 
     def _powers(self, s: int, xi: complex, side: int) -> complex:
         logs = [log_side(complex(xi) - lam, side) for lam in self.geometry.lambdas]
-        return 1j * np.dot(_power_coefficients(s, self.v), logs)
+        return 1j * sum(c * log for c, log in zip(_power_coefficients(s, self.v), logs))
 
     def chi(self, s: int, xi: complex, side: int = +1) -> complex:
         """chi_s(xi), the regular part of the saddle-s product form (chi0 at lam_s)."""
@@ -281,13 +285,14 @@ class SaddleExponents:
         lam_j > lam_s cancels in the saddle-s powers on either side.
         """
         lam = self.geometry.lam(s)
-        logs = [0.0 if j == s - 1 else np.log(abs(lam - lj))
+        logs = [0.0 if j == s - 1 else math.log(abs(lam - lj))
                 for j, lj in enumerate(self.geometry.lambdas)]
-        return self.chi0(s) + 1j * np.dot(_power_coefficients(s, self.v), logs)
+        return self.chi0(s) + 1j * sum(c * log for c, log in zip(_power_coefficients(s, self.v),
+                                                                  logs))
 
     def product_form(self, s: int, xi: complex, side: int = +1) -> complex:
         """delta(xi) rebuilt from the saddle-s product representation."""
-        return np.exp(self._powers(s, xi, side) + self.chi(s, xi, side))
+        return cmath.exp(self._powers(s, xi, side) + self.chi(s, xi, side))
 
 
 def saddle_exponents(delta: DeltaFunction) -> SaddleExponents:
@@ -299,7 +304,7 @@ def saddle_exponents(delta: DeltaFunction) -> SaddleExponents:
     coarse, fine = (tuple(_chi(delta, level, s, geometry.lam(s), +1) for s in (1, 2, 3))
                     for level in delta.levels)
     errors = level_gap("saddle_exponents: chi_s(lam_s)", coarse, fine)
-    return SaddleExponents(delta=delta, chi_at_saddle=fine, chi_error=tuple(errors))
+    return SaddleExponents(delta=delta, chi_at_saddle=fine, chi_error=errors)
 
 
 # ---------------------------------------------------------------------------

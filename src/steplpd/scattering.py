@@ -80,12 +80,12 @@ import json
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Callable, ClassVar
 
 import numpy as np
 
-from steplpd.kernels import ContourInterval, interval_rule, ode_integrate
+from steplpd.kernels import ContourInterval, IntervalRule, interval_rule, ode_integrate
 from steplpd.kernels.quadrature import NODE_LEVELS, level_gap
 
 SIGMA1 = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -175,7 +175,8 @@ class InitialProfile:
         if not (self.support >= 0 and math.isfinite(self.support)):
             raise ValueError(f"support must be >= 0 and finite, got {self.support!r}")
         tol = 1e-10 * (1 + self.A)
-        for xp in self.support + _SUPPORT_PROBES:
+        # the pure step's _zero needs no probe
+        for xp in () if self.perturbation is _zero else self.support + _SUPPORT_PROBES:
             if abs(self.perturbation(xp)) > tol or abs(self.perturbation(-xp)) > tol:
                 raise ValueError("perturbation does not vanish outside its support")
 
@@ -854,6 +855,12 @@ def classify_case(data: ScatteringData) -> CaseTag:
 _XI1_CHECK_TOL = 1e-6
 
 
+@lru_cache(maxsize=None)
+def _trace_rules() -> tuple[IntervalRule, IntervalRule]:
+    """The trace integral's rules on (0, inf), one per NODE_LEVELS, built on first use."""
+    return tuple(interval_rule(ContourInterval(0.0, np.inf), n) for n in NODE_LEVELS)
+
+
 def locate_xi1(data: ScatteringData) -> float:
     """The positive xi1 with a1(i*xi1) = 0, from the trace formulas.
 
@@ -863,18 +870,14 @@ def locate_xi1(data: ScatteringData) -> float:
     Im a2'(0) in case 2 (classify_case refuses |b(0)| >= 1, Im a2'(0) <= 0).
     I is a node sum on (0, inf) over one_plus_r1r2, taken on both
     NODE_LEVELS and gated by ``level_gap``.
-    The value is cross-checked against a1 at i*xi1; disagreement raises.
+    The value is cross-checked against a1 at i*xi1; disagreement raises
+    InconsistentDataError naming I, |a1(i*xi1)| and its bound.
     """
     if data.case_tag is None or (data.case_tag is CaseTag.CASE2 and data.a2dot0 is None):
         classify_case(data)
-
-    def trace_integral(n: int) -> float:
-        rule = interval_rule(ContourInterval(0.0, np.inf), n)
-        arg = np.angle(data.one_plus_r1r2(rule.z))
-        return rule.integrate(arg / rule.z).real / np.pi
-
-    coarse, I = (trace_integral(n) for n in NODE_LEVELS)
-    level_gap("locate_xi1: the trace integral", coarse, I)
+    coarse, I = (rule.integrate(np.angle(data.one_plus_r1r2(rule.z)) / rule.z).real / np.pi
+                 for rule in _trace_rules())
+    level_gap("locate_xi1: the trace integral", (coarse,), (I,))
 
     if data.case_tag is CaseTag.CASE1:
         C = data.A / 2.0
@@ -883,9 +886,12 @@ def locate_xi1(data: ScatteringData) -> float:
     xi1 = float(C * np.exp(I))
 
     at, near = data.a1(1j * xi1 * np.array([1.0, 1.0 + 1e-3]))
-    if abs(at) > _XI1_CHECK_TOL * max(1.0, abs(near)):
+    bound = _XI1_CHECK_TOL * max(1.0, abs(near))
+    if abs(at) > bound:
         raise InconsistentDataError(
-            f"a1(i*xi1) = {at:.3e} does not vanish at xi1 = {xi1:.8g}")
+            f"a1(i*xi1) does not vanish at the trace formula's xi1 = {xi1:.8g} "
+            f"(trace integral I = {I:.8g}): |a1(i*xi1)| = {abs(at):.3e} against a bound of "
+            f"{bound:.3e}; a1 may have more than one zero on the positive imaginary axis")
     data.xi1 = xi1
     return xi1
 

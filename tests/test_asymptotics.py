@@ -1,5 +1,7 @@
 """Leading-order formulas, error-order tables and the soliton."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -100,6 +102,74 @@ class TestCoefficients:
         )
         for g, w in zip(np.ravel(got), np.ravel(want)):
             assert abs(g - w) < 1e-13 * abs(w)
+
+
+@pytest.fixture(scope="module")
+def read_kinds():
+    """Data of every kind coefficients_HLN reads, with a ray's saddle exponents."""
+    geom = stationary_points(0.5, GAMMA)
+    bump = ScatteringData.from_profile(
+        InitialProfile.gaussian_bump(1.0, GAMMA, 0.1, 0.2, 0.3), analyze=False)
+    kinds = {"step": ScatteringData.pure_step(A, GAMMA),
+             "synthetic": synthetic_from_v_targets(A, GAMMA, 0.5, (0.1j, -0.05j, 0.2j)),
+             "synthetic-gaussian": synthetic_from_v_targets(
+                 A, GAMMA, 0.5, (0.1j, -0.05j, 0.08j), r2=(0.1, 3.0, 1.2, 0.6)),
+             "bump": bump,
+             # TestQAsymptotic::test_boundary_recovery's stand-in: r2 is one constant
+             "stand-in": SyntheticReflectionData(
+                 A=A, gamma=GAMMA, r1=lambda z: 1e-6 * np.exp(-np.real(z) ** 2),
+                 r2=lambda z: 0.5 + 0j, xi1=A / 2)}
+    return {name: (data, saddle_exponents(build_delta(data, geom)))
+            for name, data in kinds.items()}
+
+
+class TestSaddleReads:
+    """coefficients_HLN reads r1 and r2 at the three saddles as one array
+    each: the same bits as one scalar read per saddle, and 2 requests."""
+
+    @pytest.mark.parametrize("name", ["step", "synthetic", "synthetic-gaussian", "bump",
+                                      "stand-in"])
+    def test_array_reads_match_scalar_reads(self, read_kinds, name):
+        data, exps = read_kinds[name]
+        lams = exps.geometry.lambdas
+        for read in (data.r1, data.r2):
+            array = np.broadcast_to(read(np.array(lams)), 3)
+            scalar = np.array([read(lam) for lam in lams])
+            assert array.tobytes() == scalar.tobytes()
+
+        # and the nine coefficients equal those from one scalar read per saddle
+        def each(read):
+            return lambda xi: np.array([read(x) for x in np.ravel(xi)])
+
+        per_saddle = SyntheticReflectionData(A=data.A, gamma=data.gamma,
+                                             r1=each(data.r1), r2=each(data.r2))
+        got, want = coefficients_HLN(data, exps), coefficients_HLN(per_saddle, exps)
+        assert np.array(got).tobytes() == np.array(want).tobytes()
+
+    def test_two_requests_pure_step(self, machinery):
+        data, _, exps = machinery
+        shapes = []
+
+        def S(xi):
+            shapes.append(xi.shape)
+            return data.S(xi)
+
+        coefficients_HLN(dataclasses.replace(data, S=S), exps)
+        assert shapes == [(3,), (3,)]
+
+    def test_two_requests_synthetic(self, read_kinds):
+        data, exps = read_kinds["synthetic-gaussian"]
+        shapes = []
+
+        def counted(read):
+            def counting(xi):
+                shapes.append(np.shape(xi))
+                return read(xi)
+            return counting
+
+        coefficients_HLN(dataclasses.replace(data, r1=counted(data.r1), r2=counted(data.r2)),
+                         exps)
+        assert shapes == [(3,), (3,)]
 
 
 # error_order on every Im v sign pattern in {-0.2, 0, 0.2}^3 plus unequal

@@ -16,6 +16,7 @@ from steplpd.kernels import (
     ode_integrate,
     parabolic_cylinder_D,
 )
+from steplpd.kernels.quadrature import IntegrationError, level_gap, log_side
 from steplpd.kernels.special import (
     GammaPoleError,
     _pcfd_scaled_cached,
@@ -191,6 +192,104 @@ class TestCauchyTransform:
     def test_endpoint_refused(self):
         with pytest.raises(ValueError):
             interval_rule(ContourInterval(0, 1), N).cauchy(np.ones(N), 1.0)
+
+
+def _numpy_log_side(z: complex, side: int | None = None) -> complex:
+    """The numpy form that log_side replaced."""
+    z = complex(z)
+    if side is not None and z.imag == 0.0 and z.real < 0.0:
+        return np.log(-z.real) + 1j * np.pi * side
+    return np.log(z)
+
+
+def _numpy_cauchy(rule, values: np.ndarray, xi: complex, side: int | None = None) -> complex:
+    """The numpy form that IntervalRule.cauchy's scalar steps replaced."""
+    xi = complex(xi)
+    a, b = rule.interval.lower, rule.interval.upper
+    dz = rule.z - xi
+    if np.isfinite(a) and np.isfinite(b):
+        if rule.geometric:
+            s_xi = 2.0 * np.log(xi / a) / np.log(b / a) - 1.0 if xi != 0 else np.inf
+        else:
+            s_xi = (2.0 * xi - a - b) / (b - a)
+        g, arg = 1.0, (b - xi) / (a - xi)
+    else:
+        if np.isfinite(b):
+            u, p, arg = b - xi, b + 1.0, xi - b
+        else:
+            u, p, arg = xi - a, a - 1.0, 1.0 / (a - xi)
+        s_xi = (u - 1.0) / (u + 1.0) if u != -1.0 else np.inf
+        g = (p - xi) / (p - rule.z)
+    if not abs(s_xi + np.sqrt(s_xi - 1.0) * np.sqrt(s_xi + 1.0)) < 1.5:
+        return complex(np.dot(rule.W, values / dz)) / (2j * np.pi)
+    c = complex(np.dot(rule.bary / (s_xi - rule.s), values)
+                / np.sum(rule.bary / (s_xi - rule.s)))
+    return (complex(np.dot(rule.W, (values - c * g) / dz))
+            + c * _numpy_log_side(arg, side)) / (2j * np.pi)
+
+
+def _ulps(got, want) -> float:
+    """|got - want| in units of the last place of |want|."""
+    return abs(got - want) / np.spacing(abs(want))
+
+
+def _form_points(rng, lo: float, hi: float) -> list:
+    """(xi, side): on the interval from both sides, 1e-9 to 1e-2 above and
+    below it, off it, and next to each finite end."""
+    xs = rng.uniform(max(lo, -3.0), min(hi, 3.0), 30)
+    pts = [(x, side) for x in xs for side in (+1, -1)]
+    pts += [(complex(x, e), None) for x in xs for e in (1e-9, -1e-9, 1e-5, -1e-5, 1e-2, -1e-2)]
+    pts += [(complex(*rng.normal(0.0, 3.0, 2)), None) for _ in range(60)]
+    for end in (e for e in (lo, hi) if np.isfinite(e)):
+        pts += [(complex(end + d, h), None) for d in (-1e-6, 1e-6, -0.1, 0.1)
+                for h in (1e-6, -1e-6)]
+        pts += [(end + d, side) for d in (-1e-6, 1e-6) for side in (+1, -1) if lo < end + d < hi]
+    return pts
+
+
+class TestScalarForms:
+    """log_side, level_gap and IntervalRule.cauchy do their scalar steps in
+    Python's math and cmath; they agree with the numpy forms they replaced.
+    cmath.log and numpy's complex log differ in the last bits of either
+    part, so log_side agrees to 2 ulps of |ln z|; the affine and half-line
+    Cauchy sums inherit that through the closed-form log, and the geometric
+    one also through the preimage ln(xi/a), which moves the subtracted
+    interpolant c: 1e-9 off the contour that changes the sum by up to a few
+    hundred ulps, 1e-13 of it."""
+
+    def test_log_side(self):
+        rng = np.random.default_rng(7)
+        zs = [complex(*rng.normal(0.0, scale, 2))
+              for scale in (0.1, 1.0, 10.0) for _ in range(500)]
+        zs += [complex(-x, 0.0) for x in rng.uniform(1e-3, 10.0, 200)]
+        for z in zs:
+            for side in (None, +1, -1):
+                assert _ulps(log_side(z, side), _numpy_log_side(z, side)) <= 2.0, (z, side)
+
+    def test_level_gap(self):
+        rng = np.random.default_rng(8)
+        for _ in range(200):
+            coarse, fine = rng.normal(size=(2, 3)) + 1j * rng.normal(size=(2, 3))
+            fine = coarse + 1e-11 * fine
+            want = np.abs(np.subtract(coarse, fine))
+            for n in (1, 3):
+                got = level_gap("stage", tuple(coarse[:n]), tuple(fine[:n]))
+                assert len(got) == n and all(_ulps(g, w) <= 1.0 for g, w in zip(got, want))
+        with pytest.raises(IntegrationError, match="stage changes by 2.0e-10"):
+            level_gap("stage", (1.0, 1.0 + 2e-10j), (1.0, 1.0))
+
+    @pytest.mark.parametrize("lo, hi, bound", [(0.0, 1.0, 4.0), (-0.8, 1.1, 4.0),
+                                               (0.2, 1.3, 1e3), (-1.3, -0.2, 1e3),
+                                               (-np.inf, -0.7, 4.0), (0.7, np.inf, 4.0)])
+    def test_cauchy(self, lo, hi, bound):
+        rng = np.random.default_rng(9)
+        for n in (64, 128):
+            rule = interval_rule(ContourInterval(lo, hi), n)
+            f = (1.0 + 0.3j) / (1.0 + rule.z * rule.z)
+            for xi, side in _form_points(rng, lo, hi):
+                want = _numpy_cauchy(rule, f, xi, side)
+                assert _ulps(rule.cauchy(f, xi, side), want) <= bound, (n, xi, side)
+                assert abs(rule.cauchy(f, xi, side) - want) <= 1e-13 * max(1.0, abs(want))
 
 
 class TestComplexGamma:

@@ -273,6 +273,28 @@ class TestEvaluationCount:
         assert len(sums) == 8 and near and far and max(near) < min(far)
 
 
+    def test_conjugated_model_once(self, monkeypatch):
+        # the s = 2 model reads the s = 1 model on conjugated data: one
+        # LocalModelData for the whole ring, not one per matrix
+        model = LocalModelData(s=2, v=model_order(P, Q), r1r=P, r2r=Q)
+        made, init = [], LocalModelData.__init__
+
+        def counting_init(self, *args, **kwargs):
+            made.append(args)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(LocalModelData, "__init__", counting_init)
+        for r in (0.5, 2.0):
+            for ang in (np.pi / 4, 3 * np.pi / 4, -np.pi / 4, -3 * np.pi / 4):
+                tau = r * np.exp(1j * ang)
+                pc_model_matrix(2, model, tau, side=+1)
+                pc_model_matrix(2, model, tau, side=-1)
+                pc_jump_matrix(2, model, tau)
+        assert len(made) == 1
+        assert model.conjugated == LocalModelData(1, *(complex(x).conjugate()
+                                                      for x in (model.v, P, Q)))
+
+
 class TestOnRayEvaluation:
     """On a ray or the real axis, side picks the sector: no nudge of tau."""
 

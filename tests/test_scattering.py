@@ -3,6 +3,7 @@
 import json
 import math
 import re
+import sys
 import warnings
 
 import numpy as np
@@ -369,6 +370,27 @@ class TestXi1:
                            S=diagonal_S(lambda xi: 1.0 + 0j, lambda xi: 0.5 + 0j))
         with pytest.raises(InconsistentDataError, match="does not vanish"):
             locate_xi1(d)
+
+    def test_two_zeros_refusal_names_what_it_measured(self):
+        # amplitude 3, centred: Re a1(iy) changes sign near y = 0.03 and 1.8,
+        # and the trace formula, which assumes one zero, lands in between
+        data = ScatteringData.from_profile(InitialProfile.gaussian_bump(1.0, GAMMA, 3.0, 0.0, 0.3),
+                                           analyze=False)
+        with pytest.raises(InconsistentDataError) as refusal:
+            locate_xi1(data)
+        message = str(refusal.value)
+        fields = re.search(r"xi1 = (\S+) \(trace integral I = (\S+)\): \|a1\(i\*xi1\)\| = (\S+)"
+                           r" against a bound of (\S+);", message)
+        xi1, I, residual, bound = map(float, fields.groups())
+        assert "more than one zero on the positive imaginary axis" in message
+        assert I == pytest.approx(-0.93266908, abs=1e-8)
+        assert xi1 == pytest.approx(0.5 * math.exp(I), rel=1e-7)
+        assert residual == pytest.approx(abs(data.a1(1j * xi1)), rel=1e-3)
+        assert bound == pytest.approx(1e-6 * abs(data.a1(1j * xi1 * 1.001)), rel=1e-3)
+        assert residual > 1e5 * bound
+        re_a1 = [data.a1(1j * y).real for y in (0.02, 0.04, 1.7, 1.9)]
+        assert re_a1[0] > 0 > re_a1[1] and re_a1[2] < 0 < re_a1[3]
+        assert 0.04 < xi1 < 1.7
 
 
 # ---------------------------------------------------------------------------
@@ -979,6 +1001,27 @@ class TestArraySurface:
 
 
 class TestSupportCheck:
+    def test_zero_perturbation_not_probed(self):
+        # the pure step's _zero is not probed; every other perturbation is,
+        # at all 160 points, one with support 0 included
+        calls = []
+
+        def watch(frame, event, arg):
+            if event == "call" and frame.f_code is scattering._zero.__code__:
+                calls.append(frame)
+
+        sys.setprofile(watch)
+        try:
+            InitialProfile.pure_step(2.0, GAMMA)
+        finally:
+            sys.setprofile(None)
+        assert calls == []
+        probed = []
+        InitialProfile(A=2.0, gamma=GAMMA, perturbation=lambda x: probed.append(x) or 0j)
+        assert len(probed) == 160
+        with pytest.raises(ValueError, match="vanish outside its support"):
+            InitialProfile(A=2.0, gamma=GAMMA, perturbation=lambda x: 1e-3 + 0j)
+
     def test_leak_past_support_rejected(self):
         # a narrow bump centred 0.2 past the declared support: zero at the
         # 4 points support +- 0.5, +-2 that an older check probed

@@ -32,3 +32,10 @@ def test_compare_simulate_stages():
     assert set(stages) == {"lawson_step", "chunk"}
     # a chunk of 0.005 is hundreds of steps
     assert 0 < stages["lawson_step"][0] < stages["chunk"][0]
+
+
+def test_compare_pcmodel_stages():
+    stages = _compare().pcmodel_stages()
+    assert set(stages) == {"saddles_cold", "one_D_cold", "one_D_warm_order", "ring_cold",
+                           "ray_models", "ray_asymptotic"}
+    assert all(seconds > 0 for seconds, *_ in stages.values())
