@@ -34,6 +34,13 @@ it, and each child checks that it imported `steplpd` from there.  GROUPs:
   `rays` op's three models, the mean over 32 pure-step and 32 synthetic rays;
   `ray_asymptotic`, one `q_asymptotic` on those 64 fresh rays, for x > 0 and
   for x < 0, the mean over the 128 calls.
+- `perfbench`: `perfbench/run.py --trace 0` on each workload that
+  `BENCHMARK.json` lists, for its `run_seconds`, in the parent's checkout
+  (the directory above OTHER/src) and in this one; pair i runs seed
+  i + 1 on both sides.  Under `perfbench`, each workload gets both
+  sides' attempted and failed ops, and each end-to-end metric both sides'
+  median, quartiles and runs, `change_vs_parent` and `change_won` (the
+  share of pairs the change was better in, by the metric's `better`).
 - `simulate`, on criterion 11's grid (the soliton A = 2, alpha = pi,
   gamma = 0.1 on L = 10, h = 0.02: N = 1001): `lawson_step`, one
   integrating-factor RK4 step at `stable_dt`, the mean over 200 steps;
@@ -41,7 +48,8 @@ it, and each child checks that it imported `steplpd` from there.  GROUPs:
   chunk of soliton-sim runs.
 
 Draws use fixed seeds.  A timed group runs one untimed child per side, then
-`--pairs` pairs, the parent first in even pairs.  Each stage gets both
+`--pairs` pairs, the parent first in even pairs (`perfbench` runs only the
+pairs, in the same order).  Each stage gets both
 sides' median, quartiles and runs, `change_vs_parent` (the relative change
 of the median) and `change_won` (the share of pairs the change was faster
 in).  Stage code uses only names that both checkouts have.
@@ -68,6 +76,7 @@ SCRIPTS = pathlib.Path(__file__).resolve().parent
 CHANGE = SCRIPTS.parent / "src"
 CHILD = "import sys, compare; compare.child(*sys.argv[1:])"
 GAMMA = 1.0 / 27.0
+BENCHMARK = json.loads((SCRIPTS.parent / "BENCHMARK.json").read_text())
 BUMP = {"A": 1.0, "gamma": GAMMA,
         "perturbation": {"kind": "gaussian-bump", "amplitude": 0.1,
                          "center": 0.2, "width": 0.3}}
@@ -292,6 +301,58 @@ def outputs(sides: dict[str, pathlib.Path], work: pathlib.Path) -> dict[str, str
     return {f: first_difference(work / "parent" / f, work / "change" / f) for f in names}
 
 
+def spread(xs: list[float], suffix: str = "") -> dict:
+    """The median, quartiles and runs of xs, each key ending in suffix."""
+    q = statistics.quantiles(xs, n=4)
+    return {f"median{suffix}": statistics.median(xs), f"quartiles{suffix}": [q[0], q[2]],
+            f"runs{suffix}": xs}
+
+
+def result_line(stdout: str) -> dict:
+    """The result that `perfbench/run.py` prints on its last line."""
+    return json.loads(stdout.strip().splitlines()[-1])
+
+
+def perfbench_record(results: dict[str, dict[str, list[dict]]]) -> dict:
+    """workload -> side -> one result line per pair, summed and spread as
+    the module docstring says."""
+    record = {}
+    for workload, sides in results.items():
+        entry = {"ops": {side: {key: sum(r[key] for r in runs) for key in ("attempted", "failed")}
+                         for side, runs in sides.items()}, "metrics": {}}
+        for metric in BENCHMARK["end_to_end"]:
+            name, lower = metric["name"], metric["better"] == "lower"
+            xs = {side: [r["metrics"][name]["value"] for r in runs] for side, runs in sides.items()}
+            better = [c < p if lower else c > p for p, c in zip(xs["parent"], xs["change"])]
+            stats = {side: spread(x) for side, x in xs.items()}
+            entry["metrics"][name] = {
+                "unit": metric["unit"], **stats,
+                "change_vs_parent": stats["change"]["median"] / stats["parent"]["median"] - 1,
+                "change_won": sum(better) / len(better)}
+        record[workload] = entry
+    return record
+
+
+def perfbench(sides: dict[str, pathlib.Path], pairs: int) -> dict:
+    """The benchmark's workloads in alternating pairs of runs, one per side."""
+    workloads = [w["name"] for w in BENCHMARK["workloads"]]
+    results = {w: {"parent": [], "change": []} for w in workloads}
+    for i in range(pairs):
+        for workload in workloads:
+            for name in ("parent", "change") if i % 2 == 0 else ("change", "parent"):
+                # the benchmark's script under this interpreter, from the side's root
+                argv = [sys.executable, *BENCHMARK["command"][1:], "--workload", workload,
+                        "--seed", str(i + 1), "--seconds", str(BENCHMARK["run_seconds"]),
+                        "--trace", "0"]
+                proc = subprocess.run(argv, cwd=sides[name].parent, capture_output=True,
+                                      text=True, check=False)
+                if proc.returncode != 0:
+                    raise RuntimeError(f"{sides[name].parent}: {' '.join(argv[1:])} exited "
+                                       f"{proc.returncode}: {proc.stderr}")
+                results[workload][name].append(result_line(proc.stdout))
+    return perfbench_record(results)
+
+
 def timings(group: str, sides: dict[str, pathlib.Path], pairs: int, cwd: str) -> dict:
     for src in sides.values():
         run_side(group, src, cwd)
@@ -303,10 +364,7 @@ def timings(group: str, sides: dict[str, pathlib.Path], pairs: int, cwd: str) ->
     for stage in samples["parent"][0]:
         record = {}
         for name, runs in samples.items():
-            xs = [run[stage][0] for run in runs]
-            q = statistics.quantiles(xs, n=4)
-            record[name] = {"median_s": statistics.median(xs), "quartiles_s": [q[0], q[2]],
-                            "runs_s": xs}
+            record[name] = spread([run[stage][0] for run in runs], "_s")
             if len(runs[0][stage]) > 1:  # sweeps, listed once if every run agrees
                 counts = sorted({run[stage][1] for run in runs})
                 record[name]["sweeps"] = counts[0] if len(counts) == 1 else counts
@@ -331,7 +389,7 @@ def main(argv=None) -> int:
                     help="src/ directory of the checkout to compare against")
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("groups", nargs="+", metavar="GROUP",
-                    choices=("outputs", "startup", "sweep", "pcmodel", "simulate"))
+                    choices=("outputs", "startup", "sweep", "pcmodel", "simulate", "perfbench"))
     args = ap.parse_args(argv)
     if args.pairs < 2:
         ap.error("--pairs must be at least 2")
@@ -344,6 +402,8 @@ def main(argv=None) -> int:
         for group in dict.fromkeys(args.groups):
             if group == "outputs":
                 record["outputs"] = outputs(sides, work)
+            elif group == "perfbench":
+                record["perfbench"] = perfbench(sides, args.pairs)
             else:
                 record["stages"].update(timings(group, sides, args.pairs, tmp))
     json.dump(record, sys.stdout, indent=1)

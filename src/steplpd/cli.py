@@ -364,7 +364,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except Exception as exc:                     # noqa: BLE001 - CLI boundary
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
 
 

@@ -21,8 +21,8 @@ https://dlmf.nist.gov/12.8), which divides by nothing, so it holds as a -> 0
 - |z| <= 2: the order's Maclaurin table, built once per order from
   e_0 = E(0) = 2**(a/2) sqrt(pi) / Gamma((1-a)/2) and
   e_1 = E'(0) = -2**((a+1)/2) sqrt(pi) / Gamma(-a/2) long enough for E and
-  E' at |z| = 2, and summed for both by Horner's rule, at |z| <= 0.5 only as
-  far as that radius needs (about 24 terms of 50); a = 0 gives E = 1 exactly.
+  E' at |z| = 2, and summed for both by Horner's rule; a = 0 gives E = 1
+  exactly.
 - |z| >= 9: DLMF 12.9.1, z**a sum (-1)**s (-a)_{2s} / (s! (2 z**2)**s), cut at
   its smallest term.  Past the Stokes line |arg z| = pi/2 the exponentially
   small second series of 12.9.3 is added,
@@ -83,7 +83,6 @@ def complex_gamma(z: complex) -> complex:
 # ---------------------------------------------------------------------------
 
 _SMALL_Z = 2.0          # the Maclaurin table up to here
-_NEAR_Z = 0.5           # and its shorter cut up to here
 _LARGE_Z = 9.0          # the DLMF 12.9 series from here on
 _SERIES_TOL = 2.0 ** -56
 _SQRT2PI = math.sqrt(2.0 * math.pi)
@@ -96,30 +95,23 @@ def _rgamma_half() -> complex:
 
 
 @lru_cache(maxsize=64)
-def _maclaurin(a: complex) -> tuple[tuple[complex, ...], int]:
-    """E_a's Maclaurin coefficients and how many of them to sum at |z| <= _NEAR_Z:
-    at radius r, those up to the pair whose terms (k + 1)|e_k| r^k (E's term
-    and r times E''s) fall below _SERIES_TOL times the largest; the table
-    runs to r = _SMALL_Z.  sqrt(pi) is 1/rgamma(1/2) from the same routine,
-    so that a = 0 gives e_0 = 1 and all later e_k = 0 exactly."""
+def _maclaurin(a: complex) -> tuple[complex, ...]:
+    """E_a's Maclaurin coefficients, up to the pair whose terms at r = _SMALL_Z,
+    (k + 1)|e_k| r^k (E's term and r times E''s), fall below _SERIES_TOL times
+    the largest.  sqrt(pi) is 1/rgamma(1/2) from the same routine, so that
+    a = 0 gives e_0 = 1 and all later e_k = 0 exactly."""
     rg_half = _rgamma_half()
     e0 = 2.0 ** (a / 2.0) * reciprocal_gamma((1.0 - a) / 2.0) / rg_half
     e1 = -(2.0 ** ((a + 1.0) / 2.0)) * reciprocal_gamma(-a / 2.0) / rg_half
-    e, near = [e0, e1], 0
+    e = [e0, e1]
     big, rk, k = max(abs(e0), 2.0 * _SMALL_Z * abs(e1)), 1.0, 2
-    big_near, shrink = max(abs(e0), 2.0 * _NEAR_Z * abs(e1)), 1.0   # (_NEAR_Z/_SMALL_Z)^k
     while True:
         e0 = (k - 2 - a) * e0 / ((k - 1) * k)
         e1 = (k - 1 - a) * e1 / (k * (k + 1))
         rk *= _SMALL_Z * _SMALL_Z
         w0, w1 = (k + 1) * rk * abs(e0), (k + 2) * rk * _SMALL_Z * abs(e1)
-        if not near:
-            shrink *= (_NEAR_Z / _SMALL_Z) ** 2
-            n0, n1 = w0 * shrink, w1 * shrink * (_NEAR_Z / _SMALL_Z)
-            near = len(e) if n0 + n1 <= _SERIES_TOL * big_near else 0
-            big_near = max(big_near, n0, n1)
         if w0 + w1 <= _SERIES_TOL * big:
-            return tuple(e), near or len(e)
+            return tuple(e)
         big = max(big, w0, w1)
         e += (e0, e1)
         k += 2
@@ -211,14 +203,13 @@ def _scaled_direct(a: complex, z: complex) -> tuple[complex, complex]:
     """(E_a, E_a') at z for |z| <= 2 or |arg z| <= 3 pi/4."""
     r = abs(z)
     if r <= _SMALL_Z:
-        coeffs, near = _maclaurin(a)
-        return _horner(coeffs[:near] if r <= _NEAR_Z else coeffs, z)
+        return _horner(_maclaurin(a), z)
     if r >= _LARGE_Z:
         return _large_z(a, z)
     u = z / r
     if abs(cmath.phase(z)) <= math.pi / 4.0:
         return _march(a, *_large_z(a, _LARGE_Z * u), _LARGE_Z, z)
-    return _march(a, *_horner(_maclaurin(a)[0], _SMALL_Z * u), _SMALL_Z, z)
+    return _march(a, *_horner(_maclaurin(a), _SMALL_Z * u), _SMALL_Z, z)
 
 
 def _scaled(a: complex, z: complex) -> tuple[complex, complex]:

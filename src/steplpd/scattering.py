@@ -617,7 +617,10 @@ class ScatteringData:
                     out = out / d
         if cmath.isfinite(out) if scalar else np.isfinite(out).all():
             return out
-        raise SingularNormalizationError(f"the scattering data have a pole at {xi}")
+        bad = ~np.isfinite(np.ravel(out))
+        raise SingularNormalizationError(
+            f"the scattering data have a pole at xi = {np.ravel(xi)[bad.argmax()]}"
+            f" ({bad.sum()} of {bad.size} points are not finite)")
 
     def a1(self, xi):
         return self._read(xi, lambda S: S[..., 0, 0])

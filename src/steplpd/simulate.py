@@ -459,9 +459,11 @@ def evolve(grid: FieldGrid, t_end: float, gamma: float,
         q_new, u_new = _lawson_step(q, u, dt, grid.h, gamma, lin, u_ref)
         peak = np.abs(q_new).max()   # NaN if any value is NaN
         if not np.isfinite(peak):
-            raise BlowUpError(f"solution lost finiteness at t = {t:.6g}")
+            raise BlowUpError(f"solution lost finiteness at t = {t:.6g}, first at "
+                              f"x = {grid.x[np.isfinite(q_new).argmin()]:.6g}")
         if peak > 50.0 * (1.0 + abs(right)):
-            raise BlowUpError(f"solution blowing up at t = {t:.6g}")
+            raise BlowUpError(f"solution blowing up at t = {t:.6g}: max|q| = {peak:.3g} "
+                              f"at x = {grid.x[np.abs(q_new).argmax()]:.6g}")
         if steps % _CHECK_EVERY == 0:
             qa, ua = _lawson_step(q, u, 0.5 * dt, grid.h, gamma, lin, u_ref)
             qb, _ = _lawson_step(qa, ua, 0.5 * dt, grid.h, gamma, lin, u_ref)

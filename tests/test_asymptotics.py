@@ -393,6 +393,22 @@ class TestCaseTwoProfile:
         assert abs(left) < 1e-10
 
 
+class TestMixedBranchProfile:
+    def test_large_bump_reaches_the_mixed_branch(self):
+        # a real profile past the small-bump regime: saddles 2 and 3 fall in
+        # different Im v intervals, so x > 0 takes the mixed branch, and
+        # both error tables still cover the sign pattern
+        profile = InitialProfile.gaussian_bump(0.5, GAMMA, 2.0, 0.3, 0.5)
+        data = ScatteringData.from_profile(profile)
+        cache = {}
+        for mu, branch in ((0.5, Branch.X_POS_MIXED), (-0.5, Branch.X_NEG)):
+            res = q_asymptotic(mu * 100.0, 100.0, data, cache)
+            assert res.branch is branch
+            assert [v.imag for v in res.v] == pytest.approx([-0.119, -0.245, 0.078], abs=1e-3)
+            assert all(order.covered for order in res.error_order)
+            assert all(np.isfinite(res.value(mu * t, t)) for t in (1e2, 1e4))
+
+
 class TestSmallAmplitude:
     def test_bump_tends_to_the_step_linearly(self):
         # the Baseline bump (A = 1, centre 0.2, width 0.3) at shrinking

@@ -263,6 +263,14 @@ class TestSubcommands:
         _, header, rows = parse_csv(text)
         assert header == ["t", "x", "re_q", "im_q"]
 
+    def test_error_names_its_class(self, tmp_path, capsys):
+        # the catch-all names the exception's class, so the failing stage
+        # shows; the exit code stays 1
+        out = tmp_path / "out.csv"
+        assert main(["--out", str(out), "delta", "--mu", "0.0005"]) == 1
+        assert not out.exists()
+        assert capsys.readouterr().err.startswith("error: RegimeError: mu = 0.0005 ")
+
     def test_simulate_refuses_alpha_next_to_step(self, tmp_path, capsys):
         # smoothed_step has no phase: an --alpha would be dropped
         out = tmp_path / "out.csv"

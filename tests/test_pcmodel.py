@@ -230,13 +230,14 @@ class TestEvaluationCount:
 
     def test_ring(self, monkeypatch, model1):
         # fresh caches, so that no earlier test's values hide the work
-        tables, pairs, evaluations, sums = [], [], [], []
+        tables, built, pairs, evaluations, sums = [], [], [], [], []
         build, pair = special._maclaurin.__wrapped__, pcmodel.parabolic_cylinder_D_scaled_pair
         scaled, horner = special._scaled, special._horner
 
         def counting_build(a):
             tables.append(a)
-            return build(a)
+            built.append(build(a))
+            return built[-1]
 
         def counting_pair(a, z):
             pairs.append(a)
@@ -247,7 +248,7 @@ class TestEvaluationCount:
             return scaled(a, z)
 
         def counting_horner(coeffs, z):
-            sums.append((abs(z), len(coeffs)))
+            sums.append((abs(z), coeffs))
             return horner(coeffs, z)
 
         monkeypatch.setattr(special, "_maclaurin", lru_cache(maxsize=64)(counting_build))
@@ -268,9 +269,9 @@ class TestEvaluationCount:
         assert len(evaluations) == 8
         iv = 1j * model1.v
         assert sorted(tables, key=np.imag) == sorted([iv - 1.0, -iv - 1.0], key=np.imag)
-        near = {n for r, n in sums if r == 0.5}
-        far = {n for r, n in sums if r == 2.0}
-        assert len(sums) == 8 and near and far and max(near) < min(far)
+        # every sum at |z| <= 2 uses its order's full table
+        assert len(sums) == 8 and {r for r, _ in sums} == {0.5, 2.0}
+        assert all(any(coeffs is table for table in built) for _, coeffs in sums)
 
 
     def test_conjugated_model_once(self, monkeypatch):

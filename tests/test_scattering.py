@@ -923,6 +923,16 @@ class TestArraySurface:
             with pytest.raises(SingularNormalizationError):
                 entry(0.0)
 
+    def test_array_pole_names_its_node(self):
+        # an array read names the first xi that is not finite and how many
+        # are, not the whole array
+        d = ScatteringData.pure_step(1.3, GAMMA)
+        with pytest.raises(SingularNormalizationError, match=r"xi = 0\.0 \(1 of 21 points"):
+            d.r2(np.linspace(-1.0, 1.0, 21))
+        with pytest.raises(SingularNormalizationError, match=r"1 of 515 points") as err:
+            d.r2(np.linspace(-1.0, 1.0, 515))
+        assert len(str(err.value)) < 100
+
     # 0.0 and -0.0 among nonzero xi, where S(0) fills its rows; and more xi
     # than one chunk of either cell table holds, on both sides of |xi| = 10
     PROFILE_ARRAYS = {"zeros": np.array([0.4, 0.0, -1.3 + 0.2j, -0.0, 2.2, 0j]),

@@ -39,3 +39,34 @@ def test_compare_pcmodel_stages():
     assert set(stages) == {"saddles_cold", "one_D_cold", "one_D_warm_order", "ring_cold",
                            "ray_models", "ray_asymptotic"}
     assert all(seconds > 0 for seconds, *_ in stages.values())
+
+
+def test_compare_perfbench_record():
+    # canned result lines of perfbench/run.py: ops are summed per side, and
+    # change_won follows each metric's `better`
+    compare = _compare()
+
+    def line(op_ms, setup_s, rss, failed=0):
+        values = {"op_ms_ref_mean": op_ms, "setup_s": setup_s, "peak_rss_mb": rss}
+        return "# rays seed=1 trace=0: ...\n" + json.dumps({
+            "correct": failed == 0, "attempted": 100, "failed": failed,
+            "metrics": {k: {"value": v, "unit": "?"} for k, v in values.items()}})
+
+    canned = {"parent": [line(5.0, 0.30, 86.0), line(5.2, 0.31, 86.5, failed=1),
+                         line(4.8, 0.29, 86.0)],
+              "change": [line(4.9, 0.32, 86.0), line(5.1, 0.30, 86.0), line(4.9, 0.29, 86.5)]}
+    record = compare.perfbench_record(
+        {"rays": {side: [compare.result_line(out) for out in outs]
+                  for side, outs in canned.items()}})
+    rays = record["rays"]
+    assert rays["ops"] == {"parent": {"attempted": 300, "failed": 1},
+                           "change": {"attempted": 300, "failed": 0}}
+    assert set(rays["metrics"]) == {m["name"] for m in compare.BENCHMARK["end_to_end"]}
+    op = rays["metrics"]["op_ms_ref_mean"]
+    assert op["unit"] == "ms"
+    assert op["parent"]["runs"] == [5.0, 5.2, 4.8] and op["parent"]["median"] == 5.0
+    assert op["change"]["median"] == 4.9 and len(op["change"]["quartiles"]) == 2
+    assert abs(op["change_vs_parent"] - (4.9 / 5.0 - 1)) < 1e-15
+    assert op["change_won"] == 2 / 3
+    assert rays["metrics"]["setup_s"]["change_won"] == 1 / 3
+    assert rays["metrics"]["peak_rss_mb"]["change_won"] == 1 / 3

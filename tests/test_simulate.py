@@ -7,6 +7,7 @@ from scipy.linalg import expm
 from steplpd import simulate
 from steplpd.asymptotics import q_soliton
 from steplpd.simulate import (
+    BlowUpError,
     _D1_6,
     _D2_6,
     _D2_6_PAD,
@@ -169,6 +170,26 @@ class TestEvolve:
         g = FieldGrid.from_function(lambda x: 30.0 * np.exp(-x * x), 5.0, 0.05)
         with pytest.raises(StabilityError, match="time step underflow"):
             evolve(g, 0.5, 0.1)
+
+    def test_blow_up_names_x(self):
+        # a bump past 50 (1 + |right clamp|) stops the first step, and the
+        # error says where max|q| sits
+        g = FieldGrid.from_function(lambda x: 60.0 * np.exp(-((x - 1.5) / 0.3) ** 2), 3.0, 0.05)
+        with pytest.raises(BlowUpError, match=r"at t = 0: max\|q\| = \S+ at x = 1\.5\b"):
+            evolve(g, 0.1, GAMMA)
+
+    def test_lost_finiteness_names_first_x(self, monkeypatch):
+        step = simulate._lawson_step
+
+        def nan_from_x0(q, u, *args):
+            q_new, u_new = step(q, u, *args)
+            q_new[g.x >= 0.0] = np.nan
+            return q_new, u_new
+
+        monkeypatch.setattr(simulate, "_lawson_step", nan_from_x0)
+        g = FieldGrid.from_function(lambda x: np.exp(-x * x), 3.0, 0.05)
+        with pytest.raises(BlowUpError, match=r"lost finiteness at t = 0, first at x = 0$"):
+            evolve(g, 0.1, GAMMA)
 
     def test_step_profile_runs(self):
         g = FieldGrid.smoothed_step(1.0, 8.0, 0.05)
