@@ -45,7 +45,8 @@ it, and each child checks that it imported `steplpd` from there.  GROUPs:
   gamma = 0.1 on L = 10, h = 0.02: N = 1001): `lawson_step`, one
   integrating-factor RK4 step at `stable_dt`, the mean over 200 steps;
   `chunk`, one `evolve` over 0.005 from t = 0, as a `simulate --snapshots`
-  chunk of soliton-sim runs.
+  chunk of soliton-sim runs; `dst`, one `_dst` of the m = 993 interior, and
+  `rhs`, one `_nonlinear_rhs` on the grid, each the mean over 1000 calls.
 
 Draws use fixed seeds.  A timed group runs one untimed child per side, then
 `--pairs` pairs, the parent first in even pairs (`perfbench` runs only the
@@ -246,7 +247,7 @@ def simulate_stages() -> dict[str, list[float]]:
     from steplpd import simulate
     from steplpd.asymptotics import q_soliton
 
-    gamma, steps = 0.1, 200
+    gamma, steps, calls = 0.1, 200, 1000
     grid = simulate.FieldGrid.from_function(lambda x: q_soliton(x, 0.0, 2.0, math.pi, gamma),
                                             10.0, 0.02)
     q = grid.values
@@ -260,7 +261,16 @@ def simulate_stages() -> dict[str, list[float]]:
         q, u = simulate._lawson_step(q, u, dt, grid.h, gamma, lin, u_ref)
     t1 = time.perf_counter()
     simulate.evolve(grid, 0.005, gamma)
-    return {"lawson_step": [(t1 - t0) / steps], "chunk": [time.perf_counter() - t1]}
+    t2 = time.perf_counter()
+    interior = grid.values[simulate._FROZEN:-simulate._FROZEN]   # m = 993
+    for _ in range(calls):
+        simulate._dst(interior)
+    t3 = time.perf_counter()
+    for _ in range(calls):
+        simulate._nonlinear_rhs(grid.values, grid.h, gamma)
+    t4 = time.perf_counter()
+    return {"lawson_step": [(t1 - t0) / steps], "chunk": [t2 - t1],
+            "dst": [(t3 - t2) / calls], "rhs": [(t4 - t3) / calls]}
 
 
 def run_side(group: str, src: pathlib.Path, cwd: str) -> dict[str, list[float]]:

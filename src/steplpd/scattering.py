@@ -558,7 +558,8 @@ _CASE_THRESHOLD_REL = 1e-6
 
 def _matrix(s11, s12, s21, s22) -> np.ndarray:
     """Entries of one shape (...) stacked into matrices (..., 2, 2)."""
-    return np.moveaxis(np.array([[s11, s12], [s21, s22]]), (0, 1), (-2, -1))
+    m = np.array([[s11, s12], [s21, s22]])
+    return m.transpose(tuple(range(2, m.ndim)) + (0, 1))
 
 
 @dataclass

@@ -13,7 +13,7 @@ centered, and the nonlinear terms are summed as one factored expression
 (``_nonlinear_rhs``).  The stiff linear part -(i/2) d2 - i gamma d4 is
 advanced exactly on the deviation from a fixed background that holds the
 clamp values: the interior stencil, closed by odd reflection at the clamps,
-is diagonal in the sine modes of one O(N log N) DST-I (``scipy.fft``,
+is diagonal in the sine modes of one O(N log N) DST-I (``scipy.fftpack``,
 imported on the first transform, not with the package), and the stencil
 acting on the background is a constant forcing.  The nonlocal nonlinearity enters by
 integrating-factor RK4 (Lawson): every stage is evaluated in the frame
@@ -233,14 +233,19 @@ def _stencil_rows(h: float) -> np.ndarray:
 
 @functools.cache
 def _dst_kernel() -> Callable[..., np.ndarray]:
-    """scipy's DST, bound on the first transform, not on import."""
-    from scipy.fft import dst
+    """scipy's DST, bound on the first transform, not on import.
+
+    ``scipy.fftpack.dst`` runs the same pocketfft transform as
+    ``scipy.fft.dst``, bit for bit, without scipy.fft's backend dispatch.
+    """
+    from scipy.fftpack import dst
 
     return dst
 
 
 def _dst(a: np.ndarray) -> np.ndarray:
-    """Orthonormal DST-I (its own inverse); re and im in one call as 2 columns."""
+    """Orthonormal DST-I (``scipy.fftpack.dst``, its own inverse); re and im
+    in one call as 2 columns."""
     pairs = np.ascontiguousarray(a, dtype=complex).view(np.float64).reshape(-1, 2)
     return _dst_kernel()(pairs, type=1, norm="ortho", axis=0).view(complex).ravel()
 
@@ -277,8 +282,29 @@ def _nonlinear_rhs(q: np.ndarray, h: float, gamma: float) -> np.ndarray:
     c = np.conj(qi[::-1])
     c1, c2 = np.conj(derivs[:, ::-1])
     p = c * qi
-    return -1j * (qi * (p + gamma * (8 * c * qxx + 2 * qi * c2 + 6 * p * p - 4 * qx * c1))
-                  + (6 * gamma) * c * qx * qx)
+    # -1j * (qi * (p + gamma * (8 * c * qxx + 2 * qi * c2 + 6 * p * p - 4 * qx * c1))
+    #        + (6 * gamma) * c * qx * qx), in place in acc and tmp, keeping
+    # each product's operand order: numpy's complex multiply fuses
+    # multiply-add, so a * b and b * a may differ in the last bit
+    acc = np.multiply(8, c)
+    np.multiply(acc, qxx, out=acc)
+    tmp = np.multiply(2, qi)
+    np.multiply(tmp, c2, out=tmp)
+    np.add(acc, tmp, out=acc)
+    np.multiply(6, p, out=tmp)
+    np.multiply(tmp, p, out=tmp)
+    np.add(acc, tmp, out=acc)
+    np.multiply(4, qx, out=tmp)
+    np.multiply(tmp, c1, out=tmp)
+    np.subtract(acc, tmp, out=acc)
+    np.multiply(gamma, acc, out=acc)
+    np.add(p, acc, out=acc)
+    np.multiply(qi, acc, out=acc)
+    np.multiply(6 * gamma, c, out=tmp)
+    np.multiply(tmp, qx, out=tmp)
+    np.multiply(tmp, qx, out=tmp)
+    np.add(acc, tmp, out=acc)
+    return np.multiply(-1j, acc, out=acc)
 
 
 class _LinearPropagator:
@@ -374,14 +400,32 @@ def _lawson_step(q: np.ndarray, u: np.ndarray, dt: float, h: float, gamma: float
     u_full = ph_h * u_half + kick_h
 
     # k1 is used only rotated by a half-step; the full-step rotations of k1,
-    # k2 and k3 share one more factor ph_h
-    pk1 = ph_h * _dst(_nonlinear_rhs(q, h, gamma))
-    k2 = N_modes(u_half + 0.5 * dt * pk1)
-    k3 = N_modes(u_half + 0.5 * dt * k2)
-    k4 = N_modes(u_full + dt * (ph_h * k3))
-    u_new = u_full + (dt / 6.0) * (ph_h * (pk1 + 2.0 * (k2 + k3)) + k4)
-    # contract the top dispersion band of the deviation from u_ref, free in modes
-    u_new = u_ref + lin.damp * (u_new - u_ref)
+    # k2 and k3 share one more factor ph_h.  The stage states
+    # u_half + (dt/2) pk1, u_half + (dt/2) k2 and u_full + dt (ph_h k3) share
+    # one buffer and u_new is summed into k2, each product in the operand
+    # order written here (see _nonlinear_rhs)
+    pk1 = _dst(_nonlinear_rhs(q, h, gamma))
+    np.multiply(ph_h, pk1, out=pk1)
+    stage = np.multiply(0.5 * dt, pk1)
+    k2 = N_modes(np.add(u_half, stage, out=stage))
+    np.multiply(0.5 * dt, k2, out=stage)
+    k3 = N_modes(np.add(u_half, stage, out=stage))
+    np.multiply(ph_h, k3, out=stage)
+    np.multiply(dt, stage, out=stage)
+    k4 = N_modes(np.add(u_full, stage, out=stage))
+    # u_new = u_full + (dt / 6) (ph_h (pk1 + 2 (k2 + k3)) + k4)
+    u_new = np.add(k2, k3, out=k2)
+    np.multiply(2.0, u_new, out=u_new)
+    np.add(pk1, u_new, out=u_new)
+    np.multiply(ph_h, u_new, out=u_new)
+    np.add(u_new, k4, out=u_new)
+    np.multiply(dt / 6.0, u_new, out=u_new)
+    np.add(u_full, u_new, out=u_new)
+    # contract the top dispersion band of the deviation from u_ref, free in
+    # modes: u_ref + damp (u_new - u_ref)
+    np.subtract(u_new, u_ref, out=u_new)
+    np.multiply(lin.damp, u_new, out=u_new)
+    np.add(u_ref, u_new, out=u_new)
     return lin.to_grid(u_new), u_new
 
 

@@ -900,6 +900,17 @@ class TestArraySurface:
             np.testing.assert_array_equal(method(self.NODES),
                                           [method(xi) for xi in self.NODES])
 
+    @pytest.mark.parametrize("shape", [(), (5,), (3, 4)])
+    def test_matrix_stacks_like_moveaxis(self, shape):
+        # _matrix's one transpose gives np.moveaxis's values, shape and strides
+        rng = np.random.default_rng(7)
+        entries = [rng.normal(size=shape) + 1j * rng.normal(size=shape) for _ in range(4)]
+        got = scattering._matrix(*entries)
+        want = np.moveaxis(np.array([entries[:2], entries[2:]]), (0, 1), (-2, -1))
+        assert got.shape == want.shape == (*shape, 2, 2)
+        assert got.strides == want.strides
+        np.testing.assert_array_equal(got, want)
+
     def test_b_mirror_is_reflected_b(self, bump_profile):
         d = ScatteringData.from_profile(bump_profile, analyze=False)
         for xi in (0.3, 1.7, -2.2, 0.4 + 0.1j):

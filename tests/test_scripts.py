@@ -29,9 +29,12 @@ def test_compare_outputs_against_itself():
 
 def test_compare_simulate_stages():
     stages = _compare().simulate_stages()
-    assert set(stages) == {"lawson_step", "chunk"}
-    # a chunk of 0.005 is hundreds of steps
+    assert set(stages) == {"lawson_step", "chunk", "dst", "rhs"}
+    # a chunk of 0.005 is hundreds of steps, and a step makes 8 DSTs and 4
+    # right-hand sides
     assert 0 < stages["lawson_step"][0] < stages["chunk"][0]
+    assert 0 < stages["dst"][0] < stages["lawson_step"][0]
+    assert 0 < stages["rhs"][0] < stages["lawson_step"][0]
 
 
 def test_compare_pcmodel_stages():

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.fft
 from scipy.linalg import expm
 
 from steplpd import simulate
@@ -346,6 +347,37 @@ class TestNonlinearRhs:
         want = 1j * qi * qi * r + gam * H
         got = _nonlinear_rhs(q, h, gam)
         assert np.abs(got - want).max() < 1e-11 * np.abs(want).max()
+
+
+class TestBits:
+    # the transforms and the right-hand side are pinned to the last bit
+
+    @pytest.mark.parametrize("m", [993, 393])
+    def test_dst_is_scipy_fft_dst(self, m):
+        rng = np.random.default_rng(m)
+        a = rng.normal(size=m) + 1j * rng.normal(size=m)
+        pairs = a.view(np.float64).reshape(-1, 2)
+        want = scipy.fft.dst(pairs, type=1, norm="ortho", axis=0).view(complex).ravel()
+        assert np.array_equal(simulate._dst(a), want)
+
+    @pytest.mark.parametrize("make", [
+        lambda: FieldGrid.from_function(lambda x: q_soliton(x, 0.0, 2.0, np.pi, 0.1), 10.0, 0.02),
+        lambda: FieldGrid.smoothed_step(2.0, 10.0, 0.05),
+    ], ids=["criterion_11", "smoothed_step"])
+    def test_rhs_is_the_one_line_expression(self, make):
+        grid = make()
+        q, h, gam = grid.values, grid.h, 0.1
+        m = len(q) - 2 * _FROZEN
+        shifted = np.ndarray((7, 2 * m), np.float64, q, (_FROZEN - 3) * q.itemsize,
+                             (q.itemsize, 8)).copy()
+        derivs = (np.stack((_D1_6 / h, _D2_6 / (h * h))) @ shifted).view(complex)
+        qi, (qx, qxx) = q[_FROZEN:_FROZEN + m], derivs
+        c = np.conj(qi[::-1])
+        c1, c2 = np.conj(derivs[:, ::-1])
+        p = c * qi
+        want = -1j * (qi * (p + gam * (8 * c * qxx + 2 * qi * c2 + 6 * p * p - 4 * qx * c1))
+                      + (6 * gam) * c * qx * qx)
+        assert np.array_equal(_nonlinear_rhs(q, h, gam), want)
 
 
 def _written_out_rhs(q, h, gamma):
