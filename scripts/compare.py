@@ -11,6 +11,9 @@ it, and each child checks that it imported `steplpd` from there.  GROUPs:
   Baseline bump is A = 1, amplitude 0.1, centre 0.2, width 0.3) and the exit
   codes into a temporary directory.  The record names each file `same` or
   gives its first differing line; any difference exits 1, like `diff`.
+  Under `max_abs_difference`, each differing CSV with the same rows and
+  columns on both sides gets the largest |parent - change| over the cells
+  that read as numbers on both.
 - `startup`: wall seconds of the fresh processes in `STARTUP`.
 - `sweep`, on the bump and on `soliton_profile(2, 1/27, pi/3)`, counting
   the xi swept (their number, summed over `scattering._transfer` calls,
@@ -45,8 +48,9 @@ it, and each child checks that it imported `steplpd` from there.  GROUPs:
   gamma = 0.1 on L = 10, h = 0.02: N = 1001): `lawson_step`, one
   integrating-factor RK4 step at `stable_dt`, the mean over 200 steps;
   `chunk`, one `evolve` over 0.005 from t = 0, as a `simulate --snapshots`
-  chunk of soliton-sim runs; `dst`, one `_dst` of the m = 993 interior, and
-  `rhs`, one `_nonlinear_rhs` on the grid, each the mean over 1000 calls.
+  chunk of soliton-sim runs; `dst`, one `_dst` of the points between the
+  side's clamped cells (`grid.values[_FROZEN:-_FROZEN]`), and `rhs`, one
+  `_nonlinear_rhs` on the grid, each the mean over 1000 calls.
 
 Draws use fixed seeds.  A timed group runs one untimed child per side, then
 `--pairs` pairs, the parent first in even pairs (`perfbench` runs only the
@@ -59,6 +63,7 @@ in).  Stage code uses only names that both checkouts have.
 import argparse
 import cmath
 import contextlib
+import csv
 import json
 import math
 import os
@@ -262,7 +267,7 @@ def simulate_stages() -> dict[str, list[float]]:
     t1 = time.perf_counter()
     simulate.evolve(grid, 0.005, gamma)
     t2 = time.perf_counter()
-    interior = grid.values[simulate._FROZEN:-simulate._FROZEN]   # m = 993
+    interior = grid.values[simulate._FROZEN:-simulate._FROZEN]   # this side's transform length
     for _ in range(calls):
         simulate._dst(interior)
     t3 = time.perf_counter()
@@ -303,12 +308,49 @@ def first_difference(parent: pathlib.Path, change: pathlib.Path) -> str:
     return f"line {i + 1}: parent {line(a)!r}, change {line(b)!r}"
 
 
-def outputs(sides: dict[str, pathlib.Path], work: pathlib.Path) -> dict[str, str]:
+def csv_cells(path: pathlib.Path) -> list[list[str]]:
+    """The rows of a CLI output, without its `#` metadata line."""
+    with open(path, newline="") as fh:
+        return [row for row in csv.reader(fh) if row and not row[0].startswith("#")]
+
+
+def max_abs_difference(parent: pathlib.Path, change: pathlib.Path) -> float | None:
+    """The largest |parent - change| over the cells that read as numbers on
+    both sides (inf where only one is NaN), or None if the shapes differ."""
+    a, b = csv_cells(parent), csv_cells(change)
+    if [len(row) for row in a] != [len(row) for row in b]:
+        return None
+    largest = 0.0
+    for x, y in ((x, y) for ra, rb in zip(a, b) for x, y in zip(ra, rb) if x != y):
+        try:
+            d = abs(float(x) - float(y))
+        except ValueError:
+            continue
+        largest = max(largest, math.inf if math.isnan(d) else d)
+    return largest
+
+
+def compare_outputs(parent: pathlib.Path, change: pathlib.Path) -> tuple[dict[str, str],
+                                                                         dict[str, float]]:
+    """Each file's first difference, and each differing CSV's largest
+    absolute difference where both sides have its shape."""
+    names = sorted({p.name for side in (parent, change) for p in side.iterdir()})
+    firsts = {f: first_difference(parent / f, change / f) for f in names}
+    largest = {}
+    for f, first in firsts.items():
+        if f.endswith(".csv") and first != "same" and not first.startswith("only in"):
+            d = max_abs_difference(parent / f, change / f)
+            if d is not None:
+                largest[f] = d
+    return firsts, largest
+
+
+def outputs(sides: dict[str, pathlib.Path], work: pathlib.Path) -> tuple[dict[str, str],
+                                                                         dict[str, float]]:
     for name, src in sides.items():
         (work / name).mkdir()
         run_side("outputs", src, str(work / name))
-    names = sorted({p.name for name in sides for p in (work / name).iterdir()})
-    return {f: first_difference(work / "parent" / f, work / "change" / f) for f in names}
+    return compare_outputs(work / "parent", work / "change")
 
 
 def spread(xs: list[float], suffix: str = "") -> dict:
@@ -411,7 +453,7 @@ def main(argv=None) -> int:
         (work / "bump.json").write_text(json.dumps(BUMP, sort_keys=True) + "\n")
         for group in dict.fromkeys(args.groups):
             if group == "outputs":
-                record["outputs"] = outputs(sides, work)
+                record["outputs"], record["max_abs_difference"] = outputs(sides, work)
             elif group == "perfbench":
                 record["perfbench"] = perfbench(sides, args.pairs)
             else:

@@ -12,22 +12,25 @@ nonlocal terms off the reversed array.  Spatial derivatives are 6th-order
 centered, and the nonlinear terms are summed as one factored expression
 (``_nonlinear_rhs``).  The stiff linear part -(i/2) d2 - i gamma d4 is
 advanced exactly on the deviation from a fixed background that holds the
-clamp values: the interior stencil, closed by odd reflection at the clamps,
-is diagonal in the sine modes of one O(N log N) DST-I (``scipy.fftpack``,
-imported on the first transform, not with the package), and the stencil
-acting on the background is a constant forcing.  The nonlocal nonlinearity enters by
-integrating-factor RK4 (Lawson): every stage is evaluated in the frame
-rotated by that exact linear flow.  Modes whose rotation per step nears a
-multiple of pi are resonant for the sampled scheme, so the high-dispersion
-band of the deviation from the initial state is contracted every step.  The
-default step is set by the stability of the explicit nonlinear terms, and a
-periodic step-doubling check halves it if the local error grows too large.
+clamp values: the interior stencil, closed by odd reflection about the two
+clamped end points, is diagonal in the sine modes of one O(N log N) DST-I
+(``scipy.fftpack``, imported on the first transform, not with the package),
+and the stencil acting on the background is a constant forcing.  The
+nonlocal nonlinearity enters by integrating-factor RK4 (Lawson): every stage
+is evaluated in the frame rotated by that exact linear flow.  Modes whose
+rotation per step nears a multiple of pi are resonant for the sampled scheme,
+so the high-dispersion band of the deviation from the initial state is
+contracted every step.  The default step is set by the stability of the
+explicit nonlinear terms, and a periodic step-doubling check halves it if the
+local error grows too large.
 
-Boundaries are clamped to the constant far fields (0 on the left, the initial
-right-edge value on the right): the mirrored coupling pairs the q ~ A tail
-with the q ~ 0 tail, so the constant background is the consistent far field
-(the exact soliton has constant tails; a rotating clamp would be the local
-equation's far field, not this one's).
+Only the end points x_0 and x_{N-1} are clamped, to the constant far fields
+(0 on the left, the initial right-edge value on the right): the mirrored
+coupling pairs the q ~ A tail with the q ~ 0 tail, so the constant background
+is the consistent far field (the exact soliton has constant tails; a rotating
+clamp would be the local equation's far field, not this one's).  Every other
+point evolves; where a stencil of the rows beside the ends reaches past the
+grid, it reads that far field in ghost cells.
 """
 
 from __future__ import annotations
@@ -220,7 +223,7 @@ _D2_6_PAD = np.concatenate([[0.0], _D2_6, [0.0]])
 _D4_6 = np.array([7 / 240, -2 / 5, 169 / 60, -122 / 15, 91 / 8,
                   -122 / 15, 169 / 60, -2 / 5, 7 / 240])
 _D1_6 = np.array([-1 / 60, 3 / 20, -3 / 4, 0, 3 / 4, -3 / 20, 1 / 60])
-_FROZEN = 4   # clamped cells at each end (stencil half-width)
+_FROZEN = 1   # clamped cells at each end: the end point alone
 
 
 @functools.lru_cache(maxsize=8)
@@ -259,8 +262,9 @@ class StabilityError(RuntimeError):
 
 
 def _nonlinear_rhs(q: np.ndarray, h: float, gamma: float) -> np.ndarray:
-    """The nonlinear terms on the interior rows, whose q_x and q_xx stencils
-    stay inside the grid (the clamped cells never move).
+    """The nonlinear terms on the interior rows, between the clamped ends.
+    Past each end the 7-point q_x and q_xx stencils read ghost cells that
+    hold the far field, the end point's value.
 
     With rq = r q, i q^2 r + gamma H_nl factors as
 
@@ -268,17 +272,21 @@ def _nonlinear_rhs(q: np.ndarray, h: float, gamma: float) -> np.ndarray:
            + 6 gamma r q_x^2).
 
     Both stencils come from one product of their pre-divided rows with the
-    seven shifted copies of the interior.  The mirrored terms are read off
-    c, c1, c2 = conj(q, q_x, q_xx) at -x, which are -r, r_x and -r_xx, so
-    with p = c q = -rq the sum above is written with no sign flips.
+    seven shifted copies of the interior in the ghost-padded grid.  The
+    mirrored terms are read off c, c1, c2 = conj(q, q_x, q_xx) at -x, which
+    are -r, r_x and -r_xx, so with p = c q = -rq the sum above is written
+    with no sign flips.
     """
-    q = np.ascontiguousarray(q, dtype=complex)
-    m = len(q) - 2 * _FROZEN
+    n = len(q)
+    m, ghosts = n - 2 * _FROZEN, 3 - _FROZEN   # 3: the stencils' half-width
+    padded = np.empty(n + 2 * ghosts, dtype=complex)
+    padded[:ghosts] = q[0]
+    padded[ghosts:-ghosts] = q
+    padded[-ghosts:] = q[-1]
     # row j: the interior shifted by j - 3 cells, as interleaved re and im
-    shifted = np.ndarray((7, 2 * m), np.float64, q, (_FROZEN - 3) * q.itemsize,
-                         (q.itemsize, 8)).copy()
+    shifted = np.ndarray((7, 2 * m), np.float64, padded, 0, (padded.itemsize, 8)).copy()
     derivs = (_stencil_rows(h) @ shifted).view(complex)
-    qi, (qx, qxx) = q[_FROZEN:_FROZEN + m], derivs
+    qi, (qx, qxx) = padded[3:3 + m], derivs
     c = np.conj(qi[::-1])
     c1, c2 = np.conj(derivs[:, ::-1])
     p = c * qi
@@ -313,12 +321,15 @@ class _LinearPropagator:
     It acts on w = q - b, where b holds only the clamp values (`left` on
     x < 0, `right` on x > 0, their mean at 0), so it stays fixed across evolve
     calls (a background taken from each call's start lets the closure
-    mismatch grow with every restart).  The interior stencil on w, closed by
-    odd reflection about the cell next to each clamp, is diagonal in DST-I
-    modes, with the stencil's symbol at pi k/(m+1) as eigenvalues; it differs
-    from the clamped operator only in the three rows beside each wall, through
-    w, which vanishes where the field is flat.  The clamped stencil on b is a
-    constant forcing, taken by the phi-1 function.  The exact rotation's
+    mismatch grow with every restart).  The clamped end points x_0 and
+    x_{N-1} hold w = 0, and the stencil on the m = N - 2 points between them,
+    closed by odd reflection of w about each end, is diagonal in DST-I
+    modes, with the stencil's symbol at pi k/(m+1) as eigenvalues: the
+    transform is a real FFT of 2(m + 1) = 2(N - 1) points.  The odd closure
+    differs from far-field ghost cells only in the three rows beside each
+    end, through w, which vanishes where the field is flat.  The stencil on
+    b, with 3 far-field ghost cells past each end, is a constant forcing,
+    taken by the phi-1 function.  The exact rotation's
     quasi-random mode phases avoid the period-doubling pileup that a CN
     substep feeds the nonlinear map.
     """
@@ -330,10 +341,13 @@ class _LinearPropagator:
         theta = np.pi * np.arange(1, m + 1) / (m + 1)
         self.evals = stencil[4] + 2.0 * sum(stencil[4 + j] * np.cos(j * theta)
                                             for j in range(1, 5))
-        b = np.full(n, left, dtype=complex)
-        b[n // 2 + 1:] = right
-        b[n // 2] = 0.5 * (left + right)
-        self.background = b
+        # b on the grid and on the ghost cells that the 9-point stencil of
+        # the rows beside each clamp reaches
+        ghosts = 4 - _FROZEN
+        b = np.full(n + 2 * ghosts, left, dtype=complex)
+        b[n // 2 + ghosts + 1:] = right
+        b[n // 2 + ghosts] = 0.5 * (left + right)
+        self.background = b[ghosts:-ghosts]
         self.force = _dst(np.convolve(b, stencil, mode="valid"))
         self._phases: dict[float, tuple[np.ndarray, np.ndarray]] = {}
         # default damping mask; evolve tightens it to the dt in use
@@ -466,7 +480,10 @@ def evolve(grid: FieldGrid, t_end: float, gamma: float,
     the stable step lacks, and the step count span/dt grows without bound
     (dt = 1e-12 on a 1e-3 span is 1e9 steps).  A ValueError names both.
     So does one for a t_end that is not finite, and one for a grid with no
-    point beyond its 2 * _FROZEN clamped cells.
+    point between its clamped ends.
+
+    Only the end points q[0] and q[-1] are clamped: they keep their initial
+    values, bit for bit, and every point between them evolves.
     """
     if not np.isfinite(t_end):
         raise ValueError(f"t_end must be finite, got {t_end}")
@@ -475,8 +492,8 @@ def evolve(grid: FieldGrid, t_end: float, gamma: float,
     q = grid.values.astype(complex).copy()
     n = len(q)
     if n <= 2 * _FROZEN:
-        raise ValueError(f"a grid of {n} points has no point beyond its "
-                         f"{2 * _FROZEN} clamped cells: widen it or refine h")
+        raise ValueError(f"a {n}-point grid has no point between its clamped ends: "
+                         "widen it or refine h")
     left = complex(q[0])
     right = complex(q[-1])
     t = grid.time

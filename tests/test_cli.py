@@ -301,7 +301,7 @@ class TestSubcommands:
         assert not out.exists()
 
     @pytest.mark.parametrize("grid, named", [
-        (["--L", "0.1", "--h", "0.05"], "5 points"),
+        (["--L", "0.02", "--h", "0.05"], "1-point grid"),
         (["--h", "-0.05"], "-0.05"),
         (["--h", "0"], "h must be finite and positive"),
     ], ids=["no-interior", "negative-h", "zero-h"])

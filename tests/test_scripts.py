@@ -27,6 +27,31 @@ def test_compare_outputs_against_itself():
     assert set(compare.FILES) | {"validate.txt", "exit_codes.txt"} <= set(outputs)
 
 
+def test_compare_max_abs_difference(tmp_path):
+    # canned outputs: the first differing line as before, and the largest
+    # |parent - change| of each differing CSV that keeps its shape
+    files = {
+        "same.csv": ("# {}\nt,x\n0,1.5\n", "# {}\nt,x\n0,1.5\n"),
+        "moved.csv": ('# {"h": 1}\nt,x,kind\n0,1.5,a\n1,-2,nan\n',
+                      '# {"h": 2}\nt,x,kind\n0,1.25,a\n1,-2.125,nan\n'),
+        "lost.csv": ("t,x\n0,0.5\n", "t,x\n0,nan\n"),
+        "reshaped.csv": ("t,x\n0,1\n", "t,x\n0,1\n1,2\n"),
+        "parent_only.csv": ("t\n0\n", None),
+        "exit_codes.txt": ("a: exit 0\n", "a: exit 1\n"),
+    }
+    for name, texts in files.items():
+        for side, text in zip(("parent", "change"), texts):
+            (tmp_path / side).mkdir(exist_ok=True)
+            if text is not None:
+                (tmp_path / side / name).write_text(text)
+    firsts, largest = _compare().compare_outputs(tmp_path / "parent", tmp_path / "change")
+    assert set(firsts) == set(files)
+    assert firsts["same.csv"] == "same"
+    assert firsts["moved.csv"].startswith("line 1: parent '# {\"h\": 1}")
+    assert firsts["parent_only.csv"] == "only in parent"
+    assert largest == {"moved.csv": 0.25, "lost.csv": float("inf")}
+
+
 def test_compare_simulate_stages():
     stages = _compare().simulate_stages()
     assert set(stages) == {"lawson_step", "chunk", "dst", "rhs"}

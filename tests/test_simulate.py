@@ -1,5 +1,7 @@
 """PDE residual checker and the short-time integrator."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.fft
@@ -13,7 +15,6 @@ from steplpd.simulate import (
     _D2_6,
     _D2_6_PAD,
     _D4_6,
-    _FROZEN,
     FieldGrid,
     SolitonField,
     StabilityError,
@@ -252,11 +253,13 @@ class TestEvolve:
         evolve(g0, steps * dt, 0.1, dt=dt)
         assert len(calls) == 2 + 8 * steps + 2 * 8
 
-    @pytest.mark.parametrize("half_width", [0.1, 0.15])
-    def test_refuses_a_grid_with_no_interior(self, half_width):
-        # 5 and 7 points, all of them clamped: there is no mode to evolve
-        g = FieldGrid.from_function(lambda x: 1.0, half_width, 0.05)
-        with pytest.raises(ValueError, match=f"grid of {len(g.x)} points has no point beyond"):
+    @pytest.mark.parametrize("h", [0.1, 0.15])
+    def test_refuses_a_grid_with_no_interior(self, h):
+        # a half-width below h/2 leaves the single point x = 0, which is
+        # both clamped ends: there is no mode to evolve
+        g = FieldGrid.from_function(lambda x: 1.0, 0.4 * h, h)
+        assert len(g.x) == 1
+        with pytest.raises(ValueError, match="a 1-point grid has no point between its clamped"):
             evolve(g, 0.001, GAMMA)
 
     @pytest.mark.parametrize("t_end", [np.nan, np.inf, -np.inf])
@@ -266,9 +269,29 @@ class TestEvolve:
             evolve(g, t_end, GAMMA)
 
     def test_one_interior_point_evolves(self):
-        g = FieldGrid.from_function(lambda x: 0.0, 0.2, 0.05)
-        assert len(g.x) == 2 * _FROZEN + 1
+        g = FieldGrid.from_function(lambda x: 0.0, 0.05, 0.05)
+        assert len(g.x) == 3
         assert np.abs(evolve(g, 0.001, GAMMA).values).max() == 0
+
+    def test_only_the_end_points_are_clamped(self, monkeypatch):
+        # criterion 11's grid: q[0] and q[-1] keep their values bit for bit,
+        # the cells beside them evolve, and every transform is a DST-I of
+        # the m = N - 2 points between the ends, a real FFT of 2(m + 1) points
+        lengths = []
+        kernel = simulate._dst_kernel()
+
+        def recording(pairs, **kwargs):
+            lengths.append(len(pairs))
+            return kernel(pairs, **kwargs)
+
+        monkeypatch.setattr(simulate, "_dst_kernel", lambda: recording)
+        g0 = FieldGrid.from_function(lambda x: q_soliton(x, 0.0, 2.0, np.pi, 0.1), 10.0, 0.02)
+        q0, q = g0.values, evolve(g0, 0.002, 0.1).values
+        assert q[0] == q0[0] and q[-1] == q0[-1]
+        # the cells beside the ends moved, and not onto the clamp values
+        assert q[1] not in (q0[1], q0[0]) and q[-2] not in (q0[-2], q0[-1])
+        assert len(lengths) > 8 and set(lengths) == {len(q0) - 2}
+        assert {2 * (m + 1) for m in lengths} == {2000}
 
     def test_stable_dt_scale(self):
         g = FieldGrid.smoothed_step(2.0, 10.0, 0.02)
@@ -280,18 +303,19 @@ def _symbol_stencil(h, gamma):
     return 0.5 * _D2_6_PAD / h**2 + gamma * _D4_6 / h**4
 
 
-def _odd_closure_matrix(m, stencil):
-    """Interior stencil matrix with w odd about the cell beyond each end."""
-    T = np.zeros((m, m))
-    for i in range(m):
+def _odd_closure_matrix(n, stencil):
+    """The stencil's matrix on the n - 2 points between the ends of an
+    n-point grid, with w = 0 at x_0 and x_{n-1} and odd about each."""
+    T = np.zeros((n - 2, n - 2))
+    for k in range(1, n - 1):            # grid index of the row
         for off in range(-4, 5):
-            j, w = i + off, stencil[off + 4]
-            if 0 <= j < m:
-                T[i, j] += w
-            elif j < -1:
-                T[i, -2 - j] -= w
-            elif j > m:
-                T[i, 2 * m - j] -= w
+            j, sign = k + off, 1.0
+            if j < 0:                        # odd about x_0: w(x_j) = -w(x_{-j})
+                j, sign = -j, -1.0
+            elif j > n - 1:                  # odd about x_{n-1}
+                j, sign = 2 * (n - 1) - j, -1.0
+            if 0 < j < n - 1:                # w = 0 at both ends
+                T[k - 1, j - 1] += sign * stencil[off + 4]
     return T
 
 
@@ -301,46 +325,50 @@ class TestLinearPropagator:
 
     def test_evals_match_odd_closure(self):
         lin = _LinearPropagator(self.N, self.H, self.GAMMA, self.LEFT, self.RIGHT)
-        m = self.N - 2 * _FROZEN
-        dense = np.linalg.eigvalsh(_odd_closure_matrix(m, _symbol_stencil(self.H, self.GAMMA)))
+        dense = np.linalg.eigvalsh(_odd_closure_matrix(self.N, _symbol_stencil(self.H, self.GAMMA)))
+        assert len(lin.evals) == len(dense) == self.N - 2
         got = np.sort(lin.evals)
         assert np.abs(got - dense).max() < 1e-10 * np.abs(dense).max()
 
     def test_affine_step_matches_expm(self):
-        n, h, m = self.N, self.H, self.N - 2 * _FROZEN
+        n, h, m = self.N, self.H, self.N - 2
         stencil = _symbol_stencil(h, self.GAMMA)
         lin = _LinearPropagator(n, h, self.GAMMA, self.LEFT, self.RIGHT)
         b = np.where(np.arange(n) < n // 2, self.LEFT, self.RIGHT).astype(complex)
         b[n // 2] = 0.5 * (self.LEFT + self.RIGHT)
-        # the clamped stencil acting on b, on the interior rows
-        g = np.array([stencil @ b[i - 4:i + 5] for i in range(_FROZEN, n - _FROZEN)])
+        # the stencil acting on b, on the rows between the ends, with the
+        # far field in 3 ghost cells past each end
+        far = np.concatenate(([self.LEFT] * 3, b, [self.RIGHT] * 3))
+        g = np.array([stencil @ far[k - 1:k + 8] for k in range(1, n - 1)])
         rng = np.random.default_rng(5)
         w = rng.normal(size=m) + 1j * rng.normal(size=m)
         q = b.copy()
-        q[_FROZEN:-_FROZEN] += w
+        q[1:-1] += w
         dt = 0.01
         ph, kick = lin.phases(dt)
         got = lin.to_grid(ph * lin.to_modes(q) + kick)
         M = np.zeros((m + 1, m + 1), dtype=complex)
-        M[:m, :m] = -1j * _odd_closure_matrix(m, stencil)
+        M[:m, :m] = -1j * _odd_closure_matrix(n, stencil)
         M[:m, m] = -1j * g
         want = (expm(M * dt) @ np.append(w, 1.0))[:m]
-        assert np.abs(got[_FROZEN:-_FROZEN] - b[_FROZEN:-_FROZEN] - want).max() < 1e-11
-        assert np.array_equal(got[:_FROZEN], b[:_FROZEN])
-        assert np.array_equal(got[-_FROZEN:], b[-_FROZEN:])
+        assert np.abs(got[1:-1] - b[1:-1] - want).max() < 1e-11
+        assert got[0] == b[0] and got[-1] == b[-1]
 
 
 class TestNonlinearRhs:
     def test_matches_stencil_reference(self):
-        # q_x and q_xx by the 6th-order stencils of fd_weights, on the
-        # interior rows, in the written-out form of the nonlinear terms
+        # q_x and q_xx by the 6th-order stencils of fd_weights, on the rows
+        # between the ends, reading the far field q[0], q[-1] in 2 ghost
+        # cells past each end, in the written-out form of the nonlinear terms
         h, gam = 0.02, 0.1
         x = np.arange(-500, 501) * h
         q = np.array([q_soliton(float(xx), 0.0, 2.0, 3.0, gam) for xx in x])
+        far = np.concatenate(([q[0]] * 2, q, [q[-1]] * 2))
         offs = np.arange(-3, 4)
-        qx = np.convolve(q, fd_weights(offs, 1)[::-1], "valid")[1:-1] / h
-        qxx = np.convolve(q, fd_weights(offs, 2)[::-1], "valid")[1:-1] / h**2
-        qi = q[_FROZEN:-_FROZEN]
+        qx = np.convolve(far, fd_weights(offs, 1)[::-1], "valid") / h
+        qxx = np.convolve(far, fd_weights(offs, 2)[::-1], "valid") / h**2
+        qi = q[1:-1]
+        assert len(qx) == len(qi) == len(q) - 2
         r, rx, rxx = -np.conj(qi[::-1]), np.conj(qx[::-1]), -np.conj(qxx[::-1])
         H = (6j * r * qx**2 + 4j * qi * qx * rx + 8j * r * qi * qxx
              + 2j * qi * qi * rxx - 6j * r * r * qi**3)
@@ -349,10 +377,18 @@ class TestNonlinearRhs:
         assert np.abs(got - want).max() < 1e-11 * np.abs(want).max()
 
 
+def _bumped(grid, seed):
+    """The grid plus a seeded complex Gaussian bump: complex, asymmetric data."""
+    rng = np.random.default_rng(seed)
+    amp = complex(rng.normal(), rng.normal())
+    centre, width = rng.uniform(-3.0, 3.0), rng.uniform(0.5, 1.5)
+    return replace(grid, values=grid.values + amp * np.exp(-((grid.x - centre) / width) ** 2))
+
+
 class TestBits:
     # the transforms and the right-hand side are pinned to the last bit
 
-    @pytest.mark.parametrize("m", [993, 393])
+    @pytest.mark.parametrize("m", [993, 393, 999, 399])
     def test_dst_is_scipy_fft_dst(self, m):
         rng = np.random.default_rng(m)
         a = rng.normal(size=m) + 1j * rng.normal(size=m)
@@ -362,16 +398,18 @@ class TestBits:
 
     @pytest.mark.parametrize("make", [
         lambda: FieldGrid.from_function(lambda x: q_soliton(x, 0.0, 2.0, np.pi, 0.1), 10.0, 0.02),
-        lambda: FieldGrid.smoothed_step(2.0, 10.0, 0.05),
+        lambda: _bumped(FieldGrid.smoothed_step(2.0, 10.0, 0.05), 9),
     ], ids=["criterion_11", "smoothed_step"])
     def test_rhs_is_the_one_line_expression(self, make):
         grid = make()
         q, h, gam = grid.values, grid.h, 0.1
-        m = len(q) - 2 * _FROZEN
-        shifted = np.ndarray((7, 2 * m), np.float64, q, (_FROZEN - 3) * q.itemsize,
-                             (q.itemsize, 8)).copy()
+        m = len(q) - 2
+        # the grid with 2 far-field ghost cells past each end; row j of the
+        # stencils' input is the interior shifted by j - 3 cells
+        far = np.concatenate(([q[0]] * 2, q, [q[-1]] * 2))
+        shifted = np.stack([far[j:j + m] for j in range(7)]).view(np.float64)
         derivs = (np.stack((_D1_6 / h, _D2_6 / (h * h))) @ shifted).view(complex)
-        qi, (qx, qxx) = q[_FROZEN:_FROZEN + m], derivs
+        qi, (qx, qxx) = q[1:-1], derivs
         c = np.conj(qi[::-1])
         c1, c2 = np.conj(derivs[:, ::-1])
         p = c * qi
@@ -382,13 +420,15 @@ class TestBits:
 
 def _written_out_rhs(q, h, gamma):
     """The nonlinear terms as first written: zeroed accumulators, divisions
-    after the stencil sums, and H_nl term by term."""
-    m = len(q) - 2 * _FROZEN
-    qi = q[_FROZEN:_FROZEN + m]
+    after the stencil sums, and H_nl term by term, on the rows between the
+    ends, with the far field q[0], q[-1] in 2 ghost cells past each end."""
+    m = len(q) - 2
+    far = np.concatenate(([q[0]] * 2, q, [q[-1]] * 2))
+    qi = far[3:3 + m]
     qx = np.zeros(m, dtype=complex)
     qxx = _D2_6[3] * qi
     for k in (1, 2, 3):
-        fwd, back = q[_FROZEN + k:_FROZEN + k + m], q[_FROZEN - k:_FROZEN - k + m]
+        fwd, back = far[3 + k:3 + k + m], far[3 - k:3 - k + m]
         qx += _D1_6[3 + k] * (fwd - back)
         qxx += _D2_6[3 + k] * (fwd + back)
     qx /= h
