@@ -46,18 +46,21 @@ it, and each child checks that it imported `steplpd` from there.  GROUPs:
   share of pairs the change was better in, by the metric's `better`).
 - `simulate`, on criterion 11's grid (the soliton A = 2, alpha = pi,
   gamma = 0.1 on L = 10, h = 0.02: N = 1001): `lawson_step`, one
-  integrating-factor RK4 step at `stable_dt`, the mean over 200 steps;
+  `_LawsonStepper.step` (integrating-factor RK4) at `stable_dt`, the mean
+  over 200 steps;
   `chunk`, one `evolve` over 0.005 from t = 0, as a `simulate --snapshots`
   chunk of soliton-sim runs; `dst`, one `_dst` of the points between the
   side's clamped cells (`grid.values[_FROZEN:-_FROZEN]`), and `rhs`, one
-  `_nonlinear_rhs` on the grid, each the mean over 1000 calls.
+  `_nonlinear_rhs` on the grid with the stepper's stencil rows, each the
+  mean over 1000 calls.  This group needs `_LawsonStepper` on both sides.
 
 Draws use fixed seeds.  A timed group runs one untimed child per side, then
 `--pairs` pairs, the parent first in even pairs (`perfbench` runs only the
 pairs, in the same order).  Each stage gets both
 sides' median, quartiles and runs, `change_vs_parent` (the relative change
 of the median) and `change_won` (the share of pairs the change was faster
-in).  Stage code uses only names that both checkouts have.
+in).  Stage code uses only names that both checkouts have (for
+`simulate`, a parent with `_LawsonStepper`).
 """
 
 import argparse
@@ -255,15 +258,12 @@ def simulate_stages() -> dict[str, list[float]]:
     gamma, steps, calls = 0.1, 200, 1000
     grid = simulate.FieldGrid.from_function(lambda x: q_soliton(x, 0.0, 2.0, math.pi, gamma),
                                             10.0, 0.02)
-    q = grid.values
-    lin = simulate._LinearPropagator(len(q), grid.h, gamma, q[0], q[-1])
     dt = simulate.stable_dt(grid, gamma)
-    lin.set_cutoff(min(lin.s_cut, 0.4 * math.pi / dt))
-    u_ref = u = lin.to_modes(q)
-    q, u = simulate._lawson_step(q, u, dt, grid.h, gamma, lin, u_ref)  # the phases, once
+    stepper = simulate._LawsonStepper(grid.values, grid.h, gamma, dt)
+    q, u = stepper.step(grid.values, stepper.u_ref, dt)  # the phases, once
     t0 = time.perf_counter()
     for _ in range(steps):
-        q, u = simulate._lawson_step(q, u, dt, grid.h, gamma, lin, u_ref)
+        q, u = stepper.step(q, u, dt)
     t1 = time.perf_counter()
     simulate.evolve(grid, 0.005, gamma)
     t2 = time.perf_counter()
@@ -272,7 +272,7 @@ def simulate_stages() -> dict[str, list[float]]:
         simulate._dst(interior)
     t3 = time.perf_counter()
     for _ in range(calls):
-        simulate._nonlinear_rhs(grid.values, grid.h, gamma)
+        simulate._nonlinear_rhs(grid.values, stepper.rows, gamma)
     t4 = time.perf_counter()
     return {"lawson_step": [(t1 - t0) / steps], "chunk": [t2 - t1],
             "dst": [(t3 - t2) / calls], "rhs": [(t4 - t3) / calls]}

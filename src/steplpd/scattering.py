@@ -88,9 +88,6 @@ import numpy as np
 from steplpd.kernels import ContourInterval, IntervalRule, interval_rule, ode_integrate
 from steplpd.kernels.quadrature import NODE_LEVELS, level_gap
 
-SIGMA1 = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-SIGMA3 = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
-
 
 class CaseTag(Enum):
     CASE1 = 1   # a2 has no zero in the closed lower half-plane

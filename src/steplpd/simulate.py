@@ -74,12 +74,6 @@ def fd_weights(offsets, order: int) -> np.ndarray:
     return c[:, order]
 
 
-def _central_weights(order: int, accuracy: int) -> tuple[np.ndarray, int]:
-    half = (order + accuracy - 1) // 2
-    offs = np.arange(-half, half + 1)
-    return fd_weights(offs, order), half
-
-
 # ---------------------------------------------------------------------------
 # pointwise residual
 # ---------------------------------------------------------------------------
@@ -126,8 +120,15 @@ class SolitonField:
         return A * w * E / (1.0 - E) ** 2
 
 
-# accuracy order of pde_residual's centered difference stencils
-_FD_ACCURACY = 8
+@functools.cache
+def _residual_stencils() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """pde_residual's 8th-order centered q_x, q_xx and q_xxxx weights, of
+    half-widths 4, 4 and 5, built on first use and read-only."""
+    stencils = tuple(fd_weights(np.arange(-half, half + 1), order)
+                     for order, half in ((1, 4), (2, 4), (4, 5)))
+    for w in stencils:
+        w.flags.writeable = False
+    return stencils
 
 
 def pde_residual(q: Callable[[float, float], complex], x: float, t: float,
@@ -149,20 +150,17 @@ def pde_residual(q: Callable[[float, float], complex], x: float, t: float,
         rm1 = np.conj(q.dx(-x, t, 1))
         rm2 = -np.conj(q.dx(-x, t, 2))
     else:
-        w1, h1 = _central_weights(1, _FD_ACCURACY)
-        w2, _ = _central_weights(2, _FD_ACCURACY)
-        w4, h4 = _central_weights(4, _FD_ACCURACY)
+        w1, w2, w4 = _residual_stencils()
+        h1, h4 = len(w1) // 2, len(w4) // 2
         line4 = np.array([q(x + k * hx, t) for k in range(-h4, h4 + 1)])
         mirror4 = np.array([q(-x + k * hx, t) for k in range(-h4, h4 + 1)])
         pad = h4 - h1
-        line1 = line4[pad:len(line4) - pad] if pad else line4
-        mirror1 = mirror4[pad:len(mirror4) - pad] if pad else mirror4
+        line1, mirror1 = line4[pad:-pad], mirror4[pad:-pad]
         qv = line4[h4]
         q1 = np.dot(w1, line1) / hx
         q2 = np.dot(w2, line1) / hx**2
         q4 = np.dot(w4, line4) / hx**4
-        wt, htn = _central_weights(1, _FD_ACCURACY)
-        qt = np.dot(wt, [q(x, t + k * ht) for k in range(-htn, htn + 1)]) / ht
+        qt = np.dot(w1, [q(x, t + k * ht) for k in range(-h1, h1 + 1)]) / ht
         rm0 = -np.conj(mirror4[h4])
         rm1 = np.conj(np.dot(w1, mirror1) / hx)
         rm2 = -np.conj(np.dot(w2, mirror1) / hx**2)
@@ -226,14 +224,6 @@ _D1_6 = np.array([-1 / 60, 3 / 20, -3 / 4, 0, 3 / 4, -3 / 20, 1 / 60])
 _FROZEN = 1   # clamped cells at each end: the end point alone
 
 
-@functools.lru_cache(maxsize=8)
-def _stencil_rows(h: float) -> np.ndarray:
-    """The 7-point q_x and q_xx stencils as rows, pre-divided by h and h^2."""
-    rows = np.stack((_D1_6 / h, _D2_6 / (h * h)))
-    rows.flags.writeable = False
-    return rows
-
-
 @functools.cache
 def _dst_kernel() -> Callable[..., np.ndarray]:
     """scipy's DST, bound on the first transform, not on import.
@@ -261,7 +251,7 @@ class StabilityError(RuntimeError):
     pass
 
 
-def _nonlinear_rhs(q: np.ndarray, h: float, gamma: float) -> np.ndarray:
+def _nonlinear_rhs(q: np.ndarray, rows: np.ndarray, gamma: float) -> np.ndarray:
     """The nonlinear terms on the interior rows, between the clamped ends.
     Past each end the 7-point q_x and q_xx stencils read ghost cells that
     hold the far field, the end point's value.
@@ -271,11 +261,11 @@ def _nonlinear_rhs(q: np.ndarray, h: float, gamma: float) -> np.ndarray:
         i (q (rq + gamma (4 q_x r_x + 8 r q_xx + 2 q r_xx - 6 rq^2))
            + 6 gamma r q_x^2).
 
-    Both stencils come from one product of their pre-divided rows with the
-    seven shifted copies of the interior in the ghost-padded grid.  The
-    mirrored terms are read off c, c1, c2 = conj(q, q_x, q_xx) at -x, which
-    are -r, r_x and -r_xx, so with p = c q = -rq the sum above is written
-    with no sign flips.
+    Both stencils come from one product of ``rows``, the 7-point q_x and
+    q_xx stencils pre-divided by h and h^2, with the seven shifted copies of
+    the interior in the ghost-padded grid.  The mirrored terms are read off
+    c, c1, c2 = conj(q, q_x, q_xx) at -x, which are -r, r_x and -r_xx, so
+    with p = c q = -rq the sum above is written with no sign flips.
     """
     n = len(q)
     m, ghosts = n - 2 * _FROZEN, 3 - _FROZEN   # 3: the stencils' half-width
@@ -285,7 +275,7 @@ def _nonlinear_rhs(q: np.ndarray, h: float, gamma: float) -> np.ndarray:
     padded[-ghosts:] = q[-1]
     # row j: the interior shifted by j - 3 cells, as interleaved re and im
     shifted = np.ndarray((7, 2 * m), np.float64, padded, 0, (padded.itemsize, 8)).copy()
-    derivs = (_stencil_rows(h) @ shifted).view(complex)
+    derivs = (rows @ shifted).view(complex)
     qi, (qx, qxx) = padded[3:3 + m], derivs
     c = np.conj(qi[::-1])
     c1, c2 = np.conj(derivs[:, ::-1])
@@ -315,12 +305,13 @@ def _nonlinear_rhs(q: np.ndarray, h: float, gamma: float) -> np.ndarray:
     return np.multiply(-1j, acc, out=acc)
 
 
-class _LinearPropagator:
-    """Exact flow of q_t = -(i/2) q_xx - i gamma q_xxxx about a clamp background.
+class _LawsonStepper:
+    """One evolve call's integrating-factor RK4 (Lawson) steps.
 
-    It acts on w = q - b, where b holds only the clamp values (`left` on
-    x < 0, `right` on x > 0, their mean at 0), so it stays fixed across evolve
-    calls (a background taken from each call's start lets the closure
+    The exact linear flow of q_t = -(i/2) q_xx - i gamma q_xxxx acts on
+    w = q - b, where b holds only the clamp values (`left` = q0[0] on x < 0,
+    `right` = q0[-1] on x > 0, their mean at 0), so it stays fixed across
+    evolve calls (a background taken from each call's start lets the closure
     mismatch grow with every restart).  The clamped end points x_0 and
     x_{N-1} hold w = 0, and the stencil on the m = N - 2 points between them,
     closed by odd reflection of w about each end, is diagonal in DST-I
@@ -332,10 +323,20 @@ class _LinearPropagator:
     taken by the phi-1 function.  The exact rotation's
     quasi-random mode phases avoid the period-doubling pileup that a CN
     substep feeds the nonlinear map.
+
+    Every step contracts (e^-3) the deviation from the initial modes
+    ``u_ref`` in each mode whose dispersion is above min(gamma (pi/2h)^4,
+    0.4 pi/|dt|).  Sampled exponential integrators go unstable where the
+    linear rotation per step hits a multiple of pi (S dt = m pi): those modes
+    look frozen to the stroboscopic map and their nonlinear pair coupling
+    grows unchecked.  A band edge below ~0.4 pi/dt buries every resonance in
+    the damped band; the modes lost carry no physical content for the
+    smooth fields this integrator is for.
     """
 
-    def __init__(self, n: int, h: float, gamma: float,
-                 left: complex, right: complex):
+    def __init__(self, q0: np.ndarray, h: float, gamma: float, dt: float):
+        n = len(q0)
+        left, right = complex(q0[0]), complex(q0[-1])
         stencil = 0.5 * _D2_6_PAD / h**2 + gamma * _D4_6 / h**4   # q_t = -i S q
         m = n - 2 * _FROZEN
         theta = np.pi * np.arange(1, m + 1) / (m + 1)
@@ -350,21 +351,11 @@ class _LinearPropagator:
         self.background = b[ghosts:-ghosts]
         self.force = _dst(np.convolve(b, stencil, mode="valid"))
         self._phases: dict[float, tuple[np.ndarray, np.ndarray]] = {}
-        # default damping mask; evolve tightens it to the dt in use
-        self.set_cutoff(gamma * (0.5 * np.pi / h) ** 4)
-
-    def set_cutoff(self, s_cut: float) -> None:
-        """Damp (e^-3 per step) all modes with dispersion above s_cut.
-
-        Sampled exponential integrators go unstable where the linear rotation
-        per step hits a multiple of pi (S dt = m pi): those modes look frozen
-        to the stroboscopic map and their nonlinear pair coupling grows
-        unchecked.  Keeping s_cut below ~0.4 pi/dt buries every resonance in
-        the damped band; the modes lost carry no physical content for the
-        smooth fields this integrator is for.
-        """
-        self.s_cut = float(s_cut)
-        self.damp = np.where(np.abs(self.evals) > self.s_cut, np.exp(-3.0), 1.0)
+        cut = min(gamma * (0.5 * np.pi / h) ** 4, 0.4 * np.pi / abs(dt))
+        self.damp = np.where(np.abs(self.evals) > cut, np.exp(-3.0), 1.0)
+        self.rows = np.stack((_D1_6 / h, _D2_6 / (h * h)))
+        self.gamma = gamma
+        self.u_ref = self.to_modes(q0)
 
     def to_modes(self, q: np.ndarray) -> np.ndarray:
         """Modes of the interior deviation w = q - b."""
@@ -380,67 +371,63 @@ class _LinearPropagator:
         """(e^{-i lam dt}, the affine forcing increment over dt), evaluated
         once per dt: a run of equal steps shares them."""
         if dt not in self._phases:
-            self._phases[dt] = self._affine_flow(dt)
+            lam = self.evals
+            ph = np.exp(-1j * lam * dt)
+            z = -1j * lam * dt
+            small = np.abs(z) < 1e-8
+            phi1 = np.where(small, 1.0 + z / 2.0,
+                            (ph - 1.0) / np.where(small, 1.0, z))
+            self._phases[dt] = ph, dt * phi1 * (-1j * self.force)
         return self._phases[dt]
 
-    def _affine_flow(self, dt: float) -> tuple[np.ndarray, np.ndarray]:
-        lam = self.evals
-        ph = np.exp(-1j * lam * dt)
-        z = -1j * lam * dt
-        small = np.abs(z) < 1e-8
-        phi1 = np.where(small, 1.0 + z / 2.0,
-                        (ph - 1.0) / np.where(small, 1.0, z))
-        return ph, dt * phi1 * (-1j * self.force)
+    def step(self, q: np.ndarray, u: np.ndarray, dt: float) -> tuple[np.ndarray, np.ndarray]:
+        """One step over dt: the exact linear flow wraps every RK4 stage.
 
+        The state comes and goes both as the grid q and as its modes u.
 
-def _lawson_step(q: np.ndarray, u: np.ndarray, dt: float, h: float, gamma: float,
-                 lin: _LinearPropagator, u_ref: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Integrating-factor RK4 (Lawson): exact linear flow wraps every stage.
+        Splitting the bare nonlinearity off the dispersion entirely is
+        unstable here (the mirrored derivative coupling grows at the k^2
+        scale once the stabilizing k^4 rotation is removed); evaluating the
+        RK stages in the rotated frame keeps everything phase-mixed.  All
+        linear flows act diagonally on the sine modes; grid space is visited
+        only for the four nonlinear evaluations.
+        """
+        rows, gamma = self.rows, self.gamma
+        ph_h, kick_h = self.phases(0.5 * dt)
+        u_half = ph_h * u + kick_h   # affine half-flow of the state
+        u_full = ph_h * u_half + kick_h
 
-    The state comes and goes both as the grid q and as its modes u.
-
-    Splitting the bare nonlinearity off the dispersion entirely is unstable
-    here (the mirrored derivative coupling grows at the k^2 scale once the
-    stabilizing k^4 rotation is removed); evaluating the RK stages in the
-    rotated frame keeps everything phase-mixed.  All linear flows act
-    diagonally on the sine modes; grid space is visited only for the four
-    nonlinear evaluations.
-    """
-    def N_modes(u: np.ndarray) -> np.ndarray:
-        return _dst(_nonlinear_rhs(lin.to_grid(u), h, gamma))
-
-    ph_h, kick_h = lin.phases(0.5 * dt)
-    u_half = ph_h * u + kick_h   # affine half-flow of the state
-    u_full = ph_h * u_half + kick_h
-
-    # k1 is used only rotated by a half-step; the full-step rotations of k1,
-    # k2 and k3 share one more factor ph_h.  The stage states
-    # u_half + (dt/2) pk1, u_half + (dt/2) k2 and u_full + dt (ph_h k3) share
-    # one buffer and u_new is summed into k2, each product in the operand
-    # order written here (see _nonlinear_rhs)
-    pk1 = _dst(_nonlinear_rhs(q, h, gamma))
-    np.multiply(ph_h, pk1, out=pk1)
-    stage = np.multiply(0.5 * dt, pk1)
-    k2 = N_modes(np.add(u_half, stage, out=stage))
-    np.multiply(0.5 * dt, k2, out=stage)
-    k3 = N_modes(np.add(u_half, stage, out=stage))
-    np.multiply(ph_h, k3, out=stage)
-    np.multiply(dt, stage, out=stage)
-    k4 = N_modes(np.add(u_full, stage, out=stage))
-    # u_new = u_full + (dt / 6) (ph_h (pk1 + 2 (k2 + k3)) + k4)
-    u_new = np.add(k2, k3, out=k2)
-    np.multiply(2.0, u_new, out=u_new)
-    np.add(pk1, u_new, out=u_new)
-    np.multiply(ph_h, u_new, out=u_new)
-    np.add(u_new, k4, out=u_new)
-    np.multiply(dt / 6.0, u_new, out=u_new)
-    np.add(u_full, u_new, out=u_new)
-    # contract the top dispersion band of the deviation from u_ref, free in
-    # modes: u_ref + damp (u_new - u_ref)
-    np.subtract(u_new, u_ref, out=u_new)
-    np.multiply(lin.damp, u_new, out=u_new)
-    np.add(u_ref, u_new, out=u_new)
-    return lin.to_grid(u_new), u_new
+        # k1 is used only rotated by a half-step; the full-step rotations of
+        # k1, k2 and k3 share one more factor ph_h.  The stage states
+        # u_half + (dt/2) pk1, u_half + (dt/2) k2 and u_full + dt (ph_h k3)
+        # share one buffer and u_new is summed into k2, each product in the
+        # operand order written here (see _nonlinear_rhs)
+        pk1 = _dst(_nonlinear_rhs(q, rows, gamma))
+        np.multiply(ph_h, pk1, out=pk1)
+        stage = np.multiply(0.5 * dt, pk1)
+        np.add(u_half, stage, out=stage)
+        k2 = _dst(_nonlinear_rhs(self.to_grid(stage), rows, gamma))
+        np.multiply(0.5 * dt, k2, out=stage)
+        np.add(u_half, stage, out=stage)
+        k3 = _dst(_nonlinear_rhs(self.to_grid(stage), rows, gamma))
+        np.multiply(ph_h, k3, out=stage)
+        np.multiply(dt, stage, out=stage)
+        np.add(u_full, stage, out=stage)
+        k4 = _dst(_nonlinear_rhs(self.to_grid(stage), rows, gamma))
+        # u_new = u_full + (dt / 6) (ph_h (pk1 + 2 (k2 + k3)) + k4)
+        u_new = np.add(k2, k3, out=k2)
+        np.multiply(2.0, u_new, out=u_new)
+        np.add(pk1, u_new, out=u_new)
+        np.multiply(ph_h, u_new, out=u_new)
+        np.add(u_new, k4, out=u_new)
+        np.multiply(dt / 6.0, u_new, out=u_new)
+        np.add(u_full, u_new, out=u_new)
+        # contract the top dispersion band of the deviation from u_ref, free
+        # in modes: u_ref + damp (u_new - u_ref)
+        np.subtract(u_new, self.u_ref, out=u_new)
+        np.multiply(self.damp, u_new, out=u_new)
+        np.add(self.u_ref, u_new, out=u_new)
+        return self.to_grid(u_new), u_new
 
 
 def stable_dt(grid: FieldGrid, gamma: float) -> float:
@@ -494,7 +481,6 @@ def evolve(grid: FieldGrid, t_end: float, gamma: float,
     if n <= 2 * _FROZEN:
         raise ValueError(f"a {n}-point grid has no point between its clamped ends: "
                          "widen it or refine h")
-    left = complex(q[0])
     right = complex(q[-1])
     t = grid.time
     span = t_end - t
@@ -508,16 +494,15 @@ def evolve(grid: FieldGrid, t_end: float, gamma: float,
         raise ValueError(f"time step dt = {dt:g} is below {_DT_FLOOR:g} of stable_dt = {dt_stab:g}")
     dt = direction * min(abs(dt), abs(span))
 
-    lin = _LinearPropagator(n, grid.h, gamma, left, right)
-    lin.set_cutoff(min(lin.s_cut, 0.4 * np.pi / abs(dt)))
-    u_ref = u = lin.to_modes(q)
+    stepper = _LawsonStepper(q, grid.h, gamma, dt)
+    u = stepper.u_ref
     amp = float(np.abs(q).max())
 
     steps = 0
     while (t_end - t) * direction > 1e-15:
         if abs(dt) > abs(t_end - t):
             dt = (t_end - t)
-        q_new, u_new = _lawson_step(q, u, dt, grid.h, gamma, lin, u_ref)
+        q_new, u_new = stepper.step(q, u, dt)
         peak = np.abs(q_new).max()   # NaN if any value is NaN
         if not np.isfinite(peak):
             raise BlowUpError(f"solution lost finiteness at t = {t:.6g}, first at "
@@ -526,8 +511,8 @@ def evolve(grid: FieldGrid, t_end: float, gamma: float,
             raise BlowUpError(f"solution blowing up at t = {t:.6g}: max|q| = {peak:.3g} "
                               f"at x = {grid.x[np.abs(q_new).argmax()]:.6g}")
         if steps % _CHECK_EVERY == 0:
-            qa, ua = _lawson_step(q, u, 0.5 * dt, grid.h, gamma, lin, u_ref)
-            qb, _ = _lawson_step(qa, ua, 0.5 * dt, grid.h, gamma, lin, u_ref)
+            qa, ua = stepper.step(q, u, 0.5 * dt)
+            qb, _ = stepper.step(qa, ua, 0.5 * dt)
             err = float(np.abs(q_new - qb).max()) / 3.0
             tol = _LOCAL_TOL * (abs(dt) + amp)
             if err > tol:

@@ -18,8 +18,7 @@ from steplpd.simulate import (
     FieldGrid,
     SolitonField,
     StabilityError,
-    _LinearPropagator,
-    _lawson_step,
+    _LawsonStepper,
     _nonlinear_rhs,
     evolve,
     fd_weights,
@@ -181,14 +180,14 @@ class TestEvolve:
             evolve(g, 0.1, GAMMA)
 
     def test_lost_finiteness_names_first_x(self, monkeypatch):
-        step = simulate._lawson_step
+        step = _LawsonStepper.step
 
-        def nan_from_x0(q, u, *args):
-            q_new, u_new = step(q, u, *args)
+        def nan_from_x0(stepper, q, u, dt):
+            q_new, u_new = step(stepper, q, u, dt)
             q_new[g.x >= 0.0] = np.nan
             return q_new, u_new
 
-        monkeypatch.setattr(simulate, "_lawson_step", nan_from_x0)
+        monkeypatch.setattr(_LawsonStepper, "step", nan_from_x0)
         g = FieldGrid.from_function(lambda x: np.exp(-x * x), 3.0, 0.05)
         with pytest.raises(BlowUpError, match=r"lost finiteness at t = 0, first at x = 0$"):
             evolve(g, 0.1, GAMMA)
@@ -213,27 +212,37 @@ class TestEvolve:
         assert np.abs(chunked.values - exact).max() < 1e-6
         assert np.abs(single.values - exact).max() < 1e-6
 
+    def test_conserves_the_mirrored_mass(self):
+        # h sum q(x) r(x), r(x) = -conj q(-x), the grid's integral of q r:
+        # -2 on criterion 11's soliton grid (up to 8.1e-9 from the cut
+        # tails), and a drift of 1.8e-10 by t = 0.02
+        g0 = FieldGrid.from_function(lambda x: q_soliton(x, 0.0, 2.0, np.pi, 0.1), 10.0, 0.02)
+
+        def mass(q):
+            return g0.h * np.sum(q * -np.conj(q[::-1]))
+
+        assert abs(mass(g0.values) + 2.0) < 1e-7
+        assert abs(mass(evolve(g0, 0.02, 0.1).values) - mass(g0.values)) < 1e-9
+
     def test_phases_once_per_step_size(self, monkeypatch):
         # a run of equal Lawson steps evaluates its phases once per dt: the
-        # steps' half-step, and the step-doubling check's quarter step
-        requested, evaluated = [], []
-        phases, affine_flow = _LinearPropagator.phases, _LinearPropagator._affine_flow
+        # steps' half-step, and the step-doubling check's quarter step; every
+        # later request for a dt returns the arrays of the first
+        requested = []
+        phases = _LawsonStepper.phases
 
-        def counting_phases(lin, dt):
-            requested.append(dt)
-            return phases(lin, dt)
+        def recording(stepper, dt):
+            flow = phases(stepper, dt)
+            requested.append((dt, flow))
+            return flow
 
-        def counting_flow(lin, dt):
-            evaluated.append(dt)
-            return affine_flow(lin, dt)
-
-        monkeypatch.setattr(_LinearPropagator, "phases", counting_phases)
-        monkeypatch.setattr(_LinearPropagator, "_affine_flow", counting_flow)
+        monkeypatch.setattr(_LawsonStepper, "phases", recording)
         g0 = FieldGrid.from_function(lambda x: q_soliton(x, 0.0, 2.0, np.pi, 0.1), 10.0, 0.05)
         evolve(g0, 0.005, 0.1)
+        first = dict(reversed(requested))
         assert len(requested) > 20
-        assert sorted(evaluated) == sorted(set(requested))
-        assert len(evaluated) <= 4
+        assert all(flow is first[dt] for dt, flow in requested)
+        assert len(first) <= 4
 
     def test_dst_count_per_step(self, monkeypatch):
         # the propagator's forcing and u_ref take one DST each; a Lawson step
@@ -299,6 +308,11 @@ class TestEvolve:
         assert 1e-6 < dt < 1e-4
 
 
+def _rows(h):
+    """The 7-point q_x and q_xx stencils as rows, pre-divided by h and h^2."""
+    return np.stack((_D1_6 / h, _D2_6 / (h * h)))
+
+
 def _symbol_stencil(h, gamma):
     return 0.5 * _D2_6_PAD / h**2 + gamma * _D4_6 / h**4
 
@@ -320,22 +334,27 @@ def _odd_closure_matrix(n, stencil):
 
 
 class TestLinearPropagator:
-    N, H, GAMMA = 41, 0.3, 0.1
+    N, H, GAMMA, DT = 41, 0.3, 0.1, 0.01
     LEFT, RIGHT = 0.0, 1.5 - 0.4j
 
+    def _background(self):
+        n = self.N
+        b = np.where(np.arange(n) < n // 2, self.LEFT, self.RIGHT).astype(complex)
+        b[n // 2] = 0.5 * (self.LEFT + self.RIGHT)
+        return b
+
     def test_evals_match_odd_closure(self):
-        lin = _LinearPropagator(self.N, self.H, self.GAMMA, self.LEFT, self.RIGHT)
+        stepper = _LawsonStepper(self._background(), self.H, self.GAMMA, self.DT)
         dense = np.linalg.eigvalsh(_odd_closure_matrix(self.N, _symbol_stencil(self.H, self.GAMMA)))
-        assert len(lin.evals) == len(dense) == self.N - 2
-        got = np.sort(lin.evals)
+        assert len(stepper.evals) == len(dense) == self.N - 2
+        got = np.sort(stepper.evals)
         assert np.abs(got - dense).max() < 1e-10 * np.abs(dense).max()
 
     def test_affine_step_matches_expm(self):
         n, h, m = self.N, self.H, self.N - 2
         stencil = _symbol_stencil(h, self.GAMMA)
-        lin = _LinearPropagator(n, h, self.GAMMA, self.LEFT, self.RIGHT)
-        b = np.where(np.arange(n) < n // 2, self.LEFT, self.RIGHT).astype(complex)
-        b[n // 2] = 0.5 * (self.LEFT + self.RIGHT)
+        b = self._background()
+        stepper = _LawsonStepper(b, h, self.GAMMA, self.DT)
         # the stencil acting on b, on the rows between the ends, with the
         # far field in 3 ghost cells past each end
         far = np.concatenate(([self.LEFT] * 3, b, [self.RIGHT] * 3))
@@ -344,15 +363,55 @@ class TestLinearPropagator:
         w = rng.normal(size=m) + 1j * rng.normal(size=m)
         q = b.copy()
         q[1:-1] += w
-        dt = 0.01
-        ph, kick = lin.phases(dt)
-        got = lin.to_grid(ph * lin.to_modes(q) + kick)
+        dt = self.DT
+        ph, kick = stepper.phases(dt)
+        got = stepper.to_grid(ph * stepper.to_modes(q) + kick)
         M = np.zeros((m + 1, m + 1), dtype=complex)
         M[:m, :m] = -1j * _odd_closure_matrix(n, stencil)
         M[:m, m] = -1j * g
         want = (expm(M * dt) @ np.append(w, 1.0))[:m]
         assert np.abs(got[1:-1] - b[1:-1] - want).max() < 1e-11
         assert got[0] == b[0] and got[-1] == b[-1]
+
+
+class TestDampingBand:
+    # criterion 11's grid: a step multiplies the deviation from u_ref by e^-3
+    # in every mode with |lambda| > min(gamma (pi/2h)^4, 0.4 pi/dt) and leaves
+    # every other mode alone.  At stable_dt the resonance bound 0.4 pi/dt
+    # binds (1.24e5 against 3.81e6); below dt = 3.3e-7 the other does
+    GAMMA, H = 0.1, 0.02
+
+    @pytest.mark.parametrize("dt, resonance_binds, damped", [
+        (None, True, 787),
+        (2e-7, False, 493),
+    ], ids=["stable_dt", "short_dt"])
+    def test_band(self, monkeypatch, dt, resonance_binds, damped):
+        g = FieldGrid.from_function(lambda x: q_soliton(x, 0.0, 2.0, np.pi, self.GAMMA),
+                                    10.0, self.H)
+        dt = dt or stable_dt(g, self.GAMMA)
+        top, resonance = self.GAMMA * (np.pi / (2 * self.H)) ** 4, 0.4 * np.pi / dt
+        assert (resonance < top) == resonance_binds
+        edge = min(top, resonance)
+        # the linear stencil's symbol at the DST-I frequencies
+        m = len(g.x) - 2
+        theta = np.pi * np.arange(1, m + 1) / (m + 1)
+        lam = _symbol_stencil(self.H, self.GAMMA) @ np.cos(np.outer(np.arange(-4, 5), theta))
+        band = np.abs(lam) > edge
+        assert band.sum() == damped
+        assert np.abs(np.abs(lam) - edge).min() > 1e-3 * edge   # no mode on the edge
+        # with the nonlinear terms off, a step is the affine flow of u, then
+        # the band's contraction
+        monkeypatch.setattr(simulate, "_nonlinear_rhs",
+                            lambda q, rows, gamma: np.zeros(len(q) - 2, dtype=complex))
+        stepper = _LawsonStepper(g.values, self.H, self.GAMMA, dt)
+        rng = np.random.default_rng(3)
+        u = stepper.u_ref + rng.normal(size=m) + 1j * rng.normal(size=m)
+        ph, kick = stepper.phases(0.5 * dt)
+        free = ph * (ph * u + kick) + kick
+        _, u_new = stepper.step(stepper.to_grid(u), u, dt)
+        factor = (u_new - stepper.u_ref) / (free - stepper.u_ref)
+        assert np.allclose(factor[band], np.exp(-3.0), rtol=1e-9, atol=0)
+        assert np.allclose(factor[~band], 1.0, rtol=1e-9, atol=0)
 
 
 class TestNonlinearRhs:
@@ -373,7 +432,7 @@ class TestNonlinearRhs:
         H = (6j * r * qx**2 + 4j * qi * qx * rx + 8j * r * qi * qxx
              + 2j * qi * qi * rxx - 6j * r * r * qi**3)
         want = 1j * qi * qi * r + gam * H
-        got = _nonlinear_rhs(q, h, gam)
+        got = _nonlinear_rhs(q, _rows(h), gam)
         assert np.abs(got - want).max() < 1e-11 * np.abs(want).max()
 
 
@@ -408,14 +467,14 @@ class TestBits:
         # stencils' input is the interior shifted by j - 3 cells
         far = np.concatenate(([q[0]] * 2, q, [q[-1]] * 2))
         shifted = np.stack([far[j:j + m] for j in range(7)]).view(np.float64)
-        derivs = (np.stack((_D1_6 / h, _D2_6 / (h * h))) @ shifted).view(complex)
+        derivs = (_rows(h) @ shifted).view(complex)
         qi, (qx, qxx) = q[1:-1], derivs
         c = np.conj(qi[::-1])
         c1, c2 = np.conj(derivs[:, ::-1])
         p = c * qi
         want = -1j * (qi * (p + gam * (8 * c * qxx + 2 * qi * c2 + 6 * p * p - 4 * qx * c1))
                       + (6 * gam) * c * qx * qx)
-        assert np.array_equal(_nonlinear_rhs(q, h, gam), want)
+        assert np.array_equal(_nonlinear_rhs(q, _rows(h), gam), want)
 
 
 def _written_out_rhs(q, h, gamma):
@@ -441,12 +500,12 @@ def _written_out_rhs(q, h, gamma):
     return 1j * qi * qi * r + gamma * H_nl
 
 
-def _written_out_step(q, u, dt, h, gamma, lin, u_ref):
+def _written_out_step(q, u, dt, h, gamma, stepper):
     """The Lawson step with its stage combination unfactored."""
     def N_modes(u):
-        return simulate._dst(_written_out_rhs(lin.to_grid(u), h, gamma))
+        return simulate._dst(_written_out_rhs(stepper.to_grid(u), h, gamma))
 
-    ph_h, kick_h = lin.phases(0.5 * dt)
+    ph_h, kick_h = stepper.phases(0.5 * dt)
     u_half = ph_h * u + kick_h
     u_full = ph_h * u_half + kick_h
     k1 = simulate._dst(_written_out_rhs(q, h, gamma))
@@ -454,8 +513,8 @@ def _written_out_step(q, u, dt, h, gamma, lin, u_ref):
     k3 = N_modes(u_half + 0.5 * dt * k2)
     k4 = N_modes(u_full + dt * (ph_h * k3))
     u_new = u_full + (dt / 6.0) * (ph_h * ph_h * k1 + 2.0 * ph_h * (k2 + k3) + k4)
-    u_new = u_ref + lin.damp * (u_new - u_ref)
-    return lin.to_grid(u_new), u_new
+    u_new = stepper.u_ref + stepper.damp * (u_new - stepper.u_ref)
+    return stepper.to_grid(u_new), u_new
 
 
 class TestLawsonStep:
@@ -465,14 +524,12 @@ class TestLawsonStep:
         A, gam, al, h = 2.0, 0.1, np.pi, 0.02
         g = FieldGrid.from_function(lambda x: q_soliton(x, 0.0, A, al, gam), 10.0, h)
         q0 = g.values
-        lin = _LinearPropagator(len(q0), h, gam, q0[0], q0[-1])
         dt = stable_dt(g, gam)
-        lin.set_cutoff(min(lin.s_cut, 0.4 * np.pi / dt))
-        u_ref = lin.to_modes(q0)
-        q, u = want, u_want = q0, u_ref
+        stepper = _LawsonStepper(q0, h, gam, dt)
+        q, u = want, u_want = q0, stepper.u_ref
         for _ in range(20):
-            q, u = _lawson_step(q, u, dt, h, gam, lin, u_ref)
-            want, u_want = _written_out_step(want, u_want, dt, h, gam, lin, u_ref)
+            q, u = stepper.step(q, u, dt)
+            want, u_want = _written_out_step(want, u_want, dt, h, gam, stepper)
         assert np.abs(q - want).max() < 1e-12 * np.abs(want).max()
         assert np.abs(u - u_want).max() < 1e-12 * np.abs(u_want).max()
         assert np.abs(q - q0).max() > 1e-6   # the 20 steps moved the field
