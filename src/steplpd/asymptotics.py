@@ -111,9 +111,10 @@ def coefficients_HLN(data, exponents: SaddleExponents) -> tuple[tuple, tuple, tu
     times F_s and 1/F_s, F_s = exp(2 ``log_power_factor``) at t = 1 (the
     assembled terms carry chi_s, the phase and the t-powers).  The middle
     saddle's model is the conjugate reflection, so its L and N read the
-    conjugated data.  H serves the mirrored ray: it is the beta of r2 in
-    place of r1, with the conjugation flipped, times conj(1/F_s).  v = 0
-    collapses a coefficient to 0 through the Gamma pole.
+    conjugated data.  H serves the mirrored ray, whose model's beta is
+    conj(gamma_c,s): H_s = -conj(gamma_c,s) / sqrt(c_s^+) * conj(1/F_s), read
+    off the gamma_c,s of N_s.  v = 0 collapses a coefficient to 0 through the
+    Gamma pole.
     """
     geometry, c0 = exponents.geometry, exponents.delta.c0
     # r1 and r2 at the three saddles, one read each; a stand-in may return one constant
@@ -123,15 +124,12 @@ def coefficients_HLN(data, exponents: SaddleExponents) -> tuple[tuple, tuple, tu
     for s, lam, c, r1, r2, v in zip((1, 2, 3), geometry.lambdas, geometry.curvatures, r1s, r2s,
                                     exponents.v):
         root = math.sqrt(abs(c))
-        if s == 2:
-            ray, mirror = (r1.conjugate(), r2.conjugate(), v.conjugate()), (r2, r1, v)
-        else:
-            ray, mirror = (r1, r2, v), (r2.conjugate(), r1.conjugate(), v.conjugate())
+        ray = (r1.conjugate(), r2.conjugate(), v.conjugate()) if s == 2 else (r1, r2, v)
         factor = cmath.exp(2.0 * log_power_factor(s, exponents, 1.0))
         beta, gamc = pc_coefficients(s, *ray)
         L.append(-beta / root * factor)
         N.append(-c0**2 * gamc / (lam**2 * root) / factor)
-        H.append(-pc_coefficients(s, *mirror)[0] / root * (1.0 / factor).conjugate())
+        H.append(-gamc.conjugate() / root * (1.0 / factor).conjugate())
     return tuple(H), tuple(L), tuple(N)
 
 

@@ -67,6 +67,14 @@ def _scattering_data(args) -> ScatteringData:
     return ScatteringData.from_profile(load_profile(args))
 
 
+def _require_finite(args, *names: str) -> None:
+    """Refuse a non-finite float flag by name, before anything is written."""
+    for name in names:
+        value = getattr(args, name)
+        if not np.isfinite(value):
+            raise ValueError(f"--{name.replace('_', '-')} must be finite, got {value}")
+
+
 def _large_tau_fit(s: int, model: LocalModelData) -> tuple[complex, complex]:
     """(beta, gamma_c) off tau (M - I) ~ [[., -i beta], [-i gamma_c, .]], tau = 50 e^{0.9i}."""
     tau = 50.0 * np.exp(0.9j)
@@ -79,6 +87,7 @@ def _large_tau_fit(s: int, model: LocalModelData) -> tuple[complex, complex]:
 # ---------------------------------------------------------------------------
 
 def cmd_scatter(args) -> int:
+    _require_finite(args, "xi_min", "xi_max")
     data = _scattering_data(args)
     xs = np.linspace(args.xi_min, args.xi_max, args.n)
     xs = xs[np.abs(xs) > 1e-9]
@@ -107,6 +116,7 @@ def cmd_phase(args) -> int:
 
 
 def cmd_delta(args) -> int:
+    _require_finite(args, "height")
     data = _scattering_data(args)
     delta = build_delta(data, stationary_points(args.mu, data.gamma))
     rows = []
@@ -174,8 +184,7 @@ def cmd_asymptote(args) -> int:
 
 def cmd_soliton(args) -> int:
     f = SolitonField(args.A, args.alpha, args.gamma)
-    if not np.isfinite(args.t):
-        raise ValueError(f"--t must be finite, got {args.t}")
+    _require_finite(args, "t", "xmin", "xmax")
     xs = np.linspace(args.xmin, args.xmax, args.n)
     rows = []
     for x in xs:
@@ -191,8 +200,7 @@ def cmd_soliton(args) -> int:
 def cmd_simulate(args) -> int:
     if args.snapshots < 2:
         raise ValueError("--snapshots counts t = 0 and t_end: give at least 2")
-    if not np.isfinite(args.t_end):   # the snapshot times would be NaN
-        raise ValueError(f"--t-end must be finite, got {args.t_end}")
+    _require_finite(args, "t_end")     # the snapshot times would be NaN
     if args.initial == "soliton":
         alpha = np.pi if args.alpha is None else args.alpha
         grid = FieldGrid.from_function(

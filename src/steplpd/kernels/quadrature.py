@@ -48,10 +48,10 @@ class IntegrationError(Exception):
 
 def level_gap(stage: str, coarse: tuple, fine: tuple) -> tuple[float, ...]:
     """|coarse - fine| of node sums on the two NODE_LEVELS, elementwise over
-    tuples; a gap above _CONVERGENCE_TOL raises IntegrationError naming the stage."""
+    tuples; a gap above _CONVERGENCE_TOL or NaN raises IntegrationError naming the stage."""
     gap = tuple(abs(c - f) for c, f in zip(coarse, fine))
-    if max(gap) > _CONVERGENCE_TOL:
-        raise IntegrationError(f"{stage} changes by {max(gap):.1e} from {NODE_LEVELS[0]}"
+    if not all(g <= _CONVERGENCE_TOL for g in gap):
+        raise IntegrationError(f"{stage} changes by {np.max(gap):.1e} from {NODE_LEVELS[0]}"
                                f" to {NODE_LEVELS[1]} nodes per interval")
     return gap
 

@@ -63,6 +63,10 @@ class GammaPoleError(ZeroDivisionError):
     """Gamma evaluated at a non-positive integer."""
 
 
+class NonFiniteArgumentError(ValueError):
+    """D_a asked for at a non-finite order or argument, where its series never stop."""
+
+
 def reciprocal_gamma(z: complex) -> complex:
     """1/Gamma(z); entire, exactly 0 at the poles of Gamma."""
     from scipy.special import rgamma
@@ -219,6 +223,8 @@ def _scaled(a: complex, z: complex) -> tuple[complex, complex]:
              + sqrt(2 pi)/Gamma(-a) e^{i s pi (a+1)/2} e^{z^2/2} E_{-a-1}(-i s z),
     s = sign Im z, whose two terms lie in the direct sectors; z E_a - E_a'
     by the chain rule, with its two z e^{z^2/2} E_{-a-1} terms cancelled."""
+    if not (cmath.isfinite(a) and cmath.isfinite(z)):
+        raise NonFiniteArgumentError(f"D_a(z) needs finite a and z, got a = {a!r}, z = {z!r}")
     if abs(z) <= _SMALL_Z or abs(cmath.phase(z)) <= 0.75 * math.pi:
         e, de = _scaled_direct(a, z)
         return e, z * e - de

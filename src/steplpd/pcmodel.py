@@ -63,7 +63,10 @@ class LocalModelData:
 
 def model_order(r1r: complex, r2r: complex) -> complex:
     """v = -(1/2 pi) Log(1 + r1r r2r), principal branch."""
-    return -np.log(1.0 + complex(r1r) * complex(r2r)) / (2.0 * np.pi)
+    w = 1.0 + complex(r1r) * complex(r2r)
+    if w == 0:
+        raise ValueError(f"1 + r1r r2r = 0 at r1r = {r1r!r}, r2r = {r2r!r}: v is infinite")
+    return -np.log(w) / (2.0 * np.pi)
 
 
 # ---------------------------------------------------------------------------

@@ -80,6 +80,8 @@ def _continuous_log(w: Callable[[np.ndarray], np.ndarray], points: np.ndarray,
     vals = np.asarray(w(x), dtype=complex)
     given = np.ones(len(x), dtype=bool)
     for _ in range(_MAX_BISECTIONS):
+        if not np.isfinite(vals).all():
+            raise BranchError(f"1 + r1 r2 is not finite at {x[~np.isfinite(vals)][0]:.17g}")
         if np.any(np.abs(vals) < 1e-14):
             raise BranchError("1 + r1 r2 vanishes on the sampling grid")
         steps = np.angle(vals[1:] / vals[:-1])
@@ -156,10 +158,6 @@ class DeltaFunction:
     def at_zero(self) -> complex:
         """delta(0, mu); the origin sits in the (lam3, lam2) gap off-contour."""
         return np.exp(self.log_delta0)
-
-    def at_pole(self, xi1: float) -> complex:
-        """delta(i*xi1), off the contour in the upper half-plane."""
-        return self.eval(1j * float(xi1))
 
     @property
     def c0(self) -> complex:
@@ -262,10 +260,6 @@ class SaddleExponents:
     def v(self) -> tuple[complex, complex, complex]:
         return self.delta.v_values
 
-    def _powers(self, s: int, xi: complex, side: int) -> complex:
-        logs = [log_side(complex(xi) - lam, side) for lam in self.geometry.lambdas]
-        return 1j * sum(c * log for c, log in zip(_power_coefficients(s, self.v), logs))
-
     def chi(self, s: int, xi: complex, side: int = +1) -> complex:
         """chi_s(xi), the regular part of the saddle-s product form (chi0 at lam_s)."""
         if complex(xi) == self.geometry.lam(s):
@@ -292,7 +286,9 @@ class SaddleExponents:
 
     def product_form(self, s: int, xi: complex, side: int = +1) -> complex:
         """delta(xi) rebuilt from the saddle-s product representation."""
-        return cmath.exp(self._powers(s, xi, side) + self.chi(s, xi, side))
+        logs = [log_side(complex(xi) - lam, side) for lam in self.geometry.lambdas]
+        powers = 1j * sum(c * log for c, log in zip(_power_coefficients(s, self.v), logs))
+        return cmath.exp(powers + self.chi(s, xi, side))
 
 
 def saddle_exponents(delta: DeltaFunction) -> SaddleExponents:
@@ -317,6 +313,21 @@ def _phase(xi: complex, x: float, t: float, gamma: float) -> tuple[complex, comp
     return np.exp(2j * ph), np.exp(-2j * ph)
 
 
+def _triangular_factors(x: float, t: float, xi: complex, data, r1: complex, r2: complex,
+                        dp2: complex = 1.0, dm2: complex = 1.0) -> tuple[np.ndarray, ...]:
+    """(U, L, Lt, D, Ut) of the jump at xi with the reflections (r1, r2) and
+    the data's 1 + r1 r2, conjugated by delta^sigma3: upper factors times
+    dp2 = delta_+^2, lower ones divided by dm2 = delta_-^2."""
+    ep, em = _phase(xi, x, t, data.gamma)
+    opr = data.one_plus_r1r2(xi)
+    U = np.array([[1.0, -r2 * dp2 * em], [0.0, 1.0]], dtype=complex)
+    L = np.array([[1.0, 0.0], [-r1 * ep / dm2, 1.0]], dtype=complex)
+    Lt = np.array([[1.0, 0.0], [-r1 * ep / (opr * dm2), 1.0]], dtype=complex)
+    D = np.array([[opr, 0.0], [0.0, 1.0 / opr]], dtype=complex)
+    Ut = np.array([[1.0, -r2 * dp2 * em / opr], [0.0, 1.0]], dtype=complex)
+    return U, L, Lt, D, Ut
+
+
 def jump_matrix(stage: str, x: float, t: float, xi: complex, data,
                 delta: DeltaFunction | None = None,
                 ray: str | None = None) -> np.ndarray:
@@ -324,74 +335,47 @@ def jump_matrix(stage: str, x: float, t: float, xi: complex, data,
 
     stage: "original" (full line), "tilde" (after the delta conjugation,
     interval-dependent factorization), "hat" / "regular" (on the lens rays,
-    ``ray`` one of "Y1", "Y2", "Y1*", "Y2*").
+    ``ray`` one of "Y1", "Y2", "Y1*", "Y2*"), each after the original
+    from ``_triangular_factors``.
     """
     xi = complex(xi)
-    ep, em = _phase(xi, x, t, data.gamma)
-
-    if stage == "original":
-        if xi.imag != 0.0 or xi == 0:
-            raise ValueError("original jump lives on the real line minus 0")
-        r1, r2 = data.r1(xi), data.r2(xi)
-        return np.array([[data.one_plus_r1r2(xi), -r2 * em], [-r1 * ep, 1.0]], dtype=complex)
-
-    if stage == "tilde":
-        if xi.imag != 0.0 or xi == 0:
-            raise ValueError("tilde jump lives on the real line minus 0")
-        if delta is None:
-            raise ValueError("tilde stage needs delta")
-        r1, r2, opr = data.r1(xi), data.r2(xi), data.one_plus_r1r2(xi)
-        lam1, lam2, lam3 = delta.geometry.lambdas
-        lo, hi = sorted((lam2, lam1))
-        # the half-line is (-inf, lam3) for mu > 0 and (lam3, inf) mirrored
-        half = xi.real < lam3 if delta.geometry.mu > 0 else xi.real > lam3
-        on_cut = half or (lo < xi.real < hi)
-        if on_cut:
-            dp = delta.eval(xi, side=+1)
-            dm = delta.eval(xi, side=-1)
-            lower = np.array([[1.0, 0.0], [-r1 * ep / (opr * dm**2), 1.0]], dtype=complex)
-            upper = np.array([[1.0, -r2 * dp**2 * em / opr], [0.0, 1.0]], dtype=complex)
-            return lower @ upper
-        # upper @ lower written out: its 11 entry is opr, which 1 + r1 r2 cancels to near 0
-        d2 = delta.eval(xi) ** 2
-        return np.array([[opr, -r2 * d2 * em], [-r1 * ep / d2, 1.0]], dtype=complex)
-
+    if stage not in ("original", "tilde", "hat", "regular"):
+        raise ValueError(f"unknown stage {stage!r}")
+    if stage in ("original", "tilde") and (xi.imag != 0.0 or xi == 0):
+        raise ValueError(f"{stage} jump lives on the real line minus 0")
+    if stage != "original" and delta is None:
+        raise ValueError(f"{stage} stage needs delta")
     if stage in ("hat", "regular"):
         if ray not in ("Y1", "Y2", "Y1*", "Y2*"):
             raise ValueError("hat/regular stages need ray in Y1, Y2, Y1*, Y2*")
         starred = ray.endswith("*")
         if (xi.imag > 0 and starred) or (xi.imag < 0 and not starred):
             raise ValueError(f"{ray} lies in the {'lower' if starred else 'upper'} half-plane")
-        if delta is None:
-            raise ValueError("hat/regular stages need delta")
-        if stage == "regular":
-            r1, r2 = regularized_reflections(data, xi)
-        else:
-            r1, r2 = data.r1(xi), data.r2(xi)
-        opr = data.one_plus_r1r2(xi)  # r1^r r2^r = r1 r2
-        d2 = delta.eval(xi) ** 2
-        if ray == "Y1":
-            return np.array([[1.0, 0.0], [-r1 * ep / d2, 1.0]], dtype=complex)
-        if ray == "Y2":
-            return np.array([[1.0, -r2 * d2 * em / opr], [0.0, 1.0]], dtype=complex)
-        if ray == "Y1*":
-            return np.array([[1.0, r2 * d2 * em], [0.0, 1.0]], dtype=complex)
-        return np.array([[1.0, 0.0], [r1 * ep / (d2 * opr), 1.0]], dtype=complex)
+    # r1^r r2^r = r1 r2, so every stage reads 1 + r1 r2 from the data
+    r1, r2 = regularized_reflections(data, xi) if stage == "regular" else (data.r1(xi), data.r2(xi))
 
-    raise ValueError(f"unknown stage {stage!r}")
+    if stage == "original":
+        ep, em = _phase(xi, x, t, data.gamma)
+        return np.array([[data.one_plus_r1r2(xi), -r2 * em], [-r1 * ep, 1.0]], dtype=complex)
+    if stage == "tilde":
+        if any(rule.interval.contains(xi.real) for rule, _ in delta.levels[0]):   # on the cut
+            dp2, dm2 = delta.eval(xi, side=+1) ** 2, delta.eval(xi, side=-1) ** 2
+            _, _, Lt, _, Ut = _triangular_factors(x, t, xi, data, r1, r2, dp2, dm2)
+            return Lt @ Ut
+        # U L written out: its 11 entry is 1 + r1 r2, which the product cancels to near 0
+        d2 = delta.eval(xi) ** 2
+        U, L = _triangular_factors(x, t, xi, data, r1, r2, d2, d2)[:2]
+        return np.array([[data.one_plus_r1r2(xi), U[0, 1]], [L[1, 0], 1.0]], dtype=complex)
+    d2 = delta.eval(xi) ** 2
+    U, L, Lt, _, Ut = _triangular_factors(x, t, xi, data, r1, r2, d2, d2)
+    # a unit triangular T has the inverse 2 I - T
+    return {"Y1": L, "Y2": Ut, "Y1*": 2.0 * np.eye(2) - U, "Y2*": 2.0 * np.eye(2) - Lt}[ray]
 
 
 def jump_factorizations(x: float, t: float, xi: complex, data) -> tuple[np.ndarray, ...]:
     """The two triangular splittings of the original jump: (U, L, Lt, D, Ut)."""
     xi = complex(xi)
-    ep, em = _phase(xi, x, t, data.gamma)
-    r1, r2, opr = data.r1(xi), data.r2(xi), data.one_plus_r1r2(xi)
-    U = np.array([[1.0, -r2 * em], [0.0, 1.0]], dtype=complex)
-    L = np.array([[1.0, 0.0], [-r1 * ep, 1.0]], dtype=complex)
-    Lt = np.array([[1.0, 0.0], [-r1 * ep / opr, 1.0]], dtype=complex)
-    D = np.array([[opr, 0.0], [0.0, 1.0 / opr]], dtype=complex)
-    Ut = np.array([[1.0, -r2 * em / opr], [0.0, 1.0]], dtype=complex)
-    return U, L, Lt, D, Ut
+    return _triangular_factors(x, t, xi, data, data.r1(xi), data.r2(xi))
 
 
 def regularized_reflections(data, xi: complex) -> tuple[complex, complex]:
@@ -448,7 +432,7 @@ def residue_constants(data, delta: DeltaFunction) -> ResidueConstants:
     a1dot = data.a1dot_at_pole()
     if a1dot == 0:
         raise ZeroDivisionError("a1'(i*xi1) = 0: zero is not simple")
-    dpole = delta.at_pole(xi1)
+    dpole = delta.eval(1j * float(xi1))    # off the contour in the upper half-plane
     gamma = data.gamma
     pref = data.kappa / (a1dot * dpole**2)
 

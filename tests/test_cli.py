@@ -337,7 +337,7 @@ class TestSubcommands:
         assert not out.exists()
         assert named in capsys.readouterr().err
 
-    @pytest.mark.parametrize("flag", ["--A", "--alpha", "--gamma", "--t"])
+    @pytest.mark.parametrize("flag", ["--A", "--alpha", "--gamma", "--t", "--xmin", "--xmax"])
     def test_soliton_refuses_a_non_finite_flag(self, tmp_path, capsys, flag):
         # --gamma nan exited 0 and wrote "gamma": NaN, which is not JSON, and
         # NaN rows
@@ -345,6 +345,36 @@ class TestSubcommands:
         assert main(["--out", str(out), "soliton", flag, "nan", "--n", "3"]) == 1
         assert not out.exists()
         assert f"{flag.lstrip('-')} must be finite, got nan" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, flag, value", [
+        (["delta", "--mu", "0.5"], "--height", "nan"),
+        (["delta", "--mu", "0.5"], "--height", "inf"),
+        (["soliton", "--n", "3"], "--xmax", "inf"),
+        (["scatter", "--n", "3"], "--xi-min", "nan"),
+        (["scatter", "--n", "3"], "--xi-max", "inf"),
+    ], ids=["delta-height-nan", "delta-height-inf", "soliton-xmax-inf", "scatter-xi-min-nan",
+            "scatter-xi-max-inf"])
+    def test_non_finite_float_flag_refused(self, tmp_path, capsys, argv, flag, value):
+        # delta and soliton wrote NaN rows and exited 0; scatter dropped the
+        # NaN xi silently, and at xi-max inf named a pole at xi = inf
+        out = tmp_path / "out.csv"
+        assert main(["--out", str(out), *argv, flag, value]) == 1
+        assert not out.exists()
+        assert f"{flag} must be finite, got {value}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("r1r, r2r", [(["1", "0"], ["-1", "0"]),
+                                          (["nan", "0"], ["-0.55", "0.4"])],
+                             ids=["vanishing-product", "nan"])
+    def test_pcmodel_refuses_a_degenerate_model(self, tmp_path, r1r, r2r):
+        # 1 + r1r r2r = 0 gave v = -log(0)/(2 pi), and NaN data a NaN v: D_a
+        # never returned on either; the timeout turns a hang into a failure
+        out = tmp_path / "out.csv"
+        proc = subprocess.run([sys.executable, "-m", "steplpd.cli", "--out", str(out),
+                               "pcmodel", "--r1r", *r1r, "--r2r", *r2r],
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error: ")
+        assert not out.exists()
 
     @pytest.mark.parametrize("argv, absent", [
         (["scatter", "--config", "bump.json", "--n", "5"], "scipy"),

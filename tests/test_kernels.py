@@ -1,6 +1,7 @@
 """Node rules and Cauchy sums, special functions, cubic roots and the ODE kernel."""
 
 import os
+import signal
 import subprocess
 import sys
 
@@ -19,6 +20,7 @@ from steplpd.kernels import (
 from steplpd.kernels.quadrature import IntegrationError, level_gap, log_side
 from steplpd.kernels.special import (
     GammaPoleError,
+    NonFiniteArgumentError,
     _pcfd_scaled_cached,
     parabolic_cylinder_D_scaled_pair,
     reciprocal_gamma,
@@ -277,6 +279,11 @@ class TestScalarForms:
                 assert len(got) == n and all(_ulps(g, w) <= 1.0 for g, w in zip(got, want))
         with pytest.raises(IntegrationError, match="stage changes by 2.0e-10"):
             level_gap("stage", (1.0, 1.0 + 2e-10j), (1.0, 1.0))
+        # a NaN gap compared false with the tolerance and passed, and a
+        # leading NaN hid the gap of 1.0 behind it from max
+        for coarse in ((np.nan,), (np.nan, 1.0), (0.0, np.nan)):
+            with pytest.raises(IntegrationError, match="stage changes by nan"):
+                level_gap("stage", coarse, (0.0,) * len(coarse))
 
     @pytest.mark.parametrize("lo, hi, bound", [(0.0, 1.0, 4.0), (-0.8, 1.1, 4.0),
                                                (0.2, 1.3, 1e3), (-1.3, -0.2, 1e3),
@@ -441,6 +448,26 @@ class TestParabolicCylinder:
 
     def test_import_leaves_mpmath_out(self):
         assert _loaded_after_import("steplpd", ["mpmath"]) == [False]
+
+    @pytest.mark.parametrize("a, z", [
+        (0.5, np.nan), (np.nan, 1.0), (0.5, np.inf), (complex(0.0, np.inf), 0.7),
+        (0.5, complex(5.0, np.nan)),
+    ], ids=["nan-z", "nan-a", "inf-z", "inf-a", "nan-im-z"])
+    def test_non_finite_refused(self, a, z):
+        # each looped forever: no stopping test of the series or the march
+        # is true on NaN; the alarm turns a hang into a failure
+        def hang(signum, frame):
+            raise TimeoutError("D_a still running after 1 s")
+
+        previous = signal.signal(signal.SIGALRM, hang)
+        signal.setitimer(signal.ITIMER_REAL, 1.0)
+        try:
+            for evaluate in (parabolic_cylinder_D, parabolic_cylinder_D_scaled_pair):
+                with pytest.raises(NonFiniteArgumentError, match=r"got a = .*, z = "):
+                    evaluate(a, z)
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0.0)
+            signal.signal(signal.SIGALRM, previous)
 
 
 class TestCubicRoots:

@@ -115,6 +115,26 @@ class TestPcCoefficients:
             if abs(np.imag(v)) < 1e-14:
                 assert abs(abs(beta * gamc) - abs(v)) < 1e-12
 
+    def test_mirrored_beta_is_conjugate_gamma(self):
+        # the x < 0 coefficient H_s reads the mirrored model's beta off the
+        # ray's own gamma_c: r1 and r2 swapped and conjugated at s = 1, 3,
+        # swapped at s = 2 (whose ray data are the conjugates)
+        rng = np.random.default_rng(4)
+        for _ in range(200):
+            p, q = (complex(*rng.normal(size=2)) for _ in range(2))
+            v = complex(rng.uniform(-1.0, 1.0), rng.uniform(-0.45, 0.45))
+            for s in (1, 3):
+                want = pc_coefficients(s, p, q, v)[1].conjugate()
+                got = pc_coefficients(s, q.conjugate(), p.conjugate(), v.conjugate())[0]
+                assert abs(got - want) <= 1e-15 * abs(want)
+            want = pc_coefficients(2, p.conjugate(), q.conjugate(), v.conjugate())[1].conjugate()
+            assert abs(pc_coefficients(2, q, p, v)[0] - want) <= 1e-15 * abs(want)
+
+    def test_order_refuses_a_vanishing_product(self):
+        # 1 + r1r r2r = 0 gave v = -log(0)/(2 pi), on which D_a never returned
+        with pytest.raises(ValueError, match=r"1 \+ r1r r2r = 0"):
+            model_order(1.0, -1.0)
+
     def test_s2_conjugate_convention(self):
         v = model_order(P, Q)
         b2, g2 = pc_coefficients(2, P, Q, v)

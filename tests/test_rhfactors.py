@@ -109,11 +109,14 @@ class TestDelta:
          lambda z, lo, hi: np.exp(0.9j * np.pi * (z > 0.5 * (lo + hi)))),
         (AssumptionViolation, "does not settle near 0",
          lambda z, lo, hi: np.full(np.shape(z), np.exp(0.8j))),
-    ], ids=["vanishes", "jumps", "unsettled"])
+        (BranchError, r"not finite at 0\.(8[5-9]|9[0-4])",
+         lambda z, lo, hi: np.where(np.abs(z - 0.9) < 0.05, np.nan, 1.0)),
+    ], ids=["vanishes", "jumps", "unsettled", "not-finite"])
     def test_typed_refusals(self, error, match, w):
         # 1 + r1 r2 = w(z) with r2 = 1 on the ray mu = 0.3, (lo, hi) =
         # (lam2, lam1): zero on (lo, hi), an arg step of 0.9 pi that no
-        # bisection resolves, or arg 0.8 at the anchor
+        # bisection resolves, arg 0.8 at the anchor, or NaN near 0.9, which
+        # gave a NaN background, v and chi_s
         geom = stationary_points(0.3, GAMMA)
         lo, hi = geom.lam2, geom.lam1
         data = SyntheticReflectionData(A=1.0, gamma=GAMMA,

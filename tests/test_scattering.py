@@ -819,6 +819,62 @@ class TestBaselineBump:
         assert abs(got - (1.0 - b_plus * np.conj(b_minus))) < 1e-12
 
 
+
+# a1 and a2 are read at these xi, below the |xi| ~ 250 past which the Magnus
+# cells stop resolving exp(2 i xi x)
+TRACE_XI = np.array([40.0, 80.0, 160.0])
+TRACE_TOL = 1e-5
+
+
+def _trace_integral(profile: InitialProfile, shift: float = 0.0) -> complex:
+    """(i/2) int q(x) r(x) dx, r(x) = -conj(q(-x)), of q(x) = q0(x + shift),
+    on 40 Gauss-Legendre panels of 20 nodes per stretch between the ends of
+    the support and the jumps x = +-shift of the integrand."""
+    nodes, weights = np.polynomial.legendre.leggauss(20)
+    end = profile.support + abs(shift)
+    cuts = sorted({-end, -abs(shift), abs(shift), end})
+    total = 0.0
+    for lo, hi in zip(cuts[:-1], cuts[1:]):
+        edges = np.linspace(lo, hi, 41)
+        for a, b in zip(edges[:-1], edges[1:]):
+            x = 0.5 * (a + b) + 0.5 * (b - a) * nodes
+            f = [-profile.q0(v + shift) * np.conj(profile.q0(-v + shift)) for v in x]
+            total += 0.5 * (b - a) * np.dot(weights, f)
+    return 0.5j * total
+
+
+def _limit(f: np.ndarray) -> complex:
+    """lim f(xi) from f on TRACE_XI: two Richardson steps in 1/xi, which
+    remove the 1/xi and 1/xi^2 terms."""
+    once = 2.0 * f[1:] - f[:-1]
+    return (4.0 * once[1] - once[0]) / 3.0
+
+
+class TestFirstTraceIdentity:
+    """lim xi (a1(xi) - 1) = (i/2) int q0 r0 dx, r0(x) = -conj(q0(-x)), and
+    lim xi (a2(xi) - 1) is its negative: S tied to the profile without a
+    second integrator.  xi (a1 - 1) has a 1/xi term (A^2/(4 xi) on the pure
+    step), so the limit is extrapolated in 1/xi.  The residuals were at
+    most 3.0e-6 (a2 on the case-2 profile); the profile shifted by 0.05
+    misses by 5.8e-2 or more."""
+
+    @pytest.mark.parametrize("profile", [
+        InitialProfile.gaussian_bump(**BASELINE_BUMP),
+        InitialProfile.gaussian_bump(1.0, GAMMA, 0.5j, 0.2, 0.4),
+        soliton_profile(2.0, GAMMA, np.pi / 3),
+        case2_profile(0.2, CASE2_BETA[0.2]),
+    ], ids=["baseline-bump", "imaginary-bump", "soliton", "case-2"])
+    def test_identity(self, profile):
+        data = ScatteringData.from_profile(profile, analyze=False)
+        a1 = _limit(TRACE_XI * (data.a1(TRACE_XI) - 1.0))
+        a2 = _limit(TRACE_XI * (data.a2(TRACE_XI) - 1.0))
+        want = _trace_integral(profile)
+        assert abs(a1 - want) < TRACE_TOL and abs(a2 + want) < TRACE_TOL
+        # negative control: the integral of the shifted profile misses both
+        shifted = _trace_integral(profile, 0.05)
+        assert abs(a1 - shifted) > TRACE_TOL and abs(a2 + shifted) > TRACE_TOL
+
+
 class TestSweepCount:
     """One Magnus sweep per sampled xi: the xi that reach _transfer, summed."""
 
