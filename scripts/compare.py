@@ -24,9 +24,12 @@ it, and each child checks that it imported `steplpd` from there.  GROUPs:
   `row_bump`, the five reads a1, a2, b, r1, r2 of fresh `from_profile`
   data on the bump at a new scalar xi, as a bump-profile op reads them,
   the mean over the same 200 xi with random signs;
-  `cells_*`, the first S of a fresh profile; `locate_xi1_*` on fresh data;
-  `delta_exponents_*`, `build_delta` and `saddle_exponents` at mu = 0.3
-  right after; `ray_*`, the two summed.
+  `cells_*`, the first S of a fresh profile; `profile_*`, `from_profile`
+  (without the trace formulas) on a fresh profile; `locate_xi1_*` on fresh
+  data; `delta_exponents_*`, `build_delta` and `saddle_exponents` at
+  mu = 0.3 right after; `ray_*`, the two summed; `map17_bump`, the 17 rays
+  mu = 0.10, 0.15, ..., 0.90 at t = 100 through `q_asymptotic` on data
+  whose xi1 is located.
 - `pcmodel`: `saddles_cold`, one `stationary_points` at a fresh mu in
   (0.1, 0.9) mu_max, the mean over the first 200 of the process;
   `one_D_cold`, one `parabolic_cylinder_D_scaled_pair` at a new
@@ -136,6 +139,7 @@ def write_outputs() -> None:
 
 def sweep_stages() -> dict[str, list[float]]:
     from steplpd import scattering
+    from steplpd.asymptotics import q_asymptotic
     from steplpd.phase import stationary_points
     from steplpd.rhfactors import build_delta, saddle_exponents
 
@@ -174,6 +178,10 @@ def sweep_stages() -> dict[str, list[float]]:
                                       for xi in map(float, signed)], len(signed))
     for name, mk in make.items():
         runs[f"cells_{name}"] = timed(lambda: scattering.scattering_matrix(mk(), 1.0))
+    for name, mk in make.items():
+        profile = mk()
+        runs[f"profile_{name}"] = timed(
+            lambda: scattering.ScatteringData.from_profile(profile, analyze=False))
     geometry = stationary_points(0.3, GAMMA)
     for name, profile in built.items():
         data = scattering.ScatteringData.from_profile(profile, analyze=False)
@@ -182,6 +190,11 @@ def sweep_stages() -> dict[str, list[float]]:
         exps = runs[f"delta_exponents_{name}"] = timed(
             lambda: saddle_exponents(build_delta(data, geometry)))
         runs[f"ray_{name}"] = [a + b for a, b in zip(xi1, exps)]
+    data = scattering.ScatteringData.from_profile(built["bump"])
+    # one pure-step ray first: scipy.special loads with the first local model
+    q_asymptotic(30.0, 100.0, scattering.ScatteringData.pure_step(2.0, GAMMA))
+    runs["map17_bump"] = timed(lambda: [q_asymptotic(mu * 100.0, 100.0, data)
+                                        for mu in np.linspace(0.1, 0.9, 17)])
     return runs
 
 

@@ -68,10 +68,11 @@ def _scattering_data(args) -> ScatteringData:
 
 
 def _require_finite(args, *names: str) -> None:
-    """Refuse a non-finite float flag by name, before anything is written."""
+    """Refuse a non-finite float flag, or one with a non-finite part, by
+    name, before anything is written."""
     for name in names:
         value = getattr(args, name)
-        if not np.isfinite(value):
+        if not np.isfinite(value).all():
             raise ValueError(f"--{name.replace('_', '-')} must be finite, got {value}")
 
 
@@ -136,6 +137,7 @@ def cmd_delta(args) -> int:
 
 
 def cmd_pcmodel(args) -> int:
+    _require_finite(args, "r1r", "r2r")
     r1r = complex(*args.r1r)
     r2r = complex(*args.r2r)
     v = model_order(r1r, r2r)

@@ -21,12 +21,17 @@ entries (det phi_+ = 1),
 the one formula for S at every nonzero xi, on the real axis and off it.
 ScatteringData carries S alone, as a function of a xi-array (a scalar is a
 0-d one); a1, a2, b, r1 = -S21/S11, r2 = S12/S22 and 1 + r1 r2 = 1/(1 +
-S12 S21) are its methods.  An array costs one sweep per xi, in chunks, with
-the bits of its xi read one by one: r = A/(2i xi) and the Wronskians are
-formed in Python's complex arithmetic.  from_profile's S remembers its last
-request, so a table row (a1, a2, b, r1, r2 at one xi or on one array)
-costs one sweep; a scalar a1, a2, b, r1 or r2 takes no array reduction and
-no np.errstate.
+S12 S21) are its methods.  from_profile samples the half-line transfer
+matrices T-+ once per profile, on Chebyshev panels over |xi| <=
+_MAGNUS_XI_COARSE certified by their trailing coefficients
+(_TransferPanels), and its S reads T there by barycentric interpolation: a
+real nonzero xi in that range costs no sweep.  xi = 0 keeps its closed
+columns, and complex xi and |xi| > 10 cost one sweep per xi, in chunks.
+Either way an array's xi get the bits they get one by one: r = A/(2i xi)
+and the Wronskians are formed in Python's complex arithmetic.
+from_profile's S remembers its last request, so a table row (a1, a2, b,
+r1, r2 at one xi or on one array) reads S once; a scalar a1, a2, b, r1 or
+r2 takes no array reduction and no np.errstate.
 
 Each half-line's transfer matrix is a product of 6th-order Magnus cell
 exponentials (Blanes, Casas & Ros, BIT 40, 2000; Blanes, Casas, Oteo & Ros,
@@ -42,10 +47,7 @@ three Gauss points per cell, and caches those cubics' coefficients.  A
 sweep evaluates them by Horner's rule, takes cosh and sinh(s)/s from their
 series wherever the cells are short against 1/|xi| (every |xi| up to about
 10 on the wide cells and 25 on the narrow ones), and multiplies both
-half-lines in one vectorised product.  Each table also keeps the largest
-modulus of every coefficient, a certificate that bounds every cell's s^2
-from |xi| alone: where it shows no cell can be far, the sweep skips its
-per-cell check, which could not have changed a bit.
+half-lines in one vectorised product.
 
 Beyond |xi| _MAGNUS_H ~ 1 the cells no longer resolve exp(2i xi x).  There
 b and the product S12 S21 that the trace formula and delta read stay within
@@ -86,7 +88,7 @@ from typing import Callable, ClassVar
 import numpy as np
 
 from steplpd.kernels import ContourInterval, IntervalRule, interval_rule, ode_integrate
-from steplpd.kernels.quadrature import NODE_LEVELS, level_gap
+from steplpd.kernels.quadrature import NODE_LEVELS, IntegrationError, level_gap
 
 
 class CaseTag(Enum):
@@ -147,6 +149,20 @@ _SIGMA3 = np.array([1.0, -1.0])         # also the step signs on (-support, 0), 
 _SERIES_S2 = 1e-2
 # cells times xi that one _sweep of an array takes on (see _transfer)
 _SWEEP_CELLS = 4096
+# the Chebyshev panels of _TransferPanels: the degree n of each panel's
+# interpolant, the trailing coefficients that certify it and their bound
+# relative to the panel's largest sample, the first layout's panel width
+# times the support, and the halvings a panel may take
+_PANEL_DEGREE = 32
+_PANEL_TAIL = 4
+_PANEL_TOL = 1e-13
+_PANEL_WIDTH_SUPPORT = 16.0
+_PANEL_SPLITS = 8
+# n + 1 second-kind Chebyshev points on [-1, 1], from 1 down, exactly
+# symmetric (sin, not cos), and their barycentric weights (Berrut &
+# Trefethen, SIAM Rev. 46, 2004, eq. 5.4)
+_PANEL_UNIT = np.sin(np.pi * np.arange(_PANEL_DEGREE, -_PANEL_DEGREE - 1, -2) / (2 * _PANEL_DEGREE))
+_PANEL_WEIGHTS = (-1.0) ** np.arange(_PANEL_DEGREE + 1) * np.r_[0.5, np.ones(_PANEL_DEGREE - 1), 0.5]
 
 
 @dataclass(frozen=True)
@@ -188,16 +204,16 @@ class InitialProfile:
         return base + self.perturbation(x)
 
     @cached_property
-    def _fine_cells(self) -> tuple[np.ndarray, np.ndarray, list]:
+    def _fine_cells(self) -> tuple[np.ndarray, np.ndarray]:
         """_magnus_cells at most _MAGNUS_H wide, built on first use."""
         return self._magnus_cells(_MAGNUS_H)
 
     @cached_property
-    def _coarse_cells(self) -> tuple[np.ndarray, np.ndarray, list]:
+    def _coarse_cells(self) -> tuple[np.ndarray, np.ndarray]:
         """_magnus_cells at most _MAGNUS_H_COARSE wide, built on first use."""
         return self._magnus_cells(_MAGNUS_H_COARSE)
 
-    def _magnus_cells(self, width: float) -> tuple[np.ndarray, np.ndarray, list]:
+    def _magnus_cells(self, width: float) -> tuple[np.ndarray, np.ndarray]:
         """Cells of [0, support] and the Magnus exponents of both half-lines.
 
         Returns the widths h (n,) of the cells of [0, support], ordered from
@@ -207,10 +223,8 @@ class InitialProfile:
         a = -i xi: [k, e, side, j] is the a^k coefficient of entry e
         (Omega_11, Omega_12, Omega_21) of cell j on the side's half-line
         (0: (-support, 0), width h; 1: (support, 0), width -h), contiguous
-        in the cells, along which every pass of _sweep runs, and their
-        bounds M: M[e][k] is the largest |[k, e, side, j]| over the sides
-        and cells, the certificate _sweep reads.  Q(x) does
-        not depend on xi, so q0 is sampled here once per table, at the three
+        in the cells, along which every pass of _sweep runs.  Q(x) does not
+        depend on xi, so q0 is sampled here once per table, at the three
         Gauss points of each cell, and no sweep touches the profile again.
         Cell edges sit at 0, at support and at every |kink| in between; no
         cell is wider than width.
@@ -228,8 +242,7 @@ class InitialProfile:
         right, left = q.reshape((2,) + x.shape)
         # Q = [[0, up], [lo, 0]] at the points, sides stacked on axis 0
         up, lo = np.stack([left, right]), -np.conj(np.stack([right, left]))
-        omega = _magnus_exponents(np.outer(_SIGMA3, h), up, lo)
-        return h, omega, np.abs(omega).max(axis=(2, 3)).T.tolist()
+        return h, _magnus_exponents(np.outer(_SIGMA3, h), up, lo)
 
     # -- construction from the JSON document used by the CLI ---------------
 
@@ -424,32 +437,24 @@ def _transfer(profile: InitialProfile, xi: np.ndarray) -> np.ndarray:
 
     On the table, whose Q' jumps at its nodes, the wide cells' own error
     shows through; it falls as h^6 with the width.  The choice is made per
-    xi, so a xi gets the same bits alone or in an array; one xi alone is
-    placed by one Python abs, an array's in chunks of _SWEEP_CELLS // cells
-    per table, long enough to spread numpy's cost per call.
+    xi, so a xi gets the same bits alone or in an array, which is swept in
+    chunks of _SWEEP_CELLS // cells per table, long enough to spread numpy's
+    cost per call.
     """
-    if xi.size == 1:
-        wide = abs(xi.item(0)) <= _MAGNUS_XI_COARSE
-        return _sweep(xi, *(profile._coarse_cells if wide else profile._fine_cells)[1:])
     T = np.empty((2, xi.size, 2, 2), dtype=complex)
     coarse = np.abs(xi) <= _MAGNUS_XI_COARSE
     for wide in (True, False):
         at = np.flatnonzero(coarse == wide)
         if at.size:
-            h, omega, bound = profile._coarse_cells if wide else profile._fine_cells
+            h, omega = profile._coarse_cells if wide else profile._fine_cells
             chunk = max(1, _SWEEP_CELLS // h.size)
             for start in range(0, at.size, chunk):
                 part = at[start:start + chunk]
-                T[:, part] = _sweep(xi[part], omega, bound)
+                T[:, part] = _sweep(xi[part], omega)
     return T
 
 
-# share of _SERIES_S2 below which _sweep takes the certificate's word that
-# no cell is far; the margin covers the rounding of Horner's rule and s^2
-_CERTIFICATE_MARGIN = 0.99
-
-
-def _sweep(xi: np.ndarray, omega: np.ndarray, bound: list | None = None) -> np.ndarray:
+def _sweep(xi: np.ndarray, omega: np.ndarray) -> np.ndarray:
     """(T_-, T_+) (2, K, 2, 2) of the cells whose Magnus exponents omega
     (4, 3, 2, n) holds as cubics in a = -i xi (_magnus_cells); Horner's rule
     gives every Omega at once, as (3, 2, K, n): [e, side, xi, cell].
@@ -460,21 +465,7 @@ def _sweep(xi: np.ndarray, omega: np.ndarray, bound: list | None = None) -> np.n
     sinh run only on the other xi.  The cell matrices E (2, 2, 2, K, n),
     [row, column, side, xi, cell], of both half-lines go through one
     ordered product along the cells.
-
-    bound, the table's M of _magnus_cells, certifies that no cell is far:
-    with r the largest |xi|, |Omega_e| <= b_e = sum_k M[e][k] r^k in every
-    cell, so |s^2| <= b_11^2 + b_12 b_21.  Where that is at most
-    _CERTIFICATE_MARGIN _SERIES_S2 (the benchmark's bumps read 2.6e-3 to
-    3e-3 at |xi| = 5 on the wide cells) the per-cell check of |s^2| is
-    skipped; it would find no far xi, so the certificate only saves the
-    check and changes no bit.  Without bound, or where it is larger, every
-    cell is checked.
     """
-    certified = False
-    if bound is not None:
-        r = abs(xi.item(0)) if xi.size == 1 else float(np.abs(xi).max(initial=0.0))
-        d, u, lo = (c0 + r * (c1 + r * (c2 + r * c3)) for c0, c1, c2, c3 in bound)
-        certified = d * d + u * lo <= _CERTIFICATE_MARGIN * _SERIES_S2
     a = -1j * xi[:, None]
     w = omega[3, :, :, None] * a
     for k in (2, 1):
@@ -487,16 +478,34 @@ def _sweep(xi: np.ndarray, omega: np.ndarray, bound: list | None = None) -> np.n
         cs += c
         cs *= s2
     cs += _COSH_SINHC_SERIES[-1]
-    if not certified:
-        far = np.abs(s2).max(axis=(0, 2)) > _SERIES_S2
-        if far.any():
-            root = np.sqrt(s2[:, far])
-            cs[0][:, far], cs[1][:, far] = np.cosh(root), np.sinh(root) / root
+    far = np.abs(s2).max(axis=(0, 2)) > _SERIES_S2
+    if far.any():
+        root = np.sqrt(s2[:, far])
+        cs[0][:, far], cs[1][:, far] = np.cosh(root), np.sinh(root) / root
     E = np.empty((4,) + s2.shape, dtype=complex)
     np.multiply(cs[1], w, out=E[:3])        # E[0] holds sinh(s)/s Omega_11 for now
     np.subtract(cs[0], E[0], out=E[3])
     np.add(cs[0], E[0], out=E[0])
     return _ordered_product(E.reshape((2, 2) + s2.shape)).transpose(2, 3, 0, 1)
+
+
+def _seeds(profile: InitialProfile, xi: np.ndarray) -> np.ndarray:
+    """(L_-, L_+) (2, K, 2, 2) at the nonzero complex xi (K,), placed at
+    -+support: L- = [[1, 0], [r, 1]] and L+ = [[1, r], [0, 1]] (r = A/(2i
+    xi)) times exp(+-i xi ell sigma3)."""
+    zs = xi.tolist()
+    if not all(zs):
+        raise SingularNormalizationError("L+- are singular at xi = 0")
+    L = _IDENTITY_PAIR.repeat(len(zs), 1)
+    L[0, :, 1, 0] = L[1, :, 0, 1] = [profile.A / (2j * z) for z in zs]
+    if not profile.is_pure_step:
+        # exp(i xi ell sigma3), the exponents times 1 + 0j and -1 + 0j as
+        # complex products, signed zeros included
+        exponent = [1j * z * profile.support for z in zs]
+        phase = np.exp([[c * (1 + 0j), c * (-1 + 0j)] for c in exponent]).reshape(-1, 1, 2)
+        L[0] *= phase
+        L[1] /= phase
+    return L
 
 
 def jost_at_origin(profile: InitialProfile, xi) -> np.ndarray:
@@ -511,19 +520,8 @@ def jost_at_origin(profile: InitialProfile, xi) -> np.ndarray:
     """
     xi = np.asarray(xi, dtype=complex)
     flat = xi.ravel()
-    zs = flat.tolist()
-    if not all(zs):
-        raise SingularNormalizationError("L+- are singular at xi = 0")
-    L = _IDENTITY_PAIR.repeat(len(zs), 1)
-    for k, z in enumerate(zs):
-        L[0, k, 1, 0] = L[1, k, 0, 1] = profile.A / (2j * z)
+    L = _seeds(profile, flat)
     if not profile.is_pure_step:
-        # exp(i xi ell sigma3), the exponents times 1 + 0j and -1 + 0j as
-        # complex products, signed zeros included
-        exponent = [1j * z * profile.support for z in zs]
-        phase = np.exp([[c * (1 + 0j), c * (-1 + 0j)] for c in exponent])[:, None]
-        L[0] *= phase
-        L[1] /= phase
         L = _transfer(profile, flat) @ L
     return L.reshape((2,) + xi.shape + (2, 2))
 
@@ -531,9 +529,11 @@ def jost_at_origin(profile: InitialProfile, xi) -> np.ndarray:
 def _wronskians(phi: np.ndarray) -> np.ndarray:
     """phi_+^(-1) phi_- (K, 2, 2) of the pairs phi (2, K, 2, 2) with det
     phi_+ = 1, as the Wronskians of their columns in Python's arithmetic."""
-    return np.array([[[m11 * p22 - m21 * p12, m12 * p22 - m22 * p12],
-                      [p11 * m21 - p21 * m11, p11 * m22 - p21 * m12]]
-                     for ((m11, m12), (m21, m22)), ((p11, p12), (p21, p22)) in zip(*phi.tolist())])
+    out = []
+    for ((m11, m12), (m21, m22)), ((p11, p12), (p21, p22)) in zip(*phi.tolist()):
+        out += (m11 * p22 - m21 * p12, m12 * p22 - m22 * p12,
+                p11 * m21 - p21 * m11, p11 * m22 - p21 * m12)
+    return np.array(out).reshape(-1, 2, 2)
 
 
 def scattering_matrix(profile: InitialProfile, xi) -> np.ndarray:
@@ -541,6 +541,94 @@ def scattering_matrix(profile: InitialProfile, xi) -> np.ndarray:
     of shape (...), real or complex (det phi_+ = 1)."""
     xi = np.asarray(xi, dtype=complex)
     return _wronskians(jost_at_origin(profile, xi.ravel())).reshape(xi.shape + (2, 2))
+
+
+@dataclass(frozen=True)
+class _TransferPanels:
+    """(T_-, T_+) of a profile on Chebyshev panels over |xi| <=
+    _MAGNUS_XI_COARSE, read by second-kind barycentric interpolation.
+
+    The exact T-+ are entire in xi, of exponential type support (the
+    Volterra series of a half-line of that length), so on a panel of
+    half-width w their Chebyshev coefficients fall like J_k(w support), and
+    the first layout takes equal panels at most _PANEL_WIDTH_SUPPORT /
+    support wide (3 on the Baseline bump, 25 on the soliton profile of
+    support 20).
+    Every panel holds T-+ at its _PANEL_DEGREE + 1 second-kind points, all
+    swept in one _transfer call, and is certified by its Chebyshev
+    coefficients: where the last _PANEL_TAIL of any entry exceed _PANEL_TOL
+    times the panel's largest sample, it is halved and the halves are
+    sampled afresh, up to _PANEL_SPLITS times.  The tolerance lies below the
+    wide cells' own error (5e-13 to 1.2e-12 relative on the bumps, see
+    _transfer), so an interpolant differs from its sweep by about what the
+    sweep itself leaves.
+
+    edges (P + 1,) bound the panels in ascending order, nodes (P, n + 1)
+    are their points and samples (P, 9, n + 1) the entries [side, row,
+    column] of T-+ there, contiguous along the points, then a row of ones,
+    which gives the barycentric formula's denominator.
+    """
+
+    edges: np.ndarray
+    nodes: np.ndarray
+    samples: np.ndarray
+
+    @classmethod
+    def sample(cls, profile: InitialProfile) -> "_TransferPanels":
+        n = _PANEL_DEGREE
+        # Chebyshev coefficients of the values at the points: the DCT-I
+        theta = np.pi * np.arange(n + 1) / n
+        to_coefficients = np.cos(np.outer(np.arange(n + 1), theta)) * (2.0 / n)
+        to_coefficients[:, [0, n]] *= 0.5
+        to_coefficients[[0, n]] *= 0.5
+        tail = to_coefficients[-_PANEL_TAIL:].T
+        count = math.ceil(2.0 * _MAGNUS_XI_COARSE * profile.support / _PANEL_WIDTH_SUPPORT)
+        edges = np.linspace(-_MAGNUS_XI_COARSE, _MAGNUS_XI_COARSE, count + 1)
+        todo, done = np.column_stack([edges[:-1], edges[1:]]), []
+        for halvings in range(_PANEL_SPLITS + 1):
+            mid, half = todo.mean(axis=1), 0.5 * (todo[:, 1] - todo[:, 0])
+            nodes = mid[:, None] + half[:, None] * _PANEL_UNIT
+            nodes[:, [0, n]] = todo[:, ::-1]      # neighbours share their end points
+            T = _transfer(profile, nodes.ravel())
+            samples = np.ones((len(todo), 9, n + 1), dtype=complex)
+            samples[:, :8] = T.reshape(2, len(todo), n + 1, 4).transpose(1, 0, 3, 2).reshape(-1, 8, n + 1)
+            # a NaN tail counts as over
+            over = ~(np.abs(samples[:, :8] @ tail).max(axis=(1, 2))
+                     <= _PANEL_TOL * np.abs(samples[:, :8]).max(axis=(1, 2)))
+            done += zip(todo[~over, 0], nodes[~over], samples[~over])
+            if not over.any():
+                break
+            lo, hi = todo[over].T
+            if halvings == _PANEL_SPLITS or not np.isfinite(samples).all():
+                raise IntegrationError(
+                    f"from_profile: T-+ on [{lo[0]:.6g}, {hi[0]:.6g}] are not finite or keep "
+                    f"Chebyshev coefficients above {_PANEL_TOL:.0e} of their largest sample "
+                    f"after {halvings} halvings")
+            mid = 0.5 * (lo + hi)
+            todo = np.concatenate([np.column_stack([lo, mid]), np.column_stack([mid, hi])])
+        done.sort(key=lambda panel: panel[0])
+        left, nodes, samples = zip(*done)
+        return cls(np.array([*left, _MAGNUS_XI_COARSE]), np.array(nodes), np.array(samples))
+
+    def __call__(self, x: np.ndarray) -> np.ndarray:
+        """(T_-, T_+) (2, K, 2, 2) at the real x (K,), |x| <= _MAGNUS_XI_COARSE.
+
+        One matrix product per x takes both sums of the barycentric formula
+        over its panel's points, so an x gets the same bits alone or in an
+        array; at a point it gets that point's sample."""
+        panel = np.searchsorted(self.edges[1:-1], x, side="right")
+        d = x[:, None] - self.nodes[panel]
+        hit = d == 0
+        exact = hit.any()
+        if exact:
+            d[hit] = 1.0
+        f = self.samples[panel]
+        sums = f @ (_PANEL_WEIGHTS / d)[..., None]
+        T = sums[:, :8, 0] / sums[:, 8:, 0]
+        if exact:
+            at, point = np.nonzero(hit)
+            T[at] = f[at, :8, point]
+        return T.reshape(-1, 2, 2, 2).swapaxes(0, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -690,7 +778,10 @@ class ScatteringData:
     def from_profile(cls, profile: InitialProfile,
                      analyze: bool = True) -> "ScatteringData":
         """Numerical scattering data: S is the Wronskian scattering_matrix,
-        one sweep per xi, and keeps its last request (by shape and bytes).
+        with T-+ read off the profile's _TransferPanels, sampled here once,
+        at real 0 < |xi| <= _MAGNUS_XI_COARSE, and swept at other nonzero
+        xi, one sweep per xi.  S keeps its last request (by shape and
+        bytes).
 
         At xi = 0 one sweep gives the clean columns T_+ e1 and T_- e2 and
         with them a2(0).  b(0) is finite only in case 2: with a2(0) = 0 the
@@ -709,19 +800,31 @@ class ScatteringData:
             a2dot0 = _a2dot0(lambda xi: scattering_matrix(profile, xi), A)
             b = b_zero - A / 2j * a2dot0
         s_zero = np.array([[np.nan, b], [-np.conj(b), a2]])
+        panels = _TransferPanels.sample(profile)
         last = [None, None]
+
+        def read(flat):
+            """S at the flat xi: by the panels at real 0 < |xi| <=
+            _MAGNUS_XI_COARSE, S(0) at 0 and a sweep elsewhere."""
+            on_panels = [z.imag == 0 and 0.0 < abs(z.real) <= _MAGNUS_XI_COARSE
+                         for z in flat.tolist()]
+            if all(on_panels):
+                return _wronskians(panels(flat.real) @ _seeds(profile, flat))
+            near = np.array(on_panels)
+            out = np.empty(flat.shape + (2, 2), dtype=complex)
+            out[flat == 0] = s_zero
+            if near.any():
+                out[near] = read(flat[near])
+            far = ~near & (flat != 0)
+            if far.any():
+                out[far] = scattering_matrix(profile, flat[far])
+            return out
 
         def S(xi):
             xi = np.asarray(xi, dtype=complex)
             key = xi.shape, xi.tobytes()
             if key != last[0]:
-                try:
-                    out = scattering_matrix(profile, xi)
-                except SingularNormalizationError:  # the rows at xi = 0 take S(0)
-                    out = np.broadcast_to(s_zero, xi.shape + (2, 2)).copy()
-                    if (xi != 0).any():
-                        out[xi != 0] = scattering_matrix(profile, xi[xi != 0])
-                last[:] = key, out
+                last[:] = key, read(xi.ravel()).reshape(xi.shape + (2, 2))
             return last[1].copy()
 
         data = cls(A=A, gamma=profile.gamma, S=S, a2dot0=a2dot0)

@@ -67,7 +67,8 @@ DELTA_GOLDEN = {
 # (xi, then a1, a2, b, r1, r2 as re, im) and of `asymptote --config <bump>
 # --mu 0.3 -0.3 --t 100 1000`, recorded when the CLI still ran classify_case
 # and locate_xi1 itself; complex entries and abs_q at 1e-13 relative, the
-# rest exactly.
+# rest exactly.  error_exponent was re-recorded when S at |xi| <= 10 came to
+# be read off the Chebyshev panels: -0.9906194214412513 from the sweeps.
 BUMP_DOC = {"A": 1.0, "gamma": 1.0 / 27.0,
             "perturbation": {"kind": "gaussian-bump", "amplitude": 0.1,
                              "center": 0.2, "width": 0.3}}
@@ -105,13 +106,13 @@ BUMP_SCATTER_GOLDEN = (
 )
 BUMP_ASYMPTOTE_GOLDEN = (
     (30, 100, 1.0367751212920437, 0.35206960111129637, 1.0949226713137323, "x>0:I2",
-     -0.9906194214412513),
+     -0.9906194214412519),
     (300, 1000, 0.7330950240676797, 0.7256845575540602, 1.0315262436725612, "x>0:I2",
-     -0.9906194214412513),
+     -0.9906194214412519),
     (-30, 100, -0.01073981455290427, 0.004962688920976988, 0.011830971978546906, "x<0",
-     -0.9906194214412513),
+     -0.9906194214412519),
     (-300, 1000, 0.007499471193993837, 0.0016746947001584284, 0.007684183139949364, "x<0",
-     -0.9906194214412513),
+     -0.9906194214412519),
 )
 
 
@@ -362,6 +363,16 @@ class TestSubcommands:
         assert not out.exists()
         assert f"{flag} must be finite, got {value}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag, value", [("--r1r", ["nan", "0"]), ("--r1r", ["0.3", "inf"]),
+                                             ("--r2r", ["inf", "0.4"]), ("--r2r", ["0", "nan"])],
+                             ids=["r1r-nan", "r1r-inf", "r2r-inf", "r2r-nan"])
+    def test_pcmodel_refuses_a_non_finite_reflection(self, tmp_path, capsys, flag, value):
+        # D_a refused these, naming its own order and argument, not the flag
+        out = tmp_path / "out.csv"
+        assert main(["--out", str(out), "pcmodel", flag, *value]) == 1
+        assert not out.exists()
+        assert f"{flag} must be finite, got [" in capsys.readouterr().err
+
     @pytest.mark.parametrize("r1r, r2r", [(["1", "0"], ["-1", "0"]),
                                           (["nan", "0"], ["-0.55", "0.4"])],
                              ids=["vanishing-product", "nan"])
@@ -485,6 +496,14 @@ class TestConfig:
         for got, want in zip(rows, BUMP_SCATTER_GOLDEN):
             assert got[0] == want[0]
             assert all(close(got[k:k + 2], want[k:k + 2]) for k in range(1, 11, 2)), (got, want)
+
+    def test_bump_scatter_without_rows(self, tmp_path, bump):
+        # every xi dropped as 0: an empty table, as for the pure step; the
+        # seeds' phases failed to broadcast on the empty array
+        code, text = run_cli(["scatter", "--config", bump, "--n", "1",
+                              "--xi-min", "0", "--xi-max", "0"], tmp_path)
+        assert code == 0
+        assert parse_csv(text)[2] == []
 
     def test_bump_asymptote_golden(self, tmp_path, bump):
         code, text = run_cli(["asymptote", "--config", bump, "--mu", "0.3", "-0.3",

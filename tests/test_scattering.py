@@ -17,7 +17,7 @@ from steplpd.asymptotics import Branch, q_asymptotic
 from steplpd.kernels import ContourInterval, IntegrationError, interval_rule, ode, ode_integrate
 from steplpd.kernels.quadrature import _NODES, NODE_LEVELS
 from steplpd.phase import stationary_points
-from steplpd.rhfactors import build_delta
+from steplpd.rhfactors import build_delta, saddle_exponents
 from steplpd.scattering import (
     CaseTag,
     DegeneracyError,
@@ -709,48 +709,6 @@ class TestMagnusSweep:
             assert np.array_equal(T_minus[k], one_minus[0])
             assert np.array_equal(T_plus[k], one_plus[0])
 
-    @staticmethod
-    def s2_bound(bound, xi):
-        """The certificate's bound on |s^2|, as _sweep forms it."""
-        r = np.abs(np.atleast_1d(xi)).max()
-        d, u, lo = (sum(c * r ** k for k, c in enumerate(entry)) for entry in bound)
-        return d * d + u * lo
-
-    def test_certificate_bounds_every_cell(self):
-        # M[e][k] bounds |omega[k, e]| over sides and cells, so b_11^2 +
-        # b_12 b_21 bounds every cell's |s^2|, on the axis and off it
-        for prof in (InitialProfile.gaussian_bump(**BASELINE_BUMP), oracle_profiles()["table"]):
-            for _, omega, bound in (prof._coarse_cells, prof._fine_cells):
-                assert np.array_equal(np.abs(omega).max(axis=(2, 3)).T, bound)
-                for xi in (0.2, -3.0, 2.0 + 1.5j, -0.5 - 4.0j, 9.9, 30.0):
-                    w = sum(c * (-1j * xi) ** k for k, c in enumerate(omega))
-                    s2 = np.abs(w[0] ** 2 + w[1] * w[2]).max()
-                    assert s2 <= self.s2_bound(bound, xi) * (1 + 1e-12), xi
-
-    def test_certificate_changes_no_bit(self, monkeypatch):
-        # the certificate only skips the far-cell check: with and without
-        # it, _sweep gives the same bytes where it holds (|xi| <= 5 on the
-        # Baseline bump's wide cells, and 3 + 8i), where it does not (|xi| =
-        # 9.9 and 5.9 + 8i) and where a cell is far (12 and 6 + 8i on the
-        # wide cells), where the cosh/sinh branch must run either way
-        _, omega, bound = InitialProfile.gaussian_bump(**BASELINE_BUMP)._coarse_cells
-        limit = 0.99 * scattering._SERIES_S2
-        cosh_calls = []
-        cosh = np.cosh
-        monkeypatch.setattr(np, "cosh", lambda z: cosh_calls.append(z) or cosh(z))
-        certified = ([0.3], [-4.9], [2.0 + 1.0j], [3.0 + 8.0j], [0.2, -5.0, 1.5j])
-        checked = ([9.9], [-9.9], [5.9 + 8.0j], [0.5, 9.9])
-        far = ([12.0], [6.0 + 8.0j], [0.3, 12.0])
-        for xis in certified + checked + far:
-            xi = np.array(xis, dtype=complex)
-            assert (self.s2_bound(bound, xi) <= limit) == (xis in certified), xis
-            cosh_calls.clear()
-            exact = scattering._sweep(xi, omega)
-            assert len(cosh_calls) == (xis in far), xis
-            got = scattering._sweep(xi, omega, bound)
-            assert len(cosh_calls) == 2 * (xis in far), xis
-            assert got.tobytes() == exact.tobytes(), xis
-
     @pytest.mark.parametrize("name", ["baseline", "soliton"])
     def test_against_expm_product(self, name):
         # every cell's exp(Omega) by scipy's expm, multiplied in cell order by
@@ -876,7 +834,12 @@ class TestFirstTraceIdentity:
 
 
 class TestSweepCount:
-    """One Magnus sweep per sampled xi: the xi that reach _transfer, summed."""
+    """The xi that reach _transfer, summed: from_profile samples the
+    panels once, and later reads at real 0 < |xi| <= _MAGNUS_XI_COARSE
+    sweep none."""
+
+    # the Baseline bump's panels: 3 of _PANEL_DEGREE + 1 points
+    BASELINE_SAMPLES = 3 * 33
 
     @pytest.fixture
     def counted(self, monkeypatch):
@@ -890,6 +853,8 @@ class TestSweepCount:
         monkeypatch.setattr(scattering, "_transfer", counting)
         data = ScatteringData.from_profile(InitialProfile.gaussian_bump(**BASELINE_BUMP),
                                            analyze=False)
+        # S(0), then all the panels' points in one call
+        assert swept == [1, self.BASELINE_SAMPLES]
         assert classify_case(data) is CaseTag.CASE1
         swept.clear()
         return data, swept
@@ -897,37 +862,40 @@ class TestSweepCount:
     def test_locate_xi1(self, counted):
         data, swept = counted
         locate_xi1(data)
-        # 64 + 128 trace nodes and the two a1 checks off the axis
-        assert sum(swept) == 194
+        # the 12 + 25 trace nodes past 10 and the two a1 checks off the axis
+        assert sum(swept) == 39
 
     def test_build_delta(self, counted):
         data, swept = counted
         build_delta(data, stationary_points(0.3, GAMMA))
-        assert sum(swept) == 515
+        # its nodes past 10: 40 of 515
+        assert sum(swept) == 40
 
     def test_scatter_row(self, counted):
         data, swept = counted
         xi = 0.7
         data.a1(xi), data.a2(xi), data.b(xi), data.r1(xi), data.r2(xi)
-        assert sum(swept) == 1
+        assert sum(swept) == 0
 
     def test_scatter_columns(self, counted):
         # the five columns of `scatter`, each read on the whole array
         data, swept = counted
-        xs = np.linspace(0.1, 4.0, 21)
+        xs = np.linspace(-10.0, 10.0, 21)
+        xs = xs[xs != 0]
         data.a1(xs), data.a2(xs), data.b(xs), data.r1(xs), data.r2(xs)
-        assert sum(swept) == 21
+        assert sum(swept) == 0
 
     def test_ray(self, counted):
-        # build_delta's 515 nodes and the reads at the three saddles
+        # build_delta's 40 nodes past 10; the saddles lie on the panels
         data, swept = counted
         data.xi1 = BASELINE_XI1
         q_asymptotic(0.3 * 100.0, 100.0, data)
-        assert sum(swept) <= 520
+        assert sum(swept) == 40
 
     def test_case2_classification(self, monkeypatch):
-        # S(0) and the two points of a2'(0), which classify_case reuses
-        # from the data rather than sweeping them again
+        # S(0), the two points of a2'(0), which classify_case reuses from
+        # the data rather than sweeping them again, and the 25 panels of
+        # the soliton profile (support 20)
         swept = []
         transfer = scattering._transfer
 
@@ -939,7 +907,102 @@ class TestSweepCount:
         data = ScatteringData.from_profile(soliton_profile(2.0, GAMMA, np.pi / 3),
                                            analyze=False)
         assert classify_case(data) is CaseTag.CASE2
-        assert sum(swept) == 3
+        assert swept == [1, 2, 25 * 33]
+
+
+# profiles whose panels are checked against their sweeps at PANEL_XI, |xi|
+# log-uniform on [1e-3, 10]: T relative to its largest entry, S by rel_err
+# times min(1, |xi|).  Near 0, case 2's a1 ~ a11/xi carries the rounding of
+# T as 1/xi, in the sweep as much as in the panels.  The largest misses were
+# 5.7e-14 and 1.3e-13, both on the two profiles of support 20
+PANEL_T_TOL, PANEL_S_TOL = 2e-13, 5e-13
+PANEL_XI = (np.exp(np.random.default_rng(5).uniform(np.log(1e-3), np.log(10.0), 240))
+            * (-1) ** np.arange(240))
+PANEL_PROFILES = {
+    "baseline-bump": lambda: InitialProfile.gaussian_bump(**BASELINE_BUMP),
+    "imaginary-bump": lambda: InitialProfile.gaussian_bump(1.0, GAMMA, 0.5j, 0.2, 0.4),
+    "soliton": lambda: soliton_profile(2.0, GAMMA, np.pi / 3),
+    "table": lambda: oracle_profiles()["table"],
+    "case-2": lambda: case2_profile(0.2, CASE2_BETA[0.2]),
+}
+
+
+def direct_data(profile: InitialProfile) -> ScatteringData:
+    """from_profile's data with every nonzero xi read by a sweep."""
+    panels = ScatteringData.from_profile(profile, analyze=False)
+
+    def S(xi):
+        xi = np.asarray(xi, dtype=complex)
+        out = panels.S(xi).reshape(-1, 2, 2)
+        nonzero = xi.ravel() != 0
+        if nonzero.any():
+            out[nonzero] = scattering_matrix(profile, xi.ravel()[nonzero])
+        return out.reshape(xi.shape + (2, 2))
+
+    return ScatteringData(A=profile.A, gamma=profile.gamma, S=S, a2dot0=panels.a2dot0)
+
+
+class TestTransferPanels:
+    @pytest.mark.parametrize("name", sorted(PANEL_PROFILES))
+    def test_interpolant_matches_the_sweep(self, name):
+        profile = PANEL_PROFILES[name]()
+        assert 0 < np.abs(PANEL_XI).min() and np.abs(PANEL_XI).max() <= 10.0
+        T = scattering._TransferPanels.sample(profile)(PANEL_XI)
+        want = scattering._transfer(profile, PANEL_XI.astype(complex))
+        assert np.abs(T - want).max() < PANEL_T_TOL * np.abs(want).max()
+        S = ScatteringData.from_profile(profile, analyze=False).S(PANEL_XI)
+        err = np.abs(S - scattering_matrix(profile, PANEL_XI)) / np.maximum(1.0, np.abs(S))
+        assert (err.max(axis=(1, 2)) * np.minimum(1.0, np.abs(PANEL_XI))).max() < PANEL_S_TOL
+
+    def test_points_read_their_samples(self):
+        # at a panel's point, ends and centre included, T is its sample,
+        # which is the sweep there; neighbours share their end points
+        profile = InitialProfile.gaussian_bump(**BASELINE_BUMP)
+        panels = scattering._TransferPanels.sample(profile)
+        assert np.array_equal(panels.nodes[:-1, 0], panels.nodes[1:, -1])
+        assert np.array_equal(panels.nodes[1:, -1], panels.edges[1:-1])
+        x = panels.nodes[:, [0, 7, 16, 32]].ravel()
+        assert np.array_equal(panels(x), scattering._transfer(profile, x.astype(complex)))
+
+    @pytest.mark.parametrize("name", ["baseline-bump", "soliton"])
+    def test_ray_quantities_match_direct_sweeps(self, name):
+        # xi1, delta(0), v and chi_s(lam_s) at mu = 0.3
+        profile = PANEL_PROFILES[name]()
+        got = []
+        for data in (ScatteringData.from_profile(profile), direct_data(profile)):
+            locate_xi1(data)
+            exponents = saddle_exponents(build_delta(data, stationary_points(0.3, GAMMA)))
+            got.append(np.array([data.xi1, exponents.delta.at_zero(),
+                                 *exponents.delta.v_values, *exponents.chi_at_saddle]))
+        assert np.abs(got[0] - got[1]).max() < 1e-12
+
+    def test_a_fixed_layout_misses_the_soliton_profile(self, monkeypatch):
+        # 10 panels 2 wide (width times support 40) with no tail check: T
+        # misses by far more than PANEL_T_TOL
+        profile = soliton_profile(2.0, GAMMA, np.pi / 3)
+        want = scattering._transfer(profile, PANEL_XI.astype(complex))
+        monkeypatch.setattr(scattering, "_PANEL_WIDTH_SUPPORT", 40.0)
+        monkeypatch.setattr(scattering, "_PANEL_TOL", np.inf)
+        fixed = scattering._TransferPanels.sample(profile)
+        assert len(fixed.nodes) == 10
+        assert np.abs(fixed(PANEL_XI) - want).max() > 1e-7 * np.abs(want).max()
+        # with the tail check each of those panels is split until it passes
+        monkeypatch.setattr(scattering, "_PANEL_TOL", 1e-13)
+        split = scattering._TransferPanels.sample(profile)
+        assert len(split.nodes) > 10 and np.diff(split.edges).max() <= 1.0
+        assert np.abs(split(PANEL_XI) - want).max() < PANEL_T_TOL * np.abs(want).max()
+        # and a panel that may not be split is refused
+        monkeypatch.setattr(scattering, "_PANEL_SPLITS", 0)
+        with pytest.raises(IntegrationError, match="from_profile: T-"):
+            scattering._TransferPanels.sample(profile)
+
+    def test_non_finite_profile_refused(self):
+        # a perturbation that is NaN inside its support: refused at once,
+        # not split _PANEL_SPLITS times
+        profile = InitialProfile(A=1.0, gamma=GAMMA, support=1.0,
+                                 perturbation=lambda x: complex("nan") if abs(x) < 0.5 else 0j)
+        with pytest.raises(IntegrationError, match=r"after 0 halvings"):
+            ScatteringData.from_profile(profile, analyze=False)
 
 
 class TestArraySurface:
